@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Race the compiled kernel against the pure-Python fallback.
 
-Runs every hot kernel on both backends, checks the results agree
-bit-for-bit, and prints a timing table. Exits nonzero if any results
-diverge; if the compiled kernel is not built, only the Python column
-is filled.
+Runs every backend kernel (the adversarial profiles and the instance
+sweep) on both backends, checks the results agree bit-for-bit, and
+prints a timing table. Exits nonzero if any results diverge; if the
+compiled kernel is not built, only the Python column is filled. Grid
+claims are not backend kernels: intmath checks them by dyadic blocks
+on every backend alike.
 
-Usage: python benchmarks/compare_kernels.py [--grid N] [--profile-n N]
+Usage: python benchmarks/compare_kernels.py [--profile-n N]
 """
 
 import argparse
@@ -36,7 +38,6 @@ def _strip_details(sweep):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--grid", type=int, default=2**20)
     parser.add_argument("--profile-n", type=int, default=2**20, dest="profile_n")
     args = parser.parse_args()
 
@@ -50,13 +51,7 @@ def main() -> int:
         for length in range(space.max_len + 1)
         for items in nondecreasing_sequences(length, space.alphabet)
     ]
-    grid = args.grid
     cases = [
-        (f"ilog2_scan_monotonic({grid})", "ilog2_scan_monotonic", (grid,), None),
-        (f"ilog2_scan_doubling({grid})", "ilog2_scan_doubling", (grid,), None),
-        (f"ilog2_scan_oracle({grid})", "ilog2_scan_oracle", (grid,), None),
-        (f"calc_step_scan(3, 1, {grid})", "calc_step_scan", (3, 1, grid), None),
-        (f"bound_scan(6, 2, {grid})", "bound_scan", (6, 2, grid), None),
         (f"binary_max_steps({args.profile_n})", "binary_max_steps", (args.profile_n,), None),
         ("linear_max_steps(16384)", "linear_max_steps", (16384,), None),
         (

@@ -1,9 +1,9 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled hot-loop kernels; mirrors olog._pykernels function for function.
 
-Grid scans return 0 for "no failure" or the first failing grid point.
-All arithmetic is C long long; callers cap inputs at 2**32 so nothing
-here can overflow.
+All arithmetic is C long long; sequence lengths are capped at
+MAX_SWEEP_LEN and profile sizes by olog.kernels, so nothing here can
+overflow.
 """
 
 from libc.string cimport memset
@@ -22,89 +22,6 @@ cdef inline i64 _ilog2(i64 n) noexcept nogil:
         n >>= 1
         k += 1
     return k
-
-
-cdef inline i64 _ilog2_oracle(i64 n) noexcept nogil:
-    # independent route: largest k with 2**k <= n, by doubling
-    cdef i64 p = 1
-    cdef i64 k = 0
-    while p * 2 <= n:
-        p *= 2
-        k += 1
-    return k
-
-
-def ilog2_scan_monotonic(i64 n_max):
-    cdef i64 x, first = 0
-    with nogil:
-        for x in range(1, n_max + 1):
-            if _ilog2(x) > _ilog2(x + 1):
-                first = x
-                break
-    return first
-
-
-def ilog2_scan_doubling(i64 n_max):
-    cdef i64 n, first = 0
-    with nogil:
-        for n in range(1, n_max + 1):
-            if _ilog2(2 * n) != 1 + _ilog2(n):
-                first = n
-                break
-    return first
-
-
-def ilog2_scan_oracle(i64 n_max):
-    cdef i64 n, first = 0
-    with nogil:
-        for n in range(1, n_max + 1):
-            if _ilog2(n) != _ilog2_oracle(n):
-                first = n
-                break
-    return first
-
-
-def calc_step_scan(int step, i64 n_lo, i64 n_hi):
-    cdef i64 n, lhs, rhs, first = 0
-    cdef bint bad
-    if step < 1 or step > 5:
-        raise ValueError(f"unknown chain step {step}")
-    with nogil:
-        for n in range(n_lo, n_hi + 1):
-            if step == 1:
-                lhs = 2 * _ilog2(n + 1) + 1
-                rhs = 3 * _ilog2(n + 1)
-                bad = lhs > rhs
-            elif step == 2:
-                lhs = 2 * _ilog2(n + 1) + _ilog2(n + 1)
-                rhs = 3 * _ilog2(n + 1)
-                bad = lhs != rhs
-            elif step == 3:
-                lhs = 3 * _ilog2(n + 1)
-                rhs = 3 * _ilog2(2 * n)
-                bad = lhs > rhs
-            elif step == 4:
-                lhs = 3 * _ilog2(2 * n)
-                rhs = 3 * (1 + _ilog2(n))
-                bad = lhs != rhs
-            else:
-                lhs = 3 * (1 + _ilog2(n))
-                rhs = 6 * _ilog2(n)
-                bad = lhs > rhs
-            if bad:
-                first = n
-                break
-    return first
-
-
-def bound_scan(i64 c, i64 n0, i64 n_max):
-    cdef i64 n, first = 0
-    with nogil:
-        for n in range(n0, n_max + 1):
-            if 2 * _ilog2(n + 1) + 1 > c * _ilog2(n):
-                first = n
-                break
-    return first
 
 
 def search_steps(seq, i64 key):

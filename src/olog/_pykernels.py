@@ -2,13 +2,12 @@
 
 This module is the reference twin of the compiled ``_ckernel``: same
 functions, same argument conventions, same results. ``olog.kernels``
-picks whichever is available at import time. Grid scans return 0 for
-"no failure" or the first failing grid point otherwise.
+picks whichever is available at import time. numpy is imported only by
+the adversarial profiles, so commands that never run them skip its
+import cost.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from olog import costmodel
 from olog.algorithms import (
@@ -18,93 +17,19 @@ from olog.algorithms import (
     linear_search_oracle,
 )
 from olog.errors import InvariantViolation
-from olog.intmath import ilog2
+from olog.intmath import STEP_BUDGET, ilog2
 
 _CHUNK = 1 << 20
 
-# 2**k for k in 0..34 covers every value the scans feed through ilog2
-# (arguments never exceed 2*(2**32) = 2**33).
-_POWS = np.array([1 << k for k in range(35)], dtype=np.int64)
-
-
-def _ilog2_vec(a: np.ndarray) -> np.ndarray:
-    """Vectorized halving recurrence; elementwise floor-log2."""
-    m = a.astype(np.int64, copy=True)
-    k = np.zeros_like(m)
-    while True:
-        mask = m > 1
-        if not mask.any():
-            return k
-        m[mask] >>= 1
-        k[mask] += 1
-
-
-def _oracle_vec(a: np.ndarray) -> np.ndarray:
-    """Independent floor-log2: position among the powers of two."""
-    return np.searchsorted(_POWS, a, side="right").astype(np.int64) - 1
-
-
-def _first_true(values: np.ndarray, bad: np.ndarray) -> int:
-    idx = np.flatnonzero(bad)
-    return int(values[idx[0]]) if idx.size else 0
-
 
 def _chunks(lo: int, hi: int):
+    import numpy as np
+
     start = lo
     while start <= hi:
         stop = min(start + _CHUNK - 1, hi)
         yield np.arange(start, stop + 1, dtype=np.int64)
         start = stop + 1
-
-
-def ilog2_scan_monotonic(n_max: int) -> int:
-    for x in _chunks(1, n_max):
-        if (first := _first_true(x, _ilog2_vec(x) > _ilog2_vec(x + 1))) != 0:
-            return first
-    return 0
-
-
-def ilog2_scan_doubling(n_max: int) -> int:
-    for n in _chunks(1, n_max):
-        if (first := _first_true(n, _ilog2_vec(2 * n) != 1 + _ilog2_vec(n))) != 0:
-            return first
-    return 0
-
-
-def ilog2_scan_oracle(n_max: int) -> int:
-    for n in _chunks(1, n_max):
-        if (first := _first_true(n, _ilog2_vec(n) != _oracle_vec(n))) != 0:
-            return first
-    return 0
-
-
-def calc_step_scan(step: int, n_lo: int, n_hi: int) -> int:
-    for n in _chunks(n_lo, n_hi):
-        if step == 1:
-            lhs, rhs, eq = 2 * _ilog2_vec(n + 1) + 1, 3 * _ilog2_vec(n + 1), False
-        elif step == 2:
-            ln1 = _ilog2_vec(n + 1)
-            lhs, rhs, eq = 2 * ln1 + ln1, 3 * ln1, True
-        elif step == 3:
-            lhs, rhs, eq = 3 * _ilog2_vec(n + 1), 3 * _ilog2_vec(2 * n), False
-        elif step == 4:
-            lhs, rhs, eq = 3 * _ilog2_vec(2 * n), 3 * (1 + _ilog2_vec(n)), True
-        elif step == 5:
-            lhs, rhs, eq = 3 * (1 + _ilog2_vec(n)), 6 * _ilog2_vec(n), False
-        else:
-            raise ValueError(f"unknown chain step {step}")
-        bad = lhs != rhs if eq else lhs > rhs
-        if (first := _first_true(n, bad)) != 0:
-            return first
-    return 0
-
-
-def bound_scan(c: int, n0: int, n_max: int) -> int:
-    for n in _chunks(n0, n_max):
-        bad = 2 * _ilog2_vec(n + 1) + 1 > c * _ilog2_vec(n)
-        if (first := _first_true(n, bad)) != 0:
-            return first
-    return 0
 
 
 def search_steps(seq, key: int) -> tuple[int, int]:
@@ -122,6 +47,8 @@ def binary_max_steps(n: int) -> int:
     """
     if n == 0:
         return 0
+    import numpy as np
+
     worst = 0
     for keys in _chunks(-1, n):
         lo = np.zeros_like(keys)
@@ -151,6 +78,8 @@ def linear_max_steps(n: int) -> int:
     """
     if n == 0:
         return 0
+    import numpy as np
+
     worst = 0
     for keys in _chunks(-1, n):
         counts = np.zeros_like(keys)
@@ -194,7 +123,7 @@ def verify_sweep(seqs, key_lo: int, key_hi: int, search_fn=None) -> dict:
     for items in seqs:
         q = SortedSeq(items)
         n = len(q)
-        budget = 2 * ilog2(n + 1) + 1
+        budget = STEP_BUDGET(n)
         log_n = ilog2(n) if n >= 1 else 0
         for key in range(key_lo, key_hi + 1):
             instances += 1

@@ -20,6 +20,9 @@ checks the full battery on every instance:
 * P8 ilog2_monotonic: adjacent-pair monotonicity up to the grid bound.
 * P9 calc_chain: the witness derivation re-checks on the same grid.
 
+P8 and P9 are checked by dyadic blocks (see ``intmath.first_failure``),
+which decides every grid point.
+
 Counterexamples are minimal by construction: enumeration goes shortest
 sequence first, then lexicographic, then ascending key, and the first
 failure per property is the one reported.
@@ -33,10 +36,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from olog import complexity, kernels
+from olog import complexity, intmath, kernels
 from olog.algorithms import SortedSeq
 from olog.errors import CalcChainError, InvariantViolation, PreconditionError
-from olog.intmath import ilog2
+from olog.intmath import MAX_GRID, STEP_BUDGET
 
 PROPERTY_NAMES = {
     "P1": "binary_posts",
@@ -219,8 +222,10 @@ def verify_all(
     sequence chunks out to a process pool; the merge is an ordered
     reduction, so the report is identical to a sequential run.
     """
-    if grid < 2:
-        raise PreconditionError(f"grid must be >= 2 (the witness threshold), got {grid}")
+    if not 2 <= grid <= MAX_GRID:
+        raise PreconditionError(
+            f"grid must be in [2, 2**32] (2 is the witness threshold), got {grid}"
+        )
     if workers is None:
         workers = _workers_from_env()
 
@@ -248,7 +253,7 @@ def verify_all(
             PropertyResult(pid, PROPERTY_NAMES[pid], bad == 0, bad, sweep["first"][pid])
         )
 
-    mono_fail = kernels.ilog2_scan_monotonic(grid)
+    mono_fail = intmath.scan_monotonic(grid)
     results.append(
         PropertyResult(
             "P8",
@@ -312,7 +317,7 @@ def max_steps_profile(sizes: list[int]) -> list[ProfilePoint]:
         if n < 1:
             raise PreconditionError(f"profile sizes must be >= 1, got {n}")
         max_t = kernels.binary_max_steps(n)
-        budget = 2 * ilog2(n + 1) + 1
+        budget = STEP_BUDGET(n)
         if max_t > budget:
             raise InvariantViolation(
                 "step_budget", {"n": n, "max_t": max_t, "budget": budget}

@@ -19,7 +19,7 @@ from typing import Optional
 from olog import checker, complexity, costmodel, estimator
 from olog.algorithms import MODE_FULL_TRACE, SortedSeq, binary_search
 from olog.errors import CalcChainError, PreconditionError
-from olog.intmath import ilog2
+from olog.intmath import STEP_BUDGET
 
 DEFAULT_GRID = 2**20
 DEFAULT_SIZES = {"binary_search": "16:1048576:x4", "linear_oracle": "16:16384:x4"}
@@ -116,14 +116,11 @@ def _cmd_bound(args) -> int:
     else:
         lines = [
             f"witness: c={witness.c}, n0={witness.n0} "
-            f"(each step checked pointwise to n={trace.grid})"
+            f"(each step checked by dyadic blocks to n={trace.grid})"
         ]
         for s in trace.steps:
             mark = "ok  " if s.ok else "FAIL"
-            rel = "<=" if s.step.rel == "<=" else "= "
-            lines.append(
-                f"  {mark} {s.step.lhs_label} {rel} {s.step.rhs_label}   [{s.step.why}]"
-            )
+            lines.append(f"  {mark} {s.step.relation}   [{s.step.why}]")
         _write(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -136,7 +133,7 @@ def _cmd_bench(args) -> int:
 
     failed = False
     if algorithm == "binary_search":
-        over_budget = [s for s in samples if s.t_max > 2 * ilog2(s.n + 1) + 1]
+        over_budget = [s for s in samples if s.t_max > STEP_BUDGET(s.n)]
         failed = bool(over_budget) or report.verdict != "Logarithmic"
 
     if args.format == "json":

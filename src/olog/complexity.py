@@ -1,14 +1,15 @@
 """Bounded-domain membership checks for the O(log2 n) class.
 
 The classical definition quantifies over all n beyond a threshold; here
-every universal quantifier becomes a pointwise scan over an explicit
-grid whose bound travels with the verdict, and every existential becomes
-a concrete witness. The canonical bound function is
+every universal quantifier becomes a check over an explicit grid whose
+bound travels with the verdict, and every existential becomes a
+concrete witness. The canonical bound function is
 
     step_bound(n) = 2*ilog2(n+1) + 1
 
 and the inequality chain in ``canonical_chain`` derives the witness pair
-(c=6, n0=2) for it, each chain step re-checked at every grid point.
+(c=6, n0=2) for it. Each chain step is an ``intmath.Relation``, checked
+by dyadic blocks at every grid point (see ``intmath.first_failure``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from olog.errors import CalcChainError, PreconditionError, VacuousRangeError
-from olog.intmath import MAX_GRID, ilog2
+from olog.intmath import MAX_GRID, STEP_BUDGET, Expr, Relation, Term, first_failure, ilog2
 
 
 @dataclass(frozen=True)
@@ -43,35 +44,22 @@ class BoundFn:
         return self.fn(n)
 
 
-def _step_bound_value(n: int) -> int:
-    return 2 * ilog2(n + 1) + 1
-
-
 #: Canonical bound on the search's iteration count; total on all of nat
 #: (at n=0 it is 2*ilog2(1)+1 = 1).
-STEP_BOUND = BoundFn("2*ilog2(n+1)+1", _step_bound_value)
+STEP_BOUND = BoundFn(str(STEP_BUDGET), STEP_BUDGET)
 
 
 @dataclass(frozen=True)
 class CalcStep:
     """One link of an inequality chain, checkable in isolation.
 
-    The relation ``lhs rel rhs`` must hold pointwise for every n >=
-    ``n_min`` on the checked grid; ``why`` records the justification.
+    ``relation`` must hold for every n >= ``n_min`` on the checked grid;
+    ``why`` records the justification.
     """
 
-    lhs_label: str
-    lhs: Callable[[int], int]
-    rel: str  # "==" or "<="
-    rhs_label: str
-    rhs: Callable[[int], int]
+    relation: Relation
     n_min: int
     why: str
-
-    def holds_at(self, n: int) -> bool:
-        if self.rel == "==":
-            return self.lhs(n) == self.rhs(n)
-        return self.lhs(n) <= self.rhs(n)
 
 
 @dataclass(frozen=True)
@@ -82,10 +70,11 @@ class CalcStepResult:
     first_failure_n: Optional[int] = None
 
     def to_dict(self) -> dict:
+        rel = self.step.relation
         return {
-            "from": self.step.lhs_label,
-            "rel": "<=" if self.step.rel == "<=" else "=",
-            "to": self.step.rhs_label,
+            "from": str(rel.lhs),
+            "rel": rel.rel,
+            "to": str(rel.rhs),
             "checked_to": self.checked_to,
             "ok": self.ok,
         }
@@ -117,58 +106,30 @@ class CalcTrace:
         }
 
 
-def _l(n: int) -> int:
-    return ilog2(n)
-
-
 def canonical_chain() -> tuple[CalcStep, ...]:
-    """The five-step chain from the canonical bound down to 6*ilog2(n)."""
-    return (
-        CalcStep(
-            "f(n)",
-            lambda n: 2 * _l(n + 1) + 1,
-            "<=",
-            "2*ilog2(n+1) + ilog2(n+1)",
-            lambda n: 2 * _l(n + 1) + _l(n + 1),
-            1,
-            "ilog2(n+1) >= 1 for n >= 1",
-        ),
-        CalcStep(
-            "2*ilog2(n+1) + ilog2(n+1)",
-            lambda n: 2 * _l(n + 1) + _l(n + 1),
-            "==",
-            "3*ilog2(n+1)",
-            lambda n: 3 * _l(n + 1),
-            1,
-            "collect terms",
-        ),
-        CalcStep(
-            "3*ilog2(n+1)",
-            lambda n: 3 * _l(n + 1),
-            "<=",
-            "3*ilog2(2*n)",
-            lambda n: 3 * _l(2 * n),
-            1,
-            "ilog2 monotonic and n+1 <= 2*n for n >= 1",
-        ),
-        CalcStep(
-            "3*ilog2(2*n)",
-            lambda n: 3 * _l(2 * n),
-            "==",
-            "3*(1 + ilog2(n))",
-            lambda n: 3 * (1 + _l(n)),
-            1,
-            "ilog2(2*n) = 1 + ilog2(n)",
-        ),
-        CalcStep(
-            "3*(1 + ilog2(n))",
-            lambda n: 3 * (1 + _l(n)),
-            "<=",
-            "6*ilog2(n)",
-            lambda n: 6 * _l(n),
-            2,
-            "ilog2(n) >= 1 for n >= 2",
-        ),
+    """The five-step chain from the canonical bound down to 6*ilog2(n).
+
+    Each expression is written once; step i relates expression i to
+    expression i+1, so the chain is connected by construction.
+    """
+    exprs = (
+        STEP_BUDGET,
+        Expr((Term(2, 1, 1), Term(1, 1, 1)), 0),
+        Expr((Term(3, 1, 1),), 0),
+        Expr((Term(3, 2, 0),), 0),
+        Expr((Term(3, 1, 0),), 3),
+        Expr((Term(6, 1, 0),), 0),
+    )
+    links = (
+        ("<=", 1, "ilog2(n+1) >= 1 for n >= 1"),
+        ("=", 1, "collect terms"),
+        ("<=", 1, "ilog2 monotonic and n+1 <= 2*n for n >= 1"),
+        ("=", 1, "ilog2(2*n) = 1 + ilog2(n)"),
+        ("<=", 2, "ilog2(n) >= 1 for n >= 2"),
+    )
+    return tuple(
+        CalcStep(Relation(lhs, rel, rhs), n_min, why)
+        for lhs, rhs, (rel, n_min, why) in zip(exprs, exprs[1:], links)
     )
 
 
@@ -177,27 +138,14 @@ def canonical_chain() -> tuple[CalcStep, ...]:
 CANONICAL_WITNESS = LogWitness(c=6, n0=2)
 
 
-def _scan_step_python(step: CalcStep, n_lo: int, n_hi: int) -> int:
-    for n in range(n_lo, n_hi + 1):
-        if not step.holds_at(n):
-            return n
-    return 0
+def check_calc_chain(steps, n_max: int) -> tuple[CalcStepResult, ...]:
+    """Check every chain step on [step.n_min, n_max], by dyadic blocks.
 
-
-def check_calc_chain(steps, n_max: int, use_kernel: bool = True) -> tuple[CalcStepResult, ...]:
-    """Check every chain step pointwise on [step.n_min, n_max].
-
-    The canonical chain runs on the fast kernel; any other step list is
-    evaluated through its Python callables (that is what lets tests
-    splice in a broken step and watch it get caught).
+    Any step list works the same way, so a spliced-in broken step is
+    caught exactly like a real one.
     """
     if n_max < 1 or n_max > MAX_GRID:
         raise PreconditionError(f"chain grid must be in [1, 2**32], got {n_max}")
-    steps = tuple(steps)
-    kernel_ok = use_kernel and _is_canonical(steps)
-    if kernel_ok:
-        from olog import kernels
-
     results = []
     for i, step in enumerate(steps, start=1):
         lo = max(step.n_min, 1)
@@ -205,31 +153,17 @@ def check_calc_chain(steps, n_max: int, use_kernel: bool = True) -> tuple[CalcSt
             raise VacuousRangeError(
                 f"step {i} needs n >= {step.n_min} but the grid only reaches {n_max}"
             )
-        if kernel_ok:
-            bad = kernels.calc_step_scan(i, lo, n_max)
-        else:
-            bad = _scan_step_python(step, lo, n_max)
+        bad = first_failure(step.relation, lo, n_max)
         results.append(
             CalcStepResult(step, n_max, bad == 0, None if bad == 0 else bad)
         )
     return tuple(results)
 
 
-def _is_canonical(steps) -> bool:
-    canon = canonical_chain()
-    if len(steps) != len(canon):
-        return False
-    return all(
-        s.lhs_label == c.lhs_label and s.rhs_label == c.rhs_label and s.rel == c.rel
-        and s.n_min == c.n_min
-        for s, c in zip(steps, canon)
-    )
-
-
 def derive_log_witness(n_max: int) -> tuple[LogWitness, CalcTrace]:
     """Re-derive the witness (6, 2) by machine-checking the canonical chain.
 
-    Every step is verified pointwise over [its threshold, n_max]; a
+    Every step is verified at every n in [its threshold, n_max]; a
     failing point raises :class:`CalcChainError` naming the step and n.
     """
     if n_max < 2:
@@ -245,6 +179,8 @@ def derive_log_witness(n_max: int) -> tuple[LogWitness, CalcTrace]:
 def is_log2_from(witness: LogWitness, bound: BoundFn, n_max: int) -> bool:
     """True iff bound(n) <= c*ilog2(n) for every n in [n0, n_max].
 
+    A bound written as an ``intmath.Expr`` (``STEP_BOUND`` is one) is
+    checked by dyadic blocks; any other function at every grid point.
     Refuses empty ranges (n_max < n0) outright: a vacuously true verdict
     would be indistinguishable from a real one.
     """
@@ -254,11 +190,10 @@ def is_log2_from(witness: LogWitness, bound: BoundFn, n_max: int) -> bool:
         )
     if n_max > MAX_GRID:
         raise PreconditionError(f"grid bound {n_max} exceeds the 2**32 cap")
-    if bound is STEP_BOUND:
-        from olog import kernels
-
-        return kernels.bound_scan(witness.c, witness.n0, n_max) == 0
     c = witness.c
+    if isinstance(bound.fn, Expr):
+        within = Relation(bound.fn, "<=", Expr((Term(c, 1, 0),), 0))
+        return first_failure(within, witness.n0, n_max) == 0
     return all(bound(n) <= c * ilog2(n) for n in range(witness.n0, n_max + 1))
 
 

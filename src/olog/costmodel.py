@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from olog.errors import PreconditionError
-from olog.intmath import ilog2
+from olog.intmath import STEP_BUDGET, ilog2
 
 # Lengths are capped at 2**32 (see intmath), so recursion depth never
 # exceeds ~33; anything deeper signals a broken recurrence.
@@ -106,7 +106,7 @@ def step_budget(q: Sequence[int]) -> int:
     Defined for the empty sequence too (value 1); the counter there is
     exactly 0, so the budget is merely loose, never wrong.
     """
-    return 2 * ilog2(len(q) + 1) + 1
+    return STEP_BUDGET(len(q))
 
 
 def tbs_log_bound(q: Sequence[int], lo: int, hi: int, key: int) -> bool:

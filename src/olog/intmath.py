@@ -1,4 +1,4 @@
-"""Exact integer floor-log2 and its order-theoretic grid checks.
+"""Exact integer floor-log2, its term language and the grid checks.
 
 Everything here is integer arithmetic: no floats, no rounding. The
 central function is ``ilog2``, defined by the recurrence
@@ -7,17 +7,30 @@ central function is ``ilog2``, defined by the recurrence
     ilog2(n) = 1 + ilog2(n // 2)    for n > 1
 
 which equals floor(log2(n)). A repeated-doubling oracle provides an
-independent route to the same value, and the grid scans check the
-properties the rest of the package leans on (monotonicity, the doubling
-identity) pointwise over explicit, reported ranges.
+independent route to the same value.
+
+Every claim the package checks over a grid of n (monotonicity, the
+doubling law, the inequality chain, the step budget against a witness)
+is a ``Relation`` between two sums of terms ``a*ilog2(b*n + d)`` plus a
+constant, and ``first_failure`` checks any of them. It is exhaustive
+because ilog2 is constant on each dyadic block [2**k, 2**(k+1) - 1]
+(Knuth, TAOCP Vol. 1, 1.2.4): a term can change value only where its
+argument b*n + d reaches a power of two, so between two such points
+both sides, and hence the relation's truth, are constant. Evaluating
+the relation once at the start of each of those blocks therefore
+decides it at every n, and the first failing block start is the first
+failing n.
 """
 
 from __future__ import annotations
 
-from olog.errors import PreconditionError
+from dataclasses import dataclass
 
-# All compiled arithmetic is 64-bit; capping inputs at 2**32 guarantees
-# every intermediate (2*n, lo+hi, c*ilog2(n)) fits with a wide margin.
+from olog.errors import PreconditionError, VacuousRangeError
+
+# Every grid claim is stated for n up to this bound. The tests discharge
+# the block-constancy of ilog2 to 2**33, beyond the largest argument a
+# term with b = 2 reaches here.
 MAX_GRID = 2**32
 
 
@@ -67,36 +80,121 @@ def ilog2_checked_against_oracle(n: int) -> bool:
     return ilog2(n) == ilog2_oracle(n)
 
 
-def _check_grid(n_max: int) -> None:
-    if n_max < 1:
-        raise PreconditionError(f"grid bound must be >= 1, got {n_max}")
-    if n_max > MAX_GRID:
-        raise PreconditionError(f"grid bound {n_max} exceeds the 2**32 cap")
+@dataclass(frozen=True)
+class Term:
+    """``a*ilog2(b*n + d)``; b >= 1 and d >= 0 keep the argument >= 1 for n >= 1."""
+
+    a: int
+    b: int
+    d: int
+
+    def __post_init__(self):
+        if self.b < 1 or self.d < 0:
+            raise PreconditionError(f"a term needs b >= 1 and d >= 0, got {self!r}")
+
+    def __call__(self, n: int) -> int:
+        return self.a * ilog2(self.b * n + self.d)
+
+    def __str__(self) -> str:
+        arg = ("n" if self.b == 1 else f"{self.b}*n") + (f"+{self.d}" if self.d else "")
+        return ("" if self.a == 1 else f"{self.a}*") + f"ilog2({arg})"
+
+    def jumps(self, n_lo: int, n_hi: int) -> list[int]:
+        """Every n in (n_lo, n_hi] where b*n + d first reaches a power of two."""
+        found = []
+        k = ilog2(self.b * n_lo + self.d) + 1
+        while (n := ((1 << k) - self.d + self.b - 1) // self.b) <= n_hi:
+            found.append(n)
+            k += 1
+        return found
+
+
+@dataclass(frozen=True)
+class Expr:
+    """``sum(terms) + e``, the value each side of a grid claim takes at n."""
+
+    terms: tuple[Term, ...]
+    e: int
+
+    def __call__(self, n: int) -> int:
+        return sum(t(n) for t in self.terms) + self.e
+
+    def __str__(self) -> str:
+        parts = [str(t) for t in self.terms] + ([str(self.e)] if self.e or not self.terms else [])
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+@dataclass(frozen=True)
+class Relation:
+    """``lhs rel rhs`` for every n of a checked range; ``rel`` is "=" or "<="."""
+
+    lhs: Expr
+    rel: str
+    rhs: Expr
+
+    def __post_init__(self):
+        if self.rel not in ("=", "<="):
+            raise PreconditionError(f"relation must be '=' or '<=', got {self.rel!r}")
+
+    def holds_at(self, n: int) -> bool:
+        left, right = self.lhs(n), self.rhs(n)
+        return left == right if self.rel == "=" else left <= right
+
+    def __str__(self) -> str:
+        return f"{self.lhs} {self.rel} {self.rhs}"
+
+
+def _check_range(n_lo: int, n_hi: int) -> None:
+    if n_lo < 1 or n_hi > MAX_GRID:
+        raise PreconditionError(f"grid range must lie in [1, 2**32], got [{n_lo}, {n_hi}]")
+    if n_lo > n_hi:
+        raise VacuousRangeError(f"grid range [{n_lo}, {n_hi}] is empty")
+
+
+def first_failure(rel: Relation, n_lo: int, n_hi: int) -> int:
+    """First n in [n_lo, n_hi] where ``rel`` fails, or 0 if it holds on all of it.
+
+    Evaluates ``rel`` at n_lo and at each n where some term's argument
+    reaches a power of two: the start of every block on which both sides
+    are constant (see the module docstring).
+    """
+    _check_range(n_lo, n_hi)
+    starts = {n_lo}
+    for term in rel.lhs.terms + rel.rhs.terms:
+        starts.update(term.jumps(n_lo, n_hi))
+    return next((n for n in sorted(starts) if not rel.holds_at(n)), 0)
+
+
+#: The end-to-end iteration budget of the search on n elements; total on
+#: all of nat (at n = 0 it is 2*ilog2(1) + 1 = 1).
+STEP_BUDGET = Expr((Term(2, 1, 1),), 1)
+
+#: P8: ilog2(x) <= ilog2(x+1) at adjacent points, hence monotonic by transitivity.
+MONOTONIC = Relation(Expr((Term(1, 1, 0),), 0), "<=", Expr((Term(1, 1, 1),), 0))
+
+#: The doubling law ilog2(2n) = 1 + ilog2(n).
+DOUBLING = Relation(Expr((Term(1, 2, 0),), 0), "=", Expr((Term(1, 1, 0),), 1))
 
 
 def scan_monotonic(n_max: int) -> int:
-    """First x in [1, n_max] with ilog2(x) > ilog2(x+1), or 0 if none.
-
-    Pairwise monotonicity over adjacent grid points implies ilog2(x) <=
-    ilog2(y) for all 1 <= x <= y <= n_max + 1 by transitivity.
-    """
-    _check_grid(n_max)
-    from olog import kernels
-
-    return kernels.ilog2_scan_monotonic(n_max)
+    """First x in [1, n_max] with ilog2(x) > ilog2(x+1), or 0 if none."""
+    return first_failure(MONOTONIC, 1, n_max)
 
 
 def scan_doubling(n_max: int) -> int:
     """First n in [1, n_max] with ilog2(2n) != 1 + ilog2(n), or 0 if none."""
-    _check_grid(n_max)
-    from olog import kernels
-
-    return kernels.ilog2_scan_doubling(n_max)
+    return first_failure(DOUBLING, 1, n_max)
 
 
 def scan_oracle_equivalence(n_max: int) -> int:
-    """First n in [1, n_max] where recurrence and doubling oracle differ, or 0."""
-    _check_grid(n_max)
-    from olog import kernels
+    """First n in [1, n_max] where recurrence and doubling oracle differ, or 0.
 
-    return kernels.ilog2_scan_oracle(n_max)
+    Both are constant on each dyadic block, so they are compared at the
+    two ends of every block that meets [1, n_max].
+    """
+    _check_range(1, n_max)
+    for k in range(n_max.bit_length()):
+        for n in (1 << k, min((2 << k) - 1, n_max)):
+            if not ilog2_checked_against_oracle(n):
+                return n
+    return 0

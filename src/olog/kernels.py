@@ -2,7 +2,7 @@
 
 The compiled core (``olog._ckernel``, built from Cython) and the
 pure-Python/numpy fallback (``olog._pykernels``) implement the same
-functions with the same semantics; whichever loads wins. Set
+instance kernels with the same semantics; whichever loads wins. Set
 ``OLOG_KERNEL=python`` or ``OLOG_KERNEL=compiled`` to force one;
 ``benchmarks/compare_kernels.py`` uses that to race them.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from olog import _pykernels
+from olog import _pykernels, intmath
 from olog.errors import PreconditionError
 
 try:
@@ -36,6 +36,11 @@ else:
 
 BACKEND = "compiled" if _impl is _ckernel else "python"
 
+# Grid claims are no backend's business: intmath checks them by dyadic
+# blocks. perfbench/tracer.py times the P8 and P9 checks under these names.
+ilog2_scan_monotonic = intmath.scan_monotonic
+calc_step_scan = intmath.first_failure
+
 # Adversarial profiles run the whole key family; these caps keep the
 # worst case (O(n log n) and O(n^2) work respectively) at desk scale.
 BINARY_PROFILE_MAX_N = 2**26
@@ -48,26 +53,6 @@ def backends() -> dict:
     if _ckernel is not None:
         found["compiled"] = _ckernel
     return found
-
-
-def ilog2_scan_monotonic(n_max: int) -> int:
-    return _impl.ilog2_scan_monotonic(n_max)
-
-
-def ilog2_scan_doubling(n_max: int) -> int:
-    return _impl.ilog2_scan_doubling(n_max)
-
-
-def ilog2_scan_oracle(n_max: int) -> int:
-    return _impl.ilog2_scan_oracle(n_max)
-
-
-def calc_step_scan(step: int, n_lo: int, n_hi: int) -> int:
-    return _impl.calc_step_scan(step, n_lo, n_hi)
-
-
-def bound_scan(c: int, n0: int, n_max: int) -> int:
-    return _impl.bound_scan(c, n0, n_max)
 
 
 def search_steps(seq, key: int) -> tuple[int, int]:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from olog import checker, estimator, kernels
+from olog import checker, estimator, intmath, kernels
 from olog.algorithms import SortedSeq, binary_search, broken_binary_search
 from olog.checker import InstanceSpace
 from olog.cli import main
@@ -103,8 +103,8 @@ def test_c4_tbs_log_bound_property(default_verify_report):
 
 def test_c5_ilog2_grid_properties():
     with _Run() as run:
-        mono = kernels.ilog2_scan_monotonic(2**20)
-        doubling = kernels.ilog2_scan_doubling(2**20)
+        mono = intmath.scan_monotonic(2**20)
+        doubling = intmath.scan_doubling(2**20)
     failures = []
     if mono != 0:
         failures.append(f"monotonicity fails first at x={mono}")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -9,6 +12,14 @@ from olog.cli import main, parse_sizes
 from olog.errors import PreconditionError
 
 SCHEMAS = Path(olog.__file__).parent / "schemas"
+SRC = Path(olog.__file__).parent.parent
+
+
+def _python(*args, timeout=60):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def _schema(name):
@@ -63,6 +74,26 @@ def test_verify_csv(capsys):
 def test_verify_config_errors(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_rejects_grid_over_cap_before_any_work():
+    # the grid is validated before enumeration, so this is quick
+    run = _python("-m", "olog", "verify", "--grid", "5000000000", timeout=10)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:")
+    assert "Traceback" not in run.stderr
+
+
+def test_commands_without_profiles_leave_numpy_unloaded():
+    probe = (
+        "import sys; from olog.cli import main; "
+        "assert 'numpy' not in sys.modules, 'import olog.cli loaded numpy'; "
+        "rc = main(['trace', '--q', '1,2', '--key', '2']); "
+        "assert 'numpy' not in sys.modules, 'trace loaded numpy'; "
+        "sys.exit(rc)"
+    )
+    run = _python("-c", probe)
+    assert run.returncode == 0, run.stderr
 
 
 def test_verify_exits_1_when_a_property_fails(monkeypatch, capsys):

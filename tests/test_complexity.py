@@ -15,7 +15,9 @@ from olog.complexity import (
     search_log_witness,
 )
 from olog.errors import PreconditionError, VacuousRangeError
-from olog.intmath import ilog2
+from olog.intmath import Expr, Relation, Term, ilog2
+
+import pointwise
 
 
 def test_step_bound_values():
@@ -89,41 +91,58 @@ def test_witness_round_trips_through_checker():
 def test_chain_steps_check_in_isolation():
     # every canonical step alone holds on a small grid
     for result in check_calc_chain(canonical_chain(), 4096):
-        assert result.ok, result.step.lhs_label
+        assert result.ok, str(result.step.relation)
 
 
-def test_reversed_monotonic_step_is_caught():
+def _reversed_step3():
     # flip step 3 (the monotonicity link); 3*ilog2(2n) <= 3*ilog2(n+1)
     # first breaks at n=2 where ilog2(4)=2 but ilog2(3)=1
     steps = list(canonical_chain())
     s3 = steps[2]
-    steps[2] = CalcStep(
-        s3.rhs_label, s3.rhs, "<=", s3.lhs_label, s3.lhs, s3.n_min, "deliberately reversed"
-    )
+    flipped = Relation(s3.relation.rhs, "<=", s3.relation.lhs)
+    steps[2] = CalcStep(flipped, s3.n_min, "deliberately reversed")
+    return steps
+
+
+def _step5_rhs_mutant():
+    # step 5 with its right-hand side weakened to 3*ilog2(n): false from n=2 on
+    steps = list(canonical_chain())
+    s5 = steps[4]
+    weakened = Relation(s5.relation.lhs, "<=", Expr((Term(3, 1, 0),), 0))
+    steps[4] = CalcStep(weakened, s5.n_min, s5.why)
+    return steps
+
+
+def test_reversed_monotonic_step_is_caught():
+    steps = _reversed_step3()
     results = check_calc_chain(steps, 1024)
     assert results[2].ok is False
     assert results[2].first_failure_n == 2
     assert all(r.ok for i, r in enumerate(results) if i != 2)
 
 
+def test_step5_rhs_mutant_is_caught():
+    # a chain is checked by what its steps compute, never by their labels
+    results = check_calc_chain(_step5_rhs_mutant(), 1024)
+    assert [r.ok for r in results] == [True, True, True, True, False]
+    assert results[4].first_failure_n == 2
+
+
 def test_broken_chain_trace_reports_first_failure():
-    steps = list(canonical_chain())
-    s3 = steps[2]
-    steps[2] = CalcStep(
-        s3.rhs_label, s3.rhs, "<=", s3.lhs_label, s3.lhs, s3.n_min, "reversed"
-    )
+    steps = _reversed_step3()
     trace = complexity.CalcTrace(LogWitness(6, 2), check_calc_chain(steps, 1024), 1024)
     assert not trace.ok
     assert trace.first_failure() == (3, 2)
 
 
 def test_generic_and_kernel_chain_scans_agree():
-    kernel_results = check_calc_chain(canonical_chain(), 512, use_kernel=True)
-    python_results = check_calc_chain(canonical_chain(), 512, use_kernel=False)
-    assert [r.ok for r in kernel_results] == [r.ok for r in python_results]
-    assert [r.first_failure_n for r in kernel_results] == [
-        r.first_failure_n for r in python_results
-    ]
+    # the block check and a pointwise scan find the same first failing n,
+    # on the canonical chain and on both mutants
+    grid = 2**14
+    for steps in (canonical_chain(), _reversed_step3(), _step5_rhs_mutant()):
+        block = [r.first_failure_n or 0 for r in check_calc_chain(steps, grid)]
+        reference = [pointwise.first_failure(s.relation, s.n_min, grid) for s in steps]
+        assert block == reference
 
 
 def test_calc_trace_serialization_shape():
@@ -133,7 +152,7 @@ def test_calc_trace_serialization_shape():
     assert len(payload["steps"]) == 5
     first = payload["steps"][0]
     assert set(first) == {"from", "rel", "to", "checked_to", "ok"}
-    assert first["from"] == "f(n)"
+    assert first["from"] == "2*ilog2(n+1) + 1"
     assert payload["steps"][-1]["to"] == "6*ilog2(n)"
     json.dumps(payload)  # must be plain-JSON serializable
 

@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from olog import intmath
-from olog.errors import PreconditionError
-from olog.intmath import ilog2, ilog2_checked_against_oracle, ilog2_oracle
+from olog.errors import PreconditionError, VacuousRangeError
+from olog.intmath import Expr, Relation, Term, ilog2, ilog2_checked_against_oracle, ilog2_oracle
+
+import pointwise
 
 
 def floor_log2_brute(n):
@@ -92,3 +94,95 @@ def test_scans_reject_bad_grid():
             scan(0)
         with pytest.raises(PreconditionError):
             scan(2**32 + 1)
+
+
+def test_ilog2_block_constancy_obligation():
+    # Base: ilog2(1) = 0, so ilog2 is constant on block 0 = [1, 1].
+    # Step: n // 2 maps block k = [2**k, 2**(k+1) - 1] onto block k-1,
+    # endpoint to endpoint, and the recurrence adds one; so ilog2 is k on
+    # all of block k. Checked for every block up to 2**33.
+    assert ilog2(1) == 0
+    for k in range(1, 34):
+        lo, hi = 1 << k, (2 << k) - 1
+        assert (lo // 2, hi // 2) == (1 << (k - 1), (1 << k) - 1)
+        assert ilog2(lo) == ilog2(hi) == 1 + ilog2(lo // 2) == 1 + ilog2(hi // 2) == k
+
+
+def test_scan_oracle_equivalence_matches_pointwise_routes():
+    # the block comparison agrees with both other floor-log2 routes at every n
+    n_max = 2**14
+    assert intmath.scan_oracle_equivalence(n_max) == 0
+    for n in range(1, n_max + 1):
+        assert ilog2_oracle(n) == n.bit_length() - 1 == ilog2(n)
+
+
+def _log(a, b, d):
+    return Expr((Term(a, b, d),), 0)
+
+
+@pytest.mark.parametrize(
+    "rel,n_lo,first",
+    [
+        (Relation(_log(1, 1, 0), "<=", Expr((), 3)), 1, 16),
+        (Relation(_log(1, 1, 0), "<=", Expr((), 4)), 1, 32),
+        (Relation(_log(1, 1, 0), "<=", Expr((), 10)), 1, 2048),
+        (Relation(_log(2, 3, 1), "<=", Expr((), 9)), 1, 11),  # 3*11+1 = 34 >= 32
+        (Relation(_log(2, 3, 2), "<=", Expr((), 9)), 1, 10),  # 3*10+2 = 32
+        (Relation(_log(1, 2, 0), "=", _log(1, 1, 1)), 3, 4),
+        (Relation(Expr((Term(1, 1, 3), Term(1, 2, 1)), 0), "<=", Expr((), 7)), 5, 13),
+    ],
+)
+def test_first_failure_inside_the_range(rel, n_lo, first):
+    # each fails first at a block start past n_lo: no block may be skipped
+    assert intmath.first_failure(rel, n_lo, 4096) == first
+    assert pointwise.first_failure(rel, n_lo, 4096) == first
+
+
+_terms = st.lists(
+    st.builds(
+        Term,
+        st.integers(min_value=-3, max_value=6),
+        st.sampled_from([1, 2, 3]),
+        st.integers(min_value=0, max_value=3),
+    ),
+    min_size=0,
+    max_size=3,
+).map(tuple)
+_exprs = st.builds(Expr, _terms, st.integers(min_value=-3, max_value=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _exprs,
+    st.sampled_from(["=", "<="]),
+    _exprs,
+    st.integers(min_value=1, max_value=2**12),
+    st.integers(min_value=0, max_value=2**12),
+)
+def test_block_check_matches_pointwise_on_random_relations(lhs, rel, rhs, n_lo, width):
+    relation = Relation(lhs, rel, rhs)
+    n_hi = min(n_lo + width, 2**12)
+    assert intmath.first_failure(relation, n_lo, n_hi) == pointwise.first_failure(
+        relation, n_lo, n_hi
+    )
+
+
+def test_term_language_rejects_malformed_input():
+    with pytest.raises(PreconditionError):
+        Term(1, 0, 0)  # b*n + d must stay >= 1 for n >= 1
+    with pytest.raises(PreconditionError):
+        Term(1, 1, -1)
+    with pytest.raises(PreconditionError):
+        Relation(Expr((), 0), "<", Expr((), 1))
+    with pytest.raises(VacuousRangeError):
+        intmath.first_failure(intmath.MONOTONIC, 5, 4)
+    with pytest.raises(PreconditionError):
+        intmath.first_failure(intmath.MONOTONIC, 0, 4)
+
+
+def test_labels_come_from_the_terms():
+    assert str(intmath.STEP_BUDGET) == "2*ilog2(n+1) + 1"
+    assert str(intmath.DOUBLING) == "ilog2(2*n) = ilog2(n) + 1"
+    assert str(Relation(Expr((Term(-3, 3, 2),), -1), "<=", Expr((), 0))) == (
+        "-3*ilog2(3*n+2) - 1 <= 0"
+    )

@@ -1,19 +1,58 @@
-"""Backend parity: the compiled kernel and the Python fallback must be
-interchangeable. Every test here runs on whatever backends are present;
-when the compiled one is missing the comparisons collapse to self-checks
-instead of failing the suite."""
+"""Parity: every route to a kernel's answer must give the same result.
+
+The instance kernels run on every backend present; when the compiled
+one is missing the comparisons collapse to self-checks instead of
+failing the suite. Grid claims are no backend's code: their two routes
+are the dyadic-block check and a pointwise scan.
+"""
 
 import pytest
 
-from olog import kernels
+from olog import intmath, kernels
 from olog.algorithms import SortedSeq, binary_search
 from olog.checker import InstanceSpace, nondecreasing_sequences
+from olog.complexity import STEP_BOUND, LogWitness, canonical_chain, is_log2_from
+from olog.intmath import DOUBLING, MONOTONIC, STEP_BUDGET, Expr, Relation, Term
+
+import pointwise
 
 BACKENDS = kernels.backends()
 
 
 def pairs():
     return [(name, mod) for name, mod in sorted(BACKENDS.items())]
+
+
+def _oracle_pointwise(n_max):
+    bad = (n for n in range(1, n_max + 1) if n.bit_length() - 1 != intmath.ilog2_oracle(n))
+    return next(bad, 0)
+
+
+def _within_witness_pointwise(c, n0, n_max):
+    within = Relation(STEP_BUDGET, "<=", Expr((Term(c, 1, 0),), 0))
+    return pointwise.first_failure(within, n0, n_max) == 0
+
+
+# grid claim -> (dyadic-block route, pointwise route)
+GRID_CLAIMS = {
+    "ilog2_scan_monotonic": (
+        kernels.ilog2_scan_monotonic, lambda n: pointwise.first_failure(MONOTONIC, 1, n)
+    ),
+    "ilog2_scan_doubling": (
+        intmath.scan_doubling, lambda n: pointwise.first_failure(DOUBLING, 1, n)
+    ),
+    "ilog2_scan_oracle": (intmath.scan_oracle_equivalence, _oracle_pointwise),
+    "bound_scan": (
+        lambda c, n0, n: is_log2_from(LogWitness(c, n0), STEP_BOUND, n),
+        _within_witness_pointwise,
+    ),
+}
+
+
+def routes(fn):
+    if fn in GRID_CLAIMS:
+        return dict(zip(("dyadic blocks", "pointwise"), GRID_CLAIMS[fn]))
+    return {name: getattr(mod, fn) for name, mod in pairs()}
 
 
 def test_active_backend_is_exposed():
@@ -36,16 +75,16 @@ def test_active_backend_is_exposed():
     ],
 )
 def test_scan_parity(fn, args):
-    results = {name: int(getattr(mod, fn)(*args)) for name, mod in pairs()}
+    results = {name: int(route(*args)) for name, route in routes(fn).items()}
     assert len(set(results.values())) == 1, results
 
 
 @pytest.mark.parametrize("step", [1, 2, 3, 4, 5])
 def test_calc_step_parity(step):
-    lo = 2 if step == 5 else 1
-    results = {name: int(mod.calc_step_scan(step, lo, 4096)) for name, mod in pairs()}
-    assert len(set(results.values())) == 1
-    assert results[kernels.BACKEND] == 0
+    s = canonical_chain()[step - 1]
+    grid = 2**14
+    assert kernels.calc_step_scan(s.relation, s.n_min, grid) == 0
+    assert pointwise.first_failure(s.relation, s.n_min, grid) == 0
 
 
 def test_search_steps_matches_library():
