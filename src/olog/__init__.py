@@ -20,7 +20,7 @@ from olog.algorithms import (
     check_sorted,
     linear_search_oracle,
 )
-from olog.checker import CheckReport, InstanceSpace, enumerate_instances, max_steps_profile, verify_all
+from olog.checker import CheckReport, InstanceSpace, enumerate_instances, verify_all
 from olog.complexity import (
     STEP_BOUND,
     BoundFn,
@@ -31,7 +31,7 @@ from olog.complexity import (
     is_o_log2n,
     search_log_witness,
 )
-from olog.costmodel import RangeCost, step_budget, tbs, tbs_log_bound
+from olog.costmodel import step_budget, tbs, tbs_log_bound
 from olog.errors import (
     CalcChainError,
     ContractError,

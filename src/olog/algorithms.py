@@ -6,8 +6,9 @@ invariants at every loop head and aborts with a structured
 :class:`~olog.errors.InvariantViolation` if any fails; that signals an
 implementation bug, never bad user input.
 
-A deliberately broken variant (``broken_binary_search``) ships alongside
-the real one so the checking machinery can be shown to catch it.
+A deliberately broken variant (``broken_binary_search``) runs the same
+loop with one changed step, so the checking machinery can be shown to
+catch it.
 """
 
 from __future__ import annotations
@@ -164,18 +165,9 @@ def _head_checks(q, lo, hi, r, key, t, tbs_total, prev_width):
     return remaining
 
 
-def binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutcome:
-    """Search ``key`` in sorted ``q``, counting loop iterations exactly.
-
-    ``check_mode``:
-
-    * ``"off"``: plain run, nothing but the counter (the default, so
-      measured step counts are never inflated by assertion work).
-    * ``"invariants"``: re-checks sortedness, then asserts the loop
-      invariant, the transition-cost difference bound and the
-      strictly-decreasing range width at every loop head.
-    * ``"full_trace"``: everything ``invariants`` does, plus one
-      :class:`IterRecord` captured per iteration.
+def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
+    """The one instrumented search loop; the go-right step sets
+    ``lo = mid + advance``.
 
     The loop has a single exit point: the found branch records the index
     and collapses the range instead of breaking out.
@@ -206,7 +198,7 @@ def binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutcome:
         if key < q[mid]:
             hi = mid
         elif q[mid] < key:
-            lo = mid + 1
+            lo = mid + advance
         else:
             r = mid
             hi = lo
@@ -217,48 +209,30 @@ def binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutcome:
             )
 
     return SearchOutcome(r=r, t=t, trace=tuple(trace) if tracing else None)
+
+
+def binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutcome:
+    """Search ``key`` in sorted ``q``, counting loop iterations exactly.
+
+    ``check_mode``:
+
+    * ``"off"``: plain run, nothing but the counter (the default, so
+      measured step counts are never inflated by assertion work).
+    * ``"invariants"``: re-checks sortedness, then asserts the loop
+      invariant, the transition-cost difference bound and the
+      strictly-decreasing range width at every loop head.
+    * ``"full_trace"``: everything ``invariants`` does, plus one
+      :class:`IterRecord` captured per iteration.
+    """
+    return _search(q, key, check_mode, advance=1)
 
 
 def broken_binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutcome:
     """Deliberately broken search used to exercise the checkers.
 
-    Identical to :func:`binary_search` except the go-right branch keeps
-    ``lo`` at ``mid`` instead of skipping past it, so the range can stop
-    shrinking. Only ever run it in a checking mode; the termination
-    check is what stops it.
+    The same loop as :func:`binary_search` except the go-right branch
+    keeps ``lo`` at ``mid`` instead of skipping past it, so the range
+    can stop shrinking. Only ever run it in a checking mode; the
+    termination check is what stops it.
     """
-    if check_mode not in _MODES:
-        raise PreconditionError(f"unknown check_mode {check_mode!r}")
-    q = _as_sorted(q)
-    checking = check_mode != MODE_OFF
-    tracing = check_mode == MODE_FULL_TRACE
-
-    r = -1
-    lo, hi = 0, len(q)
-    t = 0
-    trace: list[IterRecord] = []
-    tbs_total = costmodel.tbs(q, 0, len(q), key) if checking else 0
-    prev_width = None
-
-    while True:
-        if checking:
-            _head_checks(q, lo, hi, r, key, t, tbs_total, prev_width)
-            prev_width = hi - lo
-        if not lo < hi:
-            break
-        mid = (lo + hi) // 2
-        iter_lo, iter_hi = lo, hi
-        if key < q[mid]:
-            hi = mid
-        elif q[mid] < key:
-            lo = mid  # the planted bug: must be mid + 1
-        else:
-            r = mid
-            hi = lo
-        t += 1
-        if tracing:
-            trace.append(
-                IterRecord(iter_lo, iter_hi, mid, t, costmodel.tbs(q, lo, hi, key))
-            )
-
-    return SearchOutcome(r=r, t=t, trace=tuple(trace) if tracing else None)
+    return _search(q, key, check_mode, advance=0)  # the planted bug: must be 1

@@ -34,12 +34,12 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 from olog import complexity, intmath, kernels
 from olog.algorithms import SortedSeq
-from olog.errors import CalcChainError, InvariantViolation, PreconditionError
-from olog.intmath import MAX_GRID, STEP_BUDGET
+from olog.errors import CalcChainError, PreconditionError
+from olog.intmath import MAX_GRID
 
 PROPERTY_NAMES = {
     "P1": "binary_posts",
@@ -217,10 +217,10 @@ def verify_all(
     never exceptions.
 
     ``search_fn`` swaps in a different search implementation (the
-    shipped broken variant, say) and forces the Python sweep so the
-    instrumentation can catch it in the act. ``workers`` > 0 fans
-    sequence chunks out to a process pool; the merge is an ordered
-    reduction, so the report is identical to a sequential run.
+    shipped broken variant, say) so the instrumentation can catch it
+    in the act. ``workers`` > 0 fans sequence chunks out to a process
+    pool; the merge is an ordered reduction, so the report is identical
+    to a sequential run.
     """
     if not 2 <= grid <= MAX_GRID:
         raise PreconditionError(
@@ -292,35 +292,6 @@ def verify_all(
         },
         wall_time_ms=elapsed_ms,
         max_tbs_gap=sweep["max_tbs_gap"],
-        backend=kernels.BACKEND if search_fn is None else "python",
+        backend=kernels.BACKEND,
     )
 
-
-class ProfilePoint(NamedTuple):
-    n: int
-    max_t: int
-    budget: int
-
-
-def max_steps_profile(sizes: list[int]) -> list[ProfilePoint]:
-    """Worst-case counter over the adversarial key family, per size.
-
-    For each n the sequence is [0, 1, ..., n-1] and the keys are every
-    element plus one value below and one above, the family that drives
-    every exit path to its deepest point. Blows up if the observed worst
-    ever crosses the budget, since that would falsify the whole model.
-    """
-    if not sizes:
-        raise PreconditionError("sizes must be nonempty")
-    rows = []
-    for n in sizes:
-        if n < 1:
-            raise PreconditionError(f"profile sizes must be >= 1, got {n}")
-        max_t = kernels.binary_max_steps(n)
-        budget = STEP_BUDGET(n)
-        if max_t > budget:
-            raise InvariantViolation(
-                "step_budget", {"n": n, "max_t": max_t, "budget": budget}
-            )
-        rows.append(ProfilePoint(n, max_t, budget))
-    return rows

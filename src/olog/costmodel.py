@@ -9,7 +9,6 @@ end-to-end step budget 2*ilog2(len(q)+1) + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from olog.errors import PreconditionError
@@ -79,25 +78,6 @@ def tbs_table(q: Sequence[int], key: int) -> list[list[int]]:
             else:
                 table[lo][hi] = 1 + table[mid + 1][hi]
     return table
-
-
-@dataclass(frozen=True)
-class RangeCost:
-    """A search range bound to its transition cost.
-
-    ``cost`` is always computed from the other fields, so the pair can
-    never drift apart.
-    """
-
-    q: tuple[int, ...]
-    lo: int
-    hi: int
-    key: int
-    cost: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", tuple(self.q))
-        object.__setattr__(self, "cost", tbs(self.q, self.lo, self.hi, self.key))
 
 
 def step_budget(q: Sequence[int]) -> int:

@@ -1,10 +1,8 @@
 """Acceptance gate: one test per criterion, one printed PASS/FAIL line each.
 
-Correctness tolerances are exact (integer comparisons, zero violations).
-Each criterion's stated runtime budget is asserted only when the
-compiled kernel is active; the pure-Python fallback must still produce
-identical results, just without the timing guarantee (run with -s to
-see measured times either way).
+Correctness tolerances are exact (integer comparisons, zero violations),
+and each criterion's stated runtime budget is asserted (run with -s to
+see the measured times).
 """
 
 import json
@@ -17,8 +15,6 @@ from olog.algorithms import SortedSeq, binary_search, broken_binary_search
 from olog.checker import InstanceSpace
 from olog.cli import main
 from olog.intmath import ilog2
-
-TIMED = kernels.BACKEND == "compiled"
 
 
 class _Run:
@@ -37,7 +33,7 @@ def _finish(num, name, failures, elapsed=None, limit=None):
         timing = f" [{elapsed:.3f}s{f' / budget {limit:.0f}s' if limit else ''}]"
     print(f"ACCEPTANCE C{num} {name}: {status}{timing}")
     assert not failures, f"criterion {num}: " + "; ".join(failures)
-    if limit is not None and TIMED:
+    if limit is not None:
         assert elapsed < limit, f"criterion {num} took {elapsed:.3f}s, expected < {limit}s"
 
 

@@ -10,7 +10,6 @@ from olog.algorithms import broken_binary_search
 from olog.checker import (
     InstanceSpace,
     enumerate_instances,
-    max_steps_profile,
     nondecreasing_sequences,
     verify_all,
 )
@@ -152,16 +151,3 @@ def test_workers_env_override(monkeypatch):
     with pytest.raises(PreconditionError):
         verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
 
-
-def test_max_steps_profile_examples():
-    rows = max_steps_profile([1, 8, 1024])
-    assert rows[0] == (1, 1, 3)
-    assert rows[1].n == 8 and rows[1].max_t <= rows[1].budget == 7
-    assert rows[2].n == 1024 and rows[2].max_t <= rows[2].budget == 21
-
-
-def test_max_steps_profile_validation():
-    with pytest.raises(PreconditionError):
-        max_steps_profile([])
-    with pytest.raises(PreconditionError):
-        max_steps_profile([0])

@@ -67,6 +67,15 @@ def test_verify_csv(capsys):
     assert len(lines) == 10
 
 
+def test_verify_long_sequences_pass(capsys):
+    # one sequence per length 0..70 over a one-letter alphabet, three keys each
+    assert main(["verify", "--max-len", "70", "--alphabet", "1", "--grid", "2",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["instances_checked"] == 213
+    assert [p["passed"] for p in payload["properties"]] == [True] * 9
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify", "--max-len", "0"], ["verify", "--grid", "1"], ["verify", "--alphabet", "0"]],

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from olog.algorithms import SortedSeq, binary_search
-from olog.costmodel import RangeCost, step_budget, tbs, tbs_log_bound, tbs_table
+from olog.costmodel import step_budget, tbs, tbs_log_bound, tbs_table
 from olog.errors import PreconditionError
 from olog.intmath import ilog2
 
@@ -85,9 +85,3 @@ def test_log_bound_over_all_subranges(instance):
         for hi in range(lo + 1, len(items) + 1):
             assert table[lo][hi] <= 2 * ilog2(hi - lo) + 1
 
-
-def test_range_cost_binds_cost_to_its_range():
-    rc = RangeCost([1, 3, 5, 7], 0, 4, 7)
-    assert rc.cost == tbs(rc.q, 0, 4, 7) == 2
-    with pytest.raises(PreconditionError):
-        RangeCost([1, 2, 3], 2, 1, 0)
