@@ -189,8 +189,11 @@ def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
 
     while True:
         if checking:
-            _head_checks(q, lo, hi, r, key, t, tbs_total, prev_width)
+            remaining = _head_checks(q, lo, hi, r, key, t, tbs_total, prev_width)
             prev_width = hi - lo
+            if tracing and t > 0:
+                # the iteration that led here ends with this head's range
+                trace.append(IterRecord(iter_lo, iter_hi, mid, t, remaining))
         if not lo < hi:
             break
         mid = (lo + hi) // 2
@@ -203,10 +206,6 @@ def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
             r = mid
             hi = lo
         t += 1
-        if tracing:
-            trace.append(
-                IterRecord(iter_lo, iter_hi, mid, t, costmodel.tbs(q, lo, hi, key))
-            )
 
     return SearchOutcome(r=r, t=t, trace=tuple(trace) if tracing else None)
 

@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_verify = sub.add_parser("verify", help="run the exhaustive property suite")
-    p_verify.add_argument("--max-len", type=int, default=8, dest="max_len")
+    p_verify.add_argument("--max-len", type=int, default=8, dest="max_len", help="must be >= 1")
     p_verify.add_argument("--alphabet", type=int, default=6)
     p_verify.add_argument("--grid", type=int, default=DEFAULT_GRID)
     add_common(p_verify)

@@ -61,9 +61,8 @@ def _tbs(q, lo, hi, key, depth):
 def tbs_table(q: Sequence[int], key: int) -> list[list[int]]:
     """All transition costs at once: table[lo][hi] = tbs(q, lo, hi, key).
 
-    Filled bottom-up by increasing range width, which both routes
-    around the recursion and gives checkers O(1) lookups when they
-    sweep every subrange.
+    Filled bottom-up by increasing range width, without the recursion,
+    which makes it an independent reference for ``tbs`` in the tests.
     """
     n = len(q)
     table = [[0] * (n + 1) for _ in range(n + 1)]
@@ -95,8 +94,6 @@ def tbs_log_bound(q: Sequence[int], lo: int, hi: int, key: int) -> bool:
     Requires a nonempty sequence and a nonempty range; empty ranges
     would make the bound vacuous and are rejected.
     """
-    if len(q) == 0:
-        raise PreconditionError("tbs_log_bound requires a nonempty sequence")
     if not (0 <= lo < hi <= len(q)):
         raise PreconditionError(
             f"tbs_log_bound requires 0 <= lo < hi <= len(q); got lo={lo}, hi={hi}"

@@ -13,6 +13,7 @@ from olog.algorithms import (
     check_sorted,
     linear_search_oracle,
 )
+from olog.checker import InstanceSpace, enumerate_instances
 from olog.errors import InvariantViolation, PreconditionError
 
 
@@ -76,6 +77,18 @@ def test_full_trace_records():
     assert second.tbs_remaining == 0
     # records capture the pre-update range, so lo <= mid < hi
     assert all(rec.lo <= rec.mid < rec.hi for rec in outcome.trace)
+
+
+def test_trace_remaining_is_cost_of_the_range_left():
+    space = InstanceSpace(max_len=6, alphabet=3)
+    for q, key in enumerate_instances(space):
+        trace = binary_search(q, key, MODE_FULL_TRACE).trace
+        # each record's range is what the previous iteration left; the
+        # loop exits on an empty range, which costs nothing
+        left = ([(rec.lo, rec.hi) for rec in trace[1:]] + [(0, 0)])[: len(trace)]
+        assert [rec.tbs_remaining for rec in trace] == [
+            costmodel.tbs(q, lo, hi, key) for lo, hi in left
+        ]
 
 
 def test_binary_search_accepts_plain_lists():

@@ -6,6 +6,8 @@ import jsonschema
 import pytest
 
 import olog
+import subranges
+from olog import checker, costmodel
 from olog.algorithms import broken_binary_search
 from olog.checker import (
     InstanceSpace,
@@ -43,6 +45,40 @@ def test_enumeration_count_formula():
     total = sum(1 for _ in enumerate_instances(space))
     assert _sequence_count(8, 6) == 3003 == math.comb(14, 6)
     assert total == 3003 * space.keys_per_sequence == 24024
+
+
+@pytest.mark.parametrize("max_len,alphabet", [(1, 1), (3, 1), (2, 5), (4, 3), (6, 2), (8, 6)])
+def test_instance_count_closed_form(max_len, alphabet):
+    space = InstanceSpace(max_len=max_len, alphabet=alphabet)
+    assert space.instances == sum(1 for _ in enumerate_instances(space))
+
+
+@pytest.mark.parametrize("max_len,alphabet", [(1, 1), (4, 1), (3, 4), (5, 3), (6, 2)])
+def test_instance_space_closed_under_slicing(max_len, alphabet):
+    # the second obligation of the sweep's P5 reduction
+    space = InstanceSpace(max_len=max_len, alphabet=alphabet)
+    instances = {(s.items, key) for s, key in enumerate_instances(space)}
+    for items, key in instances:
+        for lo in range(len(items) + 1):
+            for hi in range(lo, len(items) + 1):
+                assert (items[lo:hi], key) in instances
+
+
+def test_verify_all_rejects_oversized_space_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(checker, "nondecreasing_sequences", no_enumeration)
+    with pytest.raises(PreconditionError, match="instances"):
+        verify_all(InstanceSpace(max_len=8, alphabet=100), grid=2)
+    monkeypatch.setattr(checker, "MAX_INSTANCES", 23)
+    with pytest.raises(PreconditionError):
+        verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2)  # 24 instances
+
+
+def test_space_at_instance_cap_is_accepted(monkeypatch):
+    monkeypatch.setattr(checker, "MAX_INSTANCES", 24)
+    assert verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2).instances_checked == 24
 
 
 def test_enumeration_is_sorted_and_ordered():
@@ -151,3 +187,34 @@ def test_workers_env_override(monkeypatch):
     with pytest.raises(PreconditionError):
         verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
 
+
+
+def _p5(report):
+    p5 = next(p for p in report.properties if p.id == "P5")
+    first = p5.counterexample
+    return p5.passed, p5.violations, None if first is None else (first["q"], first["key"])
+
+
+def test_p5_matches_all_subrange_reference(default_report):
+    assert subranges.p5_sweep(8, 6) == (0, None)
+    assert _p5(default_report) == (True, 0, None)
+
+
+def test_p5_planted_cost_model_matches_all_subrange_reference(monkeypatch):
+    exact = costmodel._tbs
+
+    def planted(q, lo, hi, key, depth):
+        # overcharges width-5 ranges that go left, past the bound 2*ilog2(5)+1 = 5
+        cost = exact(q, lo, hi, key, depth)
+        if hi - lo == 5 and q[(lo + hi) // 2] > key:
+            cost += 5
+        return cost
+
+    monkeypatch.setattr(costmodel, "_tbs", planted)
+    reference = subranges.p5_sweep(7, 3)
+    report = verify_all(InstanceSpace(max_len=7, alphabet=3), grid=2)
+    # the reference counts every instance with a failing subrange, the
+    # sweep only the instances whose full range fails
+    assert reference == (183, ([0, 0, 0, 0, 0], -1))
+    assert _p5(report) == (False, 42, ([0, 0, 0, 0, 0], -1))
+    assert report.minimal_counterexample()["detail"] == "tbs(0, 5)=8 exceeds its log bound"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -83,6 +84,17 @@ def test_verify_long_sequences_pass(capsys):
 def test_verify_config_errors(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_rejects_oversized_space_before_any_work():
+    # 3.6e13 instances: the count is checked before enumeration starts
+    started = time.perf_counter()
+    run = _python("-m", "olog", "verify", "--alphabet", "100", timeout=10)
+    elapsed = time.perf_counter() - started
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:")
+    assert "Traceback" not in run.stderr
+    assert elapsed < 1.0
 
 
 def test_verify_rejects_grid_over_cap_before_any_work():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from olog.algorithms import SortedSeq, binary_search
+from olog.checker import InstanceSpace, nondecreasing_sequences
 from olog.costmodel import step_budget, tbs, tbs_log_bound, tbs_table
 from olog.errors import PreconditionError
 from olog.intmath import ilog2
@@ -85,3 +86,25 @@ def test_log_bound_over_all_subranges(instance):
         for hi in range(lo + 1, len(items) + 1):
             assert table[lo][hi] <= 2 * ilog2(hi - lo) + 1
 
+
+
+def test_tbs_translation_invariant_on_instance_space():
+    # the first obligation of the sweep's P5 reduction, exhaustively
+    space = InstanceSpace(max_len=8, alphabet=4)
+    for length in range(space.max_len + 1):
+        for items in nondecreasing_sequences(length, space.alphabet):
+            for key in range(space.key_lo, space.key_hi + 1):
+                for lo in range(length + 1):
+                    for hi in range(lo, length + 1):
+                        assert tbs(items, lo, hi, key) == tbs(items[lo:hi], 0, hi - lo, key)
+
+
+@given(
+    st.lists(st.integers(min_value=-100, max_value=100), max_size=64).map(sorted),
+    st.data(),
+)
+def test_tbs_translation_invariant(items, data):
+    lo = data.draw(st.integers(min_value=0, max_value=len(items)))
+    hi = data.draw(st.integers(min_value=lo, max_value=len(items)))
+    key = data.draw(st.integers(min_value=-101, max_value=101))
+    assert tbs(items, lo, hi, key) == tbs(items[lo:hi], 0, hi - lo, key)
