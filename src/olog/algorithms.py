@@ -13,8 +13,8 @@ catch it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+import operator
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from olog import costmodel
 from olog.errors import InvariantViolation, PreconditionError
@@ -29,7 +29,7 @@ _MODES = (MODE_OFF, MODE_INVARIANTS, MODE_FULL_TRACE)
 
 def check_sorted(items: Sequence[int]) -> bool:
     """True iff ``items`` is non-decreasing (adjacent-pair check)."""
-    return all(items[i] <= items[i + 1] for i in range(len(items) - 1))
+    return all(map(operator.le, items, items[1:]))
 
 
 class SortedSeq:
@@ -70,8 +70,7 @@ class SortedSeq:
         return f"SortedSeq({list(self._items)!r})"
 
 
-@dataclass(frozen=True)
-class IterRecord:
+class IterRecord(NamedTuple):
     """State captured for one loop iteration.
 
     ``lo``/``hi``/``mid`` are the values the iteration started from,
@@ -95,8 +94,7 @@ class IterRecord:
         }
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result index ``r`` (-1 when absent), iteration count ``t``, optional trace."""
 
     r: int
@@ -143,20 +141,33 @@ def _as_sorted(q) -> SortedSeq:
     return q if isinstance(q, SortedSeq) else SortedSeq(q)
 
 
-def _head_checks(q, lo, hi, r, key, t, tbs_total, prev_width):
-    """Invariant battery run at every loop head in the checking modes."""
+def _state(lo, hi, r, t) -> dict:
+    return {"lo": lo, "hi": hi, "r": r, "t": t}
+
+
+def _head_checks(items, lo, hi, r, key, t, tbs_total, prev_width, costs):
+    """Invariant battery run at every loop head in the checking modes.
+
+    ``costs`` holds the cost of every range the ``tbs`` recursion visits
+    (``costmodel.tbs_path``); a head whose range lies off that path, the
+    final empty range or one a faulty search strays into, asks
+    ``costmodel.tbs`` instead.
+    """
     width = hi - lo
-    state = {"lo": lo, "hi": hi, "r": r, "t": t}
     if prev_width is not None and width >= prev_width:
+        state = _state(lo, hi, r, t)
         raise InvariantViolation(
             "termination",
             state,
             f"hi-lo failed to decrease ({prev_width} -> {width}) at {state!r}",
         )
-    if not check_binary_loop_inv(q, lo, hi, r, key):
-        raise InvariantViolation("binary_loop", state)
-    remaining = costmodel.tbs(q, lo, hi, key)
+    if not check_binary_loop_inv(items, lo, hi, r, key):
+        raise InvariantViolation("binary_loop", _state(lo, hi, r, t))
+    remaining = costs.get((lo, hi))
+    if remaining is None:
+        remaining = costmodel.tbs(items, lo, hi, key)
     if t > tbs_total - remaining:
+        state = _state(lo, hi, r, t)
         raise InvariantViolation(
             "tbs_difference",
             state,
@@ -170,26 +181,30 @@ def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
     ``lo = mid + advance``.
 
     The loop has a single exit point: the found branch records the index
-    and collapses the range instead of breaking out.
+    and collapses the range instead of breaking out. In the checking
+    modes one walk of the ``tbs`` recursion per call supplies every loop
+    head's remaining cost.
     """
     if check_mode not in _MODES:
         raise PreconditionError(f"unknown check_mode {check_mode!r}")
-    q = _as_sorted(q)
+    items = _as_sorted(q).items
     checking = check_mode != MODE_OFF
     tracing = check_mode == MODE_FULL_TRACE
-    if checking and not check_sorted(q.items):
-        raise InvariantViolation("sorted", {"items": q.items})
+    if checking and not check_sorted(items):
+        raise InvariantViolation("sorted", {"items": items})
 
     r = -1
-    lo, hi = 0, len(q)
+    lo, hi = 0, len(items)
     t = 0
     trace: list[IterRecord] = []
-    tbs_total = costmodel.tbs(q, 0, len(q), key) if checking else 0
+    if checking:
+        costs = costmodel.tbs_path(items, key)
+        tbs_total = costs[lo, hi]
     prev_width = None
 
     while True:
         if checking:
-            remaining = _head_checks(q, lo, hi, r, key, t, tbs_total, prev_width)
+            remaining = _head_checks(items, lo, hi, r, key, t, tbs_total, prev_width, costs)
             prev_width = hi - lo
             if tracing and t > 0:
                 # the iteration that led here ends with this head's range
@@ -198,16 +213,16 @@ def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
             break
         mid = (lo + hi) // 2
         iter_lo, iter_hi = lo, hi
-        if key < q[mid]:
+        if key < items[mid]:
             hi = mid
-        elif q[mid] < key:
+        elif items[mid] < key:
             lo = mid + advance
         else:
             r = mid
             hi = lo
         t += 1
 
-    return SearchOutcome(r=r, t=t, trace=tuple(trace) if tracing else None)
+    return SearchOutcome(r, t, tuple(trace) if tracing else None)
 
 
 def binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutcome:

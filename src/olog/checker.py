@@ -57,9 +57,17 @@ PROPERTY_NAMES = {
 }
 _INSTANCE_PROPS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 
-# The sequential sweep checks 26k-43k instances/s (2 CPUs, Python 3.11),
-# so the largest accepted space runs for four to seven minutes.
+# The sequential sweep checks 55k-140k instances/s (2 CPUs, Python 3.11;
+# the low end at max-len 26, the high end at max-len 1), so a space at
+# the instance cap runs for about one to three minutes.
 MAX_INSTANCES = 10**7
+# Each key's search scans the whole sequence in its loop-head invariant
+# and its oracles, so the work grows with keys x total sequence length,
+# which the instance count does not bound (alphabet 1 holds one sequence
+# per length). max-len 4000 at alphabet 1, 2.4e7 of these, took 6.4 s
+# and 108 MB peak RSS (same machine), and the enumerated sequences are
+# held in memory, so the cap sits at about four times that.
+MAX_ELEMENTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,14 @@ class InstanceSpace:
         """(alphabet+2) * C(max_len+alphabet, max_len): keys times sequences,
         as the C(L+alphabet-1, L) sequences of each length L <= max_len sum to it."""
         return self.keys_per_sequence * math.comb(self.max_len + self.alphabet, self.max_len)
+
+    @property
+    def elements(self) -> int:
+        """Total length of all sequences: alphabet * C(max_len+alphabet, alphabet+1).
+
+        Length L contributes L*C(L+alphabet-1, L) = alphabet*C(L+alphabet-1, alphabet)
+        elements, and those sum over L <= max_len to the closed form."""
+        return self.alphabet * math.comb(self.max_len + self.alphabet, self.alphabet + 1)
 
 
 def nondecreasing_sequences(length: int, alphabet: int) -> Iterator[tuple[int, ...]]:
@@ -236,6 +252,12 @@ def verify_all(
         )
     if space.instances > MAX_INSTANCES:
         raise PreconditionError(f"{space.instances} instances exceed the cap {MAX_INSTANCES}")
+    work = space.keys_per_sequence * space.elements
+    if work > MAX_ELEMENTS:
+        raise PreconditionError(
+            f"{space.keys_per_sequence} keys x {space.elements} sequence elements = "
+            f"{work} exceed the cap {MAX_ELEMENTS}"
+        )
     if workers is None:
         workers = _workers_from_env()
 

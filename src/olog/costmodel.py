@@ -40,10 +40,31 @@ def tbs(q: Sequence[int], lo: int, hi: int, key: int) -> int:
     so the recursion terminates.
     """
     _check_range(q, lo, hi)
-    return _tbs(q, lo, hi, key, 0)
+    return _tbs(q, lo, hi, key, 0, None)
 
 
-def _tbs(q, lo, hi, key, depth):
+def tbs_path(q: Sequence[int], key: int) -> dict[tuple[int, int], int]:
+    """One walk of the recurrence from the full range [0, len(q)).
+
+    Returns the cost of every range the recursion visits, keyed by
+    ``(lo, hi)``; each value equals ``tbs(q, lo, hi, key)``. These are the
+    ranges a correct search's loop heads see, except the empty range it
+    ends on, which the recursion never enters.
+    """
+    costs: dict[tuple[int, int], int] = {}
+    _visit(q, 0, len(q), key, 0, costs)
+    return costs
+
+
+def _visit(q, lo, hi, key, depth, costs):
+    # records what the (module-global) recurrence returns for [lo, hi)
+    cost = _tbs(q, lo, hi, key, depth, costs)
+    if costs is not None:
+        costs[lo, hi] = cost
+    return cost
+
+
+def _tbs(q, lo, hi, key, depth, costs):
     if depth > _MAX_DEPTH:
         raise AssertionError("transition-cost recursion exceeded its depth cap")
     mid = (lo + hi) // 2
@@ -54,8 +75,8 @@ def _tbs(q, lo, hi, key, depth):
     if key == q[mid] or hi - lo == 1:
         return 1
     if key < q[mid]:
-        return 1 + _tbs(q, lo, mid, key, depth + 1)
-    return 1 + _tbs(q, mid + 1, hi, key, depth + 1)
+        return 1 + _visit(q, lo, mid, key, depth + 1, costs)
+    return 1 + _visit(q, mid + 1, hi, key, depth + 1, costs)
 
 
 def tbs_table(q: Sequence[int], key: int) -> list[list[int]]:
@@ -88,8 +109,13 @@ def step_budget(q: Sequence[int]) -> int:
     return STEP_BUDGET(len(q))
 
 
+def log_bound(width: int) -> int:
+    """The per-range bound on the transition cost: 2*ilog2(width) + 1."""
+    return 2 * ilog2(width) + 1
+
+
 def tbs_log_bound(q: Sequence[int], lo: int, hi: int, key: int) -> bool:
-    """True iff tbs(q, lo, hi, key) <= 2*ilog2(hi-lo) + 1.
+    """True iff tbs(q, lo, hi, key) <= log_bound(hi-lo) = 2*ilog2(hi-lo) + 1.
 
     Requires a nonempty sequence and a nonempty range; empty ranges
     would make the bound vacuous and are rejected.
@@ -98,4 +124,4 @@ def tbs_log_bound(q: Sequence[int], lo: int, hi: int, key: int) -> bool:
         raise PreconditionError(
             f"tbs_log_bound requires 0 <= lo < hi <= len(q); got lo={lo}, hi={hi}"
         )
-    return tbs(q, lo, hi, key) <= 2 * ilog2(hi - lo) + 1
+    return tbs(q, lo, hi, key) <= log_bound(hi - lo)

@@ -125,10 +125,12 @@ def verify_sweep(seqs, key_lo: int, key_hi: int, search_fn=None) -> dict:
     defaults to :func:`binary_search`, looked up at call time so that a
     wrapper installed on this module's global is honoured.
 
-    P5 is checked on each instance's full range only: ``tbs`` is
-    translation-invariant (tbs(q, lo, hi, key) == tbs(q[lo:hi], 0, hi-lo,
-    key), as mid = lo + (hi-lo)//2) and the space is closed under slicing,
-    so every (subrange, key) pair is an instance of its own.
+    Each instance walks the ``tbs`` recurrence once here; that one value
+    serves P4's end-to-end bound and P5. P5 is checked on each
+    instance's full range only: ``tbs`` is translation-invariant
+    (tbs(q, lo, hi, key) == tbs(q[lo:hi], 0, hi-lo, key), as
+    mid = lo + (hi-lo)//2) and the space is closed under slicing, so
+    every (subrange, key) pair is an instance of its own.
     """
     if search_fn is None:
         search_fn = binary_search
@@ -144,16 +146,18 @@ def verify_sweep(seqs, key_lo: int, key_hi: int, search_fn=None) -> dict:
 
     for items in seqs:
         q = SortedSeq(items)
-        n = len(q)
+        items = q.items
+        n = len(items)
         budget = STEP_BUDGET(n)
         log_n = ilog2(n) if n >= 1 else 0
+        bound = costmodel.log_bound(n) if n >= 1 else None
         for key in range(key_lo, key_hi + 1):
             instances += 1
-            tbs_total = costmodel.tbs(q, 0, n, key)
+            tbs_total = costmodel.tbs(items, 0, n, key)
 
             # P5 needs only the cost model, so it runs even when the
             # instrumented run aborts.
-            if n >= 1 and not costmodel.tbs_log_bound(q, 0, n, key):
+            if n >= 1 and tbs_total > bound:
                 record("P5", items, key, f"tbs(0, {n})={tbs_total} exceeds its log bound")
 
             try:
@@ -163,10 +167,10 @@ def verify_sweep(seqs, key_lo: int, key_hi: int, search_fn=None) -> dict:
                 record(prop, items, key, str(violation))
                 continue
 
-            if not check_binary_posts(q, out.r, key):
+            if not check_binary_posts(items, out.r, key):
                 record("P1", items, key, f"postconditions fail for r={out.r}")
-            oracle_r = linear_search_oracle(q, key)
-            agree = (out.r >= 0) == (oracle_r >= 0) and (out.r < 0 or q[out.r] == key)
+            oracle_r = linear_search_oracle(items, key)
+            agree = (out.r >= 0) == (oracle_r >= 0) and (out.r < 0 or items[out.r] == key)
             if not agree:
                 record("P2", items, key, f"r={out.r} disagrees with oracle index {oracle_r}")
             if out.trace is None or out.t != len(out.trace):

@@ -77,18 +77,32 @@ def test_full_trace_records():
     assert second.tbs_remaining == 0
     # records capture the pre-update range, so lo <= mid < hi
     assert all(rec.lo <= rec.mid < rec.hi for rec in outcome.trace)
+    with pytest.raises(AttributeError):
+        first.lo = 1
+    with pytest.raises(AttributeError):
+        outcome.t = 0
 
 
 def test_trace_remaining_is_cost_of_the_range_left():
+    # the mutant's ranges leave the recursion's path, so its heads are
+    # costed by costmodel.tbs rather than by the search's one walk
     space = InstanceSpace(max_len=6, alphabet=3)
+    strays = 0
     for q, key in enumerate_instances(space):
-        trace = binary_search(q, key, MODE_FULL_TRACE).trace
-        # each record's range is what the previous iteration left; the
-        # loop exits on an empty range, which costs nothing
-        left = ([(rec.lo, rec.hi) for rec in trace[1:]] + [(0, 0)])[: len(trace)]
-        assert [rec.tbs_remaining for rec in trace] == [
-            costmodel.tbs(q, lo, hi, key) for lo, hi in left
-        ]
+        expected = binary_search(q, key, MODE_FULL_TRACE).trace
+        for search in (binary_search, broken_binary_search):
+            try:
+                trace = search(q, key, MODE_FULL_TRACE).trace
+            except InvariantViolation:
+                continue
+            strays += trace != expected
+            # each record's range is what the previous iteration left; the
+            # loop exits on an empty range, which costs nothing
+            left = ([(rec.lo, rec.hi) for rec in trace[1:]] + [(0, 0)])[: len(trace)]
+            assert [rec.tbs_remaining for rec in trace] == [
+                costmodel.tbs(q, lo, hi, key) for lo, hi in left
+            ]
+    assert strays > 0
 
 
 def test_binary_search_accepts_plain_lists():

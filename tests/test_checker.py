@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -51,6 +52,7 @@ def test_enumeration_count_formula():
 def test_instance_count_closed_form(max_len, alphabet):
     space = InstanceSpace(max_len=max_len, alphabet=alphabet)
     assert space.instances == sum(1 for _ in enumerate_instances(space))
+    assert space.elements == sum(len(s) for s, key in enumerate_instances(space) if key == -1)
 
 
 @pytest.mark.parametrize("max_len,alphabet", [(1, 1), (4, 1), (3, 4), (5, 3), (6, 2)])
@@ -79,6 +81,26 @@ def test_verify_all_rejects_oversized_space_before_enumerating(monkeypatch):
 def test_space_at_instance_cap_is_accepted(monkeypatch):
     monkeypatch.setattr(checker, "MAX_INSTANCES", 24)
     assert verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2).instances_checked == 24
+
+
+def test_verify_all_bounds_keys_times_elements(monkeypatch):
+    # (2, 2): 4 keys x 8 elements ([0], [1], [0,0], [0,1], [1,1])
+    space = InstanceSpace(max_len=2, alphabet=2)
+    assert space.keys_per_sequence * space.elements == 32
+    cap = checker.MAX_ELEMENTS
+    monkeypatch.setattr(checker, "MAX_ELEMENTS", 32)
+    assert verify_all(space, grid=2).instances_checked == 24
+
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(checker, "nondecreasing_sequences", no_enumeration)
+    monkeypatch.setattr(checker, "MAX_ELEMENTS", 31)
+    with pytest.raises(PreconditionError, match="elements"):
+        verify_all(space, grid=2)
+    monkeypatch.setattr(checker, "MAX_ELEMENTS", cap)
+    with pytest.raises(PreconditionError, match="elements"):
+        verify_all(InstanceSpace(max_len=20000, alphabet=1), grid=2)  # 60 003 instances
 
 
 def test_enumeration_is_sorted_and_ordered():
@@ -141,6 +163,39 @@ def test_mutant_is_caught_with_minimal_counterexample():
     assert failing & {"P3", "P4"}
     minimal = report.minimal_counterexample()
     assert (minimal["q"], minimal["key"]) == ([0], 1)
+    props = {p.id: p for p in report.properties}
+    assert (props["P3"].violations, props["P3"].counterexample) == (9, minimal)
+    assert minimal["detail"] == (
+        "hi-lo failed to decrease (1 -> 1) at {'lo': 0, 'hi': 1, 'r': -1, 't': 1}"
+    )
+    # [1, 2) is off the recursion's path ([0, 2) goes right to [2, 2)),
+    # so this head's cost comes from costmodel.tbs
+    assert props["P4"].violations == 49
+    assert props["P4"].counterexample == {
+        "q": [0, 0],
+        "key": 1,
+        "detail": "t=1 exceeds tbs difference 1-1 at {'lo': 1, 'hi': 2, 'r': -1, 't': 1}",
+    }
+
+
+def test_sweep_walks_the_recurrence_at_most_twice_per_instance(monkeypatch):
+    # one walk for the sweep's P4/P5 value, one shared by the search's loop heads
+    exact = costmodel._tbs
+    walks = Counter()
+
+    def counting(q, lo, hi, key, depth, *rest):
+        if depth == 0:
+            kind = "full" if (lo, hi) == (0, len(q)) else "empty" if lo == hi else "subrange"
+            walks[kind] += 1
+        return exact(q, lo, hi, key, depth, *rest)
+
+    monkeypatch.setattr(costmodel, "_tbs", counting)
+    report = verify_all(InstanceSpace(), grid=2)
+    assert report.all_passed
+    assert walks["full"] == 2 * report.instances_checked == 48048
+    assert walks["subrange"] == 0
+    # the final empty range, which the recursion never enters, costs one base case
+    assert walks["empty"] <= report.instances_checked
 
 
 def test_mutant_report_is_schema_valid():
@@ -203,9 +258,9 @@ def test_p5_matches_all_subrange_reference(default_report):
 def test_p5_planted_cost_model_matches_all_subrange_reference(monkeypatch):
     exact = costmodel._tbs
 
-    def planted(q, lo, hi, key, depth):
+    def planted(q, lo, hi, key, *rest):
         # overcharges width-5 ranges that go left, past the bound 2*ilog2(5)+1 = 5
-        cost = exact(q, lo, hi, key, depth)
+        cost = exact(q, lo, hi, key, *rest)
         if hi - lo == 5 and q[(lo + hi) // 2] > key:
             cost += 5
         return cost

@@ -86,15 +86,24 @@ def test_verify_config_errors(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_verify_rejects_oversized_space_before_any_work():
-    # 3.6e13 instances: the count is checked before enumeration starts
+def _assert_rejected_at_once(*argv):
     started = time.perf_counter()
-    run = _python("-m", "olog", "verify", "--alphabet", "100", timeout=10)
+    run = _python("-m", "olog", *argv, timeout=10)
     elapsed = time.perf_counter() - started
     assert run.returncode == 2
     assert run.stderr.startswith("error:")
     assert "Traceback" not in run.stderr
     assert elapsed < 1.0
+
+
+def test_verify_rejects_oversized_space_before_any_work():
+    # 3.6e13 instances: the count is checked before enumeration starts
+    _assert_rejected_at_once("verify", "--alphabet", "100")
+
+
+def test_verify_rejects_long_sequences_before_any_work():
+    # 60 003 instances, but 3 keys x 2.0e8 sequence elements
+    _assert_rejected_at_once("verify", "--max-len", "20000", "--alphabet", "1")
 
 
 def test_verify_rejects_grid_over_cap_before_any_work():
