@@ -32,8 +32,8 @@ failure per property is the one reported.
 
 from __future__ import annotations
 
+import functools
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -57,17 +57,34 @@ PROPERTY_NAMES = {
 }
 _INSTANCE_PROPS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 
-# The sequential sweep checks 55k-140k instances/s (2 CPUs, Python 3.11;
-# the low end at max-len 26, the high end at max-len 1), so a space at
-# the instance cap runs for about one to three minutes.
+# The sequential sweep checks 105k-265k instances/s, and two workers
+# 170k-405k/s (2 CPUs, Python 3.11; the low end at max-len 26, the high
+# end at max-len 1), so a space at the instance cap runs for about half a
+# minute to a minute and a half.
 MAX_INSTANCES = 10**7
 # Each key's search scans the whole sequence in its loop-head invariant
 # and its oracles, so the work grows with keys x total sequence length,
 # which the instance count does not bound (alphabet 1 holds one sequence
-# per length). max-len 4000 at alphabet 1, 2.4e7 of these, took 6.4 s
-# and 108 MB peak RSS (same machine), and the enumerated sequences are
-# held in memory, so the cap sits at about four times that.
+# per length). max-len 4000 at alphabet 1, 2.4e7 of these, takes 3.6 s
+# sequential and 2.1 s on two workers (same machine), and the cap sits at
+# about four times that. The sequences are streamed, so memory does not
+# grow with them: that space peaks at 16-20 MB RSS, the default at 18 MB.
 MAX_ELEMENTS = 10**8
+# The sweep's cost is estimated in units of one key x (length + SEQ_WORK):
+# a key's search, oracles and checks cost 0.45-0.7 us x (length + 8) up to
+# length 26, and 0.19 us x length from length 1000 on (same machine).
+SEQ_WORK = 8
+# Forking two workers and joining them costs 5-20 ms. Against the
+# sequential sweep the pool broke even at about 4.5e4 units (3.5k
+# instances, 40-50 ms) and was 1.2-1.4x faster at 1e5 (the (6, 6) space,
+# 7.4k instances, 0.1 s); below POOL_MIN_WORK the sweep stays in process.
+POOL_MIN_WORK = 10**5
+# Chunks are contiguous runs of the enumeration, CHUNKS_PER_WORKER per
+# worker so the last one leaves little idle time, and at most CHUNK_WORK
+# units (50-180 ms, at most ~9e4 sequence elements) so the sequences in
+# flight stay a bounded few MB whatever the space's size.
+CHUNKS_PER_WORKER = 8
+CHUNK_WORK = 2**18
 
 
 @dataclass(frozen=True)
@@ -131,14 +148,19 @@ def nondecreasing_sequences(length: int, alphabet: int) -> Iterator[tuple[int, .
             seq[j] = bumped
 
 
+def _sequences(space: InstanceSpace) -> Iterator[tuple[int, ...]]:
+    """The space's sequences in enumeration order, streamed."""
+    for length in range(space.max_len + 1):
+        yield from nondecreasing_sequences(length, space.alphabet)
+
+
 def enumerate_instances(space: InstanceSpace) -> Iterator[tuple[SortedSeq, int]]:
     """Every (sorted sequence, key) pair of the space, deterministically:
     shortest sequences first, lexicographic within a length, keys ascending."""
-    for length in range(space.max_len + 1):
-        for items in nondecreasing_sequences(length, space.alphabet):
-            seq = SortedSeq(items)
-            for key in range(space.key_lo, space.key_hi + 1):
-                yield seq, key
+    for items in _sequences(space):
+        seq = SortedSeq(items)
+        for key in range(space.key_lo, space.key_hi + 1):
+            yield seq, key
 
 
 @dataclass(frozen=True)
@@ -198,15 +220,66 @@ class CheckReport:
         }
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("OLOG_WORKERS", "0")
+def _usable_cpus() -> int:
     try:
-        workers = int(raw)
-    except ValueError:
-        raise PreconditionError(f"OLOG_WORKERS must be an integer, got {raw!r}")
-    if workers < 0:
-        raise PreconditionError(f"OLOG_WORKERS must be >= 0, got {workers}")
-    return workers
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _picklable(fn) -> bool:
+    import pickle
+
+    try:
+        pickle.dumps(fn)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return False
+    return True
+
+
+def _sweep_work(space: InstanceSpace) -> int:
+    """Estimated sweep cost in units of one key times (length + SEQ_WORK)."""
+    return space.keys_per_sequence * space.elements + SEQ_WORK * space.instances
+
+
+def _pool_workers(space: InstanceSpace, search_fn: Optional[Callable] = None) -> int:
+    """Worker processes for the sweep; 0 runs it in this process.
+
+    ``OLOG_WORKERS`` forces the count when set (0 is sequential).
+    Otherwise every usable CPU is used once the space's estimated work
+    pays for starting a pool, unless ``search_fn`` cannot be pickled.
+    """
+    raw = os.environ.get("OLOG_WORKERS")
+    if raw is not None:
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise PreconditionError(f"OLOG_WORKERS must be an integer, got {raw!r}")
+        if workers < 0:
+            raise PreconditionError(f"OLOG_WORKERS must be >= 0, got {workers}")
+        return workers
+    cpus = _usable_cpus()
+    if cpus < 2 or _sweep_work(space) < POOL_MIN_WORK:
+        return 0
+    if search_fn is not None and not _picklable(search_fn):
+        return 0
+    return cpus
+
+
+def _chunks(space: InstanceSpace, pieces: int) -> Iterator[list[tuple[int, ...]]]:
+    """The enumeration cut into contiguous lists of about equal estimated
+    work, ``pieces`` of them, each at most CHUNK_WORK."""
+    keys = space.keys_per_sequence
+    target = min(-(-_sweep_work(space) // pieces), CHUNK_WORK)
+    chunk, work = [], 0
+    for items in _sequences(space):
+        chunk.append(items)
+        work += keys * (len(items) + SEQ_WORK)
+        if work >= target:
+            yield chunk
+            chunk, work = [], 0
+    if chunk:
+        yield chunk
 
 
 def _merge_sweeps(results) -> dict:
@@ -226,11 +299,6 @@ def _merge_sweeps(results) -> dict:
     return merged
 
 
-def _chunked(items: list, pieces: int) -> list[list]:
-    size = max(1, (len(items) + pieces - 1) // pieces)
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 def verify_all(
     space: InstanceSpace,
     grid: int,
@@ -242,9 +310,15 @@ def verify_all(
 
     ``search_fn`` swaps in a different search implementation (the
     shipped broken variant, say) so the instrumentation can catch it
-    in the act. ``workers`` > 0 fans sequence chunks out to a process
-    pool; the merge is an ordered reduction, so the report is identical
-    to a sequential run.
+    in the act.
+
+    The enumeration is streamed, never held as a list. ``workers`` = 0
+    sweeps it in this process; ``workers`` > 0 cuts it into contiguous
+    chunks of about equal estimated work and sweeps them on a process
+    pool. The merge is an ordered reduction, so the report is identical
+    for every worker count except ``wall_time_ms``. ``workers=None``
+    takes ``OLOG_WORKERS`` when it is set, and otherwise uses every
+    usable CPU once the space is big enough to pay for a pool.
     """
     if not 2 <= grid <= MAX_GRID:
         raise PreconditionError(
@@ -259,24 +333,22 @@ def verify_all(
             f"{work} exceed the cap {MAX_ELEMENTS}"
         )
     if workers is None:
-        workers = _workers_from_env()
+        workers = _pool_workers(space, search_fn)
 
     started = time.perf_counter()
 
-    seqs = [
-        items
-        for length in range(space.max_len + 1)
-        for items in nondecreasing_sequences(length, space.alphabet)
-    ]
-    tasks = [
-        (chunk, space.key_lo, space.key_hi, search_fn)
-        for chunk in (_chunked(seqs, workers * 4) if workers > 0 else [seqs])
-    ]
-    if workers > 0 and len(tasks) > 1:
+    if workers > 0:
+        import multiprocessing
+
+        sweep_chunk = functools.partial(
+            kernels.verify_sweep, key_lo=space.key_lo, key_hi=space.key_hi, search_fn=search_fn
+        )
         with multiprocessing.Pool(workers) as pool:
-            sweep = _merge_sweeps(pool.starmap(kernels.verify_sweep, tasks))
+            sweep = _merge_sweeps(
+                pool.imap(sweep_chunk, _chunks(space, workers * CHUNKS_PER_WORKER))
+            )
     else:
-        sweep = _merge_sweeps(kernels.verify_sweep(*task) for task in tasks)
+        sweep = kernels.verify_sweep(_sequences(space), space.key_lo, space.key_hi, search_fn)
 
     results = []
     for pid in _INSTANCE_PROPS:

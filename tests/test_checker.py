@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -190,7 +191,8 @@ def test_sweep_walks_the_recurrence_at_most_twice_per_instance(monkeypatch):
         return exact(q, lo, hi, key, depth, *rest)
 
     monkeypatch.setattr(costmodel, "_tbs", counting)
-    report = verify_all(InstanceSpace(), grid=2)
+    # in process: a pool worker's walks would be counted in its own copy
+    report = verify_all(InstanceSpace(), grid=2, workers=0)
     assert report.all_passed
     assert walks["full"] == 2 * report.instances_checked == 48048
     assert walks["subrange"] == 0
@@ -206,23 +208,143 @@ def test_mutant_report_is_schema_valid():
     jsonschema.validate(report.to_dict(), schema)
 
 
-def test_parallel_equals_serial():
+def _plant_cost_model(monkeypatch):
+    exact = costmodel._tbs
+
+    def planted(q, lo, hi, key, *rest):
+        # overcharges width-5 ranges that go left, past the bound 2*ilog2(5)+1 = 5
+        cost = exact(q, lo, hi, key, *rest)
+        if hi - lo == 5 and q[(lo + hi) // 2] > key:
+            cost += 5
+        return cost
+
+    monkeypatch.setattr(costmodel, "_tbs", planted)
+
+
+def _strip(report):
+    return (
+        report.instances_checked,
+        [(p.id, p.passed, p.violations, p.counterexample) for p in report.properties],
+        report.max_tbs_gap,
+    )
+
+
+def _slow_first_chunk(q, key, mode):
+    if len(q) == 0 and key == -1:
+        time.sleep(0.05)
+    return broken_binary_search(q, key, mode)
+
+
+def test_parallel_equals_serial(monkeypatch):
     space = InstanceSpace(max_len=4, alphabet=3)
-
-    def strip(report):
-        return (
-            report.instances_checked,
-            [(p.id, p.passed, p.violations, p.counterexample) for p in report.properties],
-            report.max_tbs_gap,
-        )
-
     serial = verify_all(space, grid=64, workers=0)
     parallel = verify_all(space, grid=64, workers=2)
-    assert strip(serial) == strip(parallel)
+    assert _strip(serial) == _strip(parallel)
 
     serial_m = verify_all(space, grid=64, workers=0, search_fn=broken_binary_search)
     parallel_m = verify_all(space, grid=64, workers=3, search_fn=broken_binary_search)
-    assert strip(serial_m) == strip(parallel_m)
+    assert _strip(serial_m) == _strip(parallel_m)
+    # the first chunk, which holds the minimal counterexample, finishes
+    # last; the merge still takes it first
+    slow = verify_all(space, grid=64, workers=2, search_fn=_slow_first_chunk)
+    assert _strip(slow) == _strip(serial_m)
+
+    # the default space is above the pool's break-even, so with two or
+    # more usable CPUs workers=None runs the pool
+    monkeypatch.delenv("OLOG_WORKERS", raising=False)
+    default = InstanceSpace()
+    assert _strip(verify_all(default, grid=2**20)) == _strip(
+        verify_all(default, grid=2**20, workers=0)
+    )
+
+    # forked workers inherit the planted cost model
+    _plant_cost_model(monkeypatch)
+    planted_space = InstanceSpace(max_len=7, alphabet=3)
+    serial_p = verify_all(planted_space, grid=2, workers=0)
+    assert _p5(serial_p) == (False, 42, ([0, 0, 0, 0, 0], -1))
+    assert _strip(serial_p) == _strip(verify_all(planted_space, grid=2, workers=2))
+
+
+def test_unpicklable_search_fn_stays_in_process(monkeypatch):
+    def local_search(q, key, mode):
+        return broken_binary_search(q, key, mode)
+
+    space = InstanceSpace(max_len=4, alphabet=3)
+    monkeypatch.delenv("OLOG_WORKERS", raising=False)
+    monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(space))
+    assert checker._pool_workers(space, broken_binary_search) == 2
+    assert checker._pool_workers(space, local_search) == 0
+    report = verify_all(space, grid=16, search_fn=local_search)
+    expected = verify_all(space, grid=16, search_fn=broken_binary_search, workers=0)
+    assert _strip(report) == _strip(expected)
+    assert report.minimal_counterexample()["q"] == [0]
+
+
+def test_pool_workers_decision(monkeypatch):
+    big, small = InstanceSpace(), InstanceSpace(max_len=2, alphabet=2)
+    monkeypatch.delenv("OLOG_WORKERS", raising=False)
+    monkeypatch.setattr(checker, "_usable_cpus", lambda: 4)
+    assert checker._pool_workers(big) == 4
+    assert checker._pool_workers(small) == 0  # below the break-even
+    # the break-even is inclusive, on the closed-form work estimate
+    assert checker._sweep_work(small) == 4 * 8 + checker.SEQ_WORK * 24
+    monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(small))
+    assert checker._pool_workers(small) == 4
+    monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(small) + 1)
+    assert checker._pool_workers(small) == 0
+
+    monkeypatch.setattr(checker, "_usable_cpus", lambda: 1)
+    assert checker._pool_workers(big) == 0
+
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    monkeypatch.setattr(checker, "_usable_cpus", lambda: 4)
+    assert checker._pool_workers(big) == 0
+    monkeypatch.setenv("OLOG_WORKERS", "3")
+    monkeypatch.setattr(checker, "_usable_cpus", lambda: 1)
+    assert checker._pool_workers(small) == 3
+    for bad in ("nope", "-1", ""):
+        monkeypatch.setenv("OLOG_WORKERS", bad)
+        with pytest.raises(PreconditionError, match="OLOG_WORKERS"):
+            checker._pool_workers(big)
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(checker.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(checker.os, "cpu_count", lambda: 3)
+    assert checker._usable_cpus() == 3
+    monkeypatch.setattr(checker.os, "cpu_count", lambda: None)
+    assert checker._usable_cpus() == 1
+
+
+@pytest.mark.parametrize(
+    "max_len,alphabet,pieces", [(1, 1, 4), (8, 6, 16), (26, 3, 16), (5, 12, 3), (300, 1, 8)]
+)
+def test_chunks_stream_the_enumeration_in_balanced_runs(max_len, alphabet, pieces):
+    space = InstanceSpace(max_len=max_len, alphabet=alphabet)
+    keys = space.keys_per_sequence
+
+    def work(seqs):
+        return sum(keys * (len(s) + checker.SEQ_WORK) for s in seqs)
+
+    chunks = list(checker._chunks(space, pieces))
+    sequences = [s.items for s, key in enumerate_instances(space) if key == -1]
+    assert [s for c in chunks for s in c] == sequences
+    assert sum(map(work, chunks)) == checker._sweep_work(space)
+    target = min(-(-checker._sweep_work(space) // pieces), checker.CHUNK_WORK)
+    assert len(chunks) <= max(pieces, -(-checker._sweep_work(space) // target))
+    for c in chunks[:-1]:
+        assert target <= work(c) < target + work(c[-1:])
+    assert 0 < work(chunks[-1]) < target + work(chunks[-1][-1:])
+
+
+def test_chunks_are_bounded_whatever_the_space(monkeypatch):
+    # 1e6 sequences of length up to 1e6: far over the caps, but the first
+    # chunk comes at once and holds at most CHUNK_WORK units
+    monkeypatch.setattr(checker, "CHUNK_WORK", 3 * 10**4)
+    first = next(checker._chunks(InstanceSpace(max_len=10**6, alphabet=1), 2))
+    units = sum(3 * (len(s) + checker.SEQ_WORK) for s in first)
+    assert 3 * 10**4 <= units < 3 * 10**4 + 3 * (len(first[-1]) + checker.SEQ_WORK)
 
 
 def test_determinism_across_runs():
@@ -256,16 +378,7 @@ def test_p5_matches_all_subrange_reference(default_report):
 
 
 def test_p5_planted_cost_model_matches_all_subrange_reference(monkeypatch):
-    exact = costmodel._tbs
-
-    def planted(q, lo, hi, key, *rest):
-        # overcharges width-5 ranges that go left, past the bound 2*ilog2(5)+1 = 5
-        cost = exact(q, lo, hi, key, *rest)
-        if hi - lo == 5 and q[(lo + hi) // 2] > key:
-            cost += 5
-        return cost
-
-    monkeypatch.setattr(costmodel, "_tbs", planted)
+    _plant_cost_model(monkeypatch)
     reference = subranges.p5_sweep(7, 3)
     report = verify_all(InstanceSpace(max_len=7, alphabet=3), grid=2)
     # the reference counts every instance with a failing subrange, the

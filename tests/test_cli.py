@@ -115,15 +115,45 @@ def test_verify_rejects_grid_over_cap_before_any_work():
 
 
 def test_commands_without_profiles_leave_numpy_unloaded():
+    # multiprocessing too: only a verify sweep big enough for a pool loads it
     probe = (
         "import sys; from olog.cli import main; "
-        "assert 'numpy' not in sys.modules, 'import olog.cli loaded numpy'; "
+        "lazy = lambda: {'numpy', 'multiprocessing'} & set(sys.modules); "
+        "assert not lazy(), f'import olog.cli loaded {lazy()}'; "
         "rc = main(['trace', '--q', '1,2', '--key', '2']); "
-        "assert 'numpy' not in sys.modules, 'trace loaded numpy'; "
+        "assert not lazy(), f'trace loaded {lazy()}'; "
         "sys.exit(rc)"
     )
     run = _python("-c", probe)
     assert run.returncode == 0, run.stderr
+
+
+# A child's peak RSS counts the memory of the process it was forked
+# from, so the command runs under a small interpreter, not under pytest.
+_RSS_PROBE = (
+    "import os, subprocess, sys; "
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(proc.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+def _peak_rss_mb(*argv):
+    """Peak RSS of ``olog argv``, pool workers included (kB on Linux)."""
+    run = _python("-c", _RSS_PROBE, sys.executable, "-m", "olog", *argv)
+    rc, rss_kb = map(int, run.stdout.split())
+    assert rc == 0
+    return rss_kb / 1024
+
+
+@pytest.mark.parametrize("workers", ["0", "2"])
+def test_long_sequences_are_streamed(workers, monkeypatch):
+    # 6 003 instances over 2.0e6 sequence elements: held as a list, they
+    # took 39 MB against 17 MB for the default space
+    monkeypatch.setenv("OLOG_WORKERS", workers)
+    default = _peak_rss_mb("verify")
+    long = _peak_rss_mb("verify", "--grid", "2", "--alphabet", "1", "--max-len", "2000")
+    assert long <= 1.5 * default
 
 
 def test_verify_exits_1_when_a_property_fails(monkeypatch, capsys):
