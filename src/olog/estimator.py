@@ -86,9 +86,10 @@ def bench_steps(algorithm: str, sizes: Sequence[int]) -> list[StepSample]:
         raise PreconditionError("sizes must be nonempty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise PreconditionError(f"sizes must be strictly increasing, got {list(sizes)}")
-    profile = (
-        kernels.binary_max_steps if algorithm == "binary_search" else kernels.linear_max_steps
-    )
+    kind = "binary" if algorithm == "binary_search" else "linear"
+    for n in sizes:  # every size, before the first profile runs
+        kernels.check_profile_size(kind, n)
+    profile = kernels.binary_max_steps if kind == "binary" else kernels.linear_max_steps
     return [StepSample(n, profile(n)) for n in sizes]
 
 

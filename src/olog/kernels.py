@@ -1,8 +1,16 @@
 """Hot kernels: the adversarial step profiles and the instance sweep.
 
 The profiles are numpy-vectorized; numpy is imported only inside them,
-so commands that never run them skip its import cost. The sweep runs
-the P1–P7 battery instance by instance through the instrumented search.
+so commands that never run them skip its import cost. Each key of the
+adversarial family runs its own loop, comparison by comparison, with
+its state in int32 arrays updated in place. Keys go in chunks of 2^16,
+so that a chunk's arrays stay in L2, and a key leaves its chunk's
+arrays once its search exits, so later rounds touch only keys still
+searching. int32 holds every value formed: keys lie in [-1, n] and the
+largest sum, lo + hi, is at most 2 * BINARY_PROFILE_MAX_N = 2^27.
+
+The sweep runs the P1–P7 battery instance by instance through the
+instrumented search.
 
 There is one backend: ``BACKEND`` is the constant that reports carry as
 ``backend``. ``backends()``, ``ilog2_scan_monotonic`` and
@@ -36,7 +44,16 @@ calc_step_scan = intmath.first_failure
 BINARY_PROFILE_MAX_N = 2**26
 LINEAR_PROFILE_MAX_N = 2**14
 
-_CHUNK = 1 << 20
+# Raising the binary cap past 2^30 would overflow lo + hi.
+_DTYPE = "int32"
+assert 2 * BINARY_PROFILE_MAX_N < 2**31
+
+# Keys per chunk: a chunk's keys, lo, hi and mid take 256 KiB each and
+# stay in a 2 MiB L2, and the linear cap's n + 2 keys fit in one chunk.
+# Binary at 2^20 / linear at 16384, best of 5, by chunk size (Xeon,
+# 2 vCPU, numpy 2.4.6): 2^14: 101 / 125 ms; 2^15: 86 / 76; 2^16: 95 /
+# 75; 2^17: 117 / 80; 2^18: 135 / 79.
+_CHUNK = 1 << 16
 
 
 def backends() -> dict:
@@ -44,73 +61,103 @@ def backends() -> dict:
     return {BACKEND: sys.modules[__name__]}
 
 
+def check_profile_size(kind: str, n: int) -> None:
+    """Raise unless ``n`` is within the cap of the ``kind`` profile,
+    ``"binary"`` or ``"linear"``."""
+    cap = BINARY_PROFILE_MAX_N if kind == "binary" else LINEAR_PROFILE_MAX_N
+    if not 1 <= n <= cap:
+        raise PreconditionError(f"{kind} profile size must be in [1, {cap}], got {n}")
+
+
 def _chunks(lo: int, hi: int):
     import numpy as np
 
-    start = lo
-    while start <= hi:
-        stop = min(start + _CHUNK - 1, hi)
-        yield np.arange(start, stop + 1, dtype=np.int64)
-        start = stop + 1
+    for start in range(lo, hi + 1, _CHUNK):
+        yield np.arange(start, min(start + _CHUNK, hi + 1), dtype=_DTYPE)
+
+
+def _binary_rounds(keys, n: int) -> int:
+    """Iterations of the search loop on q = [0, n) until every key exits.
+
+    Each round every key still in the loop runs one iteration; a found
+    key collapses its range. Keys whose range is empty leave the arrays
+    once they make up at least half of them, so compaction copies at
+    most twice the chunk. The worst count among the keys is the number
+    of rounds in which any key was still running.
+    """
+    import numpy as np
+
+    lo = np.zeros_like(keys)
+    hi = np.full_like(keys, n)
+    mid = np.empty_like(keys)
+    rounds = 0
+    while keys.size:
+        rounds += 1
+        np.add(lo, hi, out=mid)
+        mid >>= 1
+        below = keys < mid
+        above = keys > mid
+        found = keys == mid
+        np.copyto(hi, mid, where=below)
+        mid += 1
+        np.copyto(lo, mid, where=above)
+        np.copyto(hi, lo, where=found)
+        # an exited key stays exited: from lo >= hi every branch keeps it
+        running = lo < hi
+        left = np.count_nonzero(running)
+        if 2 * left <= keys.size:
+            keys, lo, hi, mid = keys[running], lo[running], hi[running], mid[:left]
+    return rounds
+
+
+def _linear_steps(keys, n: int) -> int:
+    """Positions of the scan over q = [0, n) at which any key compared.
+
+    At position i every key still scanning compares with q[i] = i; a key
+    that hits leaves (the last live key takes its slot), so a key's count
+    is i + 1, and a key that never hits pays n. Updated in place: the
+    arrays are allocated once per chunk.
+    """
+    import numpy as np
+
+    hits = np.empty(keys.shape, dtype=bool)
+    live = keys.size
+    steps = 0
+    for i in range(n):
+        if not live:
+            break
+        steps = i + 1
+        hit = hits[:live]
+        np.equal(keys[:live], i, out=hit)
+        j = 0
+        while j < live:
+            j += int(hit[j:live].argmax())  # stops at the first hit
+            if not hit[j]:
+                break
+            live -= 1
+            keys[j] = keys[live]
+            hit[j] = hit[live]
+    return steps
 
 
 def binary_max_steps(n: int) -> int:
     """Worst iteration count over the adversarial key family on [0, n).
 
-    Runs the real comparison schedule for every key in [-1, n]
-    simultaneously: on the identity sequence q[i] = i the probe
+    Runs the real comparison schedule for every key in [-1, n], one
+    chunk of keys at a time: on the identity sequence q[i] = i the probe
     ``key < q[mid]`` is exactly ``key < mid``.
     """
-    if not 1 <= n <= BINARY_PROFILE_MAX_N:
-        raise PreconditionError(
-            f"binary profile size must be in [1, {BINARY_PROFILE_MAX_N}], got {n}"
-        )
-    import numpy as np
-
-    worst = 0
-    for keys in _chunks(-1, n):
-        lo = np.zeros_like(keys)
-        hi = np.full_like(keys, n)
-        t = np.zeros_like(keys)
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo + hi) >> 1
-            below = active & (keys < mid)
-            above = active & (keys > mid)
-            found = active & ~below & ~above
-            hi = np.where(below, mid, hi)
-            lo = np.where(above, mid + 1, lo)
-            hi = np.where(found, lo, hi)
-            t += active
-        worst = max(worst, int(t.max()))
-    return worst
+    check_profile_size("binary", n)
+    return max(_binary_rounds(keys, n) for keys in _chunks(-1, n))
 
 
 def linear_max_steps(n: int) -> int:
     """Worst comparison count of the linear scan over the same key family.
 
-    Executes the scan for all keys at once: every key still alive at
-    position i pays one comparison there.
+    Executes the scan for every key in [-1, n], one chunk at a time.
     """
-    if not 1 <= n <= LINEAR_PROFILE_MAX_N:
-        raise PreconditionError(
-            f"linear profile size must be in [1, {LINEAR_PROFILE_MAX_N}], got {n}"
-        )
-    import numpy as np
-
-    worst = 0
-    for keys in _chunks(-1, n):
-        counts = np.zeros_like(keys)
-        alive = np.ones(keys.shape, dtype=bool)
-        for i in range(n):
-            counts += alive
-            alive &= keys != i
-            if not alive.any():
-                break
-        worst = max(worst, int(counts.max()))
-    return worst
+    check_profile_size("linear", n)
+    return max(_linear_steps(keys, n) for keys in _chunks(-1, n))
 
 
 _VIOLATION_PROP = {"termination": "P3", "tbs_difference": "P4"}

@@ -128,6 +128,19 @@ def test_commands_without_profiles_leave_numpy_unloaded():
     assert run.returncode == 0, run.stderr
 
 
+def test_bench_rejects_a_size_over_the_cap_before_any_profile():
+    # 16..16384 are within the linear cap, 65536 is not: no profile runs
+    probe = (
+        "import sys; from olog.cli import main; "
+        "rc = main(['bench', '--algo', 'linear', '--sizes', '16:1048576:x4']); "
+        "assert 'numpy' not in sys.modules, 'a profile ran'; "
+        "sys.exit(rc)"
+    )
+    run = _python("-c", probe)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: linear profile size")
+
+
 # A child's peak RSS counts the memory of the process it was forked
 # from, so the command runs under a small interpreter, not under pytest.
 _RSS_PROBE = (
@@ -154,6 +167,14 @@ def test_long_sequences_are_streamed(workers, monkeypatch):
     default = _peak_rss_mb("verify")
     long = _peak_rss_mb("verify", "--grid", "2", "--alphabet", "1", "--max-len", "2000")
     assert long <= 1.5 * default
+
+
+def test_bench_profiles_run_in_bounded_memory():
+    # chunks of 2^20 int64 keys with per-round temporaries took 98 MB
+    # against 29 MB for the small sizes
+    default = _peak_rss_mb("bench")
+    small = _peak_rss_mb("bench", "--sizes", "1,16,256,4096")
+    assert default <= 1.5 * small
 
 
 def test_verify_exits_1_when_a_property_fails(monkeypatch, capsys):

@@ -9,7 +9,7 @@ linear scan's is n comparisons.
 import pytest
 
 from olog import intmath, kernels
-from olog.algorithms import SortedSeq, binary_search
+from olog.algorithms import SortedSeq, binary_search, linear_search_oracle
 from olog.complexity import STEP_BOUND, LogWitness, canonical_chain, is_log2_from
 from olog.intmath import DOUBLING, MONOTONIC, STEP_BUDGET, Expr, Relation, Term
 
@@ -57,6 +57,8 @@ ROUTES = {
         ("binary_max_steps", (1000,)),
         ("binary_max_steps", (4096,)),
         ("linear_max_steps", (257,)),
+        # the family has n + 2 keys: n = _CHUNK - 2 fills one chunk exactly
+        *(("binary_max_steps", (kernels._CHUNK + d,)) for d in range(-3, 2)),
     ],
 )
 def test_scan_parity(fn, args):
@@ -73,12 +75,47 @@ def test_calc_step_parity(step):
 
 
 def test_binary_max_steps_matches_per_key_library_runs():
-    for n in (1, 2, 3, 7, 8, 33):
+    for n in range(1, 71):
         items = SortedSeq(range(n))
         expected = max(
             binary_search(items, key).t for key in range(-1, n + 1)
         )
         assert kernels.binary_max_steps(n) == expected
+
+
+def test_linear_max_steps_matches_per_key_oracle_runs():
+    for n in range(1, 71):
+        items = list(range(n))
+        hits = (linear_search_oracle(items, key) for key in range(-1, n + 1))
+        expected = max(n if r < 0 else r + 1 for r in hits)
+        assert kernels.linear_max_steps(n) == expected
+
+
+def _identity_search_steps(n, key):
+    lo, hi, t = 0, n, 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if key < mid:
+            hi = mid
+        elif key > mid:
+            lo = mid + 1
+        else:
+            hi = lo
+        t += 1
+    return t
+
+
+def test_int32_headroom_at_binary_cap():
+    import numpy as np
+
+    cap = kernels.BINARY_PROFILE_MAX_N
+    assert np.iinfo(kernels._DTYPE).max >= 2 * cap
+    # keys at the top of the family form lo + hi close to 2 * cap
+    keys = [-1, 0, cap // 2, cap // 2 + 1] + list(range(cap - 40, cap + 1))
+    steps = [_identity_search_steps(cap, key) for key in keys]
+    for key, t in zip(keys, steps):
+        assert kernels._binary_rounds(np.array([key], dtype=kernels._DTYPE), cap) == t
+    assert kernels._binary_rounds(np.array(keys, dtype=kernels._DTYPE), cap) == max(steps)
 
 
 def test_profile_caps():
