@@ -36,8 +36,7 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from olog import complexity, intmath, kernels
 from olog.algorithms import SortedSeq
@@ -87,19 +86,23 @@ CHUNKS_PER_WORKER = 8
 CHUNK_WORK = 2**18
 
 
-@dataclass(frozen=True)
-class InstanceSpace:
+class _InstanceSpaceFields(NamedTuple):
+    max_len: int
+    alphabet: int
+
+
+class InstanceSpace(_InstanceSpaceFields):
     """Enumeration bounds: sequences of length 0..max_len over [0, alphabet-1],
     keys in [-1, alphabet]."""
 
-    max_len: int = 8
-    alphabet: int = 6
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_len < 1:
-            raise PreconditionError(f"max_len must be >= 1, got {self.max_len}")
-        if self.alphabet < 1:
-            raise PreconditionError(f"alphabet must be >= 1, got {self.alphabet}")
+    def __new__(cls, max_len: int = 8, alphabet: int = 6):
+        if max_len < 1:
+            raise PreconditionError(f"max_len must be >= 1, got {max_len}")
+        if alphabet < 1:
+            raise PreconditionError(f"alphabet must be >= 1, got {alphabet}")
+        return super().__new__(cls, max_len, alphabet)
 
     @property
     def key_lo(self) -> int:
@@ -163,8 +166,7 @@ def enumerate_instances(space: InstanceSpace) -> Iterator[tuple[SortedSeq, int]]
             yield seq, key
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     id: str
     name: str
     passed: bool
@@ -181,8 +183,7 @@ class PropertyResult:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     instances_checked: int
     properties: tuple[PropertyResult, ...]
     grid_bounds: dict

@@ -7,6 +7,9 @@ Four workflows: ``verify`` (exhaustive property suite), ``bound``
 
 Exit codes: 0 success, 1 a checked property/bound failed, 2 bad
 configuration or input.
+
+Each command imports the modules it runs inside its ``_cmd_*``
+function, so a call pays the start-up of those modules only.
 """
 
 from __future__ import annotations
@@ -14,24 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
-from olog import checker, complexity, costmodel, estimator
-from olog.algorithms import MODE_FULL_TRACE, SortedSeq, binary_search
 from olog.errors import CalcChainError, PreconditionError
-from olog.intmath import STEP_BUDGET
 
 DEFAULT_GRID = 2**20
 DEFAULT_SIZES = {"binary_search": "16:1048576:x4", "linear_oracle": "16:16384:x4"}
 _ALGO_FLAG = {"binary": "binary_search", "linear": "linear_oracle"}
-
-
-def _write(output: str, text: str) -> None:
-    if output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _fail_config(message: str) -> int:
@@ -63,16 +54,18 @@ def parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out) -> int:
+    from olog import checker
+
     space = checker.InstanceSpace(max_len=args.max_len, alphabet=args.alphabet)
     report = checker.verify_all(space, grid=args.grid)
 
     if args.format == "json":
-        _write(args.output, json.dumps(report.to_dict(), indent=2) + "\n")
+        out.write(json.dumps(report.to_dict(), indent=2) + "\n")
     elif args.format == "csv":
         lines = ["id,name,passed,violations"]
         lines += [f"{p.id},{p.name},{p.passed},{p.violations}" for p in report.properties]
-        _write(args.output, "\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     else:
         lines = [
             f"backend: {report.backend}",
@@ -91,28 +84,30 @@ def _cmd_verify(args) -> int:
             f"result: {len(report.properties)} properties, {verdict} "
             f"in {report.wall_time_ms} ms"
         )
-        _write(args.output, "\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     return 0 if report.all_passed else 1
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args, out) -> int:
+    from olog import complexity
+
     try:
         witness, trace = complexity.derive_log_witness(args.grid)
     except CalcChainError as err:
         trace = err.trace
         if args.format == "json" and trace is not None:
-            _write(args.output, json.dumps(trace.to_dict(), indent=2) + "\n")
+            out.write(json.dumps(trace.to_dict(), indent=2) + "\n")
         print(f"error: {err}", file=sys.stderr)
         return 1
 
     if args.format == "json":
-        _write(args.output, json.dumps(trace.to_dict(), indent=2) + "\n")
+        out.write(json.dumps(trace.to_dict(), indent=2) + "\n")
     elif args.format == "csv":
         lines = ["step,from,rel,to,checked_to,ok"]
         for i, s in enumerate(trace.steps, start=1):
             d = s.to_dict()
             lines.append(f"{i},{d['from']},{d['rel']},{d['to']},{d['checked_to']},{d['ok']}")
-        _write(args.output, "\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     else:
         lines = [
             f"witness: c={witness.c}, n0={witness.n0} "
@@ -121,11 +116,14 @@ def _cmd_bound(args) -> int:
         for s in trace.steps:
             mark = "ok  " if s.ok else "FAIL"
             lines.append(f"  {mark} {s.step.relation}   [{s.step.why}]")
-        _write(args.output, "\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, out) -> int:
+    from olog import estimator
+    from olog.intmath import STEP_BUDGET
+
     algorithm = _ALGO_FLAG[args.algo]
     sizes = parse_sizes(args.sizes if args.sizes else DEFAULT_SIZES[algorithm])
     samples = estimator.bench_steps(algorithm, sizes)
@@ -142,9 +140,9 @@ def _cmd_bench(args) -> int:
             "samples": [{"n": s.n, "t_max": s.t_max} for s in samples],
             "classification": report.to_dict(),
         }
-        _write(args.output, json.dumps(payload, indent=2) + "\n")
+        out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
-        _write(args.output, estimator.samples_to_csv(samples))
+        out.write(estimator.samples_to_csv(samples))
         print(
             f"classification: {report.verdict} (margin="
             f"{'inf' if report.margin is None else f'{report.margin:.2f}'})",
@@ -155,11 +153,14 @@ def _cmd_bench(args) -> int:
         lines += [f"{s.n:>9} {s.t_max:>7}" for s in samples]
         margin = "inf" if report.margin is None else f"{report.margin:.2f}"
         lines.append(f"classification: {report.verdict} (margin={margin})")
-        _write(args.output, "\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     return 1 if failed else 0
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args, out) -> int:
+    from olog import costmodel
+    from olog.algorithms import MODE_FULL_TRACE, SortedSeq, binary_search
+
     text = args.q.strip()
     items = [int(p) for p in text.split(",") if p.strip() != ""] if text else []
     seq = SortedSeq(items)  # raises PreconditionError when unsorted
@@ -170,7 +171,7 @@ def _cmd_trace(args) -> int:
     if args.format == "json":
         lines = [json.dumps(rec.to_dict()) for rec in outcome.trace]
         lines.append(json.dumps({"r": outcome.r, "t": outcome.t, "budget": budget}))
-        _write(args.output, "\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     else:
         lines = [f"{'lo':>4} {'hi':>4} {'mid':>4} {'t':>4} {'tbs_remaining':>14} {'margin':>7}"]
         for rec in outcome.trace:
@@ -180,7 +181,7 @@ def _cmd_trace(args) -> int:
                 f"{rec.tbs_remaining:>14} {margin:>7}"
             )
         lines.append(f"r={outcome.r} t={outcome.t} budget={budget}")
-        _write(args.output, "\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -225,18 +226,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # opened before the work, as argparse.FileType does, so that an
+    # unwritable path is a configuration error reported before any work
     try:
-        return args.fn(args)
-    except PreconditionError as err:
+        out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    except (OSError, ValueError) as err:
+        return _fail_config(f"cannot write --output: {err}")
+    try:
+        return args.fn(args, out)
+    except ValueError as err:  # PreconditionError included
         return _fail_config(str(err))
-    except ValueError as err:
-        return _fail_config(str(err))
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def console_main() -> None:

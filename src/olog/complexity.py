@@ -14,27 +14,30 @@ by dyadic blocks at every grid point (see ``intmath.first_failure``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from olog.errors import CalcChainError, PreconditionError, VacuousRangeError
 from olog.intmath import MAX_GRID, STEP_BUDGET, Expr, Relation, Term, first_failure, ilog2
 
 
-@dataclass(frozen=True)
-class LogWitness:
-    """The pair (c, n0) witnessing a logarithmic upper bound; both strictly positive."""
-
+class _LogWitnessFields(NamedTuple):
     c: int
     n0: int
 
-    def __post_init__(self):
-        if self.c < 1 or self.n0 < 1:
+
+class LogWitness(_LogWitnessFields):
+    """The pair (c, n0) witnessing a logarithmic upper bound; both strictly positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, c: int, n0: int):
+        self = super().__new__(cls, c, n0)
+        if c < 1 or n0 < 1:
             raise PreconditionError(f"witness needs c >= 1 and n0 >= 1, got {self!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class BoundFn:
+class BoundFn(NamedTuple):
     """A named total function nat -> nat used as an upper bound."""
 
     name: str
@@ -49,8 +52,7 @@ class BoundFn:
 STEP_BOUND = BoundFn(str(STEP_BUDGET), STEP_BUDGET)
 
 
-@dataclass(frozen=True)
-class CalcStep:
+class CalcStep(NamedTuple):
     """One link of an inequality chain, checkable in isolation.
 
     ``relation`` must hold for every n >= ``n_min`` on the checked grid;
@@ -62,8 +64,7 @@ class CalcStep:
     why: str
 
 
-@dataclass(frozen=True)
-class CalcStepResult:
+class CalcStepResult(NamedTuple):
     step: CalcStep
     checked_to: int
     ok: bool
@@ -80,8 +81,7 @@ class CalcStepResult:
         }
 
 
-@dataclass(frozen=True)
-class CalcTrace:
+class CalcTrace(NamedTuple):
     """A fully re-checked inequality chain plus the witness it justifies."""
 
     witness: LogWitness

@@ -9,8 +9,7 @@ least squares; no iterative optimizer, so results are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from olog import kernels
 from olog.errors import PreconditionError
@@ -32,25 +31,27 @@ GROWTH_CLASSES = (
 CONFIDENCE_MARGIN = 2.0
 
 
-@dataclass(frozen=True)
-class StepSample:
+class _StepSampleFields(NamedTuple):
     n: int
     t_max: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise PreconditionError(f"sample size must be >= 1, got {self.n}")
+
+class StepSample(_StepSampleFields):
+    __slots__ = ()
+
+    def __new__(cls, n: int, t_max: int):
+        if n < 1:
+            raise PreconditionError(f"sample size must be >= 1, got {n}")
+        return super().__new__(cls, n, t_max)
 
 
-@dataclass(frozen=True)
-class ClassFit:
+class ClassFit(NamedTuple):
     a: float
     b: float
     rel_rmse: float
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     best_class: str
     fits: dict[str, ClassFit]
     margin: Optional[float]  # None means infinite (best fit is exact)

@@ -24,7 +24,7 @@ failing n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from olog.errors import PreconditionError, VacuousRangeError
 
@@ -80,17 +80,26 @@ def ilog2_checked_against_oracle(n: int) -> bool:
     return ilog2(n) == ilog2_oracle(n)
 
 
-@dataclass(frozen=True)
-class Term:
-    """``a*ilog2(b*n + d)``; b >= 1 and d >= 0 keep the argument >= 1 for n >= 1."""
-
+# Records are NamedTuples: immutable, compared and hashed by value, and
+# cheap to import and to define. A NamedTuple body cannot define
+# __new__, so a record that validates its fields declares them in a
+# base and checks them in a subclass's __new__.
+class _TermFields(NamedTuple):
     a: int
     b: int
     d: int
 
-    def __post_init__(self):
-        if self.b < 1 or self.d < 0:
+
+class Term(_TermFields):
+    """``a*ilog2(b*n + d)``; b >= 1 and d >= 0 keep the argument >= 1 for n >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, d: int):
+        self = super().__new__(cls, a, b, d)
+        if b < 1 or d < 0:
             raise PreconditionError(f"a term needs b >= 1 and d >= 0, got {self!r}")
+        return self
 
     def __call__(self, n: int) -> int:
         return self.a * ilog2(self.b * n + self.d)
@@ -109,8 +118,7 @@ class Term:
         return found
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(NamedTuple):
     """``sum(terms) + e``, the value each side of a grid claim takes at n."""
 
     terms: tuple[Term, ...]
@@ -124,17 +132,21 @@ class Expr:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class Relation:
-    """``lhs rel rhs`` for every n of a checked range; ``rel`` is "=" or "<="."""
-
+class _RelationFields(NamedTuple):
     lhs: Expr
     rel: str
     rhs: Expr
 
-    def __post_init__(self):
-        if self.rel not in ("=", "<="):
-            raise PreconditionError(f"relation must be '=' or '<=', got {self.rel!r}")
+
+class Relation(_RelationFields):
+    """``lhs rel rhs`` for every n of a checked range; ``rel`` is "=" or "<="."""
+
+    __slots__ = ()
+
+    def __new__(cls, lhs: Expr, rel: str, rhs: Expr):
+        if rel not in ("=", "<="):
+            raise PreconditionError(f"relation must be '=' or '<=', got {rel!r}")
+        return super().__new__(cls, lhs, rel, rhs)
 
     def holds_at(self, n: int) -> bool:
         left, right = self.lhs(n), self.rhs(n)

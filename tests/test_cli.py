@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -115,13 +116,26 @@ def test_verify_rejects_grid_over_cap_before_any_work():
 
 
 def test_commands_without_profiles_leave_numpy_unloaded():
-    # multiprocessing too: only a verify sweep big enough for a pool loads it
+    # multiprocessing too: only a verify sweep big enough for a pool loads
+    # it. Each command loads only the olog modules it runs, and none loads
+    # dataclasses (numpy, which bench loads, does not either); modules the
+    # interpreter's own start-up loaded are not counted.
     probe = (
-        "import sys; from olog.cli import main; "
+        "import sys; before = set(sys.modules); from olog.cli import main; "
         "lazy = lambda: {'numpy', 'multiprocessing'} & set(sys.modules); "
+        "olog = lambda: {m for m in sys.modules if m.split('.')[0] == 'olog'}; "
         "assert not lazy(), f'import olog.cli loaded {lazy()}'; "
+        "assert main(['--help']) == 0; "
+        "assert olog() == {'olog', 'olog.cli', 'olog.errors'}, f'--help loaded {olog()}'; "
         "rc = main(['trace', '--q', '1,2', '--key', '2']); "
         "assert not lazy(), f'trace loaded {lazy()}'; "
+        "heavy = {'olog.checker', 'olog.complexity', 'olog.estimator', 'olog.kernels'}; "
+        "assert not heavy & olog(), f'trace loaded {heavy & olog()}'; "
+        "assert main(['bound', '--grid', '64']) == 0; "
+        "assert main(['verify', '--max-len', '2', '--alphabet', '2', '--grid', '64']) == 0; "
+        "assert not lazy(), f'bound or a small verify loaded {lazy()}'; "
+        "assert main(['bench', '--sizes', '16:4096:x4']) == 0; "
+        "assert 'dataclasses' not in set(sys.modules) - before, 'a command loaded dataclasses'; "
         "sys.exit(rc)"
     )
     run = _python("-c", probe)
@@ -294,6 +308,34 @@ def test_output_to_file(tmp_path, capsys):
                  "--format", "json", "--output", str(target)]) == 0
     payload = json.loads(target.read_text())
     assert payload["all_passed"] is True
+
+
+_WORK = {
+    "verify": ("olog.checker", "verify_all"),
+    "bound": ("olog.complexity", "derive_log_witness"),
+    "bench": ("olog.estimator", "bench_steps"),
+    "trace": ("olog.algorithms", "binary_search"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WORK))
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_exits_2_before_any_work(command, where, tmp_path, monkeypatch, capsys):
+    module, work = _WORK[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --output was opened")
+
+    monkeypatch.setattr(importlib.import_module(module), work, no_work)
+    target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    argv = [command, "--output", str(target)]
+    if command == "trace":
+        argv += ["--q", "1,2", "--key", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --output: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_unknown_command_exits_2():
