@@ -41,7 +41,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from olog import complexity, intmath, kernels
 from olog.algorithms import SortedSeq
 from olog.errors import CalcChainError, PreconditionError
-from olog.intmath import MAX_GRID
+from olog.intmath import MAX_GRID, validated_make
 
 PROPERTY_NAMES = {
     "P1": "binary_posts",
@@ -92,10 +92,11 @@ class _InstanceSpaceFields(NamedTuple):
 
 
 class InstanceSpace(_InstanceSpaceFields):
-    """Enumeration bounds: sequences of length 0..max_len over [0, alphabet-1],
-    keys in [-1, alphabet]."""
+    """The instances the sweep checks: sequences of length 0..max_len over
+    [0, alphabet-1], each with every key in [-1, alphabet]."""
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, max_len: int = 8, alphabet: int = 6):
         if max_len < 1:
@@ -130,6 +131,25 @@ class InstanceSpace(_InstanceSpaceFields):
         elements, and those sum over L <= max_len to the closed form."""
         return self.alphabet * math.comb(self.max_len + self.alphabet, self.alphabet + 1)
 
+    @property
+    def key_elements(self) -> int:
+        """Keys times total sequence length: each key's search scans its sequence."""
+        return self.keys_per_sequence * self.elements
+
+    @property
+    def complete_to(self) -> int:
+        """Longest n such that every order type of length <= n (which neighbours
+        are equal, where the key falls among the values) has an instance here,
+        so a pass decides every sorted integer sequence that long: the sweep
+        only compares. A key strictly between two values needs n+1 of them."""
+        return min(self.max_len, max(self.alphabet - 1, 1))  # length 1 has no such gap
+
+    def groups(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """(items, key_lo, key_hi) per sequence, in enumeration order, streamed."""
+        for length in range(self.max_len + 1):
+            for items in nondecreasing_sequences(length, self.alphabet):
+                yield items, self.key_lo, self.key_hi
+
 
 def nondecreasing_sequences(length: int, alphabet: int) -> Iterator[tuple[int, ...]]:
     """All non-decreasing tuples of the given length over [0, alphabet-1],
@@ -151,18 +171,12 @@ def nondecreasing_sequences(length: int, alphabet: int) -> Iterator[tuple[int, .
             seq[j] = bumped
 
 
-def _sequences(space: InstanceSpace) -> Iterator[tuple[int, ...]]:
-    """The space's sequences in enumeration order, streamed."""
-    for length in range(space.max_len + 1):
-        yield from nondecreasing_sequences(length, space.alphabet)
-
-
 def enumerate_instances(space: InstanceSpace) -> Iterator[tuple[SortedSeq, int]]:
     """Every (sorted sequence, key) pair of the space, deterministically:
     shortest sequences first, lexicographic within a length, keys ascending."""
-    for items in _sequences(space):
+    for items, key_lo, key_hi in space.groups():
         seq = SortedSeq(items)
-        for key in range(space.key_lo, space.key_hi + 1):
+        for key in range(key_lo, key_hi + 1):
             yield seq, key
 
 
@@ -190,6 +204,7 @@ class CheckReport(NamedTuple):
     wall_time_ms: int
     max_tbs_gap: int
     backend: str
+    complete_to: int
 
     @property
     def all_passed(self) -> bool:
@@ -211,6 +226,7 @@ class CheckReport(NamedTuple):
     def to_dict(self) -> dict:
         return {
             "instances_checked": self.instances_checked,
+            "complete_to": self.complete_to,
             "all_passed": self.all_passed,
             "properties": [p.to_dict() for p in self.properties],
             "grid_bounds": self.grid_bounds,
@@ -240,7 +256,7 @@ def _picklable(fn) -> bool:
 
 def _sweep_work(space: InstanceSpace) -> int:
     """Estimated sweep cost in units of one key times (length + SEQ_WORK)."""
-    return space.keys_per_sequence * space.elements + SEQ_WORK * space.instances
+    return space.key_elements + SEQ_WORK * space.instances
 
 
 def _pool_workers(space: InstanceSpace, search_fn: Optional[Callable] = None) -> int:
@@ -267,15 +283,14 @@ def _pool_workers(space: InstanceSpace, search_fn: Optional[Callable] = None) ->
     return cpus
 
 
-def _chunks(space: InstanceSpace, pieces: int) -> Iterator[list[tuple[int, ...]]]:
-    """The enumeration cut into contiguous lists of about equal estimated
+def _chunks(space: InstanceSpace, pieces: int) -> Iterator[list[tuple]]:
+    """The space's groups cut into contiguous lists of about equal estimated
     work, ``pieces`` of them, each at most CHUNK_WORK."""
-    keys = space.keys_per_sequence
     target = min(-(-_sweep_work(space) // pieces), CHUNK_WORK)
     chunk, work = [], 0
-    for items in _sequences(space):
-        chunk.append(items)
-        work += keys * (len(items) + SEQ_WORK)
+    for items, key_lo, key_hi in space.groups():
+        chunk.append((items, key_lo, key_hi))
+        work += (key_hi - key_lo + 1) * (len(items) + SEQ_WORK)
         if work >= target:
             yield chunk
             chunk, work = [], 0
@@ -327,11 +342,9 @@ def verify_all(
         )
     if space.instances > MAX_INSTANCES:
         raise PreconditionError(f"{space.instances} instances exceed the cap {MAX_INSTANCES}")
-    work = space.keys_per_sequence * space.elements
-    if work > MAX_ELEMENTS:
+    if space.key_elements > MAX_ELEMENTS:
         raise PreconditionError(
-            f"{space.keys_per_sequence} keys x {space.elements} sequence elements = "
-            f"{work} exceed the cap {MAX_ELEMENTS}"
+            f"keys x sequence elements = {space.key_elements} exceed the cap {MAX_ELEMENTS}"
         )
     if workers is None:
         workers = _pool_workers(space, search_fn)
@@ -341,15 +354,13 @@ def verify_all(
     if workers > 0:
         import multiprocessing
 
-        sweep_chunk = functools.partial(
-            kernels.verify_sweep, key_lo=space.key_lo, key_hi=space.key_hi, search_fn=search_fn
-        )
+        sweep_chunk = functools.partial(kernels.verify_sweep, search_fn=search_fn)
         with multiprocessing.Pool(workers) as pool:
             sweep = _merge_sweeps(
                 pool.imap(sweep_chunk, _chunks(space, workers * CHUNKS_PER_WORKER))
             )
     else:
-        sweep = kernels.verify_sweep(_sequences(space), space.key_lo, space.key_hi, search_fn)
+        sweep = kernels.verify_sweep(space.groups(), search_fn)
 
     results = []
     for pid in _INSTANCE_PROPS:
@@ -398,5 +409,6 @@ def verify_all(
         wall_time_ms=elapsed_ms,
         max_tbs_gap=sweep["max_tbs_gap"],
         backend=kernels.BACKEND,
+        complete_to=space.complete_to,
     )
 

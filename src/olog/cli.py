@@ -15,7 +15,10 @@ function, so a call pays the start-up of those modules only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
+import stat
 import sys
 
 from olog.errors import CalcChainError, PreconditionError
@@ -70,6 +73,7 @@ def _cmd_verify(args, out) -> int:
         lines = [
             f"backend: {report.backend}",
             f"instances checked: {report.instances_checked}",
+            f"complete for every integer sequence of length <= {report.complete_to}",
         ]
         for p in report.properties:
             if p.passed:
@@ -232,18 +236,31 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    # opened before the work, as argparse.FileType does, so that an
-    # unwritable path is a configuration error reported before any work
+    # --output is opened before the work, so that an unwritable path is a
+    # configuration error reported at once, but in append mode: a run that
+    # exits 2 leaves an existing file as it was, and removes one it made.
+    # The command writes to a buffer, which then replaces a regular file's
+    # content; a device or pipe (/dev/null, /dev/stdout) cannot be
+    # truncated and gets the buffer appended.
+    to_file = args.output != "-"
+    made = to_file and not os.path.exists(args.output)
     try:
-        out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+        out = open(args.output, "a", encoding="utf-8") if to_file else sys.stdout
     except (OSError, ValueError) as err:
         return _fail_config(f"cannot write --output: {err}")
+    text = io.StringIO()
     try:
-        return args.fn(args, out)
+        code = args.fn(args, text)
+        if to_file and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate(0)
+        out.write(text.getvalue())
+        return code
     except ValueError as err:  # PreconditionError included
+        if made:
+            os.remove(args.output)
         return _fail_config(str(err))
     finally:
-        if out is not sys.stdout:
+        if to_file:
             out.close()
 
 

@@ -17,7 +17,16 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from olog.errors import CalcChainError, PreconditionError, VacuousRangeError
-from olog.intmath import MAX_GRID, STEP_BUDGET, Expr, Relation, Term, first_failure, ilog2
+from olog.intmath import (
+    MAX_GRID,
+    STEP_BUDGET,
+    Expr,
+    Relation,
+    Term,
+    first_failure,
+    ilog2,
+    validated_make,
+)
 
 
 class _LogWitnessFields(NamedTuple):
@@ -29,6 +38,7 @@ class LogWitness(_LogWitnessFields):
     """The pair (c, n0) witnessing a logarithmic upper bound; both strictly positive."""
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, c: int, n0: int):
         self = super().__new__(cls, c, n0)

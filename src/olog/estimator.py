@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from olog import kernels
 from olog.errors import PreconditionError
-from olog.intmath import ilog2
+from olog.intmath import ilog2, validated_make
 
 ALGORITHMS = ("binary_search", "linear_oracle")
 
@@ -38,6 +38,7 @@ class _StepSampleFields(NamedTuple):
 
 class StepSample(_StepSampleFields):
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, n: int, t_max: int):
         if n < 1:

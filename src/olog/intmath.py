@@ -83,7 +83,13 @@ def ilog2_checked_against_oracle(n: int) -> bool:
 # Records are NamedTuples: immutable, compared and hashed by value, and
 # cheap to import and to define. A NamedTuple body cannot define
 # __new__, so a record that validates its fields declares them in a
-# base and checks them in a subclass's __new__.
+# base and checks them in a subclass's __new__. The inherited _make, which
+# _replace calls, builds through tuple.__new__ and would skip that check,
+# so such a record sets ``_make = classmethod(validated_make)``.
+def validated_make(cls, iterable):
+    return cls(*iterable)
+
+
 class _TermFields(NamedTuple):
     a: int
     b: int
@@ -94,6 +100,7 @@ class Term(_TermFields):
     """``a*ilog2(b*n + d)``; b >= 1 and d >= 0 keep the argument >= 1 for n >= 1."""
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, a: int, b: int, d: int):
         self = super().__new__(cls, a, b, d)
@@ -142,6 +149,7 @@ class Relation(_RelationFields):
     """``lhs rel rhs`` for every n of a checked range; ``rel`` is "=" or "<="."""
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, lhs: Expr, rel: str, rhs: Expr):
         if rel not in ("=", "<="):

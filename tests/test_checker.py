@@ -1,7 +1,9 @@
+import bisect
 import json
 import math
 import time
 from collections import Counter
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import jsonschema
@@ -10,7 +12,7 @@ import pytest
 import olog
 import subranges
 from olog import checker, costmodel
-from olog.algorithms import broken_binary_search
+from olog.algorithms import MODE_FULL_TRACE, SortedSeq, binary_search, broken_binary_search
 from olog.checker import (
     InstanceSpace,
     enumerate_instances,
@@ -54,6 +56,19 @@ def test_instance_count_closed_form(max_len, alphabet):
     space = InstanceSpace(max_len=max_len, alphabet=alphabet)
     assert space.instances == sum(1 for _ in enumerate_instances(space))
     assert space.elements == sum(len(s) for s, key in enumerate_instances(space) if key == -1)
+    assert space.key_elements == sum((hi - lo + 1) * len(s) for s, lo, hi in space.groups())
+
+
+@pytest.mark.parametrize("max_len,alphabet", [(1, 1), (3, 1), (2, 5), (4, 3)])
+def test_groups_stream_every_sequence_with_the_space_keys(max_len, alphabet):
+    groups = InstanceSpace(max_len=max_len, alphabet=alphabet).groups()
+    assert iter(groups) is groups  # streamed, not a list
+    expected = [
+        (items, -1, alphabet)
+        for length in range(max_len + 1)
+        for items in combinations_with_replacement(range(alphabet), length)
+    ]
+    assert list(groups) == expected
 
 
 @pytest.mark.parametrize("max_len,alphabet", [(1, 1), (4, 1), (3, 4), (5, 3), (6, 2)])
@@ -87,7 +102,7 @@ def test_space_at_instance_cap_is_accepted(monkeypatch):
 def test_verify_all_bounds_keys_times_elements(monkeypatch):
     # (2, 2): 4 keys x 8 elements ([0], [1], [0,0], [0,1], [1,1])
     space = InstanceSpace(max_len=2, alphabet=2)
-    assert space.keys_per_sequence * space.elements == 32
+    assert space.key_elements == 32
     cap = checker.MAX_ELEMENTS
     monkeypatch.setattr(checker, "MAX_ELEMENTS", 32)
     assert verify_all(space, grid=2).instances_checked == 24
@@ -222,11 +237,9 @@ def _plant_cost_model(monkeypatch):
 
 
 def _strip(report):
-    return (
-        report.instances_checked,
-        [(p.id, p.passed, p.violations, p.counterexample) for p in report.properties],
-        report.max_tbs_gap,
-    )
+    doc = report.to_dict()
+    del doc["wall_time_ms"]
+    return doc
 
 
 def _slow_first_chunk(q, key, mode):
@@ -322,14 +335,12 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
 )
 def test_chunks_stream_the_enumeration_in_balanced_runs(max_len, alphabet, pieces):
     space = InstanceSpace(max_len=max_len, alphabet=alphabet)
-    keys = space.keys_per_sequence
 
-    def work(seqs):
-        return sum(keys * (len(s) + checker.SEQ_WORK) for s in seqs)
+    def work(groups):
+        return sum((hi - lo + 1) * (len(items) + checker.SEQ_WORK) for items, lo, hi in groups)
 
     chunks = list(checker._chunks(space, pieces))
-    sequences = [s.items for s, key in enumerate_instances(space) if key == -1]
-    assert [s for c in chunks for s in c] == sequences
+    assert [g for c in chunks for g in c] == list(space.groups())
     assert sum(map(work, chunks)) == checker._sweep_work(space)
     target = min(-(-checker._sweep_work(space) // pieces), checker.CHUNK_WORK)
     assert len(chunks) <= max(pieces, -(-checker._sweep_work(space) // target))
@@ -343,8 +354,8 @@ def test_chunks_are_bounded_whatever_the_space(monkeypatch):
     # chunk comes at once and holds at most CHUNK_WORK units
     monkeypatch.setattr(checker, "CHUNK_WORK", 3 * 10**4)
     first = next(checker._chunks(InstanceSpace(max_len=10**6, alphabet=1), 2))
-    units = sum(3 * (len(s) + checker.SEQ_WORK) for s in first)
-    assert 3 * 10**4 <= units < 3 * 10**4 + 3 * (len(first[-1]) + checker.SEQ_WORK)
+    units = sum(3 * (len(items) + checker.SEQ_WORK) for items, _, _ in first)
+    assert 3 * 10**4 <= units < 3 * 10**4 + 3 * (len(first[-1][0]) + checker.SEQ_WORK)
 
 
 def test_determinism_across_runs():
@@ -386,3 +397,50 @@ def test_p5_planted_cost_model_matches_all_subrange_reference(monkeypatch):
     assert reference == (183, ([0, 0, 0, 0, 0], -1))
     assert _p5(report) == (False, 42, ([0, 0, 0, 0, 0], -1))
     assert report.minimal_counterexample()["detail"] == "tbs(0, 5)=8 exceeds its log bound"
+
+
+def _order_type(items, key):
+    """The canonical instance of (items, key)'s order type: the distinct
+    values become 0, 2, 4, ... and the key falls in the same place among them."""
+    values = sorted(set(items))
+    rank = {v: 2 * i for i, v in enumerate(values)}
+    key = rank[key] if key in rank else 2 * bisect.bisect_left(values, key) - 1
+    return tuple(rank[v] for v in items), key
+
+
+def _order_types(n):
+    # the 2^(n-1) equality patterns, each with 2d+1 places for the key
+    return (n + 2) * 2 ** (n - 1) if n else 1
+
+
+def _outcome(items, key):
+    out = binary_search(SortedSeq(items), key, MODE_FULL_TRACE)
+    trace = [(rec.lo, rec.hi, rec.mid) for rec in out.trace]
+    return out.r, out.t, trace, costmodel.tbs(items, 0, len(items), key)
+
+
+def test_outcome_depends_only_on_the_order_type():
+    # what lets complete_to speak for every integer sequence
+    space = InstanceSpace(max_len=5, alphabet=7)
+    types = set()
+    for seq, key in enumerate_instances(space):
+        canonical = _order_type(seq.items, key)
+        types.add(canonical)
+        assert _outcome(seq.items, key) == _outcome(*canonical), (seq.items, key)
+    assert space.instances == 7128
+    assert len(types) == 192 == sum(_order_types(n) for n in range(6))
+    assert space.complete_to == 5
+
+
+@pytest.mark.parametrize(
+    "max_len,alphabet", [(1, 1), (3, 1), (4, 2), (4, 3), (2, 9), (5, 7), (8, 6)]
+)
+def test_complete_to_is_tight(max_len, alphabet):
+    space = InstanceSpace(max_len=max_len, alphabet=alphabet)
+    types = {_order_type(s.items, key) for s, key in enumerate_instances(space)}
+    by_length = Counter(len(items) for items, _ in types)
+    n = space.complete_to
+    assert all(by_length[m] == _order_types(m) for m in range(n + 1))
+    assert n == max_len or by_length[n + 1] < _order_types(n + 1)
+    if (max_len, alphabet) == (8, 6):
+        assert (n, by_length[6], _order_types(6)) == (5, 251, 256)

@@ -49,6 +49,7 @@ def test_verify_defaults_pass(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "instances checked: 24024" in out
+    assert "complete for every integer sequence of length <= 5" in out
     assert sum(1 for line in out.splitlines() if line.endswith(" pass")) == 9
     assert "all passed" in out
 
@@ -59,6 +60,7 @@ def test_verify_json_schema(capsys):
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, _schema("check_report.schema.json"))
     assert payload["all_passed"] is True
+    assert payload["complete_to"] == 1  # a key between two values needs a third
 
 
 def test_verify_csv(capsys):
@@ -137,6 +139,17 @@ def test_commands_without_profiles_leave_numpy_unloaded():
         "assert main(['bench', '--sizes', '16:4096:x4']) == 0; "
         "assert 'dataclasses' not in set(sys.modules) - before, 'a command loaded dataclasses'; "
         "sys.exit(rc)"
+    )
+    run = _python("-c", probe)
+    assert run.returncode == 0, run.stderr
+
+
+def test_bench_loads_neither_the_checker_nor_the_witness_derivation():
+    probe = (
+        "import sys; from olog.cli import main; "
+        "assert main(['bench', '--sizes', '16:4096:x4']) == 0; "
+        "extra = {'olog.checker', 'olog.complexity'} & set(sys.modules); "
+        "assert not extra, f'bench loaded {extra}'"
     )
     run = _python("-c", probe)
     assert run.returncode == 0, run.stderr
@@ -336,6 +349,61 @@ def test_unwritable_output_exits_2_before_any_work(command, where, tmp_path, mon
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write --output: ")
     assert captured.err.count("\n") == 1
+
+
+# one configuration error per command, found after --output is opened
+_BAD_CONFIG = {
+    "verify": ["--grid", "1"],
+    "bound": ["--grid", "1"],
+    "bench": ["--sizes", "16:8:x4"],
+    "trace": ["--q", "2,1", "--key", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_BAD_CONFIG))
+def test_a_run_that_exits_2_leaves_the_output_as_it_was(command, tmp_path, capsys):
+    existing, missing = tmp_path / "r.json", tmp_path / "new.json"
+    existing.write_text("keep\n")
+    for target in (existing, missing):
+        assert main([command, *_BAD_CONFIG[command], "--output", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert existing.read_text() == "keep\n"
+    assert not missing.exists()
+
+
+def test_output_replaces_an_existing_file(tmp_path, capsys):
+    argv = ["trace", "--q", "1,2", "--key", "2"]
+    assert main(argv) == 0
+    target = tmp_path / "r.txt"
+    target.write_text("x" * 10_000)
+    assert main([*argv, "--output", str(target)]) == 0
+    assert target.read_text() == capsys.readouterr().out
+
+
+# one quick successful run per command
+_QUICK = {
+    "verify": ["--max-len", "2", "--alphabet", "2", "--grid", "4"],
+    "bound": ["--grid", "4"],
+    "bench": ["--sizes", "16:4096:x4"],
+    "trace": ["--q", "1,2", "--key", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_QUICK))
+def test_output_to_a_device_succeeds(command, capsys):
+    # /dev/null cannot be truncated; the report is written all the same
+    assert main([command, *_QUICK[command], "--output", os.devnull]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
+
+
+def test_output_to_stdout_through_a_pipe():
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout on this platform")
+    argv = ["trace", "--q", "1,2", "--key", "2", "--format", "json"]
+    piped = _python("-m", "olog", *argv, "--output", "/dev/stdout", timeout=10)
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout == _python("-m", "olog", *argv, timeout=10).stdout
 
 
 def test_unknown_command_exits_2():

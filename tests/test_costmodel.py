@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from olog.algorithms import SortedSeq, binary_search
-from olog.checker import InstanceSpace, nondecreasing_sequences
+from olog.checker import InstanceSpace
 from olog.costmodel import step_budget, tbs, tbs_log_bound, tbs_table
 from olog.errors import PreconditionError
 from olog.intmath import ilog2
@@ -91,12 +91,12 @@ def test_log_bound_over_all_subranges(instance):
 def test_tbs_translation_invariant_on_instance_space():
     # the first obligation of the sweep's P5 reduction, exhaustively
     space = InstanceSpace(max_len=8, alphabet=4)
-    for length in range(space.max_len + 1):
-        for items in nondecreasing_sequences(length, space.alphabet):
-            for key in range(space.key_lo, space.key_hi + 1):
-                for lo in range(length + 1):
-                    for hi in range(lo, length + 1):
-                        assert tbs(items, lo, hi, key) == tbs(items[lo:hi], 0, hi - lo, key)
+    for items, key_lo, key_hi in space.groups():
+        length = len(items)
+        for key in range(key_lo, key_hi + 1):
+            for lo in range(length + 1):
+                for hi in range(lo, length + 1):
+                    assert tbs(items, lo, hi, key) == tbs(items[lo:hi], 0, hi - lo, key)
 
 
 @given(

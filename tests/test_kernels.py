@@ -9,7 +9,7 @@ linear scan's is n comparisons.
 import pytest
 
 from olog import intmath, kernels
-from olog.algorithms import SortedSeq, binary_search, linear_search_oracle
+from olog.algorithms import SortedSeq, binary_search, broken_binary_search, linear_search_oracle
 from olog.complexity import STEP_BOUND, LogWitness, canonical_chain, is_log2_from
 from olog.intmath import DOUBLING, MONOTONIC, STEP_BUDGET, Expr, Relation, Term
 
@@ -116,6 +116,17 @@ def test_int32_headroom_at_binary_cap():
     for key, t in zip(keys, steps):
         assert kernels._binary_rounds(np.array([key], dtype=kernels._DTYPE), cap) == t
     assert kernels._binary_rounds(np.array(keys, dtype=kernels._DTYPE), cap) == max(steps)
+
+
+def test_verify_sweep_takes_each_groups_own_keys():
+    # [0] with keys -1..1, and [0, 2] with the one key between its values
+    groups = [((0,), -1, 1), ((0, 2), 1, 1)]
+    sweep = kernels.verify_sweep(iter(groups))
+    assert sweep["instances"] == 4
+    assert sum(sweep["violations"].values()) == 0
+    mutant = kernels.verify_sweep(iter(groups), broken_binary_search)
+    assert mutant["first"]["P3"]["q"] == [0] and mutant["first"]["P3"]["key"] == 1
+    assert mutant["violations"]["P3"] == 2  # [0] with 1, [0, 2] with 1
 
 
 def test_profile_caps():

@@ -73,7 +73,7 @@ def _records():
     return [
         term, expr, relation, witness, complexity.BoundFn("f", expr), step, result,
         complexity.CalcTrace(witness, (result,), 64), checker.InstanceSpace(2, 3), prop,
-        checker.CheckReport(1, (prop,), {}, 0, 0, "python"), estimator.StepSample(4, 3), fit,
+        checker.CheckReport(1, (prop,), {}, 0, 0, "python", 0), estimator.StepSample(4, 3), fit,
         estimator.ClassificationReport("Logarithmic", {"Logarithmic": fit}, None, True),
     ]
 
@@ -105,9 +105,16 @@ def test_validating_records_reject_invalid_fields():
         lambda: InstanceSpace(max_len=0),
         lambda: InstanceSpace(alphabet=0),
         lambda: StepSample(0, 1),
+        # _make, and _replace through it, build through the validating __new__
+        lambda: Term(1, 1, 0)._replace(b=0),
+        lambda: Relation._make([side, "<", side]),
+        lambda: LogWitness(6, 2)._replace(n0=0),
+        lambda: InstanceSpace._make([0, 0]),
+        lambda: StepSample(4, 3)._replace(n=0),
     ):
         with pytest.raises(PreconditionError):
             make()
-    assert InstanceSpace() == InstanceSpace(8, 6)
+    assert InstanceSpace() == InstanceSpace(8, 6) == InstanceSpace._make([8, 6])
+    assert Term(3, 2, 0)._replace(d=1) == Term(3, 2, 1)
     assert hash(LogWitness(6, 2)) == hash(LogWitness(c=6, n0=2))
     assert repr(Term(3, 2, 0)) == "Term(a=3, b=2, d=0)"
