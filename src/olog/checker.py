@@ -78,6 +78,11 @@ SEQ_WORK = 8
 # instances, 40-50 ms) and was 1.2-1.4x faster at 1e5 (the (6, 6) space,
 # 7.4k instances, 0.1 s); below POOL_MIN_WORK the sweep stays in process.
 POOL_MIN_WORK = 10**5
+# A forced OLOG_WORKERS count above this exits 2 instead of asking for
+# that many processes. Two workers on 2 CPUs is the most measured to pay,
+# and a pool larger than the usable CPUs only adds start-up; the ceiling
+# sits far above both without letting a typo start 10^5 processes.
+MAX_WORKERS = 256
 # Chunks are contiguous runs of the enumeration, CHUNKS_PER_WORKER per
 # worker so the last one leaves little idle time, and at most CHUNK_WORK
 # units (50-180 ms, at most ~9e4 sequence elements) so the sequences in
@@ -262,7 +267,8 @@ def _sweep_work(space: InstanceSpace) -> int:
 def _pool_workers(space: InstanceSpace, search_fn: Optional[Callable] = None) -> int:
     """Worker processes for the sweep; 0 runs it in this process.
 
-    ``OLOG_WORKERS`` forces the count when set (0 is sequential).
+    ``OLOG_WORKERS`` forces the count when set (0 is sequential, at
+    most MAX_WORKERS).
     Otherwise every usable CPU is used once the space's estimated work
     pays for starting a pool, unless ``search_fn`` cannot be pickled.
     """
@@ -272,8 +278,8 @@ def _pool_workers(space: InstanceSpace, search_fn: Optional[Callable] = None) ->
             workers = int(raw)
         except ValueError:
             raise PreconditionError(f"OLOG_WORKERS must be an integer, got {raw!r}")
-        if workers < 0:
-            raise PreconditionError(f"OLOG_WORKERS must be >= 0, got {workers}")
+        if not 0 <= workers <= MAX_WORKERS:
+            raise PreconditionError(f"OLOG_WORKERS must be in [0, {MAX_WORKERS}], got {workers}")
         return workers
     cpus = _usable_cpus()
     if cpus < 2 or _sweep_work(space) < POOL_MIN_WORK:

@@ -12,6 +12,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from olog import kernels
+from olog.algorithms import SortedSeq, binary_search
 from olog.errors import PreconditionError
 from olog.intmath import ilog2, validated_make
 
@@ -25,6 +26,15 @@ GROWTH_CLASSES = (
     ("Linearithmic", lambda n: n * ilog2(n)),
     ("Quadratic", lambda n: n * n),
 )
+
+# A binary list of at most this much kernels.profile_work runs the
+# instrumented search in process; a larger one runs the numpy profile.
+# The instrumented search takes 0.19-0.29 us per unit (best of 5, Xeon,
+# 2 vCPU, Python 3.11.7): 13-18 ms for 1,16,256,4096 (60 066 units) and
+# 69-97 ms for 16:16384:x4 (335 076). Importing numpy and running its
+# profile on a small list costs 108-150 ms as a process. At this constant
+# the instrumented search takes 58-76 ms, about half of that.
+INSTRUMENTED_MAX_WORK = 2**18
 
 #: Ratio of runner-up error to best error below which the verdict is
 #: reported as inconclusive rather than guessed.
@@ -75,12 +85,26 @@ class ClassificationReport(NamedTuple):
         }
 
 
+def instrumented_max_steps(n: int) -> int:
+    """Worst iteration count of :func:`binary_search` itself over the
+    adversarial key family on [0, n)."""
+    q = SortedSeq(range(n))
+    return max(binary_search(q, key).t for key in range(-1, n + 1))
+
+
 def bench_steps(algorithm: str, sizes: Sequence[int]) -> list[StepSample]:
     """Worst step count per size over the adversarial key family.
 
     The searched sequence is always [0, 1, ..., n-1]; the key family is
     every element plus one value below and one above. The linear scan is
     the non-logarithmic control and counts equality comparisons.
+
+    Every size is checked against its cap, and the list's total
+    ``kernels.profile_work`` against ``kernels.MAX_PROFILE_WORK``, before
+    the first profile runs. A binary list of at most
+    ``INSTRUMENTED_MAX_WORK`` units runs :func:`binary_search` itself on
+    every key and loads no numpy; a larger one, and every linear list,
+    runs the numpy profiles in ``kernels``. Both give the same counts.
     """
     if algorithm not in ALGORITHMS:
         raise PreconditionError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
@@ -89,9 +113,13 @@ def bench_steps(algorithm: str, sizes: Sequence[int]) -> list[StepSample]:
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise PreconditionError(f"sizes must be strictly increasing, got {list(sizes)}")
     kind = "binary" if algorithm == "binary_search" else "linear"
-    for n in sizes:  # every size, before the first profile runs
-        kernels.check_profile_size(kind, n)
-    profile = kernels.binary_max_steps if kind == "binary" else kernels.linear_max_steps
+    work = kernels.check_profile_sizes(kind, sizes)
+    if kind == "linear":
+        profile = kernels.linear_max_steps
+    elif work <= INSTRUMENTED_MAX_WORK:
+        profile = instrumented_max_steps
+    else:
+        profile = kernels.binary_max_steps
     return [StepSample(n, profile(n)) for n in sizes]
 
 

@@ -1,7 +1,11 @@
 """Hot kernels: the adversarial step profiles and the instance sweep.
 
 The profiles are numpy-vectorized; numpy is imported only inside them,
-so commands that never run them skip its import cost. Each key of the
+so commands that never run them skip its import cost.
+``estimator.bench_steps`` runs them for a ``bench`` list whose
+``profile_work`` exceeds ``estimator.INSTRUMENTED_MAX_WORK`` and for
+every linear list; a smaller binary list runs the instrumented
+``binary_search`` itself and never loads numpy. Each key of the
 adversarial family runs its own loop, comparison by comparison, with
 its state in int32 arrays updated in place. Keys go in chunks of 2^16,
 so that a chunk's arrays stay in L2, and a key leaves its chunk's
@@ -44,6 +48,17 @@ calc_step_scan = intmath.first_failure
 BINARY_PROFILE_MAX_N = 2**26
 LINEAR_PROFILE_MAX_N = 2**14
 
+# The caps bound one profile; MAX_PROFILE_WORK bounds a whole size list,
+# in the units of profile_work. Under the per-size caps alone a strictly
+# increasing list could hold hundreds of sizes near 2^26, at about 8 s
+# each. The numpy profiles take 4.7-7 ns per unit for binary from n = 2^13
+# up and 5-8 us per position for linear (Xeon, 2 vCPU, numpy 2.4.6), so a
+# list at the cap runs for 20-30 s of binary profile, or about 14 s of
+# linear over the sizes 1..2342, like a verify space near its caps. It
+# admits a single size at either cap (1.9e9 and 2.7e8 units), both
+# default lists (3.0e7 and 2.9e8) and 16:67108864:x4 (2.4e9).
+MAX_PROFILE_WORK = 2**32
+
 # Raising the binary cap past 2^30 would overflow lo + hi.
 _DTYPE = "int32"
 assert 2 * BINARY_PROFILE_MAX_N < 2**31
@@ -67,6 +82,27 @@ def check_profile_size(kind: str, n: int) -> None:
     cap = BINARY_PROFILE_MAX_N if kind == "binary" else LINEAR_PROFILE_MAX_N
     if not 1 <= n <= cap:
         raise PreconditionError(f"{kind} profile size must be in [1, {cap}], got {n}")
+
+
+def profile_work(kind: str, n: int) -> int:
+    """Closed-form bound on the loop work of the ``kind`` profile at size
+    ``n``: each of the n + 2 keys runs at most n.bit_length() + 1 binary
+    loop heads, or compares with at most n positions of the linear scan."""
+    return (n + 2) * (n.bit_length() + 1 if kind == "binary" else n)
+
+
+def check_profile_sizes(kind: str, sizes) -> int:
+    """Raise unless every size is within the ``kind`` profile's cap and
+    their total ``profile_work`` within MAX_PROFILE_WORK; return that total.
+    Runs no profile."""
+    for n in sizes:
+        check_profile_size(kind, n)
+    work = sum(profile_work(kind, n) for n in sizes)
+    if work > MAX_PROFILE_WORK:
+        raise PreconditionError(
+            f"{kind} profile work {work} of {len(sizes)} sizes exceeds the cap {MAX_PROFILE_WORK}"
+        )
+    return work
 
 
 def _chunks(lo: int, hi: int):

@@ -316,10 +316,24 @@ def test_pool_workers_decision(monkeypatch):
     monkeypatch.setenv("OLOG_WORKERS", "3")
     monkeypatch.setattr(checker, "_usable_cpus", lambda: 1)
     assert checker._pool_workers(small) == 3
-    for bad in ("nope", "-1", ""):
+    monkeypatch.setenv("OLOG_WORKERS", str(checker.MAX_WORKERS))
+    assert checker._pool_workers(small) == checker.MAX_WORKERS
+    for bad in ("nope", "-1", "", str(checker.MAX_WORKERS + 1), "100000"):
         monkeypatch.setenv("OLOG_WORKERS", bad)
         with pytest.raises(PreconditionError, match="OLOG_WORKERS"):
             checker._pool_workers(big)
+
+
+def test_forced_worker_count_over_the_ceiling_starts_no_process(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setenv("OLOG_WORKERS", "100000")
+    with pytest.raises(PreconditionError, match="OLOG_WORKERS"):
+        verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):

@@ -90,10 +90,18 @@ def test_verify_config_errors(argv, capsys):
 
 
 def _assert_rejected_at_once(*argv):
+    # neither a profile (numpy) nor a pool (multiprocessing) may have loaded
+    probe = (
+        "import sys; from olog.cli import main; "
+        f"rc = main({list(argv)!r}); "
+        "loaded = {'numpy', 'multiprocessing'} & set(sys.modules); "
+        "assert not loaded, f'rejected after loading {loaded}'; "
+        "sys.exit(rc)"
+    )
     started = time.perf_counter()
-    run = _python("-m", "olog", *argv, timeout=10)
+    run = _python("-c", probe, timeout=10)
     elapsed = time.perf_counter() - started
-    assert run.returncode == 2
+    assert run.returncode == 2, run.stderr
     assert run.stderr.startswith("error:")
     assert "Traceback" not in run.stderr
     assert elapsed < 1.0
@@ -117,11 +125,24 @@ def test_verify_rejects_grid_over_cap_before_any_work():
     assert "Traceback" not in run.stderr
 
 
+def test_verify_rejects_a_forced_worker_count_over_the_ceiling(monkeypatch):
+    monkeypatch.setenv("OLOG_WORKERS", "100000")
+    _assert_rejected_at_once("verify")
+
+
+def test_bench_rejects_a_list_over_the_total_work_cap_before_any_profile():
+    # 400 sizes, each under the binary cap: about an hour of profile
+    cap = 2**26
+    _assert_rejected_at_once("bench", "--sizes", ",".join(map(str, range(cap - 399, cap + 1))))
+
+
 def test_commands_without_profiles_leave_numpy_unloaded():
     # multiprocessing too: only a verify sweep big enough for a pool loads
-    # it. Each command loads only the olog modules it runs, and none loads
-    # dataclasses (numpy, which bench loads, does not either); modules the
-    # interpreter's own start-up loaded are not counted.
+    # it, and numpy only a profile that bench runs with it (a small binary
+    # list runs the instrumented search in process). Each command loads
+    # only the olog modules it runs, and none loads dataclasses (numpy
+    # does not either); modules the interpreter's own start-up loaded are
+    # not counted.
     probe = (
         "import sys; before = set(sys.modules); from olog.cli import main; "
         "lazy = lambda: {'numpy', 'multiprocessing'} & set(sys.modules); "
@@ -137,11 +158,32 @@ def test_commands_without_profiles_leave_numpy_unloaded():
         "assert main(['verify', '--max-len', '2', '--alphabet', '2', '--grid', '64']) == 0; "
         "assert not lazy(), f'bound or a small verify loaded {lazy()}'; "
         "assert main(['bench', '--sizes', '16:4096:x4']) == 0; "
+        "assert main(['bench', '--sizes', '1,16,256,4096']) == 0; "
+        "assert not lazy(), f'a small binary bench loaded {lazy()}'; "
         "assert 'dataclasses' not in set(sys.modules) - before, 'a command loaded dataclasses'; "
         "sys.exit(rc)"
     )
     run = _python("-c", probe)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,numpy",
+    [
+        (["bench", "--sizes", "1,16,256,4096"], False),
+        (["bench"], True),
+        (["bench", "--algo", "linear", "--sizes", "1,16,256,4096"], True),
+    ],
+)
+def test_bench_loads_numpy_only_for_the_numpy_profiles(argv, numpy):
+    probe = (
+        "import sys; from olog.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        "print('numpy' in sys.modules)"
+    )
+    run = _python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == str(numpy)
 
 
 def test_bench_loads_neither_the_checker_nor_the_witness_derivation():
@@ -198,9 +240,10 @@ def test_long_sequences_are_streamed(workers, monkeypatch):
 
 def test_bench_profiles_run_in_bounded_memory():
     # chunks of 2^20 int64 keys with per-round temporaries took 98 MB
-    # against 29 MB for the small sizes
+    # against 29 MB for the small sizes. 16:16384:x4 is over
+    # estimator.INSTRUMENTED_MAX_WORK, so both runs load numpy
     default = _peak_rss_mb("bench")
-    small = _peak_rss_mb("bench", "--sizes", "1,16,256,4096")
+    small = _peak_rss_mb("bench", "--sizes", "16:16384:x4")
     assert default <= 1.5 * small
 
 

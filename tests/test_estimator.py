@@ -1,5 +1,7 @@
 import pytest
 
+from olog import estimator, kernels
+from olog.cli import DEFAULT_SIZES, parse_sizes
 from olog.errors import PreconditionError
 from olog.estimator import StepSample, bench_steps, fit_class, samples_to_csv
 from olog.intmath import ilog2
@@ -39,6 +41,81 @@ def test_bench_validation():
         bench_steps("binary_search", [64, 16])
     with pytest.raises(PreconditionError):
         bench_steps("bogosort", [16, 32])
+
+
+def _profiles_run(monkeypatch):
+    """Which profile bench_steps calls, recorded per size."""
+    ran = []
+
+    def record(name, fn):
+        def profile(n):
+            ran.append(name)
+            return fn(n)
+        return profile
+
+    monkeypatch.setattr(
+        estimator, "instrumented_max_steps", record("instrumented", estimator.instrumented_max_steps)
+    )
+    monkeypatch.setattr(kernels, "binary_max_steps", record("numpy", kernels.binary_max_steps))
+    return ran
+
+
+# profile_work of 1,16,256,4096 is 60 066; with 13 469 last the list is 13
+# units under INSTRUMENTED_MAX_WORK, with 13 470 last it is 2 units over
+@pytest.mark.parametrize("last,selected", [(13469, "instrumented"), (13470, "numpy")])
+def test_both_binary_profiles_give_the_same_samples(last, selected, monkeypatch):
+    sizes = [1, 16, 256, 4096, last]
+    work = sum(kernels.profile_work("binary", n) for n in sizes)
+    assert work - estimator.INSTRUMENTED_MAX_WORK == (-13 if selected == "instrumented" else 2)
+    ran = _profiles_run(monkeypatch)
+    samples = bench_steps("binary_search", sizes)
+    assert ran == [selected] * len(sizes)
+    # the other side of the selection, on the same list
+    other = work - 1 if selected == "instrumented" else work
+    monkeypatch.setattr(estimator, "INSTRUMENTED_MAX_WORK", other)
+    ran.clear()
+    assert bench_steps("binary_search", sizes) == samples
+    assert set(ran) == {"numpy", "instrumented"} - {selected}
+    assert samples == [StepSample(n, n.bit_length()) for n in sizes]
+
+
+def test_linear_lists_run_the_numpy_profile(monkeypatch):
+    ran = _profiles_run(monkeypatch)
+    assert [s.t_max for s in bench_steps("linear_oracle", [1, 16])] == [1, 16]
+    assert ran == []  # neither binary profile
+
+
+def test_total_profile_work_is_capped_before_any_profile(monkeypatch):
+    def no_profile(n):
+        raise AssertionError("a profile ran")
+
+    for name in ("binary_max_steps", "linear_max_steps"):
+        monkeypatch.setattr(kernels, name, no_profile)
+    monkeypatch.setattr(estimator, "instrumented_max_steps", no_profile)
+    # each size is within its cap, the list is not: about an hour of profile
+    cap = kernels.BINARY_PROFILE_MAX_N
+    with pytest.raises(PreconditionError, match="exceeds the cap"):
+        bench_steps("binary_search", list(range(cap - 399, cap + 1)))
+    with pytest.raises(PreconditionError, match="exceeds the cap"):
+        bench_steps("linear_oracle", list(range(1, 2400)))
+    # admitted: both default lists, a single size at each cap, x4 to the cap
+    admitted = {
+        "binary": [parse_sizes(DEFAULT_SIZES["binary_search"]), [cap], parse_sizes(f"16:{cap}:x4")],
+        "linear": [parse_sizes(DEFAULT_SIZES["linear_oracle"]), [kernels.LINEAR_PROFILE_MAX_N]],
+    }
+    for kind, lists in admitted.items():
+        for sizes in lists:
+            work = kernels.check_profile_sizes(kind, sizes)
+            assert work == sum(kernels.profile_work(kind, n) for n in sizes)
+            assert work <= kernels.MAX_PROFILE_WORK
+
+
+def test_profile_work_bounds_the_loop_work():
+    # binary: n + 2 keys of at most n.bit_length() iterations plus the exit
+    # test; linear: n + 2 keys of at most n comparisons
+    for n in (1, 2, 3, 16, 1000):
+        assert kernels.profile_work("binary", n) == (n + 2) * (kernels.binary_max_steps(n) + 1)
+        assert kernels.profile_work("linear", n) == (n + 2) * kernels.linear_max_steps(n)
 
 
 def test_fit_binary_is_logarithmic_with_margin():

@@ -9,8 +9,9 @@ linear scan's is n comparisons.
 import pytest
 
 from olog import intmath, kernels
-from olog.algorithms import SortedSeq, binary_search, broken_binary_search, linear_search_oracle
+from olog.algorithms import broken_binary_search, linear_search_oracle
 from olog.complexity import STEP_BOUND, LogWitness, canonical_chain, is_log2_from
+from olog.estimator import instrumented_max_steps
 from olog.intmath import DOUBLING, MONOTONIC, STEP_BUDGET, Expr, Relation, Term
 
 import pointwise
@@ -75,12 +76,10 @@ def test_calc_step_parity(step):
 
 
 def test_binary_max_steps_matches_per_key_library_runs():
-    for n in range(1, 71):
-        items = SortedSeq(range(n))
-        expected = max(
-            binary_search(items, key).t for key in range(-1, n + 1)
-        )
-        assert kernels.binary_max_steps(n) == expected
+    # bench's in-process profile runs binary_search on every key of the
+    # family; 4095..4097 straddle a power of two
+    for n in [*range(1, 301), 4095, 4096, 4097]:
+        assert kernels.binary_max_steps(n) == instrumented_max_steps(n)
 
 
 def test_linear_max_steps_matches_per_key_oracle_runs():
