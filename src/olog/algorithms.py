@@ -1,10 +1,11 @@
 """Instrumented binary search over immutable sorted integer sequences.
 
 The search returns both the functional result and an exact count of
-loop iterations. In the checking modes it re-validates its own loop
-invariants at every loop head and aborts with a structured
-:class:`~olog.errors.InvariantViolation` if any fails; that signals an
-implementation bug, never bad user input.
+loop iterations. In the checking mode it records every iteration and
+re-validates its loop invariant and termination at every loop head,
+aborting with a structured :class:`~olog.errors.InvariantViolation` if
+either fails; that signals an implementation bug, never bad user input.
+The checker judges the counter against the cost model.
 
 A deliberately broken variant (``broken_binary_search``) runs the same
 loop with one changed step, so the checking machinery can be shown to
@@ -16,15 +17,13 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from olog import costmodel
 from olog.errors import InvariantViolation, PreconditionError
 
 MAX_LEN = 2**32
 
 MODE_OFF = "off"
-MODE_INVARIANTS = "invariants"
 MODE_FULL_TRACE = "full_trace"
-_MODES = (MODE_OFF, MODE_INVARIANTS, MODE_FULL_TRACE)
+_MODES = (MODE_OFF, MODE_FULL_TRACE)
 
 
 def check_sorted(items: Sequence[int]) -> bool:
@@ -73,25 +72,17 @@ class SortedSeq:
 class IterRecord(NamedTuple):
     """State captured for one loop iteration.
 
-    ``lo``/``hi``/``mid`` are the values the iteration started from,
-    ``t_after`` the counter after it, and ``tbs_remaining`` the
-    transition cost of the range that remains afterwards.
+    ``lo``/``hi``/``mid`` are the values the iteration started from and
+    ``t_after`` the counter after it.
     """
 
     lo: int
     hi: int
     mid: int
     t_after: int
-    tbs_remaining: int
 
     def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "mid": self.mid,
-            "t": self.t_after,
-            "tbs_remaining": self.tbs_remaining,
-        }
+        return {"lo": self.lo, "hi": self.hi, "mid": self.mid, "t": self.t_after}
 
 
 class SearchOutcome(NamedTuple):
@@ -137,43 +128,8 @@ def check_binary_loop_inv(q: Sequence[int], lo: int, hi: int, r: int, key: int) 
     return r < len(q) and q[r] == key
 
 
-def _as_sorted(q) -> SortedSeq:
-    return q if isinstance(q, SortedSeq) else SortedSeq(q)
-
-
 def _state(lo, hi, r, t) -> dict:
     return {"lo": lo, "hi": hi, "r": r, "t": t}
-
-
-def _head_checks(items, lo, hi, r, key, t, tbs_total, prev_width, costs):
-    """Invariant battery run at every loop head in the checking modes.
-
-    ``costs`` holds the cost of every range the ``tbs`` recursion visits
-    (``costmodel.tbs_path``); a head whose range lies off that path, the
-    final empty range or one a faulty search strays into, asks
-    ``costmodel.tbs`` instead.
-    """
-    width = hi - lo
-    if prev_width is not None and width >= prev_width:
-        state = _state(lo, hi, r, t)
-        raise InvariantViolation(
-            "termination",
-            state,
-            f"hi-lo failed to decrease ({prev_width} -> {width}) at {state!r}",
-        )
-    if not check_binary_loop_inv(items, lo, hi, r, key):
-        raise InvariantViolation("binary_loop", _state(lo, hi, r, t))
-    remaining = costs.get((lo, hi))
-    if remaining is None:
-        remaining = costmodel.tbs(items, lo, hi, key)
-    if t > tbs_total - remaining:
-        state = _state(lo, hi, r, t)
-        raise InvariantViolation(
-            "tbs_difference",
-            state,
-            f"t={t} exceeds tbs difference {tbs_total}-{remaining} at {state!r}",
-        )
-    return remaining
 
 
 def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
@@ -181,34 +137,29 @@ def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
     ``lo = mid + advance``.
 
     The loop has a single exit point: the found branch records the index
-    and collapses the range instead of breaking out. In the checking
-    modes one walk of the ``tbs`` recursion per call supplies every loop
-    head's remaining cost.
+    and collapses the range instead of breaking out.
     """
     if check_mode not in _MODES:
         raise PreconditionError(f"unknown check_mode {check_mode!r}")
-    items = _as_sorted(q).items
-    checking = check_mode != MODE_OFF
-    tracing = check_mode == MODE_FULL_TRACE
-    if checking and not check_sorted(items):
-        raise InvariantViolation("sorted", {"items": items})
+    items = (q if isinstance(q, SortedSeq) else SortedSeq(q)).items
+    checking = check_mode == MODE_FULL_TRACE
 
     r = -1
     lo, hi = 0, len(items)
     t = 0
     trace: list[IterRecord] = []
-    if checking:
-        costs = costmodel.tbs_path(items, key)
-        tbs_total = costs[lo, hi]
-    prev_width = None
+    prev_width = hi + 1
 
     while True:
         if checking:
-            remaining = _head_checks(items, lo, hi, r, key, t, tbs_total, prev_width, costs)
-            prev_width = hi - lo
-            if tracing and t > 0:
-                # the iteration that led here ends with this head's range
-                trace.append(IterRecord(iter_lo, iter_hi, mid, t, remaining))
+            width = hi - lo
+            if width >= prev_width:
+                state = _state(lo, hi, r, t)
+                why = f"hi-lo failed to decrease ({prev_width} -> {width}) at {state!r}"
+                raise InvariantViolation("termination", state, why)
+            if not check_binary_loop_inv(items, lo, hi, r, key):
+                raise InvariantViolation("binary_loop", _state(lo, hi, r, t))
+            prev_width = width
         if not lo < hi:
             break
         mid = (lo + hi) // 2
@@ -221,8 +172,10 @@ def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
             r = mid
             hi = lo
         t += 1
+        if checking:
+            trace.append(IterRecord(iter_lo, iter_hi, mid, t))
 
-    return SearchOutcome(r, t, tuple(trace) if tracing else None)
+    return SearchOutcome(r, t, tuple(trace) if checking else None)
 
 
 def binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutcome:
@@ -232,11 +185,10 @@ def binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutcome:
 
     * ``"off"``: plain run, nothing but the counter (the default, so
       measured step counts are never inflated by assertion work).
-    * ``"invariants"``: re-checks sortedness, then asserts the loop
-      invariant, the transition-cost difference bound and the
-      strictly-decreasing range width at every loop head.
-    * ``"full_trace"``: everything ``invariants`` does, plus one
-      :class:`IterRecord` captured per iteration.
+    * ``"full_trace"``: asserts the loop invariant and the strictly
+      decreasing range width at every loop head, and captures one
+      :class:`IterRecord` per executed iteration. The checker judges
+      the counter and the records against the cost model ``tbs``.
     """
     return _search(q, key, check_mode, advance=1)
 
@@ -246,7 +198,7 @@ def broken_binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutco
 
     The same loop as :func:`binary_search` except the go-right branch
     keeps ``lo`` at ``mid`` instead of skipping past it, so the range
-    can stop shrinking. Only ever run it in a checking mode; the
+    can stop shrinking. Only ever run it in the checking mode; the
     termination check is what stops it.
     """
     return _search(q, key, check_mode, advance=0)  # the planted bug: must be 1

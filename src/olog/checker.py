@@ -10,16 +10,20 @@ checks the full battery on every instance:
   (an unfound key never hides in the eliminated prefix/suffix).
 * P2 oracle_agreement: found/absent verdict matches a linear scan.
 * P3 counter_exact_terminating: the counter equals the number of
-  executed iterations and the range width strictly decreases.
-* P4 tbs_dominates: per-head, the counter stays under the
-  transition-cost difference; end to end, t <= tbs(q, 0, len(q), key).
+  iterations recorded, one per iteration run, and the range width
+  strictly decreases.
+* P4 counter_equals_tbs: at every recorded loop head, the counter plus
+  the cost of the head's range equals tbs(q, 0, len(q), key), and a head
+  off the ``tbs`` recursion's path fails; end to end, t == tbs(q, 0,
+  len(q), key).
 * P5 tbs_log_bound: every nonempty subrange's transition cost obeys
   2*ilog2(width) + 1. Checked on each instance's full range: ``tbs``
   is translation-invariant and every slice of an enumerated sequence is
   enumerated with the same keys, so each subrange is an instance's.
 * P6 step_budget: t <= 2*ilog2(len(q)+1) + 1.
 * P7 witness_bound: for len(q) >= 2, t <= 6*ilog2(len(q)).
-* P8 ilog2_monotonic: adjacent-pair monotonicity up to the grid bound.
+* P8 ilog2_monotonic: adjacent-pair monotonicity up to the grid bound,
+  and agreement with ``ilog2_oracle`` at both ends of every dyadic block.
 * P9 calc_chain: the witness derivation re-checks on the same grid.
 
 P8 and P9 are checked by dyadic blocks (see ``intmath.first_failure``),
@@ -47,7 +51,7 @@ PROPERTY_NAMES = {
     "P1": "binary_posts",
     "P2": "oracle_agreement",
     "P3": "counter_exact_terminating",
-    "P4": "tbs_dominates",
+    "P4": "counter_equals_tbs",
     "P5": "tbs_log_bound",
     "P6": "step_budget",
     "P7": "witness_bound",
@@ -375,18 +379,18 @@ def verify_all(
             PropertyResult(pid, PROPERTY_NAMES[pid], bad == 0, bad, sweep["first"][pid])
         )
 
-    mono_fail = intmath.scan_monotonic(grid)
-    results.append(
-        PropertyResult(
-            "P8",
-            PROPERTY_NAMES["P8"],
-            mono_fail == 0,
-            0 if mono_fail == 0 else 1,
-            None
-            if mono_fail == 0
-            else {"n": mono_fail, "detail": f"ilog2({mono_fail}) > ilog2({mono_fail + 1})"},
+    mono, odd = intmath.scan_monotonic(grid), intmath.scan_oracle_equivalence(grid)
+    p8 = [
+        {"n": n, "detail": detail}
+        for n, detail in sorted(
+            [
+                (mono, f"ilog2({mono}) > ilog2({mono + 1})"),
+                (odd, f"ilog2({odd}) != ilog2_oracle({odd})"),
+            ]
         )
-    )
+        if n
+    ]
+    results.append(PropertyResult("P8", PROPERTY_NAMES["P8"], not p8, len(p8), p8[0] if p8 else None))
     try:
         complexity.derive_log_witness(grid)
         results.append(PropertyResult("P9", PROPERTY_NAMES["P9"], True, 0, None))

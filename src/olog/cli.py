@@ -170,19 +170,26 @@ def _cmd_trace(args, out) -> int:
     seq = SortedSeq(items)  # raises PreconditionError when unsorted
     outcome = binary_search(seq, args.key, MODE_FULL_TRACE)
     budget = costmodel.step_budget(seq)
-    tbs_total = costmodel.tbs(seq, 0, len(seq), args.key)
+    costs = costmodel.tbs_path(seq, args.key)
+    tbs_total = costs[0, len(seq)]
+    # the range an iteration leaves is the next one's head; the last
+    # leaves an empty range, which costs nothing
+    remaining = [costs[rec.lo, rec.hi] for rec in outcome.trace[1:]] + [0]
 
     if args.format == "json":
-        lines = [json.dumps(rec.to_dict()) for rec in outcome.trace]
+        lines = [
+            json.dumps({**rec.to_dict(), "tbs_remaining": left})
+            for rec, left in zip(outcome.trace, remaining)
+        ]
         lines.append(json.dumps({"r": outcome.r, "t": outcome.t, "budget": budget}))
         out.write("\n".join(lines) + "\n")
     else:
         lines = [f"{'lo':>4} {'hi':>4} {'mid':>4} {'t':>4} {'tbs_remaining':>14} {'margin':>7}"]
-        for rec in outcome.trace:
-            margin = (tbs_total - rec.tbs_remaining) - rec.t_after
+        for rec, left in zip(outcome.trace, remaining):
+            margin = (tbs_total - left) - rec.t_after
             lines.append(
                 f"{rec.lo:>4} {rec.hi:>4} {rec.mid:>4} {rec.t_after:>4} "
-                f"{rec.tbs_remaining:>14} {margin:>7}"
+                f"{left:>14} {margin:>7}"
             )
         lines.append(f"r={outcome.r} t={outcome.t} budget={budget}")
         out.write("\n".join(lines) + "\n")

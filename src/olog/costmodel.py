@@ -2,7 +2,7 @@
 
 ``tbs`` mirrors the decisions the search loop makes on a range
 [lo, hi) of a sorted sequence and returns how many iterations the loop
-will spend there. Its value upper-bounds the instrumented step counter,
+will spend there. Its value equals the instrumented step counter,
 and is itself bounded by 2*ilog2(hi-lo) + 1, which chains into the
 end-to-end step budget 2*ilog2(len(q)+1) + 1.
 """
@@ -48,8 +48,8 @@ def tbs_path(q: Sequence[int], key: int) -> dict[tuple[int, int], int]:
 
     Returns the cost of every range the recursion visits, keyed by
     ``(lo, hi)``; each value equals ``tbs(q, lo, hi, key)``. These are the
-    ranges a correct search's loop heads see, except the empty range it
-    ends on, which the recursion never enters.
+    ranges a correct search runs its iterations on, plus, at most, the
+    empty range it ends on.
     """
     costs: dict[tuple[int, int], int] = {}
     _visit(q, 0, len(q), key, 0, costs)

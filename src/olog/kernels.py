@@ -196,7 +196,23 @@ def linear_max_steps(n: int) -> int:
     return max(_linear_steps(keys, n) for keys in _chunks(-1, n))
 
 
-_VIOLATION_PROP = {"termination": "P3", "tbs_difference": "P4"}
+def _p4_failure(trace, t, costs, tbs_total):
+    """Why the counter breaks P4 against the walk ``costs``, or None. The
+    counter at a head is the one after the iteration before it (0 at the first)."""
+    t_head = 0
+    for rec in trace:
+        remaining = costs.get((rec.lo, rec.hi))
+        if remaining is None:
+            return f"head [{rec.lo}, {rec.hi}) at t={t_head} is off the tbs recursion's path"
+        if t_head + remaining != tbs_total:
+            return (
+                f"t={t_head} at head [{rec.lo}, {rec.hi}) differs from "
+                f"tbs difference {tbs_total}-{remaining}"
+            )
+        t_head = rec.t_after
+    if t != tbs_total:
+        return f"t={t} differs from tbs={tbs_total}"
+    return None
 
 
 def verify_sweep(groups, search_fn=None) -> dict:
@@ -208,12 +224,15 @@ def verify_sweep(groups, search_fn=None) -> dict:
     defaults to :func:`binary_search`, looked up at call time so that a
     wrapper installed on this module's global is honoured.
 
-    Each instance walks the ``tbs`` recurrence once here; that one value
-    serves P4's end-to-end bound and P5. P5 is checked on each
+    Each instance walks the ``tbs`` recurrence once; P4 holds the counter
+    to that walk at every recorded head, and P5 checks its value on the
     instance's full range only: ``tbs`` is translation-invariant
     (tbs(q, lo, hi, key) == tbs(q[lo:hi], 0, hi-lo, key), as
     mid = lo + (hi-lo)//2), so a source must hold, for each (items, key)
     it yields, every slice of items with that key (or one of its order type).
+
+    An exception the search raises counts against P1 (P3 for the
+    termination check), and one the walk raises against P5, skipping P4.
     """
     from olog.complexity import CANONICAL_WITNESS  # here, so bench never loads it
     if search_fn is None:
@@ -238,31 +257,42 @@ def verify_sweep(groups, search_fn=None) -> dict:
         bound = costmodel.log_bound(n) if n >= 1 else None
         for key in range(key_lo, key_hi + 1):
             instances += 1
-            tbs_total = costmodel.tbs(items, 0, n, key)
-
             # P5 needs only the cost model, so it runs even when the
             # instrumented run aborts.
-            if n >= 1 and tbs_total > bound:
-                record("P5", items, key, f"tbs(0, {n})={tbs_total} exceeds its log bound")
+            try:
+                costs = costmodel.tbs_path(items, key)
+                tbs_total = costs[0, n]
+            except Exception as err:
+                costs = None
+                record("P5", items, key, f"the tbs walk raised {type(err).__name__}: {err}")
+            else:
+                if n >= 1 and tbs_total > bound:
+                    record("P5", items, key, f"tbs(0, {n})={tbs_total} exceeds its log bound")
 
             try:
                 out = search_fn(q, key, MODE_FULL_TRACE)
             except InvariantViolation as violation:
-                prop = _VIOLATION_PROP.get(violation.predicate, "P1")
+                prop = "P3" if violation.predicate == "termination" else "P1"
                 record(prop, items, key, str(violation))
+                continue
+            except Exception as err:
+                record("P1", items, key, f"the search raised {type(err).__name__}: {err}")
                 continue
 
             if not check_binary_posts(items, out.r, key):
                 record("P1", items, key, f"postconditions fail for r={out.r}")
             oracle_r = linear_search_oracle(items, key)
-            agree = (out.r >= 0) == (oracle_r >= 0) and (out.r < 0 or items[out.r] == key)
+            agree = (out.r >= 0) == (oracle_r >= 0) and (
+                out.r < 0 or out.r < n and items[out.r] == key
+            )
             if not agree:
                 record("P2", items, key, f"r={out.r} disagrees with oracle index {oracle_r}")
             if out.trace is None or out.t != len(out.trace):
                 record("P3", items, key, f"t={out.t} but trace has {len(out.trace or ())} records")
-            if out.t > tbs_total:
-                record("P4", items, key, f"t={out.t} exceeds tbs={tbs_total}")
-            else:
+            if costs is not None:
+                failure = _p4_failure(out.trace or (), out.t, costs, tbs_total)
+                if failure is not None:
+                    record("P4", items, key, failure)
                 max_gap = max(max_gap, tbs_total - out.t)
             if out.t > budget:
                 record("P6", items, key, f"t={out.t} exceeds budget {budget}")

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from olog import costmodel
 from olog.algorithms import (
     MODE_FULL_TRACE,
-    MODE_INVARIANTS,
     SortedSeq,
     binary_search,
     broken_binary_search,
@@ -13,7 +12,6 @@ from olog.algorithms import (
     check_sorted,
     linear_search_oracle,
 )
-from olog.checker import InstanceSpace, enumerate_instances
 from olog.errors import InvariantViolation, PreconditionError
 
 
@@ -55,9 +53,9 @@ def test_binary_search_known_instances(items, key, r, t):
 
 @pytest.mark.parametrize("items,key,r,t", SEARCH_CASES)
 def test_checking_modes_change_nothing(items, key, r, t):
-    for mode in (MODE_INVARIANTS, MODE_FULL_TRACE):
-        outcome = binary_search(SortedSeq(items), key, mode)
-        assert (outcome.r, outcome.t) == (r, t)
+    outcome = binary_search(SortedSeq(items), key, MODE_FULL_TRACE)
+    assert (outcome.r, outcome.t) == (r, t)
+    assert len(outcome.trace) == t
 
 
 def test_empty_input_contract():
@@ -71,38 +69,14 @@ def test_full_trace_records():
     assert outcome.t == len(outcome.trace) == 2
     first, second = outcome.trace
     assert (first.lo, first.hi, first.mid, first.t_after) == (0, 4, 2, 1)
-    assert first.tbs_remaining == 1
-    assert first.to_dict() == {"lo": 0, "hi": 4, "mid": 2, "t": 1, "tbs_remaining": 1}
+    assert first.to_dict() == {"lo": 0, "hi": 4, "mid": 2, "t": 1}
     assert (second.lo, second.hi, second.mid, second.t_after) == (3, 4, 3, 2)
-    assert second.tbs_remaining == 0
     # records capture the pre-update range, so lo <= mid < hi
     assert all(rec.lo <= rec.mid < rec.hi for rec in outcome.trace)
     with pytest.raises(AttributeError):
         first.lo = 1
     with pytest.raises(AttributeError):
         outcome.t = 0
-
-
-def test_trace_remaining_is_cost_of_the_range_left():
-    # the mutant's ranges leave the recursion's path, so its heads are
-    # costed by costmodel.tbs rather than by the search's one walk
-    space = InstanceSpace(max_len=6, alphabet=3)
-    strays = 0
-    for q, key in enumerate_instances(space):
-        expected = binary_search(q, key, MODE_FULL_TRACE).trace
-        for search in (binary_search, broken_binary_search):
-            try:
-                trace = search(q, key, MODE_FULL_TRACE).trace
-            except InvariantViolation:
-                continue
-            strays += trace != expected
-            # each record's range is what the previous iteration left; the
-            # loop exits on an empty range, which costs nothing
-            left = ([(rec.lo, rec.hi) for rec in trace[1:]] + [(0, 0)])[: len(trace)]
-            assert [rec.tbs_remaining for rec in trace] == [
-                costmodel.tbs(q, lo, hi, key) for lo, hi in left
-            ]
-    assert strays > 0
 
 
 def test_binary_search_accepts_plain_lists():
@@ -169,21 +143,15 @@ def test_search_counter_bounded(instance):
     items, key = instance
     outcome = binary_search(SortedSeq(items), key, MODE_FULL_TRACE)
     assert outcome.t == len(outcome.trace)
-    assert outcome.t <= costmodel.tbs(items, 0, len(items), key)
+    assert outcome.t == costmodel.tbs(items, 0, len(items), key)
     assert outcome.t <= costmodel.step_budget(items)
 
 
 def test_broken_search_trips_the_termination_check():
     with pytest.raises(InvariantViolation) as err:
-        broken_binary_search(SortedSeq([0]), 1, MODE_INVARIANTS)
+        broken_binary_search(SortedSeq([0]), 1, MODE_FULL_TRACE)
     assert err.value.predicate == "termination"
     assert err.value.state["lo"] == 0 and err.value.state["hi"] == 1
-
-
-def test_broken_search_trips_tbs_difference_elsewhere():
-    with pytest.raises(InvariantViolation) as err:
-        broken_binary_search(SortedSeq([0, 0]), 1, MODE_INVARIANTS)
-    assert err.value.predicate == "tbs_difference"
 
 
 def test_broken_search_agrees_when_bug_not_hit():

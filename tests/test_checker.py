@@ -11,8 +11,14 @@ import pytest
 
 import olog
 import subranges
-from olog import checker, costmodel
-from olog.algorithms import MODE_FULL_TRACE, SortedSeq, binary_search, broken_binary_search
+from olog import checker, complexity, costmodel, intmath
+from olog.algorithms import (
+    MODE_FULL_TRACE,
+    SearchOutcome,
+    SortedSeq,
+    binary_search,
+    broken_binary_search,
+)
 from olog.checker import (
     InstanceSpace,
     enumerate_instances,
@@ -180,22 +186,22 @@ def test_mutant_is_caught_with_minimal_counterexample():
     minimal = report.minimal_counterexample()
     assert (minimal["q"], minimal["key"]) == ([0], 1)
     props = {p.id: p for p in report.properties}
-    assert (props["P3"].violations, props["P3"].counterexample) == (9, minimal)
+    assert (props["P3"].violations, props["P3"].counterexample) == (58, minimal)
     assert minimal["detail"] == (
         "hi-lo failed to decrease (1 -> 1) at {'lo': 0, 'hi': 1, 'r': -1, 't': 1}"
     )
-    # [1, 2) is off the recursion's path ([0, 2) goes right to [2, 2)),
-    # so this head's cost comes from costmodel.tbs
-    assert props["P4"].violations == 49
+    # [0, 3) goes right to [2, 3), the mutant to [1, 3), where it still
+    # terminates: only P4's walk sees the stray head
+    assert props["P4"].violations == 9
     assert props["P4"].counterexample == {
-        "q": [0, 0],
+        "q": [0, 0, 1],
         "key": 1,
-        "detail": "t=1 exceeds tbs difference 1-1 at {'lo': 1, 'hi': 2, 'r': -1, 't': 1}",
+        "detail": "head [1, 3) at t=1 is off the tbs recursion's path",
     }
 
 
-def test_sweep_walks_the_recurrence_at_most_twice_per_instance(monkeypatch):
-    # one walk for the sweep's P4/P5 value, one shared by the search's loop heads
+def test_sweep_walks_the_recurrence_once_per_instance(monkeypatch):
+    # one walk serves P4, at every loop head and end to end, and P5
     exact = costmodel._tbs
     walks = Counter()
 
@@ -209,10 +215,8 @@ def test_sweep_walks_the_recurrence_at_most_twice_per_instance(monkeypatch):
     # in process: a pool worker's walks would be counted in its own copy
     report = verify_all(InstanceSpace(), grid=2, workers=0)
     assert report.all_passed
-    assert walks["full"] == 2 * report.instances_checked == 48048
-    assert walks["subrange"] == 0
-    # the final empty range, which the recursion never enters, costs one base case
-    assert walks["empty"] <= report.instances_checked
+    assert walks == {"full": report.instances_checked}
+    assert report.instances_checked == 24024
 
 
 def test_mutant_report_is_schema_valid():
@@ -221,6 +225,111 @@ def test_mutant_report_is_schema_valid():
     )
     schema = json.loads((SCHEMAS / "check_report.schema.json").read_text())
     jsonschema.validate(report.to_dict(), schema)
+
+
+def _never_counts(q, key, mode):
+    # a search whose counter never counts and which records nothing
+    return SearchOutcome(binary_search(q, key, mode).r, 0, ())
+
+
+def _failing(report):
+    """Failing property id -> (violations, (q, key) of its first counterexample)."""
+    failing = {}
+    for p in report.properties:
+        if not p.passed:
+            first = p.counterexample
+            failing[p.id] = (p.violations, first and (first.get("q"), first.get("key")))
+    return failing
+
+
+def test_a_search_that_never_counts_fails_p4():
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4, search_fn=_never_counts)
+    # every instance but the four on [] costs at least 1
+    assert _failing(report) == {"P4": (20, ([0], -1))}
+    assert report.minimal_counterexample()["detail"] == "t=0 differs from tbs=1"
+
+
+@pytest.mark.parametrize("branch,first", [("left", ([0, 0], -1)), ("right", ([0, 0], 1))])
+def test_a_cost_model_that_overcharges_fails_p4(monkeypatch, branch, first):
+    # the mutant 1 + _visit(...) -> 2 + _visit(...) on one branch of _tbs;
+    # P5's bound 2*ilog2(w)+1 is loose enough to absorb the extra cost
+    exact = costmodel._tbs
+
+    def planted(q, lo, hi, key, *rest):
+        mid = (lo + hi) // 2
+        extra = hi - lo > 1 and key != q[mid] and (key < q[mid]) == (branch == "left")
+        return exact(q, lo, hi, key, *rest) + extra
+
+    monkeypatch.setattr(costmodel, "_tbs", planted)
+    report = verify_all(InstanceSpace(max_len=4, alphabet=3), grid=16, workers=0)
+    assert set(_failing(report)) == {"P4"}
+    assert _failing(report)["P4"][1] == first
+    assert report.minimal_counterexample()["q"] == first[0]
+
+
+def _off_by_one(monkeypatch):
+    exact = intmath.ilog2
+    monkeypatch.setattr(intmath, "ilog2", lambda n: exact(n) + 1)  # k = 1 in ilog2
+
+
+def test_an_off_by_one_ilog2_fails_p8(monkeypatch):
+    # every value one too large keeps P8's adjacent-pair relation; the
+    # doubling oracle does not move
+    _off_by_one(monkeypatch)
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2**20, workers=0)
+    p8 = next(p for p in report.properties if p.id == "P8")
+    assert (p8.passed, p8.violations) == (False, 1)
+    assert p8.counterexample == {"n": 1, "detail": "ilog2(1) != ilog2_oracle(1)"}
+
+
+def _raises_on_one(q, key, mode):
+    if list(q) == [0, 1] and key == 1:
+        raise KeyError("planted")
+    return binary_search(q, key, mode)
+
+
+def test_a_search_that_raises_gets_a_p1_verdict():
+    space = InstanceSpace(max_len=4, alphabet=3)
+    report = verify_all(space, grid=16, search_fn=_raises_on_one, workers=0)
+    assert _failing(report) == {"P1": (1, ([0, 1], 1))}
+    assert report.minimal_counterexample()["detail"] == "the search raised KeyError: 'planted'"
+    pooled = verify_all(space, grid=16, search_fn=_raises_on_one, workers=2)
+    assert _strip(pooled) == _strip(report)
+
+
+def test_a_cost_walk_that_raises_gets_a_p5_verdict(monkeypatch):
+    exact = costmodel._tbs
+
+    def planted(q, lo, hi, key, *rest):
+        if tuple(q) == (0, 1) and key == 1:
+            raise IndexError("planted")
+        return exact(q, lo, hi, key, *rest)
+
+    monkeypatch.setattr(costmodel, "_tbs", planted)
+    space = InstanceSpace(max_len=4, alphabet=3)
+    report = verify_all(space, grid=16, workers=0)
+    # the instance's P4 is skipped: there is no cost to judge the counter by
+    assert _failing(report) == {"P5": (1, ([0, 1], 1))}
+    assert report.minimal_counterexample()["detail"] == "the tbs walk raised IndexError: planted"
+    assert _strip(verify_all(space, grid=16, workers=2)) == _strip(report)
+
+
+def test_a_report_with_every_kind_of_failure_is_schema_valid(monkeypatch):
+    steps = list(complexity.canonical_chain())
+    s5 = steps[4]
+    weakened = intmath.Relation(s5.relation.lhs, "<=", intmath.Expr((intmath.Term(3, 1, 0),), 0))
+    steps[4] = complexity.CalcStep(weakened, s5.n_min, s5.why)
+    monkeypatch.setattr(complexity, "canonical_chain", lambda: tuple(steps))
+    _off_by_one(monkeypatch)
+    report = verify_all(
+        InstanceSpace(max_len=2, alphabet=2), grid=64, search_fn=_raises_on_one, workers=0
+    )
+    failing = _failing(report)
+    assert set(failing) == {"P1", "P8", "P9"}
+    doc = report.to_dict()
+    p9 = doc["properties"][8]["counterexample"]
+    assert set(p9) == {"step", "n", "detail"}
+    jsonschema.validate(doc, json.loads((SCHEMAS / "check_report.schema.json").read_text()))
 
 
 def _plant_cost_model(monkeypatch):
@@ -410,7 +519,15 @@ def test_p5_planted_cost_model_matches_all_subrange_reference(monkeypatch):
     # sweep only the instances whose full range fails
     assert reference == (183, ([0, 0, 0, 0, 0], -1))
     assert _p5(report) == (False, 42, ([0, 0, 0, 0, 0], -1))
-    assert report.minimal_counterexample()["detail"] == "tbs(0, 5)=8 exceeds its log bound"
+    # the correct search's counter no longer equals the planted cost, so P4
+    # fails on the same instances, and comes first among the ties
+    p4 = next(p for p in report.properties if p.id == "P4")
+    assert (p4.violations, p4.counterexample["q"], p4.counterexample["key"]) == (
+        42, [0, 0, 0, 0, 0], -1
+    )
+    assert report.minimal_counterexample()["detail"] == (
+        "t=1 at head [0, 2) differs from tbs difference 8-2"
+    )
 
 
 def _order_type(items, key):

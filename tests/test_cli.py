@@ -350,6 +350,68 @@ def test_trace_json_lines(capsys):
     assert parsed[-1] == {"r": 3, "t": 2, "budget": 5}
 
 
+# olog trace output, byte for byte; the tbs_remaining column is the cost
+# of the range each iteration leaves, read from one walk of tbs
+TRACE_OUTPUT = {
+    ("1,3,5,7", 7, "text"): (
+        "  lo   hi  mid    t  tbs_remaining  margin\n"
+        "   0    4    2    1              1       0\n"
+        "   3    4    3    2              0       0\n"
+        "r=3 t=2 budget=5\n"
+    ),
+    ("1,3,5,7", 7, "json"): (
+        '{"lo": 0, "hi": 4, "mid": 2, "t": 1, "tbs_remaining": 1}\n'
+        '{"lo": 3, "hi": 4, "mid": 3, "t": 2, "tbs_remaining": 0}\n'
+        '{"r": 3, "t": 2, "budget": 5}\n'
+    ),
+    ("1,3,5,7", 4, "text"): (
+        "  lo   hi  mid    t  tbs_remaining  margin\n"
+        "   0    4    2    1              1       0\n"
+        "   0    2    1    2              0       0\n"
+        "r=-1 t=2 budget=5\n"
+    ),
+    ("1,3,5,7", 4, "json"): (
+        '{"lo": 0, "hi": 4, "mid": 2, "t": 1, "tbs_remaining": 1}\n'
+        '{"lo": 0, "hi": 2, "mid": 1, "t": 2, "tbs_remaining": 0}\n'
+        '{"r": -1, "t": 2, "budget": 5}\n'
+    ),
+    ("1,3,5,7", 0, "text"): (
+        "  lo   hi  mid    t  tbs_remaining  margin\n"
+        "   0    4    2    1              2       0\n"
+        "   0    2    1    2              1       0\n"
+        "   0    1    0    3              0       0\n"
+        "r=-1 t=3 budget=5\n"
+    ),
+    ("1,3,5,7", 0, "json"): (
+        '{"lo": 0, "hi": 4, "mid": 2, "t": 1, "tbs_remaining": 2}\n'
+        '{"lo": 0, "hi": 2, "mid": 1, "t": 2, "tbs_remaining": 1}\n'
+        '{"lo": 0, "hi": 1, "mid": 0, "t": 3, "tbs_remaining": 0}\n'
+        '{"r": -1, "t": 3, "budget": 5}\n'
+    ),
+    ("", 3, "text"): "  lo   hi  mid    t  tbs_remaining  margin\nr=-1 t=0 budget=1\n",
+    ("", 3, "json"): '{"r": -1, "t": 0, "budget": 1}\n',
+}
+
+
+@pytest.mark.parametrize("q,key,fmt", sorted(TRACE_OUTPUT))
+def test_trace_output_is_pinned(q, key, fmt, capsys):
+    assert main(["trace", "--q", q, "--key", str(key), "--format", fmt]) == 0
+    assert capsys.readouterr().out == TRACE_OUTPUT[q, key, fmt]
+
+
+# hand-stepped instances: (q, key, r, t)
+@pytest.mark.parametrize(
+    "q,key,r,t", [("", 5, -1, 0), ("1,3,5,7", 7, 3, 2), ("1,3,5,7", 4, -1, 2), ("9", 9, 0, 1)]
+)
+def test_trace_runs_the_checked_search(q, key, r, t, capsys):
+    # the checking mode changes nothing: r and t are the plain run's, and
+    # one record is printed per iteration
+    assert main(["trace", "--q", q, "--key", str(key), "--format", "json"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert (lines[-1]["r"], lines[-1]["t"]) == (r, t)
+    assert [line["t"] for line in lines[:-1]] == list(range(1, t + 1))
+
+
 def test_trace_rejects_unsorted(capsys):
     assert main(["trace", "--q", "3,1", "--key", "1"]) == 2
 

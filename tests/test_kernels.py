@@ -8,9 +8,16 @@ linear scan's is n comparisons.
 
 import pytest
 
-from olog import intmath, kernels
-from olog.algorithms import broken_binary_search, linear_search_oracle
+from olog import costmodel, intmath, kernels
+from olog.algorithms import (
+    MODE_FULL_TRACE,
+    binary_search,
+    broken_binary_search,
+    linear_search_oracle,
+)
+from olog.checker import InstanceSpace, enumerate_instances
 from olog.complexity import STEP_BOUND, LogWitness, canonical_chain, is_log2_from
+from olog.errors import InvariantViolation
 from olog.estimator import instrumented_max_steps
 from olog.intmath import DOUBLING, MONOTONIC, STEP_BUDGET, Expr, Relation, Term
 
@@ -126,6 +133,47 @@ def test_verify_sweep_takes_each_groups_own_keys():
     mutant = kernels.verify_sweep(iter(groups), broken_binary_search)
     assert mutant["first"]["P3"]["q"] == [0] and mutant["first"]["P3"]["key"] == 1
     assert mutant["violations"]["P3"] == 2  # [0] with 1, [0, 2] with 1
+
+
+def test_broken_search_leaves_the_recursion_path_elsewhere():
+    # [0, 0, 1] with key 1: the mutant goes right from [0, 3) to [1, 3),
+    # not to [2, 3), and still terminates, so only P4 sees it
+    sweep = kernels.verify_sweep([((0, 0, 1), 1, 1)], broken_binary_search)
+    assert {p: n for p, n in sweep["violations"].items() if n} == {"P4": 1}
+    assert sweep["first"]["P4"] == {
+        "q": [0, 0, 1],
+        "key": 1,
+        "detail": "head [1, 3) at t=1 is off the tbs recursion's path",
+    }
+
+
+def _heads(out):
+    return [(rec.lo, rec.hi, rec.t_after) for rec in out.trace], out.t
+
+
+def test_sweep_holds_each_head_to_the_cost_of_its_range():
+    # the correct search's counter plus the cost of each head's range is
+    # the whole range's cost, by costmodel.tbs rather than the sweep's walk
+    strays = 0
+    for q, key in enumerate_instances(InstanceSpace(max_len=6, alphabet=3)):
+        expected = binary_search(q, key, MODE_FULL_TRACE)
+        total = costmodel.tbs(q, 0, len(q), key)
+        t_head = 0
+        for rec in expected.trace:
+            assert t_head + costmodel.tbs(q, rec.lo, rec.hi, key) == total
+            t_head = rec.t_after
+        # the costs along the path fall one by one, so P4 passes exactly
+        # when the recorded heads and counter are the correct search's
+        for search in (binary_search, broken_binary_search):
+            try:
+                out = search(q, key, MODE_FULL_TRACE)
+            except InvariantViolation:
+                continue  # the sweep charges an aborted run to P1 or P3
+            stray = _heads(out) != _heads(expected)
+            strays += stray
+            sweep = kernels.verify_sweep([(q.items, key, key)], search)
+            assert sweep["violations"]["P4"] == stray, (q, key)
+    assert strays > 0
 
 
 def test_profile_caps():
