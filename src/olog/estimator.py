@@ -103,8 +103,9 @@ def bench_steps(algorithm: str, sizes: Sequence[int]) -> list[StepSample]:
     ``kernels.profile_work`` against ``kernels.MAX_PROFILE_WORK``, before
     the first profile runs. A binary list of at most
     ``INSTRUMENTED_MAX_WORK`` units runs :func:`binary_search` itself on
-    every key and loads no numpy; a larger one, and every linear list,
-    runs the numpy profiles in ``kernels``. Both give the same counts.
+    every key and loads no numpy; a larger one runs the numpy profile in
+    ``kernels``, and both give the same counts. Every linear list runs
+    the lockstep scan ``kernels.linear_max_steps``, which loads no numpy.
     """
     if algorithm not in ALGORITHMS:
         raise PreconditionError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")

@@ -1,17 +1,22 @@
 """Hot kernels: the adversarial step profiles and the instance sweep.
 
-The profiles are numpy-vectorized; numpy is imported only inside them,
-so commands that never run them skip its import cost.
-``estimator.bench_steps`` runs them for a ``bench`` list whose
-``profile_work`` exceeds ``estimator.INSTRUMENTED_MAX_WORK`` and for
-every linear list; a smaller binary list runs the instrumented
-``binary_search`` itself and never loads numpy. Each key of the
-adversarial family runs its own loop, comparison by comparison, with
-its state in int32 arrays updated in place. Keys go in chunks of 2^16,
-so that a chunk's arrays stay in L2, and a key leaves its chunk's
-arrays once its search exits, so later rounds touch only keys still
-searching. int32 holds every value formed: keys lie in [-1, n] and the
-largest sum, lo + hi, is at most 2 * BINARY_PROFILE_MAX_N = 2^27.
+The binary profile is numpy-vectorized, and numpy is imported only
+inside it, so commands that never run it skip its import cost.
+``estimator.bench_steps`` runs it for a binary ``bench`` list whose
+``profile_work`` exceeds ``estimator.INSTRUMENTED_MAX_WORK``; a smaller
+binary list runs the instrumented ``binary_search`` itself. There each
+key of the adversarial family runs its own loop, comparison by
+comparison, with its state in int32 arrays updated in place. Keys go in
+chunks of 2^16, so that a chunk's arrays stay in L2, and a key leaves
+its chunk's arrays once its search exits, so later rounds touch only
+keys still searching. int32 holds every value formed: keys lie in
+[-1, n] and the largest sum, lo + hi, is at most
+2 * BINARY_PROFILE_MAX_N = 2^27.
+
+The linear profile is pure Python and never loads numpy: the scan walks
+q once for every key in lockstep, with the keys still scanning in a
+set, so a size costs O(n) set operations (2.5 ms for the default list
+16:16384:x4).
 
 The sweep runs the P1–P7 battery instance by instance through the
 instrumented search.
@@ -44,17 +49,18 @@ ilog2_scan_monotonic = intmath.scan_monotonic
 calc_step_scan = intmath.first_failure
 
 # Adversarial profiles run the whole key family; these caps keep the
-# worst case (O(n log n) and O(n^2) work respectively) at desk scale.
+# worst case of O(n log n) loop heads and O(n^2) scan comparisons (the
+# lockstep scan makes them in O(n) set operations) at desk scale.
 BINARY_PROFILE_MAX_N = 2**26
 LINEAR_PROFILE_MAX_N = 2**14
 
 # The caps bound one profile; MAX_PROFILE_WORK bounds a whole size list,
 # in the units of profile_work. Under the per-size caps alone a strictly
 # increasing list could hold hundreds of sizes near 2^26, at about 8 s
-# each. The numpy profiles take 4.7-7 ns per unit for binary from n = 2^13
-# up and 5-8 us per position for linear (Xeon, 2 vCPU, numpy 2.4.6), so a
-# list at the cap runs for 20-30 s of binary profile, or about 14 s of
-# linear over the sizes 1..2342, like a verify space near its caps. It
+# each. The numpy binary profile takes 4.7-7 ns per unit from n = 2^13
+# up (Xeon, 2 vCPU, numpy 2.4.6), so a list at the cap runs for 20-30 s
+# of it, like a verify space near its caps; the linear scan over the
+# sizes 1..2342 takes 0.4 s (Python 3.11.7), as it runs in O(n). It
 # admits a single size at either cap (1.9e9 and 2.7e8 units), both
 # default lists (3.0e7 and 2.9e8) and 16:67108864:x4 (2.4e9).
 MAX_PROFILE_WORK = 2**32
@@ -63,11 +69,10 @@ MAX_PROFILE_WORK = 2**32
 _DTYPE = "int32"
 assert 2 * BINARY_PROFILE_MAX_N < 2**31
 
-# Keys per chunk: a chunk's keys, lo, hi and mid take 256 KiB each and
-# stay in a 2 MiB L2, and the linear cap's n + 2 keys fit in one chunk.
-# Binary at 2^20 / linear at 16384, best of 5, by chunk size (Xeon,
-# 2 vCPU, numpy 2.4.6): 2^14: 101 / 125 ms; 2^15: 86 / 76; 2^16: 95 /
-# 75; 2^17: 117 / 80; 2^18: 135 / 79.
+# Keys per chunk of the binary profile: a chunk's keys, lo, hi and mid
+# take 256 KiB each and stay in a 2 MiB L2. Binary at 2^20, best of 5 in
+# each of two rounds, by chunk size (Xeon, 2 vCPU, numpy 2.4.6): 2^14:
+# 107-116 ms; 2^15: 105; 2^16: 73-96; 2^17: 107-109.
 _CHUNK = 1 << 16
 
 
@@ -146,36 +151,6 @@ def _binary_rounds(keys, n: int) -> int:
     return rounds
 
 
-def _linear_steps(keys, n: int) -> int:
-    """Positions of the scan over q = [0, n) at which any key compared.
-
-    At position i every key still scanning compares with q[i] = i; a key
-    that hits leaves (the last live key takes its slot), so a key's count
-    is i + 1, and a key that never hits pays n. Updated in place: the
-    arrays are allocated once per chunk.
-    """
-    import numpy as np
-
-    hits = np.empty(keys.shape, dtype=bool)
-    live = keys.size
-    steps = 0
-    for i in range(n):
-        if not live:
-            break
-        steps = i + 1
-        hit = hits[:live]
-        np.equal(keys[:live], i, out=hit)
-        j = 0
-        while j < live:
-            j += int(hit[j:live].argmax())  # stops at the first hit
-            if not hit[j]:
-                break
-            live -= 1
-            keys[j] = keys[live]
-            hit[j] = hit[live]
-    return steps
-
-
 def binary_max_steps(n: int) -> int:
     """Worst iteration count over the adversarial key family on [0, n).
 
@@ -190,10 +165,23 @@ def binary_max_steps(n: int) -> int:
 def linear_max_steps(n: int) -> int:
     """Worst comparison count of the linear scan over the same key family.
 
-    Executes the scan for every key in [-1, n], one chunk at a time.
+    Executes the scan of q = [0, n) for every key in [-1, n], all keys in
+    lockstep: at position i every key still scanning compares with q[i],
+    and the keys equal to it leave. A key that hits at i pays i + 1, one
+    that never hits pays n, so the count is the last position at which
+    any key was still live. The live keys sit in a set, which finds the
+    keys equal to q[i] by membership: O(n) in all, and no numpy.
     """
     check_profile_size("linear", n)
-    return max(_linear_steps(keys, n) for keys in _chunks(-1, n))
+    q = range(n)
+    live = set(range(-1, n + 1))
+    steps = 0
+    for i in range(n):
+        if not live:
+            break
+        steps = i + 1
+        live.discard(q[i])
+    return steps
 
 
 def _p4_failure(trace, t, costs, tbs_total):
@@ -219,8 +207,9 @@ def verify_sweep(groups, search_fn=None) -> dict:
     """Run the per-instance property battery over (items, key_lo, key_hi) groups.
 
     Returns violation counts and the first counterexample per property
-    (P1..P7), in enumeration order, plus the largest observed gap
-    between the transition cost and the actual counter. ``search_fn``
+    (P1..P7), in enumeration order, plus ``max_tbs_gap``, the largest
+    ``abs(tbs - t)`` between the cost of an instance's full range and the
+    search's counter, whichever way it errs. ``search_fn``
     defaults to :func:`binary_search`, looked up at call time so that a
     wrapper installed on this module's global is honoured.
 
@@ -293,7 +282,7 @@ def verify_sweep(groups, search_fn=None) -> dict:
                 failure = _p4_failure(out.trace or (), out.t, costs, tbs_total)
                 if failure is not None:
                     record("P4", items, key, failure)
-                max_gap = max(max_gap, tbs_total - out.t)
+                max_gap = max(max_gap, abs(tbs_total - out.t))
             if out.t > budget:
                 record("P6", items, key, f"t={out.t} exceeds budget {budget}")
             if n >= n0 and out.t > c * log_n:

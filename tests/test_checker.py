@@ -153,8 +153,8 @@ def test_default_space_all_properties_pass(default_report):
 
 
 def test_counter_equals_tbs_on_default_space(default_report):
-    # observed gap between the transition cost and the counter: zero on
-    # every enumerated instance, i.e. the model is exact there
+    # the largest |tbs - t|: zero on every enumerated instance, i.e. the
+    # model is exact there
     assert default_report.max_tbs_gap == 0
 
 
@@ -247,6 +247,26 @@ def test_a_search_that_never_counts_fails_p4():
     # every instance but the four on [] costs at least 1
     assert _failing(report) == {"P4": (20, ([0], -1))}
     assert report.minimal_counterexample()["detail"] == "t=0 differs from tbs=1"
+
+
+def _counts_twice(q, key, mode):
+    # a search whose counter, and the trace's, charges two steps per iteration
+    out = binary_search(q, key, mode)
+    trace = tuple(rec._replace(t_after=2 * rec.t_after) for rec in out.trace)
+    return SearchOutcome(out.r, 2 * out.t, trace)
+
+
+def test_max_tbs_gap_sees_a_counter_that_overcounts():
+    space = InstanceSpace(max_len=4, alphabet=3)
+    report = verify_all(space, grid=16, search_fn=_counts_twice, workers=0)
+    # the five instances on [] cost 0, so doubling their counter is harmless;
+    # 41 of the others, doubled, exceed the step budget
+    failing = {p: v for p, (v, _) in _failing(report).items()}
+    assert failing == {"P3": 170, "P4": 170, "P6": 41}
+    # |tbs - 2t| = t, whose largest value on length 4 is 3
+    assert report.max_tbs_gap == 3
+    exact = verify_all(space, grid=16, workers=0)
+    assert exact.max_tbs_gap == 0
 
 
 @pytest.mark.parametrize("branch,first", [("left", ([0, 0], -1)), ("right", ([0, 0], 1))])

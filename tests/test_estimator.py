@@ -57,6 +57,7 @@ def _profiles_run(monkeypatch):
         estimator, "instrumented_max_steps", record("instrumented", estimator.instrumented_max_steps)
     )
     monkeypatch.setattr(kernels, "binary_max_steps", record("numpy", kernels.binary_max_steps))
+    monkeypatch.setattr(kernels, "linear_max_steps", record("linear", kernels.linear_max_steps))
     return ran
 
 
@@ -79,10 +80,13 @@ def test_both_binary_profiles_give_the_same_samples(last, selected, monkeypatch)
     assert samples == [StepSample(n, n.bit_length()) for n in sizes]
 
 
-def test_linear_lists_run_the_numpy_profile(monkeypatch):
+def test_linear_lists_run_the_lockstep_scan(monkeypatch):
     ran = _profiles_run(monkeypatch)
     assert [s.t_max for s in bench_steps("linear_oracle", [1, 16])] == [1, 16]
-    assert ran == []  # neither binary profile
+    assert ran == ["linear", "linear"]  # neither binary profile
+    # the default list, 16 to 16384 by x4
+    sizes = parse_sizes(DEFAULT_SIZES["linear_oracle"])
+    assert bench_steps("linear_oracle", sizes) == [StepSample(n, n) for n in sizes]
 
 
 def test_total_profile_work_is_capped_before_any_profile(monkeypatch):

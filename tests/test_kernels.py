@@ -90,7 +90,9 @@ def test_binary_max_steps_matches_per_key_library_runs():
 
 
 def test_linear_max_steps_matches_per_key_oracle_runs():
-    for n in range(1, 71):
+    # one oracle scan per key against the lockstep scan of all keys;
+    # 1023..1025 and 4095..4097 straddle powers of two
+    for n in [*range(1, 301), 1023, 1024, 1025, 4095, 4096, 4097]:
         items = list(range(n))
         hits = (linear_search_oracle(items, key) for key in range(-1, n + 1))
         expected = max(n if r < 0 else r + 1 for r in hits)
