@@ -105,6 +105,30 @@ def linear_search_oracle(q: Sequence[int], key: int) -> int:
     return -1
 
 
+def first_indices(q: Sequence[int]) -> dict:
+    """Value -> smallest index holding it: the linear oracle for every key
+    at once, ``first_indices(q).get(key, -1) == linear_search_oracle(q, key)``.
+
+    One left-to-right scan that keeps the first index of each value;
+    like the oracle it never relies on sortedness.
+    """
+    first: dict = {}
+    for i, value in enumerate(q):
+        if value not in first:
+            first[value] = i
+    return first
+
+
+def key_span(items: Sequence[int], key: int) -> tuple[int, int]:
+    """(first, last): the smallest and largest index holding ``key``, or
+    (len(items), -1) when it is absent. Copies nothing and relies on no
+    order: a scan from the left and one from the right, after a membership
+    test that spares an absent key the cost of a raised ValueError."""
+    if key not in items:
+        return len(items), -1
+    return items.index(key), len(items) - 1 - operator.indexOf(reversed(items), key)
+
+
 def check_binary_posts(q: Sequence[int], r: int, key: int) -> bool:
     """Postcondition pair: a non-negative ``r`` is a valid index holding
     ``key``; a negative ``r`` means ``key`` occurs nowhere in ``q``."""
@@ -120,12 +144,25 @@ def check_binary_loop_inv(q: Sequence[int], lo: int, hi: int, r: int, key: int) 
     (r < 0) it cannot live in the discarded prefix q[:lo] or suffix
     q[hi:] (the prefix excludes index lo); once found, r indexes the key.
     """
-    if not (0 <= lo <= hi <= len(q)):
-        return False
     items = tuple(q)
+    return _inv_holds(items, lo, hi, r, key, key_span(items, key))
+
+
+def _inv_holds(items, lo: int, hi: int, r: int, key: int, span: tuple[int, int]) -> bool:
+    """The one statement of the loop-head invariant, given
+    ``span = key_span(items, key)``: "key not in items[:lo]" is first >= lo
+    and "key not in items[hi:]" is last < hi, for any sequence, so a head
+    costs O(1)."""
+    n = len(items)
+    if not (0 <= lo <= hi <= n):
+        return False
     if r < 0:
-        return key not in items[:lo] and key not in items[hi:]
-    return r < len(q) and q[r] == key
+        first, last = span
+        return first >= lo and last < hi
+    return r < n and items[r] == key
+
+
+_new_record = tuple.__new__
 
 
 def _state(lo, hi, r, t) -> dict:
@@ -149,6 +186,8 @@ def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
     t = 0
     trace: list[IterRecord] = []
     prev_width = hi + 1
+    if checking:
+        span = key_span(items, key)
 
     while True:
         if checking:
@@ -157,7 +196,7 @@ def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
                 state = _state(lo, hi, r, t)
                 why = f"hi-lo failed to decrease ({prev_width} -> {width}) at {state!r}"
                 raise InvariantViolation("termination", state, why)
-            if not check_binary_loop_inv(items, lo, hi, r, key):
+            if not _inv_holds(items, lo, hi, r, key, span):
                 raise InvariantViolation("binary_loop", _state(lo, hi, r, t))
             prev_width = width
         if not lo < hi:
@@ -173,7 +212,8 @@ def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
             hi = lo
         t += 1
         if checking:
-            trace.append(IterRecord(iter_lo, iter_hi, mid, t))
+            # IterRecord validates nothing, so its generated __new__ is skipped
+            trace.append(_new_record(IterRecord, (iter_lo, iter_hi, mid, t)))
 
     return SearchOutcome(r, t, tuple(trace) if checking else None)
 

@@ -60,27 +60,30 @@ PROPERTY_NAMES = {
 }
 _INSTANCE_PROPS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 
-# The sequential sweep checks 105k-265k instances/s, and two workers
-# 170k-405k/s (2 CPUs, Python 3.11; the low end at max-len 26, the high
-# end at max-len 1), so a space at the instance cap runs for about half a
-# minute to a minute and a half.
+# The sequential sweep checks 85k-270k instances/s, and two workers
+# 140k-425k/s (2 CPUs, Python 3.11.7, a shared host; the low end at
+# max-len 26, the high end at max-len 1), so a space at the instance cap
+# runs for about half a minute to two minutes.
 MAX_INSTANCES = 10**7
-# Each key's search scans the whole sequence in its loop-head invariant
-# and its oracles, so the work grows with keys x total sequence length,
-# which the instance count does not bound (alphabet 1 holds one sequence
-# per length). max-len 4000 at alphabet 1, 2.4e7 of these, takes 3.6 s
-# sequential and 2.1 s on two workers (same machine), and the cap sits at
-# about four times that. The sequences are streamed, so memory does not
-# grow with them: that space peaks at 16-20 MB RSS, the default at 18 MB.
+# Each key still scans its sequence a few times at C speed (the span the
+# search's loop-head invariant reads, P1's absence test) and each sequence
+# is scanned in Python (its sortedness check, P2's first_indices), so the
+# work grows with keys x total sequence length, which the instance count
+# does not bound (alphabet 1 holds one sequence per length). max-len 4000
+# at alphabet 1, 2.4e7 of these, takes 1.5-1.8 s sequential and 1.2-1.3 s
+# on two workers (same machine), and the cap sits at about four times
+# that. The sequences are streamed, so memory does not grow with them:
+# that space peaks at 15-19 MB RSS, the default at 15-17 MB.
 MAX_ELEMENTS = 10**8
 # The sweep's cost is estimated in units of one key x (length + SEQ_WORK):
-# a key's search, oracles and checks cost 0.45-0.7 us x (length + 8) up to
-# length 26, and 0.19 us x length from length 1000 on (same machine).
+# a key's search, oracle and checks cost 0.4-0.8 us x (length + 8) up to
+# length 26, and 0.06-0.08 us x length at length 4000 (same machine), so
+# the estimate weighs long sequences several times above their cost.
 SEQ_WORK = 8
 # Forking two workers and joining them costs 5-20 ms. Against the
-# sequential sweep the pool broke even at about 4.5e4 units (3.5k
-# instances, 40-50 ms) and was 1.2-1.4x faster at 1e5 (the (6, 6) space,
-# 7.4k instances, 0.1 s); below POOL_MIN_WORK the sweep stays in process.
+# sequential sweep the pool broke even at about 4.5e4 units (3.7k
+# instances, 25-35 ms) and was 1.2-1.3x faster at 1e5 (the (6, 6) space,
+# 7.4k instances, 60 ms); below POOL_MIN_WORK the sweep stays in process.
 POOL_MIN_WORK = 10**5
 # A forced OLOG_WORKERS count above this exits 2 instead of asking for
 # that many processes. Two workers on 2 CPUs is the most measured to pay,

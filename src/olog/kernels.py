@@ -19,7 +19,10 @@ set, so a size costs O(n) set operations (2.5 ms for the default list
 16:16384:x4).
 
 The sweep runs the P1–P7 battery instance by instance through the
-instrumented search.
+instrumented search, whose loop-head invariant costs O(1) per head once
+the search has found the key's span. P2's linear oracle runs once per
+sequence, as ``first_indices``, and each key of the group reads its
+answer from that.
 
 There is one backend: ``BACKEND`` is the constant that reports carry as
 ``backend``. ``backends()``, ``ilog2_scan_monotonic`` and
@@ -37,7 +40,7 @@ from olog.algorithms import (
     SortedSeq,
     binary_search,
     check_binary_posts,
-    linear_search_oracle,
+    first_indices,
 )
 from olog.errors import InvariantViolation, PreconditionError
 from olog.intmath import STEP_BUDGET, ilog2
@@ -244,6 +247,7 @@ def verify_sweep(groups, search_fn=None) -> dict:
         budget = STEP_BUDGET(n)
         log_n = ilog2(n) if n >= 1 else 0
         bound = costmodel.log_bound(n) if n >= 1 else None
+        oracle = first_indices(items)
         for key in range(key_lo, key_hi + 1):
             instances += 1
             # P5 needs only the cost model, so it runs even when the
@@ -268,25 +272,24 @@ def verify_sweep(groups, search_fn=None) -> dict:
                 record("P1", items, key, f"the search raised {type(err).__name__}: {err}")
                 continue
 
-            if not check_binary_posts(items, out.r, key):
-                record("P1", items, key, f"postconditions fail for r={out.r}")
-            oracle_r = linear_search_oracle(items, key)
-            agree = (out.r >= 0) == (oracle_r >= 0) and (
-                out.r < 0 or out.r < n and items[out.r] == key
-            )
+            r, t, trace = out
+            if not check_binary_posts(items, r, key):
+                record("P1", items, key, f"postconditions fail for r={r}")
+            oracle_r = oracle.get(key, -1)
+            agree = (r >= 0) == (oracle_r >= 0) and (r < 0 or r < n and items[r] == key)
             if not agree:
-                record("P2", items, key, f"r={out.r} disagrees with oracle index {oracle_r}")
-            if out.trace is None or out.t != len(out.trace):
-                record("P3", items, key, f"t={out.t} but trace has {len(out.trace or ())} records")
+                record("P2", items, key, f"r={r} disagrees with oracle index {oracle_r}")
+            if trace is None or t != len(trace):
+                record("P3", items, key, f"t={t} but trace has {len(trace or ())} records")
             if costs is not None:
-                failure = _p4_failure(out.trace or (), out.t, costs, tbs_total)
+                failure = _p4_failure(trace or (), t, costs, tbs_total)
                 if failure is not None:
                     record("P4", items, key, failure)
-                max_gap = max(max_gap, abs(tbs_total - out.t))
-            if out.t > budget:
-                record("P6", items, key, f"t={out.t} exceeds budget {budget}")
-            if n >= n0 and out.t > c * log_n:
-                record("P7", items, key, f"t={out.t} exceeds {c}*ilog2({n})={c * log_n}")
+                max_gap = max(max_gap, abs(tbs_total - t))
+            if t > budget:
+                record("P6", items, key, f"t={t} exceeds budget {budget}")
+            if n >= n0 and t > c * log_n:
+                record("P7", items, key, f"t={t} exceeds {c}*ilog2({n})={c * log_n}")
 
     return {
         "instances": instances,

@@ -5,11 +5,14 @@ from olog import costmodel
 from olog.algorithms import (
     MODE_FULL_TRACE,
     SortedSeq,
+    _search,
     binary_search,
     broken_binary_search,
     check_binary_loop_inv,
     check_binary_posts,
     check_sorted,
+    first_indices,
+    key_span,
     linear_search_oracle,
 )
 from olog.errors import InvariantViolation, PreconditionError
@@ -119,6 +122,90 @@ def test_check_binary_posts(items, r, key, expected):
 )
 def test_check_binary_loop_inv(lo, hi, r, key, expected):
     assert check_binary_loop_inv([1, 3, 5, 7], lo, hi, r, key) is expected
+
+
+def _sliced_loop_inv(q, lo, hi, r, key):
+    # the invariant as slices, which copy a prefix and a suffix at every head:
+    # the reference that the O(1) statement over key_span must equal
+    if not (0 <= lo <= hi <= len(q)):
+        return False
+    items = tuple(q)
+    if r < 0:
+        return key not in items[:lo] and key not in items[hi:]
+    return r < len(q) and q[r] == key
+
+
+# unsorted as well as sorted lists; keys inside and outside them
+@st.composite
+def loop_heads(draw):
+    items = draw(st.lists(st.integers(min_value=-4, max_value=4), max_size=12))
+    if draw(st.booleans()):
+        items.sort()
+    n = len(items)
+    lo = draw(st.integers(min_value=-1, max_value=n + 1))
+    hi = draw(st.integers(min_value=-1, max_value=n + 1))
+    r = draw(st.integers(min_value=-2, max_value=n + 1))
+    keys = st.integers(min_value=-6, max_value=6)
+    key = draw(st.sampled_from(items) | keys if items else keys)
+    return items, lo, hi, r, key
+
+
+@given(loop_heads())
+def test_loop_inv_equals_the_sliced_statement(head):
+    items, lo, hi, r, key = head
+    assert check_binary_loop_inv(items, lo, hi, r, key) is _sliced_loop_inv(items, lo, hi, r, key)
+
+
+@given(loop_heads())
+def test_first_indices_and_key_span_equal_their_scans(head):
+    items, _, _, _, key = head
+    assert first_indices(items).get(key, -1) == linear_search_oracle(items, key)
+    first, last = key_span(items, key)
+    hits = [i for i, value in enumerate(items) if value == key]
+    assert (first, last) == ((hits[0], hits[-1]) if hits else (len(items), -1))
+
+
+class _CountingKey:
+    """A key that counts the ==, < and > calls made on it."""
+
+    def __init__(self, value):
+        self.value = value
+        self.calls = 0
+
+    def __eq__(self, other):
+        self.calls += 1
+        return self.value == other
+
+    def __lt__(self, other):
+        self.calls += 1
+        return self.value < other
+
+    def __gt__(self, other):
+        self.calls += 1
+        return self.value > other
+
+    __hash__ = None
+
+
+@pytest.mark.parametrize("value", [-1, 0, 1, 512, 1023, 1024, 2046, 2047, 2048])
+def test_checking_search_compares_linearly_often(value):
+    # the span costs at most 2n comparisons once, each loop head at most 3
+    # more; checking each head by slicing (_sliced_loop_inv) makes up to
+    # 10 252 at n = 1024
+    n = 1024
+    key = _CountingKey(value)
+    out = binary_search(SortedSeq(range(0, 2 * n, 2)), key, MODE_FULL_TRACE)
+    assert out.r == (value // 2 if value % 2 == 0 and 0 <= value < 2 * n else -1)
+    assert key.calls <= 2 * n + 3 * (out.t + 1)
+
+
+def test_overshooting_mutant_trips_the_prefix_clause():
+    # lo = mid + 2 skips the key at index 2: the bounds hold at [3, 3),
+    # the discarded prefix holds the key
+    with pytest.raises(InvariantViolation) as err:
+        _search(SortedSeq([0, 1, 2]), 2, MODE_FULL_TRACE, advance=2)
+    assert err.value.predicate == "binary_loop"
+    assert err.value.state == {"lo": 3, "hi": 3, "r": -1, "t": 1}
 
 
 sorted_instances = st.tuples(

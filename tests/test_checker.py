@@ -3,6 +3,7 @@ import json
 import math
 import time
 from collections import Counter
+from functools import partial
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from olog.algorithms import (
     MODE_FULL_TRACE,
     SearchOutcome,
     SortedSeq,
+    _search,
     binary_search,
     broken_binary_search,
 )
@@ -198,6 +200,18 @@ def test_mutant_is_caught_with_minimal_counterexample():
         "key": 1,
         "detail": "head [1, 3) at t=1 is off the tbs recursion's path",
     }
+
+
+def test_overshooting_mutant_verdicts_are_pinned():
+    # lo = mid + 2: the loop-head invariant (P1) and the tbs walk (P4) catch it
+    report = verify_all(
+        InstanceSpace(max_len=4, alphabet=3), 64, search_fn=partial(_search, advance=2), workers=0
+    )
+    failing = _failing(report)
+    assert failing == {"P1": (29, ([0], 1)), "P4": (38, ([0, 0, 0], 1))}
+    assert report.minimal_counterexample()["detail"] == (
+        "invariant 'binary_loop' violated at {'lo': 2, 'hi': 1, 'r': -1, 't': 1}"
+    )
 
 
 def test_sweep_walks_the_recurrence_once_per_instance(monkeypatch):

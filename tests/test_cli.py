@@ -305,6 +305,16 @@ def test_bound_rejects_tiny_grid(capsys):
     assert main(["bound", "--grid", "1"]) == 2
 
 
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_bench_caps_openblas_threads_unless_set(monkeypatch, capsys, preset, expected):
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    assert main(["bench", "--algo", "linear"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+
+
 def test_bench_binary_json(capsys):
     assert main(["bench", "--sizes", "16:1048576:x4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
