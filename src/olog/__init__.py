@@ -31,16 +31,13 @@ _EXPORTS = {
     ),
     "checker": ("CheckReport", "InstanceSpace", "enumerate_instances", "verify_all"),
     "complexity": (
-        "STEP_BOUND",
-        "BoundFn",
         "CalcTrace",
         "LogWitness",
         "derive_log_witness",
         "is_log2_from",
         "is_o_log2n",
-        "search_log_witness",
     ),
-    "costmodel": ("step_budget", "tbs", "tbs_log_bound"),
+    "costmodel": ("tbs",),
     "errors": (
         "CalcChainError",
         "ContractError",
@@ -49,7 +46,7 @@ _EXPORTS = {
         "VacuousRangeError",
     ),
     "estimator": ("ClassificationReport", "StepSample", "bench_steps", "fit_class"),
-    "intmath": ("ilog2", "ilog2_checked_against_oracle", "ilog2_oracle"),
+    "intmath": ("STEP_BUDGET", "ilog2", "ilog2_checked_against_oracle", "ilog2_oracle"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli", "kernels")

@@ -17,10 +17,11 @@ checks the full battery on every instance:
   off the ``tbs`` recursion's path fails; end to end, t == tbs(q, 0,
   len(q), key).
 * P5 tbs_log_bound: every nonempty subrange's transition cost obeys
-  2*ilog2(width) + 1. Checked on each instance's full range: ``tbs``
-  is translation-invariant and every slice of an enumerated sequence is
-  enumerated with the same keys, so each subrange is an instance's.
-* P6 step_budget: t <= 2*ilog2(len(q)+1) + 1.
+  ``intmath.LOG_BOUND``, 2*ilog2(width) + 1. Checked on each instance's
+  full range: ``tbs`` is translation-invariant and every slice of an
+  enumerated sequence is enumerated with the same keys, so each subrange
+  is an instance's.
+* P6 step_budget: t <= ``intmath.STEP_BUDGET``, 2*ilog2(len(q)+1) + 1.
 * P7 witness_bound: for len(q) >= 2, t <= 6*ilog2(len(q)).
 * P8 ilog2_monotonic: adjacent-pair monotonicity up to the grid bound,
   and agreement with ``ilog2_oracle`` at both ends of every dyadic block.
@@ -58,7 +59,6 @@ PROPERTY_NAMES = {
     "P8": "ilog2_monotonic",
     "P9": "calc_chain",
 }
-_INSTANCE_PROPS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 
 # The sequential sweep checks 85k-270k instances/s, and two workers
 # 140k-425k/s (2 CPUs, Python 3.11.7, a shared host; the low end at
@@ -277,7 +277,8 @@ def _pool_workers(space: InstanceSpace, search_fn: Optional[Callable] = None) ->
     ``OLOG_WORKERS`` forces the count when set (0 is sequential, at
     most MAX_WORKERS).
     Otherwise every usable CPU is used once the space's estimated work
-    pays for starting a pool, unless ``search_fn`` cannot be pickled.
+    pays for starting a pool. Either way a ``search_fn`` that cannot be
+    pickled runs in process, which gives the same report.
     """
     raw = os.environ.get("OLOG_WORKERS")
     if raw is not None:
@@ -287,13 +288,12 @@ def _pool_workers(space: InstanceSpace, search_fn: Optional[Callable] = None) ->
             raise PreconditionError(f"OLOG_WORKERS must be an integer, got {raw!r}")
         if not 0 <= workers <= MAX_WORKERS:
             raise PreconditionError(f"OLOG_WORKERS must be in [0, {MAX_WORKERS}], got {workers}")
-        return workers
-    cpus = _usable_cpus()
-    if cpus < 2 or _sweep_work(space) < POOL_MIN_WORK:
+    else:
+        cpus = _usable_cpus()
+        workers = cpus if cpus >= 2 and _sweep_work(space) >= POOL_MIN_WORK else 0
+    if workers and search_fn is not None and not _picklable(search_fn):
         return 0
-    if search_fn is not None and not _picklable(search_fn):
-        return 0
-    return cpus
+    return workers
 
 
 def _chunks(space: InstanceSpace, pieces: int) -> Iterator[list[tuple]]:
@@ -314,14 +314,14 @@ def _chunks(space: InstanceSpace, pieces: int) -> Iterator[list[tuple]]:
 def _merge_sweeps(results) -> dict:
     merged = {
         "instances": 0,
-        "violations": {p: 0 for p in _INSTANCE_PROPS},
-        "first": {p: None for p in _INSTANCE_PROPS},
+        "violations": {p: 0 for p in kernels.INSTANCE_PROPS},
+        "first": {p: None for p in kernels.INSTANCE_PROPS},
         "max_tbs_gap": 0,
     }
     for res in results:
         merged["instances"] += res["instances"]
         merged["max_tbs_gap"] = max(merged["max_tbs_gap"], res["max_tbs_gap"])
-        for p in _INSTANCE_PROPS:
+        for p in kernels.INSTANCE_PROPS:
             merged["violations"][p] += res["violations"][p]
             if merged["first"][p] is None and res["first"][p] is not None:
                 merged["first"][p] = res["first"][p]
@@ -353,6 +353,12 @@ def verify_all(
         raise PreconditionError(
             f"grid must be in [2, 2**32] (2 is the witness threshold), got {grid}"
         )
+    # C(max_len+alphabet, max_len) > max(max_len, alphabet), so a space
+    # this floor rejects is never counted: its binomial could take minutes
+    # to form, and have too many digits to print
+    floor = space.keys_per_sequence * (max(space.max_len, space.alphabet) + 1)
+    if floor > MAX_INSTANCES:
+        raise PreconditionError(f"at least {floor} instances exceed the cap {MAX_INSTANCES}")
     if space.instances > MAX_INSTANCES:
         raise PreconditionError(f"{space.instances} instances exceed the cap {MAX_INSTANCES}")
     if space.key_elements > MAX_ELEMENTS:
@@ -376,7 +382,7 @@ def verify_all(
         sweep = kernels.verify_sweep(space.groups(), search_fn)
 
     results = []
-    for pid in _INSTANCE_PROPS:
+    for pid in kernels.INSTANCE_PROPS:
         bad = sweep["violations"][pid]
         results.append(
             PropertyResult(pid, PROPERTY_NAMES[pid], bad == 0, bad, sweep["first"][pid])

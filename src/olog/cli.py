@@ -167,12 +167,13 @@ def _cmd_bench(args, out) -> int:
 def _cmd_trace(args, out) -> int:
     from olog import costmodel
     from olog.algorithms import MODE_FULL_TRACE, SortedSeq, binary_search
+    from olog.intmath import STEP_BUDGET
 
     text = args.q.strip()
     items = [int(p) for p in text.split(",") if p.strip() != ""] if text else []
     seq = SortedSeq(items)  # raises PreconditionError when unsorted
     outcome = binary_search(seq, args.key, MODE_FULL_TRACE)
-    budget = costmodel.step_budget(seq)
+    budget = STEP_BUDGET(len(seq))
     costs = costmodel.tbs_path(seq, args.key)
     tbs_total = costs[0, len(seq)]
     # the range an iteration leaves is the next one's head; the last
@@ -206,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, formats=("text", "json", "csv")):
         p.add_argument("--output", default="-", help="output path, or - for stdout")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
 
     p_verify = sub.add_parser("verify", help="run the exhaustive property suite")
     p_verify.add_argument("--max-len", type=int, default=8, dest="max_len", help="must be >= 1")
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="per-iteration trace of one search")
     p_trace.add_argument("--q", required=True, help="comma-separated sorted ints ('' for empty)")
     p_trace.add_argument("--key", type=int, required=True)
-    add_common(p_trace)
+    add_common(p_trace, ("text", "json"))
     p_trace.set_defaults(fn=_cmd_trace)
     return parser
 

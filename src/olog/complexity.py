@@ -3,9 +3,10 @@
 The classical definition quantifies over all n beyond a threshold; here
 every universal quantifier becomes a check over an explicit grid whose
 bound travels with the verdict, and every existential becomes a
-concrete witness. The canonical bound function is
+concrete witness. A bound is an ``intmath.Expr``; the canonical one is
+the step budget
 
-    step_bound(n) = 2*ilog2(n+1) + 1
+    intmath.STEP_BUDGET(n) = 2*ilog2(n+1) + 1
 
 and the inequality chain in ``canonical_chain`` derives the witness pair
 (c=6, n0=2) for it. Each chain step is an ``intmath.Relation``, checked
@@ -14,7 +15,7 @@ by dyadic blocks at every grid point (see ``intmath.first_failure``).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from olog.errors import CalcChainError, PreconditionError, VacuousRangeError
 from olog.intmath import (
@@ -24,7 +25,6 @@ from olog.intmath import (
     Relation,
     Term,
     first_failure,
-    ilog2,
     validated_make,
 )
 
@@ -45,21 +45,6 @@ class LogWitness(_LogWitnessFields):
         if c < 1 or n0 < 1:
             raise PreconditionError(f"witness needs c >= 1 and n0 >= 1, got {self!r}")
         return self
-
-
-class BoundFn(NamedTuple):
-    """A named total function nat -> nat used as an upper bound."""
-
-    name: str
-    fn: Callable[[int], int]
-
-    def __call__(self, n: int) -> int:
-        return self.fn(n)
-
-
-#: Canonical bound on the search's iteration count; total on all of nat
-#: (at n=0 it is 2*ilog2(1)+1 = 1).
-STEP_BOUND = BoundFn(str(STEP_BUDGET), STEP_BUDGET)
 
 
 class CalcStep(NamedTuple):
@@ -186,28 +171,18 @@ def derive_log_witness(n_max: int) -> tuple[LogWitness, CalcTrace]:
     return CANONICAL_WITNESS, trace
 
 
-def is_log2_from(witness: LogWitness, bound: BoundFn, n_max: int) -> bool:
-    """True iff bound(n) <= c*ilog2(n) for every n in [n0, n_max].
+def is_log2_from(witness: LogWitness, bound: Expr, n_max: int) -> bool:
+    """True iff bound(n) <= c*ilog2(n) for every n in [n0, n_max], by dyadic blocks.
 
-    A bound written as an ``intmath.Expr`` (``STEP_BOUND`` is one) is
-    checked by dyadic blocks; any other function at every grid point.
-    Refuses empty ranges (n_max < n0) outright: a vacuously true verdict
-    would be indistinguishable from a real one.
+    An empty range (n_max < n0) raises ``VacuousRangeError``, since a
+    vacuously true verdict would look like a real one, and n_max above
+    2**32 raises ``PreconditionError`` (both from ``first_failure``).
     """
-    if n_max < witness.n0:
-        raise VacuousRangeError(
-            f"check range empty: n_max={n_max} is below the threshold n0={witness.n0}"
-        )
-    if n_max > MAX_GRID:
-        raise PreconditionError(f"grid bound {n_max} exceeds the 2**32 cap")
-    c = witness.c
-    if isinstance(bound.fn, Expr):
-        within = Relation(bound.fn, "<=", Expr((Term(c, 1, 0),), 0))
-        return first_failure(within, witness.n0, n_max) == 0
-    return all(bound(n) <= c * ilog2(n) for n in range(witness.n0, n_max + 1))
+    within = Relation(bound, "<=", Expr((Term(witness.c, 1, 0),), 0))
+    return first_failure(within, witness.n0, n_max) == 0
 
 
-def is_o_log2n(n: int, t: int, bound: BoundFn, witness: LogWitness, n_max: int) -> bool:
+def is_o_log2n(n: int, t: int, bound: Expr, witness: LogWitness, n_max: int) -> bool:
     """True iff t <= bound(n) and the bound is logarithmic on the checked grid.
 
     The classical form quantifies existentially over bound functions;
@@ -220,23 +195,3 @@ def is_o_log2n(n: int, t: int, bound: BoundFn, witness: LogWitness, n_max: int) 
             f"n_max={n_max} must cover both n={n} and the threshold n0={witness.n0}"
         )
     return t <= bound(n) and is_log2_from(witness, bound, n_max)
-
-
-def search_log_witness(
-    bound: BoundFn,
-    n_max: int,
-    c_max: int = 16,
-    n0_max: int = 64,
-) -> Optional[LogWitness]:
-    """Scan small (c, n0) pairs for one that makes ``bound`` logarithmic.
-
-    Fallback for user-supplied bound functions with no hand-derived
-    witness; returns the first hit ordered by c then n0, or None.
-    """
-    if n_max < 1:
-        raise PreconditionError(f"witness search needs n_max >= 1, got {n_max}")
-    for c in range(1, c_max + 1):
-        for n0 in range(1, min(n0_max, n_max) + 1):
-            if is_log2_from(LogWitness(c, n0), bound, n_max):
-                return LogWitness(c, n0)
-    return None

@@ -2,9 +2,9 @@
 
 ``tbs`` mirrors the decisions the search loop makes on a range
 [lo, hi) of a sorted sequence and returns how many iterations the loop
-will spend there. Its value equals the instrumented step counter,
-and is itself bounded by 2*ilog2(hi-lo) + 1, which chains into the
-end-to-end step budget 2*ilog2(len(q)+1) + 1.
+will spend there. Its value equals the instrumented step counter. The
+bounds it obeys are ``intmath`` terms: ``LOG_BOUND(hi-lo)`` on a
+nonempty range, and ``STEP_BUDGET(len(q))`` end to end.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from olog.errors import PreconditionError
-from olog.intmath import STEP_BUDGET, ilog2
 
 # Lengths are capped at 2**32 (see intmath), so recursion depth never
 # exceeds ~33; anything deeper signals a broken recurrence.
@@ -98,30 +97,3 @@ def tbs_table(q: Sequence[int], key: int) -> list[list[int]]:
             else:
                 table[lo][hi] = 1 + table[mid + 1][hi]
     return table
-
-
-def step_budget(q: Sequence[int]) -> int:
-    """End-to-end iteration budget for searching in ``q``: 2*ilog2(len(q)+1) + 1.
-
-    Defined for the empty sequence too (value 1); the counter there is
-    exactly 0, so the budget is merely loose, never wrong.
-    """
-    return STEP_BUDGET(len(q))
-
-
-def log_bound(width: int) -> int:
-    """The per-range bound on the transition cost: 2*ilog2(width) + 1."""
-    return 2 * ilog2(width) + 1
-
-
-def tbs_log_bound(q: Sequence[int], lo: int, hi: int, key: int) -> bool:
-    """True iff tbs(q, lo, hi, key) <= log_bound(hi-lo) = 2*ilog2(hi-lo) + 1.
-
-    Requires a nonempty sequence and a nonempty range; empty ranges
-    would make the bound vacuous and are rejected.
-    """
-    if not (0 <= lo < hi <= len(q)):
-        raise PreconditionError(
-            f"tbs_log_bound requires 0 <= lo < hi <= len(q); got lo={lo}, hi={hi}"
-        )
-    return tbs(q, lo, hi, key) <= log_bound(hi - lo)

@@ -189,6 +189,10 @@ def first_failure(rel: Relation, n_lo: int, n_hi: int) -> int:
 #: all of nat (at n = 0 it is 2*ilog2(1) + 1 = 1).
 STEP_BUDGET = Expr((Term(2, 1, 1),), 1)
 
+#: The per-range bound on the transition cost ``tbs`` of a range of width
+#: w >= 1; there is none for an empty range (ilog2(0) is undefined).
+LOG_BOUND = Expr((Term(2, 1, 0),), 1)
+
 #: P8: ilog2(x) <= ilog2(x+1) at adjacent points, hence monotonic by transitivity.
 MONOTONIC = Relation(Expr((Term(1, 1, 0),), 0), "<=", Expr((Term(1, 1, 1),), 0))
 

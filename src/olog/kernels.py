@@ -43,9 +43,12 @@ from olog.algorithms import (
     first_indices,
 )
 from olog.errors import InvariantViolation, PreconditionError
-from olog.intmath import STEP_BUDGET, ilog2
+from olog.intmath import LOG_BOUND, STEP_BUDGET, ilog2
 
 BACKEND = "python"
+
+# The per-instance properties verify_sweep counts, in report order.
+INSTANCE_PROPS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 
 # perfbench/tracer.py times the P8 and P9 checks under these names.
 ilog2_scan_monotonic = intmath.scan_monotonic
@@ -230,7 +233,7 @@ def verify_sweep(groups, search_fn=None) -> dict:
     if search_fn is None:
         search_fn = binary_search
     c, n0 = CANONICAL_WITNESS
-    counts = {p: 0 for p in ("P1", "P2", "P3", "P4", "P5", "P6", "P7")}
+    counts = {p: 0 for p in INSTANCE_PROPS}
     first: dict = {p: None for p in counts}
     instances = 0
     max_gap = 0
@@ -246,7 +249,7 @@ def verify_sweep(groups, search_fn=None) -> dict:
         n = len(items)
         budget = STEP_BUDGET(n)
         log_n = ilog2(n) if n >= 1 else 0
-        bound = costmodel.log_bound(n) if n >= 1 else None
+        bound = LOG_BOUND(n) if n >= 1 else None
         oracle = first_indices(items)
         for key in range(key_lo, key_hi + 1):
             instances += 1

@@ -16,6 +16,7 @@ from olog.algorithms import (
     linear_search_oracle,
 )
 from olog.errors import InvariantViolation, PreconditionError
+from olog.intmath import STEP_BUDGET
 
 
 @pytest.mark.parametrize(
@@ -231,7 +232,7 @@ def test_search_counter_bounded(instance):
     outcome = binary_search(SortedSeq(items), key, MODE_FULL_TRACE)
     assert outcome.t == len(outcome.trace)
     assert outcome.t == costmodel.tbs(items, 0, len(items), key)
-    assert outcome.t <= costmodel.step_budget(items)
+    assert outcome.t <= STEP_BUDGET(len(items))
 
 
 def test_broken_search_trips_the_termination_check():

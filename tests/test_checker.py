@@ -12,7 +12,7 @@ import pytest
 
 import olog
 import subranges
-from olog import checker, complexity, costmodel, intmath
+from olog import checker, complexity, costmodel, intmath, kernels
 from olog.algorithms import (
     MODE_FULL_TRACE,
     SearchOutcome,
@@ -437,6 +437,21 @@ def test_unpicklable_search_fn_stays_in_process(monkeypatch):
     assert report.minimal_counterexample()["q"] == [0]
 
 
+def test_forced_pool_runs_an_unpicklable_search_fn_in_process(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    space = InstanceSpace(max_len=3, alphabet=2)
+    expected = verify_all(space, 16, workers=0)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setenv("OLOG_WORKERS", "2")
+    assert checker._pool_workers(space, lambda q, key, mode: None) == 0
+    report = verify_all(space, 16, search_fn=lambda q, key, mode: binary_search(q, key, mode))
+    assert _strip(report) == _strip(expected)
+
+
 def test_pool_workers_decision(monkeypatch):
     big, small = InstanceSpace(), InstanceSpace(max_len=2, alphabet=2)
     monkeypatch.delenv("OLOG_WORKERS", raising=False)
@@ -562,6 +577,24 @@ def test_p5_planted_cost_model_matches_all_subrange_reference(monkeypatch):
     assert report.minimal_counterexample()["detail"] == (
         "t=1 at head [0, 2) differs from tbs difference 8-2"
     )
+
+
+def test_p5_reads_the_log_bound_term(monkeypatch):
+    # one below LOG_BOUND at every width: only width 1, where tbs is 1 and
+    # the planted bound 0, breaks it
+    monkeypatch.setattr(kernels, "LOG_BOUND", intmath.Expr((intmath.Term(2, 1, 0),), 0))
+    report = verify_all(InstanceSpace(max_len=3, alphabet=2), grid=2, workers=0)
+    assert _p5(report) == (False, 8, ([0], -1))
+    assert [p.id for p in report.properties if not p.passed] == ["P5"]
+
+
+def test_a_space_over_the_instance_floor_is_never_counted(monkeypatch):
+    def uncounted(self):
+        raise AssertionError("the exact instance count was formed")
+
+    monkeypatch.setattr(InstanceSpace, "instances", property(uncounted))
+    with pytest.raises(PreconditionError, match="at least 30000003 instances exceed the cap"):
+        verify_all(InstanceSpace(max_len=10**7, alphabet=1), grid=2)
 
 
 def _order_type(items, key):

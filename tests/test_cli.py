@@ -105,11 +105,21 @@ def _assert_rejected_at_once(*argv):
     assert run.stderr.startswith("error:")
     assert "Traceback" not in run.stderr
     assert elapsed < 1.0
+    return run
 
 
 def test_verify_rejects_oversized_space_before_any_work():
     # 3.6e13 instances: the count is checked before enumeration starts
     _assert_rejected_at_once("verify", "--alphabet", "100")
+
+
+@pytest.mark.parametrize("size", ["100000", "1000000", "2000000"])
+def test_verify_rejects_a_huge_space_by_its_instance_floor(size):
+    # the exact count C(2*size, size) takes seconds to minutes to form and
+    # has too many digits to print; (size+2)*(size+1) instances already
+    # exceed the cap
+    run = _assert_rejected_at_once("verify", "--max-len", size, "--alphabet", size, "--grid", "2")
+    assert "exceed the cap" in run.stderr
 
 
 def test_verify_rejects_long_sequences_before_any_work():
@@ -143,9 +153,11 @@ def test_commands_without_profiles_leave_numpy_unloaded():
     # linear list the lockstep scan). Each command loads
     # only the olog modules it runs, and none loads dataclasses (numpy
     # does not either); modules the interpreter's own start-up loaded are
-    # not counted.
+    # not counted. The probe tests the automatic worker count, so a forced
+    # OLOG_WORKERS is dropped.
     probe = (
-        "import sys; before = set(sys.modules); from olog.cli import main; "
+        "import os, sys; os.environ.pop('OLOG_WORKERS', None); "
+        "before = set(sys.modules); from olog.cli import main; "
         "lazy = lambda: {'numpy', 'multiprocessing'} & set(sys.modules); "
         "olog = lambda: {m for m in sys.modules if m.split('.')[0] == 'olog'}; "
         "assert not lazy(), f'import olog.cli loaded {lazy()}'; "
@@ -442,6 +454,11 @@ def test_trace_rejects_unsorted(capsys):
 
 def test_trace_rejects_garbage(capsys):
     assert main(["trace", "--q", "1,two,3", "--key", "1"]) == 2
+
+
+def test_trace_has_no_csv_format(capsys):
+    assert main(["trace", "--q", "1,2", "--key", "2", "--format", "csv"]) == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_output_to_file(tmp_path, capsys):

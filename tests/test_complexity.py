@@ -4,7 +4,6 @@ import pytest
 
 from olog import complexity
 from olog.complexity import (
-    STEP_BOUND,
     CalcStep,
     LogWitness,
     canonical_chain,
@@ -12,20 +11,19 @@ from olog.complexity import (
     derive_log_witness,
     is_log2_from,
     is_o_log2n,
-    search_log_witness,
 )
 from olog.errors import PreconditionError, VacuousRangeError
-from olog.intmath import Expr, Relation, Term, ilog2
+from olog.intmath import STEP_BUDGET, Expr, Relation, Term, ilog2
 
 import pointwise
 
 
 def test_step_bound_values():
     # 2*ilog2(n+1) + 1, total on all of nat
-    assert STEP_BOUND(0) == 1
-    assert STEP_BOUND(1) == 3
-    assert STEP_BOUND(8) == 7
-    assert STEP_BOUND(1024) == 21
+    assert STEP_BUDGET(0) == 1
+    assert STEP_BUDGET(1) == 3
+    assert STEP_BUDGET(8) == 7
+    assert STEP_BUDGET(1024) == 21
 
 
 def test_witness_requires_positive_parts():
@@ -36,31 +34,33 @@ def test_witness_requires_positive_parts():
 
 
 def test_is_log2_from_examples():
-    assert is_log2_from(LogWitness(6, 2), STEP_BOUND, 1024) is True
+    assert is_log2_from(LogWitness(6, 2), STEP_BUDGET, 1024) is True
     # at n=1: bound(1)=3 but 6*ilog2(1)=0
-    assert is_log2_from(LogWitness(6, 1), STEP_BOUND, 1024) is False
+    assert is_log2_from(LogWitness(6, 1), STEP_BUDGET, 1024) is False
     # at n=2: bound(2)=3 but 1*ilog2(2)=1
-    assert is_log2_from(LogWitness(1, 2), STEP_BOUND, 16) is False
+    assert is_log2_from(LogWitness(1, 2), STEP_BUDGET, 16) is False
 
 
 def test_is_log2_from_refuses_vacuous_range():
     with pytest.raises(VacuousRangeError):
-        is_log2_from(LogWitness(6, 100), STEP_BOUND, 99)
+        is_log2_from(LogWitness(6, 100), STEP_BUDGET, 99)
+    with pytest.raises(PreconditionError):
+        is_log2_from(LogWitness(6, 2), STEP_BUDGET, 2**32 + 1)  # past the grid cap
 
 
 def test_is_o_log2n_examples():
     w = LogWitness(6, 2)
-    assert is_o_log2n(8, 4, STEP_BOUND, w, 1024) is True
-    assert is_o_log2n(1, 10, STEP_BOUND, w, 1024) is False
-    assert is_o_log2n(1, 3, STEP_BOUND, w, 1024) is True  # t equals the bound exactly
+    assert is_o_log2n(8, 4, STEP_BUDGET, w, 1024) is True
+    assert is_o_log2n(1, 10, STEP_BUDGET, w, 1024) is False
+    assert is_o_log2n(1, 3, STEP_BUDGET, w, 1024) is True  # t equals the bound exactly
 
 
 def test_is_o_log2n_preconditions():
     w = LogWitness(6, 2)
     with pytest.raises(PreconditionError):
-        is_o_log2n(0, 0, STEP_BOUND, w, 1024)
+        is_o_log2n(0, 0, STEP_BUDGET, w, 1024)
     with pytest.raises(PreconditionError):
-        is_o_log2n(64, 3, STEP_BOUND, w, 32)  # grid does not cover n
+        is_o_log2n(64, 3, STEP_BUDGET, w, 32)  # grid does not cover n
 
 
 def test_derive_log_witness_full_grid():
@@ -85,7 +85,7 @@ def test_derive_log_witness_rejects_grid_below_threshold():
 def test_witness_round_trips_through_checker():
     for grid in (2, 64, 4096):
         witness, _ = derive_log_witness(grid)
-        assert is_log2_from(witness, STEP_BOUND, grid)
+        assert is_log2_from(witness, STEP_BUDGET, grid)
 
 
 def test_chain_steps_check_in_isolation():
@@ -160,21 +160,7 @@ def test_calc_trace_serialization_shape():
 def test_tightness_floor_probe():
     # the 6*ilog2(n) bound is not vacuously loose: at n=2 the two sides
     # are within a factor of two (3 vs 6)
-    assert STEP_BOUND(2) == 3
+    assert STEP_BUDGET(2) == 3
     assert 6 * ilog2(2) == 6
-    assert all(STEP_BOUND(n) <= 6 * ilog2(n) for n in range(2, 4096))
+    assert all(STEP_BUDGET(n) <= 6 * ilog2(n) for n in range(2, 4096))
 
-
-def test_search_log_witness_finds_one_for_step_bound():
-    witness = search_log_witness(STEP_BOUND, 4096)
-    assert witness is not None
-    assert is_log2_from(witness, STEP_BOUND, 4096)
-    # ordered by c then n0: nothing with smaller c may work
-    for c in range(1, witness.c):
-        for n0 in range(1, 65):
-            assert not is_log2_from(LogWitness(c, n0), STEP_BOUND, 4096)
-
-
-def test_search_log_witness_none_for_linear_growth():
-    linear = complexity.BoundFn("n", lambda n: n)
-    assert search_log_witness(linear, 4096) is None

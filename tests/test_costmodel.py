@@ -3,9 +3,9 @@ from hypothesis import given, strategies as st
 
 from olog.algorithms import SortedSeq, binary_search
 from olog.checker import InstanceSpace
-from olog.costmodel import step_budget, tbs, tbs_log_bound, tbs_table
+from olog.costmodel import tbs, tbs_table
 from olog.errors import PreconditionError
-from olog.intmath import ilog2
+from olog.intmath import LOG_BOUND, STEP_BUDGET
 
 
 @pytest.mark.parametrize(
@@ -43,24 +43,24 @@ def test_tbs_table_matches_recursion():
     [([9], 0, 1, 9), ([1, 3, 5, 7], 0, 4, 4), ([1, 2], 0, 2, 0)],
 )
 def test_tbs_log_bound_examples(items, lo, hi, key):
-    assert tbs_log_bound(items, lo, hi, key) is True
+    assert tbs(items, lo, hi, key) <= LOG_BOUND(hi - lo)
 
 
 def test_tbs_log_bound_equality_case():
     # width 1: cost 1 equals 2*ilog2(1) + 1
-    assert tbs([9], 0, 1, 9) == 2 * ilog2(1) + 1
+    assert tbs([9], 0, 1, 9) == LOG_BOUND(1) == 1
 
 
 def test_tbs_log_bound_preconditions():
+    # an empty range costs nothing, and the bound has no value there
+    assert tbs([], 0, 0, 1) == tbs([1, 2], 1, 1, 1) == 0
     with pytest.raises(PreconditionError):
-        tbs_log_bound([], 0, 0, 1)
-    with pytest.raises(PreconditionError):
-        tbs_log_bound([1, 2], 1, 1, 1)  # empty range
+        LOG_BOUND(0)
 
 
 @pytest.mark.parametrize("length,expected", [(0, 1), (1, 3), (8, 7), (1024, 21)])
 def test_step_budget_values(length, expected):
-    assert step_budget(range(length)) == expected
+    assert STEP_BUDGET(length) == expected
 
 
 sorted_instances = st.tuples(
@@ -75,7 +75,7 @@ def test_counter_dominated_by_tbs_and_budget(instance):
     outcome = binary_search(SortedSeq(items), key)
     total = tbs(items, 0, len(items), key)
     assert outcome.t <= total
-    assert total <= step_budget(items)
+    assert total <= STEP_BUDGET(len(items))
 
 
 @given(sorted_instances)
@@ -84,7 +84,7 @@ def test_log_bound_over_all_subranges(instance):
     table = tbs_table(items, key)
     for lo in range(len(items)):
         for hi in range(lo + 1, len(items) + 1):
-            assert table[lo][hi] <= 2 * ilog2(hi - lo) + 1
+            assert table[lo][hi] <= LOG_BOUND(hi - lo)
 
 
 

@@ -180,8 +180,16 @@ def test_term_language_rejects_malformed_input():
         intmath.first_failure(intmath.MONOTONIC, 0, 4)
 
 
+def test_bounds_are_their_closed_forms():
+    for n in range(1, 4097):
+        assert intmath.LOG_BOUND(n) == intmath.STEP_BUDGET(n - 1) == 2 * n.bit_length() - 1
+    with pytest.raises(PreconditionError):
+        intmath.LOG_BOUND(0)  # an empty range has no log bound
+
+
 def test_labels_come_from_the_terms():
     assert str(intmath.STEP_BUDGET) == "2*ilog2(n+1) + 1"
+    assert str(intmath.LOG_BOUND) == "2*ilog2(n) + 1"
     assert str(intmath.DOUBLING) == "ilog2(2*n) = ilog2(n) + 1"
     assert str(Relation(Expr((Term(-3, 3, 2),), -1), "<=", Expr((), 0))) == (
         "-3*ilog2(3*n+2) - 1 <= 0"

@@ -16,7 +16,7 @@ from olog.algorithms import (
     linear_search_oracle,
 )
 from olog.checker import InstanceSpace, enumerate_instances
-from olog.complexity import STEP_BOUND, LogWitness, canonical_chain, is_log2_from
+from olog.complexity import LogWitness, canonical_chain, is_log2_from
 from olog.errors import InvariantViolation
 from olog.estimator import instrumented_max_steps
 from olog.intmath import DOUBLING, MONOTONIC, STEP_BUDGET, Expr, Relation, Term
@@ -44,7 +44,7 @@ ROUTES = {
     ),
     "ilog2_scan_oracle": (intmath.scan_oracle_equivalence, _oracle_pointwise),
     "bound_scan": (
-        lambda c, n0, n: is_log2_from(LogWitness(c, n0), STEP_BOUND, n),
+        lambda c, n0, n: is_log2_from(LogWitness(c, n0), STEP_BUDGET, n),
         _within_witness_pointwise,
     ),
     "binary_max_steps": (kernels.binary_max_steps, int.bit_length),

@@ -17,13 +17,13 @@ PUBLIC = {
                    "broken_binary_search", "check_binary_loop_inv", "check_binary_posts",
                    "check_sorted", "linear_search_oracle"],
     "checker": ["CheckReport", "InstanceSpace", "enumerate_instances", "verify_all"],
-    "complexity": ["STEP_BOUND", "BoundFn", "CalcTrace", "LogWitness", "derive_log_witness",
-                   "is_log2_from", "is_o_log2n", "search_log_witness"],
-    "costmodel": ["step_budget", "tbs", "tbs_log_bound"],
+    "complexity": ["CalcTrace", "LogWitness", "derive_log_witness", "is_log2_from",
+                   "is_o_log2n"],
+    "costmodel": ["tbs"],
     "errors": ["CalcChainError", "ContractError", "InvariantViolation", "PreconditionError",
                "VacuousRangeError"],
     "estimator": ["ClassificationReport", "StepSample", "bench_steps", "fit_class"],
-    "intmath": ["ilog2", "ilog2_checked_against_oracle", "ilog2_oracle"],
+    "intmath": ["STEP_BUDGET", "ilog2", "ilog2_checked_against_oracle", "ilog2_oracle"],
 }
 SUBMODULES = [*PUBLIC, "cli", "kernels"]
 
@@ -71,7 +71,7 @@ def _records():
     prop = checker.PropertyResult("P1", "binary_posts", True, 0)
     fit = estimator.ClassFit(1.0, 0.0, 0.0)
     return [
-        term, expr, relation, witness, complexity.BoundFn("f", expr), step, result,
+        term, expr, relation, witness, step, result,
         complexity.CalcTrace(witness, (result,), 64), checker.InstanceSpace(2, 3), prop,
         checker.CheckReport(1, (prop,), {}, 0, 0, "python", 0), estimator.StepSample(4, 3), fit,
         estimator.ClassificationReport("Logarithmic", {"Logarithmic": fit}, None, True),
