@@ -162,6 +162,7 @@ def _inv_holds(items, lo: int, hi: int, r: int, key: int, span: tuple[int, int])
     return r < n and items[r] == key
 
 
+# The records validate nothing, so their generated __new__ is skipped
 _new_record = tuple.__new__
 
 
@@ -212,10 +213,9 @@ def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
             hi = lo
         t += 1
         if checking:
-            # IterRecord validates nothing, so its generated __new__ is skipped
             trace.append(_new_record(IterRecord, (iter_lo, iter_hi, mid, t)))
 
-    return SearchOutcome(r, t, tuple(trace) if checking else None)
+    return _new_record(SearchOutcome, (r, t, tuple(trace) if checking else None))
 
 
 def binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutcome:

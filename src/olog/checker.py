@@ -37,15 +37,17 @@ failure per property is the one reported.
 
 from __future__ import annotations
 
-import functools
+import bisect
+import itertools
+import marshal
 import math
 import os
 import time
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
 
 from olog import complexity, intmath, kernels
 from olog.algorithms import SortedSeq
-from olog.errors import CalcChainError, PreconditionError
+from olog.errors import CalcChainError, PreconditionError, WorkerError
 from olog.intmath import MAX_GRID, validated_make
 
 PROPERTY_NAMES = {
@@ -80,22 +82,18 @@ MAX_ELEMENTS = 10**8
 # length 26, and 0.06-0.08 us x length at length 4000 (same machine), so
 # the estimate weighs long sequences several times above their cost.
 SEQ_WORK = 8
-# Forking two workers and joining them costs 5-20 ms. Against the
-# sequential sweep the pool broke even at about 4.5e4 units (3.7k
-# instances, 25-35 ms) and was 1.2-1.3x faster at 1e5 (the (6, 6) space,
-# 7.4k instances, 60 ms); below POOL_MIN_WORK the sweep stays in process.
+# Forking one worker, reading its result and reaping it costs 3-7 ms
+# (verify_all on the (1, 1) space, 2 vCPU, Python 3.11.7). Against the
+# sequential sweep two forked workers broke even between 4.5e4 and 5.7e4
+# units (3.2k-5k instances, 30-40 ms) and were 1.3x faster at 1e5 (the
+# (6, 6) space, 7.4k instances, 60 ms), medians of 40 interleaved runs on
+# a shared host; below POOL_MIN_WORK the sweep stays in process.
 POOL_MIN_WORK = 10**5
-# A forced OLOG_WORKERS count above this exits 2 instead of asking for
-# that many processes. Two workers on 2 CPUs is the most measured to pay,
-# and a pool larger than the usable CPUs only adds start-up; the ceiling
-# sits far above both without letting a typo start 10^5 processes.
+# A forced OLOG_WORKERS count above this exits 2 instead of forking that
+# many processes. Two workers on 2 CPUs is the most measured to pay, and
+# more workers than usable CPUs only add start-up; the ceiling sits far
+# above both without letting a typo start 10^5 processes.
 MAX_WORKERS = 256
-# Chunks are contiguous runs of the enumeration, CHUNKS_PER_WORKER per
-# worker so the last one leaves little idle time, and at most CHUNK_WORK
-# units (50-180 ms, at most ~9e4 sequence elements) so the sequences in
-# flight stay a bounded few MB whatever the space's size.
-CHUNKS_PER_WORKER = 8
-CHUNK_WORK = 2**18
 
 
 class _InstanceSpaceFields(NamedTuple):
@@ -173,14 +171,12 @@ def nondecreasing_sequences(length: int, alphabet: int) -> Iterator[tuple[int, .
     top = alphabet - 1
     while True:
         yield tuple(seq)
-        i = length - 1
-        while i >= 0 and seq[i] == top:
-            i -= 1
+        # the values at top form a suffix: bump the last position before
+        # it and reset the suffix to the bumped value
+        i = bisect.bisect_left(seq, top) - 1
         if i < 0:
             return
-        bumped = seq[i] + 1
-        for j in range(i, length):
-            seq[j] = bumped
+        seq[i:] = [seq[i] + 1] * (length - i)
 
 
 def enumerate_instances(space: InstanceSpace) -> Iterator[tuple[SortedSeq, int]]:
@@ -231,9 +227,7 @@ class CheckReport(NamedTuple):
         ]
         if not candidates:
             return None
-        return min(
-            candidates, key=lambda c: (len(c["q"]), tuple(c["q"]), c["key"])
-        )
+        return min(candidates, key=_enumeration_order)
 
     def to_dict(self) -> dict:
         return {
@@ -256,29 +250,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _picklable(fn) -> bool:
-    import pickle
-
-    try:
-        pickle.dumps(fn)
-    except (pickle.PicklingError, AttributeError, TypeError):
-        return False
-    return True
-
-
 def _sweep_work(space: InstanceSpace) -> int:
     """Estimated sweep cost in units of one key times (length + SEQ_WORK)."""
     return space.key_elements + SEQ_WORK * space.instances
 
 
-def _pool_workers(space: InstanceSpace, search_fn: Optional[Callable] = None) -> int:
+def _pool_workers(space: InstanceSpace) -> int:
     """Worker processes for the sweep; 0 runs it in this process.
 
     ``OLOG_WORKERS`` forces the count when set (0 is sequential, at
     most MAX_WORKERS).
     Otherwise every usable CPU is used once the space's estimated work
-    pays for starting a pool. Either way a ``search_fn`` that cannot be
-    pickled runs in process, which gives the same report.
+    pays for forking.
     """
     raw = os.environ.get("OLOG_WORKERS")
     if raw is not None:
@@ -291,41 +274,128 @@ def _pool_workers(space: InstanceSpace, search_fn: Optional[Callable] = None) ->
     else:
         cpus = _usable_cpus()
         workers = cpus if cpus >= 2 and _sweep_work(space) >= POOL_MIN_WORK else 0
-    if workers and search_fn is not None and not _picklable(search_fn):
-        return 0
     return workers
 
 
-def _chunks(space: InstanceSpace, pieces: int) -> Iterator[list[tuple]]:
-    """The space's groups cut into contiguous lists of about equal estimated
-    work, ``pieces`` of them, each at most CHUNK_WORK."""
-    target = min(-(-_sweep_work(space) // pieces), CHUNK_WORK)
-    chunk, work = [], 0
-    for items, key_lo, key_hi in space.groups():
-        chunk.append((items, key_lo, key_hi))
-        work += (key_hi - key_lo + 1) * (len(items) + SEQ_WORK)
-        if work >= target:
-            yield chunk
-            chunk, work = [], 0
-    if chunk:
-        yield chunk
+def _enumeration_order(counterexample: dict) -> tuple:
+    """Sort key of an instance counterexample: shortest sequence first,
+    then lexicographic, then ascending key."""
+    return len(counterexample["q"]), tuple(counterexample["q"]), counterexample["key"]
 
 
-def _merge_sweeps(results) -> dict:
-    merged = {
-        "instances": 0,
-        "violations": {p: 0 for p in kernels.INSTANCE_PROPS},
-        "first": {p: None for p in kernels.INSTANCE_PROPS},
-        "max_tbs_gap": 0,
+def _merge_sweeps(results: list[dict]) -> dict:
+    """One sweep result from the shares' results: counts add up, and each
+    property's first counterexample is the earliest in enumeration order."""
+    return {
+        "instances": sum(res["instances"] for res in results),
+        "violations": {
+            p: sum(res["violations"][p] for res in results) for p in kernels.INSTANCE_PROPS
+        },
+        "first": {
+            p: min(
+                (res["first"][p] for res in results if res["first"][p] is not None),
+                key=_enumeration_order,
+                default=None,
+            )
+            for p in kernels.INSTANCE_PROPS
+        },
+        "max_tbs_gap": max(res["max_tbs_gap"] for res in results),
     }
-    for res in results:
-        merged["instances"] += res["instances"]
-        merged["max_tbs_gap"] = max(merged["max_tbs_gap"], res["max_tbs_gap"])
-        for p in kernels.INSTANCE_PROPS:
-            merged["violations"][p] += res["violations"][p]
-            if merged["first"][p] is None and res["first"][p] is not None:
-                merged["first"][p] = res["first"][p]
-    return merged
+
+
+def _share(space: InstanceSpace, search_fn, w: int, workers: int) -> dict:
+    """The sweep of the w-th of ``workers`` strided shares: every
+    ``workers``-th group of the enumeration, from the w-th on."""
+    groups = itertools.islice(space.groups(), w, None, workers)
+    return kernels.verify_sweep(groups, search_fn)
+
+
+def _sweep_child(space: InstanceSpace, search_fn, w: int, workers: int, wfd: int) -> NoReturn:
+    """A forked worker: sweep share w, write the result to ``wfd`` with
+    marshal, and leave with os._exit, so that nothing the parent set up
+    (buffered output, atexit handlers, pytest's state) runs twice. A
+    failure prints its traceback and exits 1; an interrupt exits 1."""
+    status = 1
+    try:
+        data = marshal.dumps(_share(space, search_fn, w, workers))
+        with open(wfd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    except Exception:
+        import sys
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _death(code: int) -> str:
+    """How a child ended, from ``os.waitstatus_to_exitcode``."""
+    if code > 0:
+        return f"exited with status {code}"
+    import signal
+
+    try:
+        name = signal.Signals(-code).name
+    except ValueError:
+        name = "an unnamed signal"
+    return f"was killed by signal {-code} ({name})"
+
+
+def _forked_sweep(space: InstanceSpace, search_fn, workers: int) -> dict:
+    """Sweep the space in ``workers`` strided shares: this process sweeps
+    share 0 and a forked child each of the others.
+
+    The children inherit ``search_fn`` and every patched module global, so
+    nothing is pickled. Each one writes its result to a pipe and exits;
+    this process reads each pipe to EOF and then reaps the child, so a
+    child that dies (killed by a signal, say) shows up as a bad wait
+    status and raises WorkerError, never as a hang. Whatever raises, every
+    child still running is killed and every child reaped.
+
+    Each process enumerates the whole stream and skips the other shares'
+    groups, so each pays for the whole enumeration: about 1% of the
+    sequential sweep at (5, 12) and 5% at (2000, 1) (Python 3.11.7, 2
+    vCPU). Only the calling thread survives a
+    fork, so a caller whose other threads hold locks should sweep with
+    ``workers=0``.
+    """
+    children: dict = {}  # pid -> (share, read end of its pipe), until reaped
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                _sweep_child(space, search_fn, w, workers, wfd)
+            os.close(wfd)
+            children[pid] = (w, open(rfd, "rb"))
+        shares = [_share(space, search_fn, 0, workers)]
+        for pid in list(children):
+            w, pipe = children[pid]
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise WorkerError(f"sweep worker {w} of {workers} {_death(code)}; no verdict")
+            shares.append(marshal.loads(data))
+    finally:
+        if children:
+            import signal
+
+            for pid, (_, pipe) in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return _merge_sweeps(shares)
 
 
 def verify_all(
@@ -342,12 +412,16 @@ def verify_all(
     in the act.
 
     The enumeration is streamed, never held as a list. ``workers`` = 0
-    sweeps it in this process; ``workers`` > 0 cuts it into contiguous
-    chunks of about equal estimated work and sweeps them on a process
-    pool. The merge is an ordered reduction, so the report is identical
-    for every worker count except ``wall_time_ms``. ``workers=None``
-    takes ``OLOG_WORKERS`` when it is set, and otherwise uses every
-    usable CPU once the space is big enough to pay for a pool.
+    or 1 sweeps it in this process; ``workers`` = W > 1 forks W - 1
+    children and each of the W processes sweeps every W-th group (see
+    ``_forked_sweep``). The merge adds the counts and keeps each
+    property's earliest counterexample, so the report is identical for
+    every worker count except ``wall_time_ms``. ``workers=None`` takes
+    ``OLOG_WORKERS`` when it is set, and otherwise uses every usable CPU
+    once the space is big enough to pay for forking. A platform without
+    ``os.fork`` sweeps in process whatever the count.
+
+    Raises WorkerError when a forked worker dies before it reports.
     """
     if not 2 <= grid <= MAX_GRID:
         raise PreconditionError(
@@ -360,24 +434,22 @@ def verify_all(
     if floor > MAX_INSTANCES:
         raise PreconditionError(f"at least {floor} instances exceed the cap {MAX_INSTANCES}")
     if space.instances > MAX_INSTANCES:
-        raise PreconditionError(f"{space.instances} instances exceed the cap {MAX_INSTANCES}")
+        # the floor keeps the count under ~2000 digits, within int -> str's limit
+        digits = len(str(space.instances))
+        raise PreconditionError(
+            f"a {digits}-digit number of instances exceeds the cap {MAX_INSTANCES}"
+        )
     if space.key_elements > MAX_ELEMENTS:
         raise PreconditionError(
             f"keys x sequence elements = {space.key_elements} exceed the cap {MAX_ELEMENTS}"
         )
     if workers is None:
-        workers = _pool_workers(space, search_fn)
+        workers = _pool_workers(space)
 
     started = time.perf_counter()
 
-    if workers > 0:
-        import multiprocessing
-
-        sweep_chunk = functools.partial(kernels.verify_sweep, search_fn=search_fn)
-        with multiprocessing.Pool(workers) as pool:
-            sweep = _merge_sweeps(
-                pool.imap(sweep_chunk, _chunks(space, workers * CHUNKS_PER_WORKER))
-            )
+    if workers > 1 and hasattr(os, "fork"):
+        sweep = _forked_sweep(space, search_fn, workers)
     else:
         sweep = kernels.verify_sweep(space.groups(), search_fn)
 

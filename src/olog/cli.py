@@ -6,7 +6,7 @@ Four workflows: ``verify`` (exhaustive property suite), ``bound``
 (per-iteration view of a single search).
 
 Exit codes: 0 success, 1 a checked property/bound failed, 2 bad
-configuration or input.
+configuration or input, or a sweep worker that died without a verdict.
 
 Each command imports the modules it runs inside its ``_cmd_*``
 function, so a call pays the start-up of those modules only.
@@ -21,7 +21,7 @@ import os
 import stat
 import sys
 
-from olog.errors import CalcChainError, PreconditionError
+from olog.errors import CalcChainError, PreconditionError, WorkerError
 
 DEFAULT_GRID = 2**20
 DEFAULT_SIZES = {"binary_search": "16:1048576:x4", "linear_oracle": "16:16384:x4"}
@@ -169,7 +169,9 @@ def _cmd_trace(args, out) -> int:
     from olog.algorithms import MODE_FULL_TRACE, SortedSeq, binary_search
     from olog.intmath import STEP_BUDGET
 
-    text = args.q.strip()
+    # argparse on Python 3.11 takes --q=-- for the end-of-options marker
+    # and hands over an empty list; "--" is no integer list either
+    text = args.q.strip() if isinstance(args.q, str) else "--"
     items = [int(p) for p in text.split(",") if p.strip() != ""] if text else []
     seq = SortedSeq(items)  # raises PreconditionError when unsorted
     outcome = binary_search(seq, args.key, MODE_FULL_TRACE)
@@ -266,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
             out.truncate(0)
         out.write(text.getvalue())
         return code
-    except ValueError as err:  # PreconditionError included
+    except (ValueError, WorkerError) as err:  # PreconditionError included
         if made:
             os.remove(args.output)
         return _fail_config(str(err))

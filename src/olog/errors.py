@@ -44,3 +44,8 @@ class CalcChainError(ContractError):
         self.n = n
         self.trace = trace
         super().__init__(f"chain step {step_index} fails at n={n}")
+
+
+class WorkerError(RuntimeError):
+    """A forked worker of the sweep died before it reported its share,
+    so the sweep has no verdict."""

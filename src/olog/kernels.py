@@ -243,13 +243,16 @@ def verify_sweep(groups, search_fn=None) -> dict:
         if first[prop] is None:
             first[prop] = {"q": list(q), "key": int(key), "detail": detail}
 
+    last_n = None
     for items, key_lo, key_hi in groups:
         q = SortedSeq(items)
         items = q.items
         n = len(items)
-        budget = STEP_BUDGET(n)
-        log_n = ilog2(n) if n >= 1 else 0
-        bound = LOG_BOUND(n) if n >= 1 else None
+        if n != last_n:  # the bounds depend on the length only
+            last_n = n
+            budget = STEP_BUDGET(n)
+            log_n = ilog2(n) if n >= 1 else 0
+            bound = LOG_BOUND(n) if n >= 1 else None
         oracle = first_indices(items)
         for key in range(key_lo, key_hi + 1):
             instances += 1

@@ -1,6 +1,9 @@
 import bisect
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from functools import partial
@@ -226,7 +229,7 @@ def test_sweep_walks_the_recurrence_once_per_instance(monkeypatch):
         return exact(q, lo, hi, key, depth, *rest)
 
     monkeypatch.setattr(costmodel, "_tbs", counting)
-    # in process: a pool worker's walks would be counted in its own copy
+    # in process: a forked worker's walks would be counted in its own copy
     report = verify_all(InstanceSpace(), grid=2, workers=0)
     assert report.all_passed
     assert walks == {"full": report.instances_checked}
@@ -327,8 +330,8 @@ def test_a_search_that_raises_gets_a_p1_verdict():
     report = verify_all(space, grid=16, search_fn=_raises_on_one, workers=0)
     assert _failing(report) == {"P1": (1, ([0, 1], 1))}
     assert report.minimal_counterexample()["detail"] == "the search raised KeyError: 'planted'"
-    pooled = verify_all(space, grid=16, search_fn=_raises_on_one, workers=2)
-    assert _strip(pooled) == _strip(report)
+    forked = verify_all(space, grid=16, search_fn=_raises_on_one, workers=2)
+    assert _strip(forked) == _strip(report)
 
 
 def test_a_cost_walk_that_raises_gets_a_p5_verdict(monkeypatch):
@@ -385,8 +388,11 @@ def _strip(report):
     return doc
 
 
-def _slow_first_chunk(q, key, mode):
-    if len(q) == 0 and key == -1:
+def _slow_minimal_share(q, key, mode):
+    # group 1, [0], holds the broken search's minimal counterexample ([0],
+    # 1); with two workers it is the child's share, which then finishes
+    # after the parent's
+    if list(q) == [0] and key == -1:
         time.sleep(0.05)
     return broken_binary_search(q, key, mode)
 
@@ -394,19 +400,27 @@ def _slow_first_chunk(q, key, mode):
 def test_parallel_equals_serial(monkeypatch):
     space = InstanceSpace(max_len=4, alphabet=3)
     serial = verify_all(space, grid=64, workers=0)
-    parallel = verify_all(space, grid=64, workers=2)
-    assert _strip(serial) == _strip(parallel)
+    for workers in (2, 3):
+        assert _strip(verify_all(space, grid=64, workers=workers)) == _strip(serial)
 
     serial_m = verify_all(space, grid=64, workers=0, search_fn=broken_binary_search)
-    parallel_m = verify_all(space, grid=64, workers=3, search_fn=broken_binary_search)
-    assert _strip(serial_m) == _strip(parallel_m)
-    # the first chunk, which holds the minimal counterexample, finishes
-    # last; the merge still takes it first
-    slow = verify_all(space, grid=64, workers=2, search_fn=_slow_first_chunk)
+    assert serial_m.minimal_counterexample()["q"] == [0]
+    for workers in (2, 3):
+        parallel_m = verify_all(space, grid=64, workers=workers, search_fn=broken_binary_search)
+        assert _strip(parallel_m) == _strip(serial_m)
+    # the merge takes each property's earliest counterexample, not the
+    # first share's, nor the share that finished first
+    slow = verify_all(space, grid=64, workers=2, search_fn=_slow_minimal_share)
     assert _strip(slow) == _strip(serial_m)
 
-    # the default space is above the pool's break-even, so with two or
-    # more usable CPUs workers=None runs the pool
+    # (1, 1) has two groups, [] and [0]: three of five shares hold none
+    tiny = InstanceSpace(max_len=1, alphabet=1)
+    for search_fn in (None, broken_binary_search):
+        expected = verify_all(tiny, grid=4, workers=0, search_fn=search_fn)
+        assert _strip(verify_all(tiny, grid=4, workers=5, search_fn=search_fn)) == _strip(expected)
+
+    # the default space is above the fork's break-even, so with two or
+    # more usable CPUs workers=None forks
     monkeypatch.delenv("OLOG_WORKERS", raising=False)
     default = InstanceSpace()
     assert _strip(verify_all(default, grid=2**20)) == _strip(
@@ -422,6 +436,7 @@ def test_parallel_equals_serial(monkeypatch):
 
 
 def test_unpicklable_search_fn_stays_in_process(monkeypatch):
+    # nothing is pickled: the forked shares inherit a local search_fn
     def local_search(q, key, mode):
         return broken_binary_search(q, key, mode)
 
@@ -429,8 +444,7 @@ def test_unpicklable_search_fn_stays_in_process(monkeypatch):
     monkeypatch.delenv("OLOG_WORKERS", raising=False)
     monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(space))
-    assert checker._pool_workers(space, broken_binary_search) == 2
-    assert checker._pool_workers(space, local_search) == 0
+    assert checker._pool_workers(space) == 2
     report = verify_all(space, grid=16, search_fn=local_search)
     expected = verify_all(space, grid=16, search_fn=broken_binary_search, workers=0)
     assert _strip(report) == _strip(expected)
@@ -438,18 +452,33 @@ def test_unpicklable_search_fn_stays_in_process(monkeypatch):
 
 
 def test_forced_pool_runs_an_unpicklable_search_fn_in_process(monkeypatch):
-    import multiprocessing
+    # a lambda sweeps in the forked shares under a forced worker count
+    forks = []
+    real_fork = checker.os.fork
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
     space = InstanceSpace(max_len=3, alphabet=2)
     expected = verify_all(space, 16, workers=0)
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(checker.os, "fork", counting_fork)
     monkeypatch.setenv("OLOG_WORKERS", "2")
-    assert checker._pool_workers(space, lambda q, key, mode: None) == 0
     report = verify_all(space, 16, search_fn=lambda q, key, mode: binary_search(q, key, mode))
     assert _strip(report) == _strip(expected)
+    assert forks == [1]
+
+
+def test_a_platform_without_fork_sweeps_in_process(monkeypatch):
+    monkeypatch.delattr(checker.os, "fork")
+    monkeypatch.setenv("OLOG_WORKERS", "2")
+    space = InstanceSpace(max_len=3, alphabet=2)
+    expected = _strip(verify_all(space, 16, workers=0))
+    assert _strip(verify_all(space, 16)) == expected
+    assert _strip(verify_all(space, 16, workers=3)) == expected
+    monkeypatch.setenv("OLOG_WORKERS", "nope")
+    with pytest.raises(PreconditionError, match="OLOG_WORKERS"):
+        verify_all(space, 16)
 
 
 def test_pool_workers_decision(monkeypatch):
@@ -483,12 +512,10 @@ def test_pool_workers_decision(monkeypatch):
 
 
 def test_forced_worker_count_over_the_ceiling_starts_no_process(monkeypatch):
-    import multiprocessing
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(checker.os, "fork", no_fork)
     monkeypatch.setenv("OLOG_WORKERS", "100000")
     with pytest.raises(PreconditionError, match="OLOG_WORKERS"):
         verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
@@ -502,32 +529,78 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     assert checker._usable_cpus() == 1
 
 
-@pytest.mark.parametrize(
-    "max_len,alphabet,pieces", [(1, 1, 4), (8, 6, 16), (26, 3, 16), (5, 12, 3), (300, 1, 8)]
-)
-def test_chunks_stream_the_enumeration_in_balanced_runs(max_len, alphabet, pieces):
-    space = InstanceSpace(max_len=max_len, alphabet=alphabet)
+# Each probe runs in its own interpreter under a timeout, so a sweep that
+# waits forever on a dead worker fails the test instead of hanging the
+# suite, and the probe's own children are the only ones it can see.
+_SWEEP_PROBE = """
+import os, signal, sys, time
+from olog import checker
+from olog.algorithms import binary_search
 
-    def work(groups):
-        return sum((hi - lo + 1) * (len(items) + checker.SEQ_WORK) for items, lo, hi in groups)
+PARENT = os.getpid()
+max_len, alphabet, workers = map(int, sys.argv[1:4])
 
-    chunks = list(checker._chunks(space, pieces))
-    assert [g for c in chunks for g in c] == list(space.groups())
-    assert sum(map(work, chunks)) == checker._sweep_work(space)
-    target = min(-(-checker._sweep_work(space) // pieces), checker.CHUNK_WORK)
-    assert len(chunks) <= max(pieces, -(-checker._sweep_work(space) // target))
-    for c in chunks[:-1]:
-        assert target <= work(c) < target + work(c[-1:])
-    assert 0 < work(chunks[-1]) < target + work(chunks[-1][-1:])
+def killed_on_one(q, key, mode):
+    if tuple(q) == (0, 1, 2) and key == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return binary_search(q, key, mode)
+
+def parent_raises(q, key, mode):
+    if os.getpid() == PARENT:
+        raise KeyboardInterrupt
+    time.sleep(30)
+
+def children_exit(q, key, mode):
+    if os.getpid() != PARENT:
+        os._exit(3)
+    return binary_search(q, key, mode)
+
+search_fn = {"kill": killed_on_one, "raise": parent_raises, "exit": children_exit}[sys.argv[4]]
+started = time.perf_counter()
+try:
+    checker.verify_all(checker.InstanceSpace(max_len, alphabet), 2, search_fn=search_fn,
+                       workers=workers)
+except BaseException as err:
+    print(type(err).__name__, err)
+print(f"{time.perf_counter() - started:.3f}")
+try:
+    print("child left:", os.waitpid(-1, os.WNOHANG))
+except ChildProcessError:
+    print("no child left")
+"""
 
 
-def test_chunks_are_bounded_whatever_the_space(monkeypatch):
-    # 1e6 sequences of length up to 1e6: far over the caps, but the first
-    # chunk comes at once and holds at most CHUNK_WORK units
-    monkeypatch.setattr(checker, "CHUNK_WORK", 3 * 10**4)
-    first = next(checker._chunks(InstanceSpace(max_len=10**6, alphabet=1), 2))
-    units = sum(3 * (len(items) + checker.SEQ_WORK) for items, _, _ in first)
-    assert 3 * 10**4 <= units < 3 * 10**4 + 3 * (len(first[-1][0]) + checker.SEQ_WORK)
+def _sweep_probe(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(olog.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-c", _SWEEP_PROBE, *map(str, args)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    error, elapsed, left = run.stdout.splitlines()
+    assert float(elapsed) < 10
+    assert left == "no child left"
+    return error
+
+
+@pytest.mark.parametrize("max_len,alphabet,workers", [(3, 5, 2), (4, 3, 3)])
+def test_a_dead_worker_raises_instead_of_hanging(max_len, alphabet, workers):
+    # ([0, 1, 2], 1) lies in a child's share: its group's index is not a
+    # multiple of the worker count
+    groups = [items for items, _, _ in InstanceSpace(max_len, alphabet).groups()]
+    assert groups.index((0, 1, 2)) % workers != 0
+    error = _sweep_probe(max_len, alphabet, workers, "kill")
+    assert error.startswith("WorkerError sweep worker ")
+    assert "was killed by signal 9 (SIGKILL)" in error
+
+
+def test_a_worker_that_exits_early_is_named_by_its_status():
+    assert _sweep_probe(2, 2, 2, "exit") == (
+        "WorkerError sweep worker 1 of 2 exited with status 3; no verdict"
+    )
+
+
+def test_the_parents_share_raising_kills_and_reaps_every_child():
+    # the children would sleep for 30 s per instance
+    assert _sweep_probe(3, 2, 3, "raise") == "KeyboardInterrupt "
 
 
 def test_determinism_across_runs():

@@ -90,7 +90,7 @@ def test_verify_config_errors(argv, capsys):
 
 
 def _assert_rejected_at_once(*argv):
-    # neither a profile (numpy) nor a pool (multiprocessing) may have loaded
+    # neither a profile (numpy) nor multiprocessing may have loaded
     probe = (
         "import sys; from olog.cli import main; "
         f"rc = main({list(argv)!r}); "
@@ -122,6 +122,51 @@ def test_verify_rejects_a_huge_space_by_its_instance_floor(size):
     assert "exceed the cap" in run.stderr
 
 
+def test_verify_rejects_a_space_over_the_cap_with_a_short_line():
+    # 3002 * C(6000, 3000) passes the floor; its 1 808 digits are not printed
+    run = _assert_rejected_at_once("verify", "--max-len", "3000", "--alphabet", "3000",
+                                   "--grid", "2")
+    assert run.stderr == "error: a 1808-digit number of instances exceeds the cap 10000000\n"
+    assert len(run.stderr) < 200
+
+
+def test_default_verify_forks_without_multiprocessing_or_numpy():
+    probe = (
+        "import os, sys; os.environ['OLOG_WORKERS'] = '2'; from olog.cli import main; "
+        "assert main(['verify']) == 0; "
+        "loaded = {'numpy', 'multiprocessing'} & set(sys.modules); "
+        "assert not loaded, f'verify loaded {loaded}'"
+    )
+    run = _python("-c", probe)
+    assert run.returncode == 0, run.stderr
+
+
+def test_a_dead_sweep_worker_exits_2_with_one_error_line():
+    # the search kills its own process on one instance of the child's share
+    probe = (
+        "import os, signal, sys\n"
+        "from olog import checker\n"
+        "from olog.algorithms import binary_search\n"
+        "from olog.cli import main\n"
+        "def killed_on_one(q, key, mode):\n"
+        "    if tuple(q) == (0, 1, 2) and key == 1:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return binary_search(q, key, mode)\n"
+        "real = checker.verify_all\n"
+        "checker.verify_all = lambda space, grid: real(space, grid, search_fn=killed_on_one)\n"
+        "os.environ['OLOG_WORKERS'] = '2'\n"
+        "sys.exit(main(['verify', '--max-len', '3', '--alphabet', '5', '--grid', '2']))\n"
+    )
+    started = time.perf_counter()
+    run = _python("-c", probe, timeout=60)
+    assert time.perf_counter() - started < 10
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert run.stderr == (
+        "error: sweep worker 1 of 2 was killed by signal 9 (SIGKILL); no verdict\n"
+    )
+
+
 def test_verify_rejects_long_sequences_before_any_work():
     # 60 003 instances, but 3 keys x 2.0e8 sequence elements
     _assert_rejected_at_once("verify", "--max-len", "20000", "--alphabet", "1")
@@ -147,8 +192,9 @@ def test_bench_rejects_a_list_over_the_total_work_cap_before_any_profile():
 
 
 def test_commands_without_profiles_leave_numpy_unloaded():
-    # multiprocessing too: only a verify sweep big enough for a pool loads
-    # it, and numpy only the binary profile over a large list (a small
+    # multiprocessing too, which nothing loads (the sweep forks its own
+    # workers), and numpy, which only the binary profile over a large list
+    # loads (a small
     # binary list runs the instrumented search in process, and every
     # linear list the lockstep scan). Each command loads
     # only the olog modules it runs, and none loads dataclasses (numpy
@@ -240,7 +286,7 @@ _RSS_PROBE = (
 
 
 def _peak_rss_mb(*argv):
-    """Peak RSS of ``olog argv``, pool workers included (kB on Linux)."""
+    """Peak RSS of ``olog argv``, forked workers included (kB on Linux)."""
     run = _python("-c", _RSS_PROBE, sys.executable, "-m", "olog", *argv)
     rc, rss_kb = map(int, run.stdout.split())
     assert rc == 0
@@ -454,6 +500,12 @@ def test_trace_rejects_unsorted(capsys):
 
 def test_trace_rejects_garbage(capsys):
     assert main(["trace", "--q", "1,two,3", "--key", "1"]) == 2
+
+
+def test_trace_rejects_a_double_dash(capsys):
+    # argparse on Python 3.11 hands --q=-- over as an empty list
+    assert main(["trace", "--q=--", "--key", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_trace_has_no_csv_format(capsys):
