@@ -1,9 +1,11 @@
 """Executable worst-case step-count contracts for binary search.
 
 The instrumented search counts its loop iterations exactly; a recursive
-transition-cost model dominates that counter; the cost model is bounded
-by 2*ilog2(n+1)+1; and a machine-re-checked inequality chain turns that
-bound into the witness pair (c=6, n0=2) for membership in O(log2 n).
+transition-cost model equals that counter; the cost model on a range of
+width w is bounded by ``intmath.LOG_BOUND`` = 2*ilog2(w)+1, so the counter
+stays within ``STEP_BUDGET`` = 2*ilog2(n+1)+1; and a machine-re-checked
+inequality chain turns that budget into the witness pair (c=6, n0=2) for
+membership in O(log2 n).
 Every universally quantified claim is decided at every point of an
 explicit, reported grid (by dyadic blocks, on which ilog2 is constant),
 with exhaustive small-instance sweeps standing in for symbolic proof.

@@ -131,10 +131,10 @@ def key_span(items: Sequence[int], key: int) -> tuple[int, int]:
 
 def check_binary_posts(q: Sequence[int], r: int, key: int) -> bool:
     """Postcondition pair: a non-negative ``r`` is a valid index holding
-    ``key``; a negative ``r`` means ``key`` occurs nowhere in ``q``."""
+    ``key``; otherwise ``r`` is -1 and ``key`` occurs nowhere in ``q``."""
     if r >= 0:
         return r < len(q) and q[r] == key
-    return key not in tuple(q)
+    return r == -1 and key not in tuple(q)
 
 
 def check_binary_loop_inv(q: Sequence[int], lo: int, hi: int, r: int, key: int) -> bool:
@@ -233,12 +233,14 @@ def binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutcome:
     return _search(q, key, check_mode, advance=1)
 
 
-def broken_binary_search(q, key: int, check_mode: str = MODE_OFF) -> SearchOutcome:
+def broken_binary_search(q, key: int, check_mode: str = MODE_FULL_TRACE) -> SearchOutcome:
     """Deliberately broken search used to exercise the checkers.
 
     The same loop as :func:`binary_search` except the go-right branch
     keeps ``lo`` at ``mid`` instead of skipping past it, so the range
-    can stop shrinking. Only ever run it in the checking mode; the
-    termination check is what stops it.
+    can stop shrinking. It runs only in the checking mode, its default;
+    the termination check is what stops it, so ``"off"`` is refused.
     """
+    if check_mode == MODE_OFF:
+        raise PreconditionError("broken_binary_search runs only in the checking mode")
     return _search(q, key, check_mode, advance=0)  # the planted bug: must be 1

@@ -125,9 +125,6 @@ def _cmd_bound(args, out) -> int:
 
 
 def _cmd_bench(args, out) -> int:
-    # The binary profile runs only elementwise ufuncs, so OpenBLAS's thread
-    # pool would start for nothing; a value the caller set is kept.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from olog import estimator
     from olog.intmath import STEP_BUDGET
 

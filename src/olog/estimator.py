@@ -28,12 +28,12 @@ GROWTH_CLASSES = (
 )
 
 # A binary list of at most this much kernels.profile_work runs the
-# instrumented search in process; a larger one runs the numpy profile.
-# The instrumented search takes 0.19-0.29 us per unit (best of 5, Xeon,
-# 2 vCPU, Python 3.11.7): 13-18 ms for 1,16,256,4096 (60 066 units) and
-# 69-97 ms for 16:16384:x4 (335 076). Importing numpy and running its
-# profile on a small list costs 108-150 ms as a process. At this constant
-# the instrumented search takes 58-76 ms, about half of that.
+# instrumented search on every key in process, so that bench executes the
+# code it names; a larger one runs the width recurrence
+# kernels.binary_max_steps. The constant is a time budget: the
+# instrumented search takes 0.19-0.29 us per unit (best of 5, Xeon,
+# 2 vCPU, Python 3.11.7), 13-18 ms for 1,16,256,4096 (60 066 units),
+# 69-97 ms for 16:16384:x4 (335 076) and 58-76 ms at the constant.
 INSTRUMENTED_MAX_WORK = 2**18
 
 #: Ratio of runner-up error to best error below which the verdict is
@@ -103,9 +103,9 @@ def bench_steps(algorithm: str, sizes: Sequence[int]) -> list[StepSample]:
     ``kernels.profile_work`` against ``kernels.MAX_PROFILE_WORK``, before
     the first profile runs. A binary list of at most
     ``INSTRUMENTED_MAX_WORK`` units runs :func:`binary_search` itself on
-    every key and loads no numpy; a larger one runs the numpy profile in
-    ``kernels``, and both give the same counts. Every linear list runs
-    the lockstep scan ``kernels.linear_max_steps``, which loads no numpy.
+    every key; a larger one runs the width recurrence
+    ``kernels.binary_max_steps``, and both give the same counts. Every
+    linear list runs the lockstep scan ``kernels.linear_max_steps``.
     """
     if algorithm not in ALGORITHMS:
         raise PreconditionError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")

@@ -1,22 +1,18 @@
 """Hot kernels: the adversarial step profiles and the instance sweep.
 
-The binary profile is numpy-vectorized, and numpy is imported only
-inside it, so commands that never run it skip its import cost.
-``estimator.bench_steps`` runs it for a binary ``bench`` list whose
-``profile_work`` exceeds ``estimator.INSTRUMENTED_MAX_WORK``; a smaller
-binary list runs the instrumented ``binary_search`` itself. There each
-key of the adversarial family runs its own loop, comparison by
-comparison, with its state in int32 arrays updated in place. Keys go in
-chunks of 2^16, so that a chunk's arrays stay in L2, and a key leaves
-its chunk's arrays once its search exits, so later rounds touch only
-keys still searching. int32 holds every value formed: keys lie in
-[-1, n] and the largest sum, lo + hi, is at most
-2 * BINARY_PROFILE_MAX_N = 2^27.
+Both profiles are pure Python; olog has no dependencies.
+``estimator.bench_steps`` runs ``binary_max_steps`` for a binary
+``bench`` list whose ``profile_work`` exceeds
+``estimator.INSTRUMENTED_MAX_WORK``; a smaller binary list runs the
+instrumented ``binary_search`` itself on every key. The binary profile
+follows the widths of the ranges the search visits rather than the keys:
+on q = range(n) a key's next step depends only on its place in its range
+and on the range's width, so one pass over at most two widths per round
+gives the worst count over every key in O(log n).
 
-The linear profile is pure Python and never loads numpy: the scan walks
-q once for every key in lockstep, with the keys still scanning in a
-set, so a size costs O(n) set operations (2.5 ms for the default list
-16:16384:x4).
+The linear profile walks q once for every key in lockstep, with the
+keys still scanning in a set, so a size costs O(n) set operations
+(2.5 ms for the default list 16:16384:x4).
 
 The sweep runs the P1–P7 battery instance by instance through the
 instrumented search, whose loop-head invariant costs O(1) per head once
@@ -54,32 +50,20 @@ INSTANCE_PROPS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 ilog2_scan_monotonic = intmath.scan_monotonic
 calc_step_scan = intmath.first_failure
 
-# Adversarial profiles run the whole key family; these caps keep the
-# worst case of O(n log n) loop heads and O(n^2) scan comparisons (the
-# lockstep scan makes them in O(n) set operations) at desk scale.
+# The largest sizes a profile accepts. The instrumented search makes
+# O(n log n) loop heads over the key family and the linear scan O(n^2)
+# comparisons (the lockstep scan makes them in O(n) set operations); the
+# binary width recurrence runs any admitted size in O(log n) rounds.
 BINARY_PROFILE_MAX_N = 2**26
 LINEAR_PROFILE_MAX_N = 2**14
 
-# The caps bound one profile; MAX_PROFILE_WORK bounds a whole size list,
-# in the units of profile_work. Under the per-size caps alone a strictly
-# increasing list could hold hundreds of sizes near 2^26, at about 8 s
-# each. The numpy binary profile takes 4.7-7 ns per unit from n = 2^13
-# up (Xeon, 2 vCPU, numpy 2.4.6), so a list at the cap runs for 20-30 s
-# of it, like a verify space near its caps; the linear scan over the
-# sizes 1..2342 takes 0.4 s (Python 3.11.7), as it runs in O(n). It
-# admits a single size at either cap (1.9e9 and 2.7e8 units), both
-# default lists (3.0e7 and 2.9e8) and 16:67108864:x4 (2.4e9).
+# The caps bound one size; MAX_PROFILE_WORK bounds a whole size list, in
+# the units of profile_work, so that a strictly increasing list cannot
+# hold hundreds of sizes near a cap. The linear scan over the sizes
+# 1..2342 takes 0.4 s (Python 3.11.7). It admits a single size at either
+# cap (1.9e9 and 2.7e8 units), both default lists (3.0e7 and 2.9e8) and
+# 16:67108864:x4 (2.4e9).
 MAX_PROFILE_WORK = 2**32
-
-# Raising the binary cap past 2^30 would overflow lo + hi.
-_DTYPE = "int32"
-assert 2 * BINARY_PROFILE_MAX_N < 2**31
-
-# Keys per chunk of the binary profile: a chunk's keys, lo, hi and mid
-# take 256 KiB each and stay in a 2 MiB L2. Binary at 2^20, best of 5 in
-# each of two rounds, by chunk size (Xeon, 2 vCPU, numpy 2.4.6): 2^14:
-# 107-116 ms; 2^15: 105; 2^16: 73-96; 2^17: 107-109.
-_CHUNK = 1 << 16
 
 
 def backends() -> dict:
@@ -96,9 +80,10 @@ def check_profile_size(kind: str, n: int) -> None:
 
 
 def profile_work(kind: str, n: int) -> int:
-    """Closed-form bound on the loop work of the ``kind`` profile at size
-    ``n``: each of the n + 2 keys runs at most n.bit_length() + 1 binary
-    loop heads, or compares with at most n positions of the linear scan."""
+    """Closed-form bound on the per-key loop work of the ``kind`` profile
+    at size ``n``: each of the n + 2 keys runs at most n.bit_length() + 1
+    loop heads of the instrumented search, or compares with at most n
+    positions of the linear scan."""
     return (n + 2) * (n.bit_length() + 1 if kind == "binary" else n)
 
 
@@ -116,56 +101,25 @@ def check_profile_sizes(kind: str, sizes) -> int:
     return work
 
 
-def _chunks(lo: int, hi: int):
-    import numpy as np
-
-    for start in range(lo, hi + 1, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, hi + 1), dtype=_DTYPE)
-
-
-def _binary_rounds(keys, n: int) -> int:
-    """Iterations of the search loop on q = [0, n) until every key exits.
-
-    Each round every key still in the loop runs one iteration; a found
-    key collapses its range. Keys whose range is empty leave the arrays
-    once they make up at least half of them, so compaction copies at
-    most twice the chunk. The worst count among the keys is the number
-    of rounds in which any key was still running.
-    """
-    import numpy as np
-
-    lo = np.zeros_like(keys)
-    hi = np.full_like(keys, n)
-    mid = np.empty_like(keys)
-    rounds = 0
-    while keys.size:
-        rounds += 1
-        np.add(lo, hi, out=mid)
-        mid >>= 1
-        below = keys < mid
-        above = keys > mid
-        found = keys == mid
-        np.copyto(hi, mid, where=below)
-        mid += 1
-        np.copyto(lo, mid, where=above)
-        np.copyto(hi, lo, where=found)
-        # an exited key stays exited: from lo >= hi every branch keeps it
-        running = lo < hi
-        left = np.count_nonzero(running)
-        if 2 * left <= keys.size:
-            keys, lo, hi, mid = keys[running], lo[running], hi[running], mid[:left]
-    return rounds
-
-
 def binary_max_steps(n: int) -> int:
     """Worst iteration count over the adversarial key family on [0, n).
 
-    Runs the real comparison schedule for every key in [-1, n], one
-    chunk of keys at a time: on the identity sequence q[i] = i the probe
-    ``key < q[mid]`` is exactly ``key < mid``.
+    On q = range(n) the probe ``key < q[mid]`` is ``key < mid`` and
+    mid - lo = (hi - lo) // 2, so where a key goes next depends only on
+    its offset in its range and on the range's width w. Each round, every
+    live range of width w >= 1 runs one iteration: the key equal to mid
+    leaves, and the rest go to ranges of widths w // 2 and w - 1 - w // 2.
+    A child of width >= 1 holds at least the keys of its own elements, so
+    the worst count among the keys in [-1, n] is the number of rounds in
+    which some range was live. A round holds at most two widths.
     """
     check_profile_size("binary", n)
-    return max(_binary_rounds(keys, n) for keys in _chunks(-1, n))
+    widths = {n}
+    rounds = 0
+    while widths:
+        rounds += 1
+        widths = {c for w in widths for c in (w // 2, w - 1 - w // 2) if c}
+    return rounds
 
 
 def linear_max_steps(n: int) -> int:
@@ -176,7 +130,7 @@ def linear_max_steps(n: int) -> int:
     and the keys equal to it leave. A key that hits at i pays i + 1, one
     that never hits pays n, so the count is the last position at which
     any key was still live. The live keys sit in a set, which finds the
-    keys equal to q[i] by membership: O(n) in all, and no numpy.
+    keys equal to q[i] by membership: O(n) in all.
     """
     check_profile_size("linear", n)
     q = range(n)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,7 +110,13 @@ def test_linear_search_oracle(items, key, expected):
 
 @pytest.mark.parametrize(
     "items,r,key,expected",
-    [([1, 2], -1, 3, True), ([1, 2], 0, 1, True), ([1, 2], 0, 2, False), ([1, 2], 5, 1, False)],
+    [
+        ([1, 2], -1, 3, True),
+        ([1, 2], 0, 1, True),
+        ([1, 2], 0, 2, False),
+        ([1, 2], 5, 1, False),
+        ([1, 2], -2, 3, False),  # an absent key is reported as -1 only
+    ],
 )
 def test_check_binary_posts(items, r, key, expected):
     assert check_binary_posts(items, r, key) is expected
@@ -246,3 +258,28 @@ def test_broken_search_agrees_when_bug_not_hit():
     # going left only never exercises the planted bug
     outcome = broken_binary_search(SortedSeq([1, 3, 5, 7]), -2, MODE_FULL_TRACE)
     assert (outcome.r, outcome.t) == (-1, 3)
+
+
+@pytest.mark.parametrize(
+    "call,outcome",
+    [
+        ("broken_binary_search([0], 1)", "InvariantViolation"),
+        ("broken_binary_search([0], 1, 'off')", "PreconditionError"),
+    ],
+)
+def test_broken_search_never_runs_unchecked(call, outcome):
+    # without the termination check [0] with key 1 would loop forever, so
+    # the default is the checking mode and "off" is refused
+    probe = (
+        "import olog\n"
+        "try:\n"
+        f"    olog.{call}\n"
+        "except Exception as err:\n"
+        "    print(type(err).__name__)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    started = time.perf_counter()
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=5)
+    assert time.perf_counter() - started < 1.0
+    assert run.stdout == f"{outcome}\n", run.stderr

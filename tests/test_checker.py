@@ -319,6 +319,20 @@ def test_an_off_by_one_ilog2_fails_p8(monkeypatch):
     assert p8.counterexample == {"n": 1, "detail": "ilog2(1) != ilog2_oracle(1)"}
 
 
+def _absent_as_minus_two(q, key, mode):
+    # a search that reports an absent key as -2 instead of -1
+    out = binary_search(q, key, mode)
+    return out._replace(r=-2) if out.r < 0 else out
+
+
+def test_an_absent_index_other_than_minus_one_fails_p1():
+    report = verify_all(InstanceSpace(max_len=3, alphabet=2), grid=16,
+                        search_fn=_absent_as_minus_two, workers=0)
+    assert set(_failing(report)) == {"P1"}
+    assert _failing(report)["P1"][1] == ([], -1)
+    assert report.minimal_counterexample()["detail"] == "postconditions fail for r=-2"
+
+
 def _raises_on_one(q, key, mode):
     if list(q) == [0, 1] and key == 1:
         raise KeyError("planted")

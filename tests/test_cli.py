@@ -90,7 +90,7 @@ def test_verify_config_errors(argv, capsys):
 
 
 def _assert_rejected_at_once(*argv):
-    # neither a profile (numpy) nor multiprocessing may have loaded
+    # neither numpy nor multiprocessing may have loaded
     probe = (
         "import sys; from olog.cli import main; "
         f"rc = main({list(argv)!r}); "
@@ -186,21 +186,18 @@ def test_verify_rejects_a_forced_worker_count_over_the_ceiling(monkeypatch):
 
 
 def test_bench_rejects_a_list_over_the_total_work_cap_before_any_profile():
-    # 400 sizes, each under the binary cap: about an hour of profile
+    # 400 sizes, each under the binary cap: 7.2e11 units of profile_work
     cap = 2**26
     _assert_rejected_at_once("bench", "--sizes", ",".join(map(str, range(cap - 399, cap + 1))))
 
 
 def test_commands_without_profiles_leave_numpy_unloaded():
-    # multiprocessing too, which nothing loads (the sweep forks its own
-    # workers), and numpy, which only the binary profile over a large list
-    # loads (a small
-    # binary list runs the instrumented search in process, and every
-    # linear list the lockstep scan). Each command loads
-    # only the olog modules it runs, and none loads dataclasses (numpy
-    # does not either); modules the interpreter's own start-up loaded are
-    # not counted. The probe tests the automatic worker count, so a forced
-    # OLOG_WORKERS is dropped.
+    # no command loads numpy, which olog does not depend on, or
+    # multiprocessing (the sweep forks its own workers), and that includes
+    # every bench profile. Each command loads only the olog modules it
+    # runs, and none loads dataclasses; modules the interpreter's own
+    # start-up loaded are not counted. The probe tests the automatic
+    # worker count, so a forced OLOG_WORKERS is dropped.
     probe = (
         "import os, sys; os.environ.pop('OLOG_WORKERS', None); "
         "before = set(sys.modules); from olog.cli import main; "
@@ -219,6 +216,8 @@ def test_commands_without_profiles_leave_numpy_unloaded():
         "assert main(['bench', '--sizes', '16:4096:x4']) == 0; "
         "assert main(['bench', '--sizes', '1,16,256,4096']) == 0; "
         "assert not lazy(), f'a small binary bench loaded {lazy()}'; "
+        "assert main(['bench']) == 0; "
+        "assert not lazy(), f'the default bench loaded {lazy()}'; "
         "assert main(['bench', '--algo', 'linear']) == 0; "
         "assert not lazy(), f'a linear bench loaded {lazy()}'; "
         "assert 'dataclasses' not in set(sys.modules) - before, 'a command loaded dataclasses'; "
@@ -232,7 +231,7 @@ def test_commands_without_profiles_leave_numpy_unloaded():
     "argv,numpy",
     [
         (["bench", "--sizes", "1,16,256,4096"], False),
-        (["bench"], True),
+        (["bench"], False),
         (["bench", "--algo", "linear", "--sizes", "1,16,256,4096"], False),
         (["bench", "--algo", "linear"], False),
     ],
@@ -304,18 +303,15 @@ def test_long_sequences_are_streamed(workers, monkeypatch):
 
 
 def test_bench_profiles_run_in_bounded_memory():
-    # chunks of 2^20 int64 keys with per-round temporaries took 98 MB
-    # against 29 MB for the small sizes. 16:16384:x4 is over
-    # estimator.INSTRUMENTED_MAX_WORK, so both runs load numpy
-    default = _peak_rss_mb("bench")
-    small = _peak_rss_mb("bench", "--sizes", "16:16384:x4")
-    assert default <= 1.5 * small
+    # the width recurrence holds at most two widths a round: 14.7 MB for
+    # the default list against 14.4 MB for --help, where a vectorised
+    # kernel over every key took 29.8 MB
+    assert _peak_rss_mb("bench") <= 1.25 * _peak_rss_mb("--help")
 
 
 def test_linear_bench_stays_near_the_interpreter_footprint():
-    # the lockstep scan holds one set of at most 2^14 + 2 keys and loads
-    # no numpy: 15.7 MB against 14.4 MB for --help, where the numpy scan
-    # took 28.3 MB
+    # the lockstep scan holds one set of at most 2^14 + 2 keys: 15.7 MB
+    # against 14.4 MB for --help, where a vectorised scan took 28.3 MB
     assert _peak_rss_mb("bench", "--algo", "linear") <= 1.25 * _peak_rss_mb("--help")
 
 
@@ -363,16 +359,6 @@ def test_bound_rejects_tiny_grid(capsys):
     assert main(["bound", "--grid", "1"]) == 2
 
 
-@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
-def test_bench_caps_openblas_threads_unless_set(monkeypatch, capsys, preset, expected):
-    if preset is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
-    assert main(["bench", "--algo", "linear"]) == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
-
-
 def test_bench_binary_json(capsys):
     assert main(["bench", "--sizes", "16:1048576:x4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -380,6 +366,19 @@ def test_bench_binary_json(capsys):
     jsonschema.validate(payload["classification"], _schema("classification.schema.json"))
     assert payload["algorithm"] == "binary_search"
     assert payload["classification"]["verdict"] == "Logarithmic"
+
+
+def test_bench_runs_every_size_to_the_binary_cap_at_once():
+    # 2.4e9 units of per-key work, but the width recurrence takes O(log n)
+    # rounds per size
+    started = time.perf_counter()
+    run = _python("-m", "olog", "bench", "--sizes", "16:67108864:x4", "--format", "json",
+                  timeout=10)
+    assert time.perf_counter() - started < 1.0
+    assert run.returncode == 0, run.stderr
+    samples = json.loads(run.stdout)["samples"]
+    assert [s["n"] for s in samples] == [16 * 4**k for k in range(12)]
+    assert all(s["t_max"] == s["n"].bit_length() for s in samples)
 
 
 def test_bench_linear_control(capsys):

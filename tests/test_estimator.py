@@ -56,14 +56,14 @@ def _profiles_run(monkeypatch):
     monkeypatch.setattr(
         estimator, "instrumented_max_steps", record("instrumented", estimator.instrumented_max_steps)
     )
-    monkeypatch.setattr(kernels, "binary_max_steps", record("numpy", kernels.binary_max_steps))
+    monkeypatch.setattr(kernels, "binary_max_steps", record("profile", kernels.binary_max_steps))
     monkeypatch.setattr(kernels, "linear_max_steps", record("linear", kernels.linear_max_steps))
     return ran
 
 
 # profile_work of 1,16,256,4096 is 60 066; with 13 469 last the list is 13
 # units under INSTRUMENTED_MAX_WORK, with 13 470 last it is 2 units over
-@pytest.mark.parametrize("last,selected", [(13469, "instrumented"), (13470, "numpy")])
+@pytest.mark.parametrize("last,selected", [(13469, "instrumented"), (13470, "profile")])
 def test_both_binary_profiles_give_the_same_samples(last, selected, monkeypatch):
     sizes = [1, 16, 256, 4096, last]
     work = sum(kernels.profile_work("binary", n) for n in sizes)
@@ -76,7 +76,7 @@ def test_both_binary_profiles_give_the_same_samples(last, selected, monkeypatch)
     monkeypatch.setattr(estimator, "INSTRUMENTED_MAX_WORK", other)
     ran.clear()
     assert bench_steps("binary_search", sizes) == samples
-    assert set(ran) == {"numpy", "instrumented"} - {selected}
+    assert set(ran) == {"profile", "instrumented"} - {selected}
     assert samples == [StepSample(n, n.bit_length()) for n in sizes]
 
 
@@ -96,7 +96,7 @@ def test_total_profile_work_is_capped_before_any_profile(monkeypatch):
     for name in ("binary_max_steps", "linear_max_steps"):
         monkeypatch.setattr(kernels, name, no_profile)
     monkeypatch.setattr(estimator, "instrumented_max_steps", no_profile)
-    # each size is within its cap, the list is not: about an hour of profile
+    # each size is within its cap, the list's profile_work is not
     cap = kernels.BINARY_PROFILE_MAX_N
     with pytest.raises(PreconditionError, match="exceeds the cap"):
         bench_steps("binary_search", list(range(cap - 399, cap + 1)))

@@ -65,8 +65,9 @@ ROUTES = {
         ("binary_max_steps", (1000,)),
         ("binary_max_steps", (4096,)),
         ("linear_max_steps", (257,)),
-        # the family has n + 2 keys: n = _CHUNK - 2 fills one chunk exactly
-        *(("binary_max_steps", (kernels._CHUNK + d,)) for d in range(-3, 2)),
+        # the worst count steps up at each power of two
+        *(("binary_max_steps", (2**k + d,)) for k in (16, 20, 26) for d in (-1, 0, 1)
+          if 2**k + d <= kernels.BINARY_PROFILE_MAX_N),
     ],
 )
 def test_scan_parity(fn, args):
@@ -84,8 +85,9 @@ def test_calc_step_parity(step):
 
 def test_binary_max_steps_matches_per_key_library_runs():
     # bench's in-process profile runs binary_search on every key of the
-    # family; 4095..4097 straddle a power of two
-    for n in [*range(1, 301), 4095, 4096, 4097]:
+    # family; 2^k - 1..2^k + 1 straddle each power of two up to 2^13
+    straddles = [2**k + d for k in range(9, 14) for d in (-1, 0, 1)]
+    for n in [*range(1, 301), *straddles]:
         assert kernels.binary_max_steps(n) == instrumented_max_steps(n)
 
 
@@ -113,17 +115,15 @@ def _identity_search_steps(n, key):
     return t
 
 
-def test_int32_headroom_at_binary_cap():
-    import numpy as np
-
+def test_binary_max_steps_at_the_cap_covers_the_top_keys():
+    # the width recurrence never runs a key; no key at the ends of the
+    # family or next to the middle needs more than it counts, and key -1,
+    # which halves 2^26 down to 1, needs exactly that
     cap = kernels.BINARY_PROFILE_MAX_N
-    assert np.iinfo(kernels._DTYPE).max >= 2 * cap
-    # keys at the top of the family form lo + hi close to 2 * cap
+    worst = kernels.binary_max_steps(cap)
+    assert worst == cap.bit_length()
     keys = [-1, 0, cap // 2, cap // 2 + 1] + list(range(cap - 40, cap + 1))
-    steps = [_identity_search_steps(cap, key) for key in keys]
-    for key, t in zip(keys, steps):
-        assert kernels._binary_rounds(np.array([key], dtype=kernels._DTYPE), cap) == t
-    assert kernels._binary_rounds(np.array(keys, dtype=kernels._DTYPE), cap) == max(steps)
+    assert worst == max(_identity_search_steps(cap, key) for key in keys)
 
 
 def test_verify_sweep_takes_each_groups_own_keys():
