@@ -26,12 +26,11 @@ _EXPORTS = {
         "SortedSeq",
         "binary_search",
         "broken_binary_search",
-        "check_binary_loop_inv",
         "check_binary_posts",
         "check_sorted",
         "linear_search_oracle",
     ),
-    "checker": ("CheckReport", "InstanceSpace", "enumerate_instances", "verify_all"),
+    "checker": ("CheckReport", "InstanceSpace", "verify_all"),
     "complexity": (
         "CalcTrace",
         "LogWitness",
@@ -48,7 +47,7 @@ _EXPORTS = {
         "VacuousRangeError",
     ),
     "estimator": ("ClassificationReport", "StepSample", "bench_steps", "fit_class"),
-    "intmath": ("STEP_BUDGET", "ilog2", "ilog2_checked_against_oracle", "ilog2_oracle"),
+    "intmath": ("STEP_BUDGET", "ilog2", "ilog2_oracle"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli", "kernels")

@@ -137,17 +137,6 @@ def check_binary_posts(q: Sequence[int], r: int, key: int) -> bool:
     return r == -1 and key not in tuple(q)
 
 
-def check_binary_loop_inv(q: Sequence[int], lo: int, hi: int, r: int, key: int) -> bool:
-    """Loop-head invariant of the search.
-
-    Bounds 0 <= lo <= hi <= len(q) hold; while the key is unfound
-    (r < 0) it cannot live in the discarded prefix q[:lo] or suffix
-    q[hi:] (the prefix excludes index lo); once found, r indexes the key.
-    """
-    items = tuple(q)
-    return _inv_holds(items, lo, hi, r, key, key_span(items, key))
-
-
 def _inv_holds(items, lo: int, hi: int, r: int, key: int, span: tuple[int, int]) -> bool:
     """The one statement of the loop-head invariant, given
     ``span = key_span(items, key)``: "key not in items[:lo]" is first >= lo

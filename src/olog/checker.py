@@ -46,7 +46,6 @@ import time
 from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
 
 from olog import complexity, intmath, kernels
-from olog.algorithms import SortedSeq
 from olog.errors import CalcChainError, PreconditionError, WorkerError
 from olog.intmath import MAX_GRID, validated_make
 
@@ -179,30 +178,12 @@ def nondecreasing_sequences(length: int, alphabet: int) -> Iterator[tuple[int, .
         seq[i:] = [seq[i] + 1] * (length - i)
 
 
-def enumerate_instances(space: InstanceSpace) -> Iterator[tuple[SortedSeq, int]]:
-    """Every (sorted sequence, key) pair of the space, deterministically:
-    shortest sequences first, lexicographic within a length, keys ascending."""
-    for items, key_lo, key_hi in space.groups():
-        seq = SortedSeq(items)
-        for key in range(key_lo, key_hi + 1):
-            yield seq, key
-
-
 class PropertyResult(NamedTuple):
     id: str
     name: str
     passed: bool
     violations: int
     counterexample: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "passed": self.passed,
-            "violations": self.violations,
-            "counterexample": self.counterexample,
-        }
 
 
 class CheckReport(NamedTuple):
@@ -234,7 +215,7 @@ class CheckReport(NamedTuple):
             "instances_checked": self.instances_checked,
             "complete_to": self.complete_to,
             "all_passed": self.all_passed,
-            "properties": [p.to_dict() for p in self.properties],
+            "properties": [p._asdict() for p in self.properties],
             "grid_bounds": self.grid_bounds,
             "max_tbs_gap": self.max_tbs_gap,
             "minimal_counterexample": self.minimal_counterexample(),
@@ -259,9 +240,8 @@ def _pool_workers(space: InstanceSpace) -> int:
     """Worker processes for the sweep; 0 runs it in this process.
 
     ``OLOG_WORKERS`` forces the count when set (0 is sequential, at
-    most MAX_WORKERS).
-    Otherwise every usable CPU is used once the space's estimated work
-    pays for forking.
+    most MAX_WORKERS). Otherwise every usable CPU is used once the
+    space's estimated work pays for forking.
     """
     raw = os.environ.get("OLOG_WORKERS")
     if raw is not None:
@@ -271,10 +251,9 @@ def _pool_workers(space: InstanceSpace) -> int:
             raise PreconditionError(f"OLOG_WORKERS must be an integer, got {raw!r}")
         if not 0 <= workers <= MAX_WORKERS:
             raise PreconditionError(f"OLOG_WORKERS must be in [0, {MAX_WORKERS}], got {workers}")
-    else:
-        cpus = _usable_cpus()
-        workers = cpus if cpus >= 2 and _sweep_work(space) >= POOL_MIN_WORK else 0
-    return workers
+        return workers
+    cpus = _usable_cpus()
+    return cpus if cpus >= 2 and _sweep_work(space) >= POOL_MIN_WORK else 0
 
 
 def _enumeration_order(counterexample: dict) -> tuple:
@@ -358,9 +337,8 @@ def _forked_sweep(space: InstanceSpace, search_fn, workers: int) -> dict:
     Each process enumerates the whole stream and skips the other shares'
     groups, so each pays for the whole enumeration: about 1% of the
     sequential sweep at (5, 12) and 5% at (2000, 1) (Python 3.11.7, 2
-    vCPU). Only the calling thread survives a
-    fork, so a caller whose other threads hold locks should sweep with
-    ``workers=0``.
+    vCPU). Only the calling thread survives a fork, so a caller whose
+    other threads hold locks should sweep with ``workers=0``.
     """
     children: dict = {}  # pid -> (share, read end of its pipe), until reaped
     try:
@@ -463,28 +441,17 @@ def verify_all(
     mono, odd = intmath.scan_monotonic(grid), intmath.scan_oracle_equivalence(grid)
     p8 = [
         {"n": n, "detail": detail}
-        for n, detail in sorted(
-            [
-                (mono, f"ilog2({mono}) > ilog2({mono + 1})"),
-                (odd, f"ilog2({odd}) != ilog2_oracle({odd})"),
-            ]
-        )
+        for n, detail in sorted([(mono, f"ilog2({mono}) > ilog2({mono + 1})"),
+                                 (odd, f"ilog2({odd}) != ilog2_oracle({odd})")])
         if n
     ]
     results.append(PropertyResult("P8", PROPERTY_NAMES["P8"], not p8, len(p8), p8[0] if p8 else None))
     try:
         complexity.derive_log_witness(grid)
-        results.append(PropertyResult("P9", PROPERTY_NAMES["P9"], True, 0, None))
+        p9 = None
     except CalcChainError as err:
-        results.append(
-            PropertyResult(
-                "P9",
-                PROPERTY_NAMES["P9"],
-                False,
-                1,
-                {"step": err.step_index, "n": err.n, "detail": str(err)},
-            )
-        )
+        p9 = {"step": err.step_index, "n": err.n, "detail": str(err)}
+    results.append(PropertyResult("P9", PROPERTY_NAMES["P9"], not p9, int(bool(p9)), p9))
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return CheckReport(

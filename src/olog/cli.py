@@ -6,7 +6,8 @@ Four workflows: ``verify`` (exhaustive property suite), ``bound``
 (per-iteration view of a single search).
 
 Exit codes: 0 success, 1 a checked property/bound failed, 2 bad
-configuration or input, or a sweep worker that died without a verdict.
+configuration or input, a sweep worker that died without a verdict, or
+output that could not be written.
 
 Each command imports the modules it runs inside its ``_cmd_*``
 function, so a call pays the start-up of those modules only.
@@ -15,6 +16,7 @@ function, so a call pays the start-up of those modules only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -31,6 +33,19 @@ _ALGO_FLAG = {"binary": "binary_search", "linear": "linear_oracle"}
 def _fail_config(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _write(out, to_file: bool, text: str) -> str | None:
+    """Write and flush the report; the error, if it cannot be written."""
+    try:
+        if to_file and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate(0)
+        out.write(text)
+        out.flush()
+    except OSError as err:
+        if not to_file:  # so no later write, at exit included, fails again (Python docs, SIGPIPE)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return f"cannot write output: {err}"
 
 
 def parse_sizes(text: str) -> list[int]:
@@ -133,10 +148,11 @@ def _cmd_bench(args, out) -> int:
     samples = estimator.bench_steps(algorithm, sizes)
     report = estimator.fit_class(samples)
 
-    failed = False
-    if algorithm == "binary_search":
-        over_budget = [s for s in samples if s.t_max > STEP_BUDGET(s.n)]
-        failed = bool(over_budget) or report.verdict != "Logarithmic"
+    failed = algorithm == "binary_search" and (
+        any(s.t_max > STEP_BUDGET(s.n) for s in samples) or report.verdict != "Logarithmic"
+    )
+    margin = "inf" if report.margin is None else f"{report.margin:.2f}"
+    verdict = f"classification: {report.verdict} (margin={margin})"
 
     if args.format == "json":
         payload = {
@@ -147,16 +163,11 @@ def _cmd_bench(args, out) -> int:
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
         out.write(estimator.samples_to_csv(samples))
-        print(
-            f"classification: {report.verdict} (margin="
-            f"{'inf' if report.margin is None else f'{report.margin:.2f}'})",
-            file=sys.stderr,
-        )
+        print(verdict, file=sys.stderr)
     else:
         lines = [f"algorithm: {algorithm}", f"{'n':>9} {'t_max':>7}"]
         lines += [f"{s.n:>9} {s.t_max:>7}" for s in samples]
-        margin = "inf" if report.margin is None else f"{report.margin:.2f}"
-        lines.append(f"classification: {report.verdict} (margin={margin})")
+        lines.append(verdict)
         out.write("\n".join(lines) + "\n")
     return 1 if failed else 0
 
@@ -248,7 +259,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     # --output is opened before the work, so that an unwritable path is a
     # configuration error reported at once, but in append mode: a run that
-    # exits 2 leaves an existing file as it was, and removes one it made.
+    # exits 2 removes a file it made, and leaves an existing one as it was
+    # unless the write itself failed.
     # The command writes to a buffer, which then replaces a regular file's
     # content; a device or pipe (/dev/null, /dev/stdout) cannot be
     # truncated and gets the buffer appended.
@@ -261,17 +273,18 @@ def main(argv: list[str] | None = None) -> int:
     text = io.StringIO()
     try:
         code = args.fn(args, text)
-        if to_file and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-            out.truncate(0)
-        out.write(text.getvalue())
-        return code
+        error = _write(out, to_file, text.getvalue())
     except (ValueError, WorkerError) as err:  # PreconditionError included
-        if made:
-            os.remove(args.output)
-        return _fail_config(str(err))
+        error = str(err)
     finally:
         if to_file:
-            out.close()
+            with contextlib.suppress(OSError):  # a failed write was reported
+                out.close()
+    if error is None:
+        return code
+    if made:
+        os.remove(args.output)
+    return _fail_config(error)
 
 
 def console_main() -> None:

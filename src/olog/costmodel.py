@@ -51,19 +51,12 @@ def tbs_path(q: Sequence[int], key: int) -> dict[tuple[int, int], int]:
     empty range it ends on.
     """
     costs: dict[tuple[int, int], int] = {}
-    _visit(q, 0, len(q), key, 0, costs)
+    costs[0, len(q)] = _tbs(q, 0, len(q), key, 0, costs)
     return costs
 
 
-def _visit(q, lo, hi, key, depth, costs):
-    # records what the (module-global) recurrence returns for [lo, hi)
-    cost = _tbs(q, lo, hi, key, depth, costs)
-    if costs is not None:
-        costs[lo, hi] = cost
-    return cost
-
-
 def _tbs(q, lo, hi, key, depth, costs):
+    # records under each child range what the module-global _tbs returns
     if depth > _MAX_DEPTH:
         raise AssertionError("transition-cost recursion exceeded its depth cap")
     mid = (lo + hi) // 2
@@ -74,8 +67,13 @@ def _tbs(q, lo, hi, key, depth, costs):
     if key == q[mid] or hi - lo == 1:
         return 1
     if key < q[mid]:
-        return 1 + _visit(q, lo, mid, key, depth + 1, costs)
-    return 1 + _visit(q, mid + 1, hi, key, depth + 1, costs)
+        hi = mid
+    else:
+        lo = mid + 1
+    cost = _tbs(q, lo, hi, key, depth + 1, costs)
+    if costs is not None:
+        costs[lo, hi] = cost
+    return 1 + cost
 
 
 def tbs_table(q: Sequence[int], key: int) -> list[list[int]]:

@@ -9,17 +9,17 @@ central function is ``ilog2``, defined by the recurrence
 which equals floor(log2(n)). A repeated-doubling oracle provides an
 independent route to the same value.
 
-Every claim the package checks over a grid of n (monotonicity, the
-doubling law, the inequality chain, the step budget against a witness)
-is a ``Relation`` between two sums of terms ``a*ilog2(b*n + d)`` plus a
-constant, and ``first_failure`` checks any of them. It is exhaustive
-because ilog2 is constant on each dyadic block [2**k, 2**(k+1) - 1]
-(Knuth, TAOCP Vol. 1, 1.2.4): a term can change value only where its
-argument b*n + d reaches a power of two, so between two such points
-both sides, and hence the relation's truth, are constant. Evaluating
-the relation once at the start of each of those blocks therefore
-decides it at every n, and the first failing block start is the first
-failing n.
+Every claim the package checks over a grid of n (monotonicity, each
+step of the inequality chain, among them the doubling law, and the step
+budget against a witness) is a ``Relation`` between two sums of terms
+``a*ilog2(b*n + d)`` plus a constant, and ``first_failure`` checks any
+of them. It is exhaustive because ilog2 is constant on each dyadic
+block [2**k, 2**(k+1) - 1] (Knuth, TAOCP Vol. 1, 1.2.4): a term can
+change value only where its argument b*n + d reaches a power of two, so
+between two such points both sides, and hence the relation's truth, are
+constant. Evaluating the relation once at the start of each of those
+blocks therefore decides it at every n, and the first failing block
+start is the first failing n.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ def ilog2_oracle(n: int) -> int:
         power *= 2
         k += 1
     return k
-
-
-def ilog2_checked_against_oracle(n: int) -> bool:
-    """True iff the halving recurrence and the doubling oracle agree at ``n``."""
-    return ilog2(n) == ilog2_oracle(n)
 
 
 # Records are NamedTuples: immutable, compared and hashed by value, and
@@ -196,18 +191,10 @@ LOG_BOUND = Expr((Term(2, 1, 0),), 1)
 #: P8: ilog2(x) <= ilog2(x+1) at adjacent points, hence monotonic by transitivity.
 MONOTONIC = Relation(Expr((Term(1, 1, 0),), 0), "<=", Expr((Term(1, 1, 1),), 0))
 
-#: The doubling law ilog2(2n) = 1 + ilog2(n).
-DOUBLING = Relation(Expr((Term(1, 2, 0),), 0), "=", Expr((Term(1, 1, 0),), 1))
-
 
 def scan_monotonic(n_max: int) -> int:
     """First x in [1, n_max] with ilog2(x) > ilog2(x+1), or 0 if none."""
     return first_failure(MONOTONIC, 1, n_max)
-
-
-def scan_doubling(n_max: int) -> int:
-    """First n in [1, n_max] with ilog2(2n) != 1 + ilog2(n), or 0 if none."""
-    return first_failure(DOUBLING, 1, n_max)
 
 
 def scan_oracle_equivalence(n_max: int) -> int:
@@ -219,6 +206,6 @@ def scan_oracle_equivalence(n_max: int) -> int:
     _check_range(1, n_max)
     for k in range(n_max.bit_length()):
         for n in (1 << k, min((2 << k) - 1, n_max)):
-            if not ilog2_checked_against_oracle(n):
+            if ilog2(n) != ilog2_oracle(n):
                 return n
     return 0

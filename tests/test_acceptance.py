@@ -16,6 +16,8 @@ from olog.checker import InstanceSpace
 from olog.cli import main
 from olog.intmath import ilog2
 
+from doubling import DOUBLING
+
 
 class _Run:
     def __enter__(self):
@@ -100,7 +102,7 @@ def test_c4_tbs_log_bound_property(default_verify_report):
 def test_c5_ilog2_grid_properties():
     with _Run() as run:
         mono = intmath.scan_monotonic(2**20)
-        doubling = intmath.scan_doubling(2**20)
+        doubling = intmath.first_failure(DOUBLING, 1, 2**20)
     failures = []
     if mono != 0:
         failures.append(f"monotonicity fails first at x={mono}")

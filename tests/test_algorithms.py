@@ -11,10 +11,10 @@ from olog import costmodel
 from olog.algorithms import (
     MODE_FULL_TRACE,
     SortedSeq,
+    _inv_holds,
     _search,
     binary_search,
     broken_binary_search,
-    check_binary_loop_inv,
     check_binary_posts,
     check_sorted,
     first_indices,
@@ -134,7 +134,8 @@ def test_check_binary_posts(items, r, key, expected):
     ],
 )
 def test_check_binary_loop_inv(lo, hi, r, key, expected):
-    assert check_binary_loop_inv([1, 3, 5, 7], lo, hi, r, key) is expected
+    items = [1, 3, 5, 7]
+    assert _inv_holds(items, lo, hi, r, key, key_span(items, key)) is expected
 
 
 def _sliced_loop_inv(q, lo, hi, r, key):
@@ -166,7 +167,8 @@ def loop_heads(draw):
 @given(loop_heads())
 def test_loop_inv_equals_the_sliced_statement(head):
     items, lo, hi, r, key = head
-    assert check_binary_loop_inv(items, lo, hi, r, key) is _sliced_loop_inv(items, lo, hi, r, key)
+    inv = _inv_holds(items, lo, hi, r, key, key_span(items, key))
+    assert inv is _sliced_loop_inv(items, lo, hi, r, key)
 
 
 @given(loop_heads())

@@ -24,15 +24,26 @@ from olog.algorithms import (
     binary_search,
     broken_binary_search,
 )
-from olog.checker import (
-    InstanceSpace,
-    enumerate_instances,
-    nondecreasing_sequences,
-    verify_all,
-)
+from olog.checker import InstanceSpace, nondecreasing_sequences, verify_all
 from olog.errors import PreconditionError
 
 SCHEMAS = Path(olog.__file__).parent / "schemas"
+
+
+def _instances(space):
+    # the (q, key) pairs of the space, in the order the sweep checks them
+    return [(q, key) for q, lo, hi in space.groups() for key in range(lo, hi + 1)]
+
+
+def _reference_instances(max_len, alphabet):
+    # shortest first, lexicographic within a length, keys ascending:
+    # combinations_with_replacement yields one length's sorted tuples in order
+    return [
+        (q, key)
+        for length in range(max_len + 1)
+        for q in combinations_with_replacement(range(alphabet), length)
+        for key in range(-1, alphabet + 1)
+    ]
 
 
 def _sequence_count(max_len, alphabet):
@@ -49,15 +60,16 @@ def test_space_validation():
 
 def test_enumeration_tiny_space():
     space = InstanceSpace(max_len=1, alphabet=1)
-    instances = list(enumerate_instances(space))
+    instances = _instances(space)
+    assert instances == _reference_instances(1, 1)
     assert len(instances) == 6  # ([], [0]) x keys {-1, 0, 1}
-    assert [tuple(s) for s, _ in instances] == [(), (), (), (0,), (0,), (0,)]
+    assert [s for s, _ in instances] == [(), (), (), (0,), (0,), (0,)]
     assert [k for _, k in instances] == [-1, 0, 1, -1, 0, 1]
 
 
 def test_enumeration_count_formula():
     space = InstanceSpace(max_len=8, alphabet=6)
-    total = sum(1 for _ in enumerate_instances(space))
+    total = len(_instances(space))
     assert _sequence_count(8, 6) == 3003 == math.comb(14, 6)
     assert total == 3003 * space.keys_per_sequence == 24024
 
@@ -65,8 +77,9 @@ def test_enumeration_count_formula():
 @pytest.mark.parametrize("max_len,alphabet", [(1, 1), (3, 1), (2, 5), (4, 3), (6, 2), (8, 6)])
 def test_instance_count_closed_form(max_len, alphabet):
     space = InstanceSpace(max_len=max_len, alphabet=alphabet)
-    assert space.instances == sum(1 for _ in enumerate_instances(space))
-    assert space.elements == sum(len(s) for s, key in enumerate_instances(space) if key == -1)
+    reference = _reference_instances(max_len, alphabet)
+    assert space.instances == len(reference)
+    assert space.elements == sum(len(s) for s, key in reference if key == -1)
     assert space.key_elements == sum((hi - lo + 1) * len(s) for s, lo, hi in space.groups())
 
 
@@ -86,7 +99,7 @@ def test_groups_stream_every_sequence_with_the_space_keys(max_len, alphabet):
 def test_instance_space_closed_under_slicing(max_len, alphabet):
     # the second obligation of the sweep's P5 reduction
     space = InstanceSpace(max_len=max_len, alphabet=alphabet)
-    instances = {(s.items, key) for s, key in enumerate_instances(space)}
+    instances = set(_instances(space))
     for items, key in instances:
         for lo in range(len(items) + 1):
             for hi in range(lo, len(items) + 1):
@@ -132,7 +145,9 @@ def test_verify_all_bounds_keys_times_elements(monkeypatch):
 
 def test_enumeration_is_sorted_and_ordered():
     space = InstanceSpace(max_len=3, alphabet=3)
-    seqs = [tuple(s) for s, k in enumerate_instances(space) if k == -1]
+    instances = _instances(space)
+    assert instances == _reference_instances(3, 3)
+    seqs = [s for s, k in instances if k == -1]
     assert all(list(s) == sorted(s) for s in seqs)
     # shortest first, lexicographic within a length
     keyed = [(len(s), s) for s in seqs]
@@ -288,7 +303,7 @@ def test_max_tbs_gap_sees_a_counter_that_overcounts():
 
 @pytest.mark.parametrize("branch,first", [("left", ([0, 0], -1)), ("right", ([0, 0], 1))])
 def test_a_cost_model_that_overcharges_fails_p4(monkeypatch, branch, first):
-    # the mutant 1 + _visit(...) -> 2 + _visit(...) on one branch of _tbs;
+    # a mutant of _tbs that charges one more on one branch of its recursion;
     # P5's bound 2*ilog2(w)+1 is loose enough to absorb the extra cost
     exact = costmodel._tbs
 
@@ -708,10 +723,10 @@ def test_outcome_depends_only_on_the_order_type():
     # what lets complete_to speak for every integer sequence
     space = InstanceSpace(max_len=5, alphabet=7)
     types = set()
-    for seq, key in enumerate_instances(space):
-        canonical = _order_type(seq.items, key)
+    for items, key in _instances(space):
+        canonical = _order_type(items, key)
         types.add(canonical)
-        assert _outcome(seq.items, key) == _outcome(*canonical), (seq.items, key)
+        assert _outcome(items, key) == _outcome(*canonical), (items, key)
     assert space.instances == 7128
     assert len(types) == 192 == sum(_order_types(n) for n in range(6))
     assert space.complete_to == 5
@@ -722,7 +737,7 @@ def test_outcome_depends_only_on_the_order_type():
 )
 def test_complete_to_is_tight(max_len, alphabet):
     space = InstanceSpace(max_len=max_len, alphabet=alphabet)
-    types = {_order_type(s.items, key) for s, key in enumerate_instances(space)}
+    types = {_order_type(items, key) for items, key in _instances(space)}
     by_length = Counter(len(items) for items, _ in types)
     n = space.complete_to
     assert all(by_length[m] == _order_types(m) for m in range(n + 1))

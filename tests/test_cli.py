@@ -17,10 +17,11 @@ SCHEMAS = Path(olog.__file__).parent / "schemas"
 SRC = Path(olog.__file__).parent.parent
 
 
-def _python(*args, timeout=60):
+def _python(*args, timeout=60, stdout=subprocess.PIPE):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        timeout=timeout,
     )
 
 
@@ -601,6 +602,34 @@ def test_output_to_stdout_through_a_pipe():
     piped = _python("-m", "olog", *argv, "--output", "/dev/stdout", timeout=10)
     assert piped.returncode == 0, piped.stderr
     assert piped.stdout == _python("-m", "olog", *argv, timeout=10).stdout
+
+
+def _assert_write_error(run):
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: cannot write output: ")
+    assert run.stderr.count("\n") == 1, run.stderr  # no traceback, no "Exception ignored"
+
+
+def test_a_full_device_exits_2_with_one_error_line():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    argv = ["-m", "olog", "trace", "--q", "1,2,3", "--key", "2"]
+    # ENOSPC at the close of --output, and at the flush of stdout
+    _assert_write_error(_python(*argv, "--output", "/dev/full", timeout=10))
+    with open("/dev/full", "w") as full:
+        _assert_write_error(_python(*argv, timeout=10, stdout=full))
+
+
+def test_a_closed_stdout_pipe_exits_2_with_one_error_line():
+    rfd, wfd = os.pipe()
+    os.close(rfd)  # the reader is gone before olog writes
+    try:
+        argv = ["verify", "--max-len", "1", "--alphabet", "1", "--grid", "2", "--format", "csv"]
+        run = _python("-m", "olog", *argv, timeout=30, stdout=wfd)
+    finally:
+        os.close(wfd)
+    _assert_write_error(run)
+    assert "Broken pipe" in run.stderr
 
 
 def test_unknown_command_exits_2():

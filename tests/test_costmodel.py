@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from olog import costmodel
 from olog.algorithms import SortedSeq, binary_search
 from olog.checker import InstanceSpace
 from olog.costmodel import tbs, tbs_table
@@ -27,6 +28,29 @@ def test_tbs_rejects_bad_ranges():
     for lo, hi in [(-1, 2), (3, 2), (0, 5)]:
         with pytest.raises(PreconditionError):
             tbs([1, 2, 3], lo, hi, 1)
+
+
+def test_tbs_path_records_what_the_module_global_recurrence_returns(monkeypatch):
+    # the sweep's tests patch costmodel._tbs and read tbs_path: every range
+    # the walk visits, the full range included, must carry the value the
+    # patched recurrence returned for it
+    exact = costmodel._tbs
+    returned = {}
+
+    def planted(q, lo, hi, key, *rest):
+        returned[lo, hi] = exact(q, lo, hi, key, *rest) + (hi - lo == 3)
+        return returned[lo, hi]
+
+    monkeypatch.setattr(costmodel, "_tbs", planted)
+    widened = 0
+    for items in [(0, 1, 2), (1, 3, 5, 7, 9, 11, 13), (0, 0, 1, 1, 2, 2, 3)]:
+        for key in range(-1, 15):
+            returned.clear()
+            path = costmodel.tbs_path(items, key)
+            assert path == returned, (items, key)
+            assert (0, len(items)) in path
+            widened += any(hi - lo == 3 for lo, hi in path)
+    assert widened > 0
 
 
 def test_tbs_table_matches_recursion():

@@ -3,9 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from olog import intmath
 from olog.errors import PreconditionError, VacuousRangeError
-from olog.intmath import Expr, Relation, Term, ilog2, ilog2_checked_against_oracle, ilog2_oracle
+from olog.intmath import Expr, Relation, Term, ilog2, ilog2_oracle
 
 import pointwise
+from doubling import DOUBLING
 
 
 def floor_log2_brute(n):
@@ -44,7 +45,7 @@ def test_ilog2_rejects_nonpositive(bad):
 
 @pytest.mark.parametrize("n", [1, 1023, 1024])
 def test_oracle_agreement_examples(n):
-    assert ilog2_checked_against_oracle(n)
+    assert ilog2(n) == ilog2_oracle(n)
 
 
 @given(st.integers(min_value=1, max_value=2**64))
@@ -81,7 +82,7 @@ def test_scan_monotonic_clean_to_grid():
 
 
 def test_scan_doubling_clean_to_grid():
-    assert intmath.scan_doubling(GRID) == 0
+    assert intmath.first_failure(DOUBLING, 1, GRID) == 0
 
 
 def test_scan_oracle_equivalence_clean_to_grid():
@@ -89,7 +90,11 @@ def test_scan_oracle_equivalence_clean_to_grid():
 
 
 def test_scans_reject_bad_grid():
-    for scan in (intmath.scan_monotonic, intmath.scan_doubling, intmath.scan_oracle_equivalence):
+    for scan in (
+        intmath.scan_monotonic,
+        lambda n: intmath.first_failure(DOUBLING, 1, n),
+        intmath.scan_oracle_equivalence,
+    ):
         with pytest.raises(PreconditionError):
             scan(0)
         with pytest.raises(PreconditionError):
@@ -190,7 +195,7 @@ def test_bounds_are_their_closed_forms():
 def test_labels_come_from_the_terms():
     assert str(intmath.STEP_BUDGET) == "2*ilog2(n+1) + 1"
     assert str(intmath.LOG_BOUND) == "2*ilog2(n) + 1"
-    assert str(intmath.DOUBLING) == "ilog2(2*n) = ilog2(n) + 1"
+    assert str(DOUBLING) == "ilog2(2*n) = ilog2(n) + 1"
     assert str(Relation(Expr((Term(-3, 3, 2),), -1), "<=", Expr((), 0))) == (
         "-3*ilog2(3*n+2) - 1 <= 0"
     )

@@ -15,13 +15,14 @@ from olog.algorithms import (
     broken_binary_search,
     linear_search_oracle,
 )
-from olog.checker import InstanceSpace, enumerate_instances
+from olog.checker import InstanceSpace
 from olog.complexity import LogWitness, canonical_chain, is_log2_from
 from olog.errors import InvariantViolation
 from olog.estimator import instrumented_max_steps
-from olog.intmath import DOUBLING, MONOTONIC, STEP_BUDGET, Expr, Relation, Term
+from olog.intmath import MONOTONIC, STEP_BUDGET, Expr, Relation, Term
 
 import pointwise
+from doubling import DOUBLING
 
 
 def _oracle_pointwise(n_max):
@@ -40,7 +41,8 @@ ROUTES = {
         kernels.ilog2_scan_monotonic, lambda n: pointwise.first_failure(MONOTONIC, 1, n)
     ),
     "ilog2_scan_doubling": (
-        intmath.scan_doubling, lambda n: pointwise.first_failure(DOUBLING, 1, n)
+        lambda n: intmath.first_failure(DOUBLING, 1, n),
+        lambda n: pointwise.first_failure(DOUBLING, 1, n),
     ),
     "ilog2_scan_oracle": (intmath.scan_oracle_equivalence, _oracle_pointwise),
     "bound_scan": (
@@ -157,7 +159,8 @@ def test_sweep_holds_each_head_to_the_cost_of_its_range():
     # the correct search's counter plus the cost of each head's range is
     # the whole range's cost, by costmodel.tbs rather than the sweep's walk
     strays = 0
-    for q, key in enumerate_instances(InstanceSpace(max_len=6, alphabet=3)):
+    groups = InstanceSpace(max_len=6, alphabet=3).groups()
+    for q, key in ((q, key) for q, lo, hi in groups for key in range(lo, hi + 1)):
         expected = binary_search(q, key, MODE_FULL_TRACE)
         total = costmodel.tbs(q, 0, len(q), key)
         t_head = 0
@@ -173,7 +176,7 @@ def test_sweep_holds_each_head_to_the_cost_of_its_range():
                 continue  # the sweep charges an aborted run to P1 or P3
             stray = _heads(out) != _heads(expected)
             strays += stray
-            sweep = kernels.verify_sweep([(q.items, key, key)], search)
+            sweep = kernels.verify_sweep([(q, key, key)], search)
             assert sweep["violations"]["P4"] == stray, (q, key)
     assert strays > 0
 
