@@ -40,7 +40,6 @@ _EXPORTS = {
     ),
     "costmodel": ("tbs",),
     "errors": (
-        "CalcChainError",
         "ContractError",
         "InvariantViolation",
         "PreconditionError",

@@ -46,7 +46,7 @@ import time
 from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
 
 from olog import complexity, intmath, kernels
-from olog.errors import CalcChainError, PreconditionError, WorkerError
+from olog.errors import PreconditionError, WorkerError
 from olog.intmath import MAX_GRID, validated_make
 
 PROPERTY_NAMES = {
@@ -325,7 +325,8 @@ def _death(code: int) -> str:
 
 def _forked_sweep(space: InstanceSpace, search_fn, workers: int) -> dict:
     """Sweep the space in ``workers`` strided shares: this process sweeps
-    share 0 and a forked child each of the others.
+    share 0 and a forked child each of the others, so one share forks
+    nothing.
 
     The children inherit ``search_fn`` and every patched module global, so
     nothing is pickled. Each one writes its result to a pipe and exits;
@@ -389,21 +390,23 @@ def verify_all(
     shipped broken variant, say) so the instrumentation can catch it
     in the act.
 
-    The enumeration is streamed, never held as a list. ``workers`` = 0
-    or 1 sweeps it in this process; ``workers`` = W > 1 forks W - 1
-    children and each of the W processes sweeps every W-th group (see
-    ``_forked_sweep``). The merge adds the counts and keeps each
-    property's earliest counterexample, so the report is identical for
-    every worker count except ``wall_time_ms``. ``workers=None`` takes
-    ``OLOG_WORKERS`` when it is set, and otherwise uses every usable CPU
-    once the space is big enough to pay for forking. A platform without
-    ``os.fork`` sweeps in process whatever the count.
+    The enumeration is streamed, never held as a list. Every worker
+    count runs ``_forked_sweep`` with W = max(workers, 1) shares: W - 1
+    forked children and this process each sweep every W-th group, so 0
+    or 1 sweeps in this process and forks nothing. The merge adds the
+    counts and keeps each property's earliest counterexample, so the
+    report is identical for every worker count except ``wall_time_ms``.
+    ``workers=None`` takes ``OLOG_WORKERS`` when it is set, and otherwise
+    uses every usable CPU once the space is big enough to pay for
+    forking. A platform without ``os.fork`` sweeps one share whatever
+    the count.
 
     Raises WorkerError when a forked worker dies before it reports.
     """
-    if not 2 <= grid <= MAX_GRID:
+    n0 = complexity.CANONICAL_WITNESS.n0
+    if not n0 <= grid <= MAX_GRID:
         raise PreconditionError(
-            f"grid must be in [2, 2**32] (2 is the witness threshold), got {grid}"
+            f"grid must be in [{n0}, 2**32] ({n0} is the witness threshold), got {grid}"
         )
     # C(max_len+alphabet, max_len) > max(max_len, alphabet), so a space
     # this floor rejects is never counted: its binomial could take minutes
@@ -426,10 +429,7 @@ def verify_all(
 
     started = time.perf_counter()
 
-    if workers > 1 and hasattr(os, "fork"):
-        sweep = _forked_sweep(space, search_fn, workers)
-    else:
-        sweep = kernels.verify_sweep(space.groups(), search_fn)
+    sweep = _forked_sweep(space, search_fn, max(workers, 1) if hasattr(os, "fork") else 1)
 
     results = []
     for pid in kernels.INSTANCE_PROPS:
@@ -446,11 +446,7 @@ def verify_all(
         if n
     ]
     results.append(PropertyResult("P8", PROPERTY_NAMES["P8"], not p8, len(p8), p8[0] if p8 else None))
-    try:
-        complexity.derive_log_witness(grid)
-        p9 = None
-    except CalcChainError as err:
-        p9 = {"step": err.step_index, "n": err.n, "detail": str(err)}
+    p9 = complexity.derive_log_witness(grid).failure()
     results.append(PropertyResult("P9", PROPERTY_NAMES["P9"], not p9, int(bool(p9)), p9))
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)

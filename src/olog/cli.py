@@ -23,7 +23,7 @@ import os
 import stat
 import sys
 
-from olog.errors import CalcChainError, PreconditionError, WorkerError
+from olog.errors import PreconditionError, WorkerError
 
 DEFAULT_GRID = 2**20
 DEFAULT_SIZES = {"binary_search": "16:1048576:x4", "linear_oracle": "16:16384:x4"}
@@ -110,15 +110,7 @@ def _cmd_verify(args, out) -> int:
 def _cmd_bound(args, out) -> int:
     from olog import complexity
 
-    try:
-        witness, trace = complexity.derive_log_witness(args.grid)
-    except CalcChainError as err:
-        trace = err.trace
-        if args.format == "json" and trace is not None:
-            out.write(json.dumps(trace.to_dict(), indent=2) + "\n")
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
+    trace = complexity.derive_log_witness(args.grid)
     if args.format == "json":
         out.write(json.dumps(trace.to_dict(), indent=2) + "\n")
     elif args.format == "csv":
@@ -129,14 +121,18 @@ def _cmd_bound(args, out) -> int:
         out.write("\n".join(lines) + "\n")
     else:
         lines = [
-            f"witness: c={witness.c}, n0={witness.n0} "
+            f"witness: c={trace.witness.c}, n0={trace.witness.n0} "
             f"(each step checked by dyadic blocks to n={trace.grid})"
         ]
         for s in trace.steps:
             mark = "ok  " if s.ok else "FAIL"
             lines.append(f"  {mark} {s.step.relation}   [{s.step.why}]")
         out.write("\n".join(lines) + "\n")
-    return 0
+    failure = trace.failure()
+    if failure is None:
+        return 0
+    print(f"error: {failure['detail']}", file=sys.stderr)
+    return 1
 
 
 def _cmd_bench(args, out) -> int:

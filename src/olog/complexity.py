@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from olog.errors import CalcChainError, PreconditionError, VacuousRangeError
+from olog.errors import PreconditionError, VacuousRangeError
 from olog.intmath import (
     MAX_GRID,
     STEP_BUDGET,
@@ -77,11 +77,14 @@ class CalcStepResult(NamedTuple):
 
 
 class CalcTrace(NamedTuple):
-    """A fully re-checked inequality chain plus the witness it justifies."""
+    """A re-checked inequality chain; its witness is read off the chain itself."""
 
-    witness: LogWitness
     steps: tuple[CalcStepResult, ...]
     grid: int
+
+    @property
+    def witness(self) -> LogWitness:
+        return chain_witness([s.step for s in self.steps])
 
     @property
     def ok(self) -> bool:
@@ -93,6 +96,12 @@ class CalcTrace(NamedTuple):
             if not s.ok:
                 return i, s.first_failure_n
         return None
+
+    def failure(self) -> Optional[dict]:
+        """The earliest failing point as P9's counterexample, or None."""
+        if (bad := self.first_failure()) is None:
+            return None
+        return {"step": bad[0], "n": bad[1], "detail": f"chain step {bad[0]} fails at n={bad[1]}"}
 
     def to_dict(self) -> dict:
         return {
@@ -128,9 +137,17 @@ def canonical_chain() -> tuple[CalcStep, ...]:
     )
 
 
-#: The witness the canonical chain establishes: the end label's
-#: coefficient, valid from the largest per-step threshold onward.
-CANONICAL_WITNESS = LogWitness(c=6, n0=2)
+def chain_witness(steps) -> LogWitness:
+    """The witness (c, n0) a chain ending at c*ilog2(n) establishes: c is
+    that coefficient, and n0 the largest step threshold."""
+    end = steps[-1].relation.rhs
+    if len(end.terms) != 1 or end != Expr((Term(end.terms[0].a, 1, 0),), 0):
+        raise PreconditionError(f"a chain must end at c*ilog2(n), got {end}")
+    return LogWitness(end.terms[0].a, max(s.n_min for s in steps))
+
+
+#: The witness the canonical chain establishes, read off that chain.
+CANONICAL_WITNESS = chain_witness(canonical_chain())
 
 
 def check_calc_chain(steps, n_max: int) -> tuple[CalcStepResult, ...]:
@@ -155,20 +172,17 @@ def check_calc_chain(steps, n_max: int) -> tuple[CalcStepResult, ...]:
     return tuple(results)
 
 
-def derive_log_witness(n_max: int) -> tuple[LogWitness, CalcTrace]:
-    """Re-derive the witness (6, 2) by machine-checking the canonical chain.
+def derive_log_witness(n_max: int) -> CalcTrace:
+    """Check the canonical chain at every n in [each step's threshold, n_max].
 
-    Every step is verified at every n in [its threshold, n_max]; a
-    failing point raises :class:`CalcChainError` naming the step and n.
+    The trace is returned whether or not every step holds; its witness
+    comes from the chain, and ``first_failure`` names a failing step and n.
     """
-    if n_max < 2:
-        raise PreconditionError(f"witness derivation needs n_max >= 2, got {n_max}")
-    results = check_calc_chain(canonical_chain(), n_max)
-    trace = CalcTrace(CANONICAL_WITNESS, results, n_max)
-    if not trace.ok:
-        step_index, n = trace.first_failure()
-        raise CalcChainError(step_index, n, trace)
-    return CANONICAL_WITNESS, trace
+    chain = canonical_chain()
+    n0 = chain_witness(chain).n0
+    if n_max < n0:
+        raise PreconditionError(f"witness derivation needs n_max >= {n0}, got {n_max}")
+    return CalcTrace(check_calc_chain(chain, n_max), n_max)
 
 
 def is_log2_from(witness: LogWitness, bound: Expr, n_max: int) -> bool:

@@ -32,20 +32,6 @@ class InvariantViolation(ContractError):
         super().__init__(detail)
 
 
-class CalcChainError(ContractError):
-    """An inequality chain failed at some grid point.
-
-    Carries the partially verified trace so callers can report which
-    step broke and at which value.
-    """
-
-    def __init__(self, step_index: int, n: int, trace=None):
-        self.step_index = step_index
-        self.n = n
-        self.trace = trace
-        super().__init__(f"chain step {step_index} fails at n={n}")
-
-
 class WorkerError(RuntimeError):
     """A forked worker of the sweep died before it reported its share,
     so the sweep has no verdict."""

@@ -394,7 +394,7 @@ def test_a_report_with_every_kind_of_failure_is_schema_valid(monkeypatch):
     assert set(failing) == {"P1", "P8", "P9"}
     doc = report.to_dict()
     p9 = doc["properties"][8]["counterexample"]
-    assert set(p9) == {"step", "n", "detail"}
+    assert p9 == {"step": 5, "n": 2, "detail": "chain step 5 fails at n=2"}
     jsonschema.validate(doc, json.loads((SCHEMAS / "check_report.schema.json").read_text()))
 
 

@@ -192,13 +192,13 @@ def test_bench_rejects_a_list_over_the_total_work_cap_before_any_profile():
     _assert_rejected_at_once("bench", "--sizes", ",".join(map(str, range(cap - 399, cap + 1))))
 
 
-def test_commands_without_profiles_leave_numpy_unloaded():
-    # no command loads numpy, which olog does not depend on, or
-    # multiprocessing (the sweep forks its own workers), and that includes
-    # every bench profile. Each command loads only the olog modules it
-    # runs, and none loads dataclasses; modules the interpreter's own
-    # start-up loaded are not counted. The probe tests the automatic
-    # worker count, so a forced OLOG_WORKERS is dropped.
+def test_commands_load_only_their_modules_and_never_numpy():
+    # Each command loads only the olog modules it runs. None loads numpy,
+    # which olog does not depend on, multiprocessing (the sweep forks its
+    # own workers) or dataclasses, and that includes every bench profile;
+    # modules the interpreter's own start-up loaded are not counted. The
+    # probe tests the automatic worker count, so a forced OLOG_WORKERS is
+    # dropped.
     probe = (
         "import os, sys; os.environ.pop('OLOG_WORKERS', None); "
         "before = set(sys.modules); from olog.cli import main; "
@@ -220,32 +220,13 @@ def test_commands_without_profiles_leave_numpy_unloaded():
         "assert main(['bench']) == 0; "
         "assert not lazy(), f'the default bench loaded {lazy()}'; "
         "assert main(['bench', '--algo', 'linear']) == 0; "
+        "assert main(['bench', '--algo', 'linear', '--sizes', '1,16,256,4096']) == 0; "
         "assert not lazy(), f'a linear bench loaded {lazy()}'; "
         "assert 'dataclasses' not in set(sys.modules) - before, 'a command loaded dataclasses'; "
         "sys.exit(rc)"
     )
     run = _python("-c", probe)
     assert run.returncode == 0, run.stderr
-
-
-@pytest.mark.parametrize(
-    "argv,numpy",
-    [
-        (["bench", "--sizes", "1,16,256,4096"], False),
-        (["bench"], False),
-        (["bench", "--algo", "linear", "--sizes", "1,16,256,4096"], False),
-        (["bench", "--algo", "linear"], False),
-    ],
-)
-def test_bench_loads_numpy_only_for_the_numpy_profiles(argv, numpy):
-    probe = (
-        "import sys; from olog.cli import main; "
-        f"assert main({argv!r}) == 0; "
-        "print('numpy' in sys.modules)"
-    )
-    run = _python("-c", probe)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == str(numpy)
 
 
 def test_bench_loads_neither_the_checker_nor_the_witness_derivation():
@@ -354,6 +335,47 @@ def test_bound_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "step,from,rel,to,checked_to,ok"
     assert len(lines) == 6
+
+
+def _chain_with_step5_ending_at(c):
+    from olog.complexity import CalcStep, canonical_chain
+    from olog.intmath import Expr, Relation, Term
+
+    *steps, s5 = canonical_chain()
+    end = Relation(s5.relation.lhs, "<=", Expr((Term(c, 1, 0),), 0))
+    return lambda: (*steps, CalcStep(end, s5.n_min, s5.why))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_bound_reports_a_failing_chain_in_every_format(fmt, monkeypatch, capsys):
+    # step 5 weakened to 3*ilog2(n) + 3 <= 3*ilog2(n): false from n=2 on
+    from olog import complexity
+
+    monkeypatch.setattr(complexity, "canonical_chain", _chain_with_step5_ending_at(3))
+    assert main(["bound", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: chain step 5 fails at n=2\n"
+    if fmt == "json":
+        payload = json.loads(captured.out)
+        jsonschema.validate(payload, _schema("calc_trace.schema.json"))
+        assert [s["ok"] for s in payload["steps"]] == [True] * 4 + [False]
+    elif fmt == "csv":
+        rows = captured.out.splitlines()
+        assert [row.split(",", 1)[0] for row in rows[1:]] == ["1", "2", "3", "4", "5"]
+        assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["True"] * 4 + ["False"]
+    else:
+        marks = [line.split()[0] for line in captured.out.splitlines()[1:]]
+        assert marks == ["ok"] * 4 + ["FAIL"]
+
+
+def test_bound_prints_the_witness_its_chain_ends_at(monkeypatch, capsys):
+    from olog import complexity
+
+    monkeypatch.setattr(complexity, "canonical_chain", _chain_with_step5_ending_at(7))
+    assert main(["bound", "--grid", "64"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("witness: c=7, n0=2 ")
+    assert "FAIL" not in out
 
 
 def test_bound_rejects_tiny_grid(capsys):

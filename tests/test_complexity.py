@@ -64,17 +64,17 @@ def test_is_o_log2n_preconditions():
 
 
 def test_derive_log_witness_full_grid():
-    witness, trace = derive_log_witness(2**20)
-    assert (witness.c, witness.n0) == (6, 2)
+    trace = derive_log_witness(2**20)
+    assert trace.witness == (6, 2)
     assert len(trace.steps) == 5
     assert trace.ok
     assert all(s.checked_to == 2**20 for s in trace.steps)
 
 
 def test_derive_log_witness_smallest_grid():
-    witness, trace = derive_log_witness(2)
-    assert (witness.c, witness.n0) == (6, 2)
-    assert trace.ok
+    trace = derive_log_witness(2)
+    assert trace.witness == (6, 2)
+    assert trace.ok and trace.first_failure() is None and trace.failure() is None
 
 
 def test_derive_log_witness_rejects_grid_below_threshold():
@@ -84,8 +84,7 @@ def test_derive_log_witness_rejects_grid_below_threshold():
 
 def test_witness_round_trips_through_checker():
     for grid in (2, 64, 4096):
-        witness, _ = derive_log_witness(grid)
-        assert is_log2_from(witness, STEP_BUDGET, grid)
+        assert is_log2_from(derive_log_witness(grid).witness, STEP_BUDGET, grid)
 
 
 def test_chain_steps_check_in_isolation():
@@ -104,13 +103,19 @@ def _reversed_step3():
     return steps
 
 
+def _edited_chain(index, rhs=None, n_min=None):
+    # the canonical chain with step `index` (1-based) given a new
+    # right-hand side or threshold
+    steps = list(canonical_chain())
+    s = steps[index - 1]
+    rel = s.relation if rhs is None else Relation(s.relation.lhs, s.relation.rel, rhs)
+    steps[index - 1] = CalcStep(rel, s.n_min if n_min is None else n_min, s.why)
+    return tuple(steps)
+
+
 def _step5_rhs_mutant():
     # step 5 with its right-hand side weakened to 3*ilog2(n): false from n=2 on
-    steps = list(canonical_chain())
-    s5 = steps[4]
-    weakened = Relation(s5.relation.lhs, "<=", Expr((Term(3, 1, 0),), 0))
-    steps[4] = CalcStep(weakened, s5.n_min, s5.why)
-    return steps
+    return _edited_chain(5, rhs=Expr((Term(3, 1, 0),), 0))
 
 
 def test_reversed_monotonic_step_is_caught():
@@ -130,9 +135,47 @@ def test_step5_rhs_mutant_is_caught():
 
 def test_broken_chain_trace_reports_first_failure():
     steps = _reversed_step3()
-    trace = complexity.CalcTrace(LogWitness(6, 2), check_calc_chain(steps, 1024), 1024)
+    trace = complexity.CalcTrace(check_calc_chain(steps, 1024), 1024)
     assert not trace.ok
     assert trace.first_failure() == (3, 2)
+    assert trace.failure() == {"step": 3, "n": 2, "detail": "chain step 3 fails at n=2"}
+
+
+def test_a_failing_chain_is_returned_not_raised(monkeypatch):
+    monkeypatch.setattr(complexity, "canonical_chain", _step5_rhs_mutant)
+    trace = derive_log_witness(1024)
+    assert [s.ok for s in trace.steps] == [True, True, True, True, False]
+    assert trace.first_failure() == (5, 2)
+    assert trace.witness == (3, 2)  # what the chain claims, checked or not
+
+
+@pytest.mark.parametrize(
+    "chain,witness",
+    [
+        (lambda: _edited_chain(5, rhs=Expr((Term(7, 1, 0),), 0)), (7, 2)),
+        (lambda: _edited_chain(3, n_min=5), (6, 5)),
+    ],
+    ids=["end-7-ilog2", "step3-from-5"],
+)
+def test_the_witness_follows_the_chain(chain, witness, monkeypatch):
+    monkeypatch.setattr(complexity, "canonical_chain", chain)
+    trace = derive_log_witness(1024)
+    assert trace.ok
+    assert trace.witness == witness
+    assert trace.to_dict()["witness"] == dict(zip(("c", "n0"), witness))
+
+
+def test_a_chain_must_end_at_a_multiple_of_ilog2_n(monkeypatch):
+    for end in (Expr((Term(6, 1, 1),), 0), Expr((Term(6, 1, 0),), 1),
+                Expr((Term(3, 1, 0), Term(3, 1, 0)), 0), Expr((), 6)):
+        monkeypatch.setattr(complexity, "canonical_chain", lambda: _edited_chain(5, rhs=end))
+        with pytest.raises(PreconditionError, match=r"must end at c\*ilog2\(n\)"):
+            derive_log_witness(1024)
+
+
+def test_the_canonical_witness_is_the_shipped_chains():
+    assert complexity.CANONICAL_WITNESS == (6, 2)
+    assert complexity.chain_witness(canonical_chain()) == complexity.CANONICAL_WITNESS
 
 
 def test_generic_and_kernel_chain_scans_agree():
@@ -146,8 +189,7 @@ def test_generic_and_kernel_chain_scans_agree():
 
 
 def test_calc_trace_serialization_shape():
-    _, trace = derive_log_witness(1024)
-    payload = trace.to_dict()
+    payload = derive_log_witness(1024).to_dict()
     assert payload["witness"] == {"c": 6, "n0": 2}
     assert len(payload["steps"]) == 5
     first = payload["steps"][0]

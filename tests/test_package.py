@@ -20,8 +20,7 @@ PUBLIC = {
     "complexity": ["CalcTrace", "LogWitness", "derive_log_witness", "is_log2_from",
                    "is_o_log2n"],
     "costmodel": ["tbs"],
-    "errors": ["CalcChainError", "ContractError", "InvariantViolation", "PreconditionError",
-               "VacuousRangeError"],
+    "errors": ["ContractError", "InvariantViolation", "PreconditionError", "VacuousRangeError"],
     "estimator": ["ClassificationReport", "StepSample", "bench_steps", "fit_class"],
     "intmath": ["STEP_BUDGET", "ilog2", "ilog2_oracle"],
 }
@@ -79,7 +78,7 @@ def _records():
     fit = estimator.ClassFit(1.0, 0.0, 0.0)
     return [
         term, expr, relation, witness, step, result,
-        complexity.CalcTrace(witness, (result,), 64), checker.InstanceSpace(2, 3), prop,
+        complexity.CalcTrace((result,), 64), checker.InstanceSpace(2, 3), prop,
         checker.CheckReport(1, (prop,), {}, 0, 0, "python", 0), estimator.StepSample(4, 3), fit,
         estimator.ClassificationReport("Logarithmic", {"Logarithmic": fit}, None, True),
     ]
