@@ -27,8 +27,12 @@ checks the full battery on every instance:
   and agreement with ``ilog2_oracle`` at both ends of every dyadic block.
 * P9 calc_chain: the witness derivation re-checks on the same grid.
 
-P8 and P9 are checked by dyadic blocks (see ``intmath.first_failure``),
-which decides every grid point.
+P1–P7 are checked instance by instance by ``verify_sweep``, through the
+instrumented search, whose loop-head invariant costs O(1) per head once
+the search has found the key's span. P2's linear oracle runs once per
+sequence, as ``first_indices``, and each key of the group reads its
+answer from that. P8 and P9 are checked by dyadic blocks (see
+``intmath.first_failure``), which decides every grid point.
 
 Counterexamples are minimal by construction: enumeration goes shortest
 sequence first, then lexicographic, then ascending key, and the first
@@ -45,9 +49,17 @@ import os
 import time
 from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
 
-from olog import complexity, intmath, kernels
-from olog.errors import PreconditionError, WorkerError
-from olog.intmath import MAX_GRID, validated_make
+from olog import complexity, costmodel, intmath
+from olog.algorithms import (
+    MODE_FULL_TRACE,
+    SortedSeq,
+    binary_search,
+    check_binary_posts,
+    first_indices,
+)
+from olog.complexity import CANONICAL_WITNESS
+from olog.errors import InvariantViolation, PreconditionError, WorkerError
+from olog.intmath import LOG_BOUND, MAX_GRID, STEP_BUDGET, ilog2, validated_make
 
 PROPERTY_NAMES = {
     "P1": "binary_posts",
@@ -60,6 +72,8 @@ PROPERTY_NAMES = {
     "P8": "ilog2_monotonic",
     "P9": "calc_chain",
 }
+# The properties verify_sweep checks instance by instance, in report order.
+INSTANCE_PROPS = tuple(PROPERTY_NAMES)[:7]
 
 # The sequential sweep checks 85k-270k instances/s, and two workers
 # 140k-425k/s (2 CPUs, Python 3.11.7, a shared host; the low end at
@@ -88,10 +102,11 @@ SEQ_WORK = 8
 # (6, 6) space, 7.4k instances, 60 ms), medians of 40 interleaved runs on
 # a shared host; below POOL_MIN_WORK the sweep stays in process.
 POOL_MIN_WORK = 10**5
-# A forced OLOG_WORKERS count above this exits 2 instead of forking that
-# many processes. Two workers on 2 CPUs is the most measured to pay, and
-# more workers than usable CPUs only add start-up; the ceiling sits far
-# above both without letting a typo start 10^5 processes.
+# A forced OLOG_WORKERS count, or a workers argument, above this is
+# rejected instead of forking that many processes. Two workers on 2 CPUs
+# is the most measured to pay, and more workers than usable CPUs only add
+# start-up; the ceiling sits far above both without letting a typo start
+# 10^5 processes.
 MAX_WORKERS = 256
 
 
@@ -192,7 +207,6 @@ class CheckReport(NamedTuple):
     grid_bounds: dict
     wall_time_ms: int
     max_tbs_gap: int
-    backend: str
     complete_to: int
 
     @property
@@ -220,7 +234,6 @@ class CheckReport(NamedTuple):
             "max_tbs_gap": self.max_tbs_gap,
             "minimal_counterexample": self.minimal_counterexample(),
             "wall_time_ms": self.wall_time_ms,
-            "backend": self.backend,
         }
 
 
@@ -236,6 +249,13 @@ def _sweep_work(space: InstanceSpace) -> int:
     return space.key_elements + SEQ_WORK * space.instances
 
 
+def _checked_workers(source: str, workers: int) -> int:
+    """``workers``, unless it is outside [0, MAX_WORKERS]."""
+    if not 0 <= workers <= MAX_WORKERS:
+        raise PreconditionError(f"{source} must be in [0, {MAX_WORKERS}], got {workers}")
+    return workers
+
+
 def _pool_workers(space: InstanceSpace) -> int:
     """Worker processes for the sweep; 0 runs it in this process.
 
@@ -249,9 +269,7 @@ def _pool_workers(space: InstanceSpace) -> int:
             workers = int(raw)
         except ValueError:
             raise PreconditionError(f"OLOG_WORKERS must be an integer, got {raw!r}")
-        if not 0 <= workers <= MAX_WORKERS:
-            raise PreconditionError(f"OLOG_WORKERS must be in [0, {MAX_WORKERS}], got {workers}")
-        return workers
+        return _checked_workers("OLOG_WORKERS", workers)
     cpus = _usable_cpus()
     return cpus if cpus >= 2 and _sweep_work(space) >= POOL_MIN_WORK else 0
 
@@ -268,7 +286,7 @@ def _merge_sweeps(results: list[dict]) -> dict:
     return {
         "instances": sum(res["instances"] for res in results),
         "violations": {
-            p: sum(res["violations"][p] for res in results) for p in kernels.INSTANCE_PROPS
+            p: sum(res["violations"][p] for res in results) for p in INSTANCE_PROPS
         },
         "first": {
             p: min(
@@ -276,9 +294,123 @@ def _merge_sweeps(results: list[dict]) -> dict:
                 key=_enumeration_order,
                 default=None,
             )
-            for p in kernels.INSTANCE_PROPS
+            for p in INSTANCE_PROPS
         },
         "max_tbs_gap": max(res["max_tbs_gap"] for res in results),
+    }
+
+
+def _p4_failure(trace, t, costs, tbs_total):
+    """Why the counter breaks P4 against the walk ``costs``, or None. The
+    counter at a head is the one after the iteration before it (0 at the first)."""
+    t_head = 0
+    for rec in trace:
+        remaining = costs.get((rec.lo, rec.hi))
+        if remaining is None:
+            return f"head [{rec.lo}, {rec.hi}) at t={t_head} is off the tbs recursion's path"
+        if t_head + remaining != tbs_total:
+            return (
+                f"t={t_head} at head [{rec.lo}, {rec.hi}) differs from "
+                f"tbs difference {tbs_total}-{remaining}"
+            )
+        t_head = rec.t_after
+    if t != tbs_total:
+        return f"t={t} differs from tbs={tbs_total}"
+    return None
+
+
+def verify_sweep(groups, search_fn=None) -> dict:
+    """Run the per-instance property battery over (items, key_lo, key_hi) groups.
+
+    Returns violation counts and the first counterexample per property
+    (P1..P7), in enumeration order, plus ``max_tbs_gap``, the largest
+    ``abs(tbs - t)`` between the cost of an instance's full range and the
+    search's counter, whichever way it errs. ``search_fn``
+    defaults to :func:`binary_search`, looked up at call time so that a
+    wrapper installed on this module's global is honoured.
+
+    Each instance walks the ``tbs`` recurrence once; P4 holds the counter
+    to that walk at every recorded head, and P5 checks its value on the
+    instance's full range only: ``tbs`` is translation-invariant
+    (tbs(q, lo, hi, key) == tbs(q[lo:hi], 0, hi-lo, key), as
+    mid = lo + (hi-lo)//2), so a source must hold, for each (items, key)
+    it yields, every slice of items with that key (or one of its order type).
+
+    An exception the search raises counts against P1 (P3 for the
+    termination check), and one the walk raises against P5, skipping P4.
+    """
+    if search_fn is None:
+        search_fn = binary_search
+    c, n0 = CANONICAL_WITNESS
+    counts = {p: 0 for p in INSTANCE_PROPS}
+    first: dict = {p: None for p in counts}
+    instances = 0
+    max_gap = 0
+
+    def record(prop, q, key, detail):
+        counts[prop] += 1
+        if first[prop] is None:
+            first[prop] = {"q": list(q), "key": int(key), "detail": detail}
+
+    last_n = None
+    for items, key_lo, key_hi in groups:
+        q = SortedSeq(items)
+        items = q.items
+        n = len(items)
+        if n != last_n:  # the bounds depend on the length only
+            last_n = n
+            budget = STEP_BUDGET(n)
+            log_n = ilog2(n) if n >= 1 else 0
+            bound = LOG_BOUND(n) if n >= 1 else None
+        oracle = first_indices(items)
+        for key in range(key_lo, key_hi + 1):
+            instances += 1
+            # P5 needs only the cost model, so it runs even when the
+            # instrumented run aborts.
+            try:
+                costs = costmodel.tbs_path(items, key)
+                tbs_total = costs[0, n]
+            except Exception as err:
+                costs = None
+                record("P5", items, key, f"the tbs walk raised {type(err).__name__}: {err}")
+            else:
+                if n >= 1 and tbs_total > bound:
+                    record("P5", items, key, f"tbs(0, {n})={tbs_total} exceeds its log bound")
+
+            try:
+                out = search_fn(q, key, MODE_FULL_TRACE)
+            except InvariantViolation as violation:
+                prop = "P3" if violation.predicate == "termination" else "P1"
+                record(prop, items, key, str(violation))
+                continue
+            except Exception as err:
+                record("P1", items, key, f"the search raised {type(err).__name__}: {err}")
+                continue
+
+            r, t, trace = out
+            if not check_binary_posts(items, r, key):
+                record("P1", items, key, f"postconditions fail for r={r}")
+            oracle_r = oracle.get(key, -1)
+            agree = (r >= 0) == (oracle_r >= 0) and (r < 0 or r < n and items[r] == key)
+            if not agree:
+                record("P2", items, key, f"r={r} disagrees with oracle index {oracle_r}")
+            if trace is None or t != len(trace):
+                record("P3", items, key, f"t={t} but trace has {len(trace or ())} records")
+            if costs is not None:
+                failure = _p4_failure(trace or (), t, costs, tbs_total)
+                if failure is not None:
+                    record("P4", items, key, failure)
+                max_gap = max(max_gap, abs(tbs_total - t))
+            if t > budget:
+                record("P6", items, key, f"t={t} exceeds budget {budget}")
+            if n >= n0 and t > c * log_n:
+                record("P7", items, key, f"t={t} exceeds {c}*ilog2({n})={c * log_n}")
+
+    return {
+        "instances": instances,
+        "violations": counts,
+        "first": first,
+        "max_tbs_gap": max_gap,
     }
 
 
@@ -286,7 +418,7 @@ def _share(space: InstanceSpace, search_fn, w: int, workers: int) -> dict:
     """The sweep of the w-th of ``workers`` strided shares: every
     ``workers``-th group of the enumeration, from the w-th on."""
     groups = itertools.islice(space.groups(), w, None, workers)
-    return kernels.verify_sweep(groups, search_fn)
+    return verify_sweep(groups, search_fn)
 
 
 def _sweep_child(space: InstanceSpace, search_fn, w: int, workers: int, wfd: int) -> NoReturn:
@@ -398,12 +530,13 @@ def verify_all(
     report is identical for every worker count except ``wall_time_ms``.
     ``workers=None`` takes ``OLOG_WORKERS`` when it is set, and otherwise
     uses every usable CPU once the space is big enough to pay for
-    forking. A platform without ``os.fork`` sweeps one share whatever
-    the count.
+    forking. A count outside [0, MAX_WORKERS], passed or from the
+    variable, raises PreconditionError before any fork. A platform
+    without ``os.fork`` sweeps one share whatever the count.
 
     Raises WorkerError when a forked worker dies before it reports.
     """
-    n0 = complexity.CANONICAL_WITNESS.n0
+    n0 = CANONICAL_WITNESS.n0
     if not n0 <= grid <= MAX_GRID:
         raise PreconditionError(
             f"grid must be in [{n0}, 2**32] ({n0} is the witness threshold), got {grid}"
@@ -426,13 +559,15 @@ def verify_all(
         )
     if workers is None:
         workers = _pool_workers(space)
+    else:
+        workers = _checked_workers("workers", workers)
 
     started = time.perf_counter()
 
     sweep = _forked_sweep(space, search_fn, max(workers, 1) if hasattr(os, "fork") else 1)
 
     results = []
-    for pid in kernels.INSTANCE_PROPS:
+    for pid in INSTANCE_PROPS:
         bad = sweep["violations"][pid]
         results.append(
             PropertyResult(pid, PROPERTY_NAMES[pid], bad == 0, bad, sweep["first"][pid])
@@ -462,7 +597,6 @@ def verify_all(
         },
         wall_time_ms=elapsed_ms,
         max_tbs_gap=sweep["max_tbs_gap"],
-        backend=kernels.BACKEND,
         complete_to=space.complete_to,
     )
 

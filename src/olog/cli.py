@@ -86,7 +86,6 @@ def _cmd_verify(args, out) -> int:
         out.write("\n".join(lines) + "\n")
     else:
         lines = [
-            f"backend: {report.backend}",
             f"instances checked: {report.instances_checked}",
             f"complete for every integer sequence of length <= {report.complete_to}",
         ]

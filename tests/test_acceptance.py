@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from olog import checker, estimator, intmath, kernels
+from olog import checker, estimator, intmath
 from olog.algorithms import SortedSeq, binary_search, broken_binary_search
 from olog.checker import InstanceSpace
 from olog.cli import main
@@ -81,7 +81,7 @@ def test_c3_end_to_end_budget():
     with _Run() as run:
         for k in range(0, 21):
             n = 2**k
-            max_t = kernels.binary_max_steps(n)
+            max_t = estimator.binary_max_steps(n)
             budget = 2 * ilog2(n + 1) + 1
             if max_t > budget:
                 failures.append(f"n={n}: max_t={max_t} > budget={budget}")

@@ -15,7 +15,7 @@ import pytest
 
 import olog
 import subranges
-from olog import checker, complexity, costmodel, intmath, kernels
+from olog import checker, complexity, costmodel, intmath
 from olog.algorithms import (
     MODE_FULL_TRACE,
     SearchOutcome,
@@ -550,6 +550,20 @@ def test_forced_worker_count_over_the_ceiling_starts_no_process(monkeypatch):
         verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
 
 
+def test_an_explicit_worker_count_out_of_range_starts_no_process(monkeypatch):
+    # the argument is held to the variable's range: 10^5 used to fork at
+    # once, and -7 to sweep in process without a word
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(checker.os, "fork", no_fork)
+    monkeypatch.delenv("OLOG_WORKERS", raising=False)
+    for workers in (10**5, checker.MAX_WORKERS + 1, -7, -1):
+        message = rf"^workers must be in \[0, 256\], got {workers}$"
+        with pytest.raises(PreconditionError, match=message):
+            verify_all(InstanceSpace(1, 1), grid=2, workers=workers)
+
+
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     monkeypatch.delattr(checker.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(checker.os, "cpu_count", lambda: 3)
@@ -684,7 +698,7 @@ def test_p5_planted_cost_model_matches_all_subrange_reference(monkeypatch):
 def test_p5_reads_the_log_bound_term(monkeypatch):
     # one below LOG_BOUND at every width: only width 1, where tbs is 1 and
     # the planted bound 0, breaks it
-    monkeypatch.setattr(kernels, "LOG_BOUND", intmath.Expr((intmath.Term(2, 1, 0),), 0))
+    monkeypatch.setattr(checker, "LOG_BOUND", intmath.Expr((intmath.Term(2, 1, 0),), 0))
     report = verify_all(InstanceSpace(max_len=3, alphabet=2), grid=2, workers=0)
     assert _p5(report) == (False, 8, ([0], -1))
     assert [p.id for p in report.properties if not p.passed] == ["P5"]

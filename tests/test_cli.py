@@ -223,6 +223,7 @@ def test_commands_load_only_their_modules_and_never_numpy():
         "assert main(['bench', '--algo', 'linear', '--sizes', '1,16,256,4096']) == 0; "
         "assert not lazy(), f'a linear bench loaded {lazy()}'; "
         "assert 'dataclasses' not in set(sys.modules) - before, 'a command loaded dataclasses'; "
+        "assert 'olog.kernels' not in olog(), 'a command loaded the perfbench shim'; "
         "sys.exit(rc)"
     )
     run = _python("-c", probe)
@@ -230,10 +231,15 @@ def test_commands_load_only_their_modules_and_never_numpy():
 
 
 def test_bench_loads_neither_the_checker_nor_the_witness_derivation():
+    # nor the cost model, nor the kernels shim, whichever profile runs
     probe = (
         "import sys; from olog.cli import main; "
         "assert main(['bench', '--sizes', '16:4096:x4']) == 0; "
-        "extra = {'olog.checker', 'olog.complexity'} & set(sys.modules); "
+        "assert main(['bench', '--sizes', '1,16,256,4096']) == 0; "
+        "assert main(['bench']) == 0; "
+        "assert main(['bench', '--algo', 'linear']) == 0; "
+        "extra = {'olog.checker', 'olog.complexity', 'olog.costmodel', 'olog.kernels'}; "
+        "extra &= set(sys.modules); "
         "assert not extra, f'bench loaded {extra}'"
     )
     run = _python("-c", probe)
@@ -244,11 +250,11 @@ def test_bench_rejects_a_size_over_the_cap_before_any_profile():
     # 16..16384 are within the linear cap, 65536 is not: no profile runs
     probe = (
         "import sys\n"
-        "from olog import kernels\n"
+        "from olog import estimator\n"
         "from olog.cli import main\n"
         "def no_profile(n):\n"
         "    raise AssertionError('a profile ran')\n"
-        "kernels.linear_max_steps = kernels.binary_max_steps = no_profile\n"
+        "estimator.linear_max_steps = estimator.binary_max_steps = no_profile\n"
         "sys.exit(main(['bench', '--algo', 'linear', '--sizes', '16:1048576:x4']))\n"
     )
     run = _python("-c", probe)

@@ -1,6 +1,6 @@
 import pytest
 
-from olog import estimator, kernels
+from olog import estimator
 from olog.cli import DEFAULT_SIZES, parse_sizes
 from olog.errors import PreconditionError
 from olog.estimator import StepSample, bench_steps, fit_class, samples_to_csv
@@ -53,11 +53,10 @@ def _profiles_run(monkeypatch):
             return fn(n)
         return profile
 
-    monkeypatch.setattr(
-        estimator, "instrumented_max_steps", record("instrumented", estimator.instrumented_max_steps)
-    )
-    monkeypatch.setattr(kernels, "binary_max_steps", record("profile", kernels.binary_max_steps))
-    monkeypatch.setattr(kernels, "linear_max_steps", record("linear", kernels.linear_max_steps))
+    names = {"instrumented_max_steps": "instrumented", "binary_max_steps": "profile",
+             "linear_max_steps": "linear"}
+    for name, label in names.items():
+        monkeypatch.setattr(estimator, name, record(label, getattr(estimator, name)))
     return ran
 
 
@@ -66,7 +65,7 @@ def _profiles_run(monkeypatch):
 @pytest.mark.parametrize("last,selected", [(13469, "instrumented"), (13470, "profile")])
 def test_both_binary_profiles_give_the_same_samples(last, selected, monkeypatch):
     sizes = [1, 16, 256, 4096, last]
-    work = sum(kernels.profile_work("binary", n) for n in sizes)
+    work = sum(estimator.profile_work("binary", n) for n in sizes)
     assert work - estimator.INSTRUMENTED_MAX_WORK == (-13 if selected == "instrumented" else 2)
     ran = _profiles_run(monkeypatch)
     samples = bench_steps("binary_search", sizes)
@@ -94,10 +93,10 @@ def test_total_profile_work_is_capped_before_any_profile(monkeypatch):
         raise AssertionError("a profile ran")
 
     for name in ("binary_max_steps", "linear_max_steps"):
-        monkeypatch.setattr(kernels, name, no_profile)
+        monkeypatch.setattr(estimator, name, no_profile)
     monkeypatch.setattr(estimator, "instrumented_max_steps", no_profile)
     # each size is within its cap, the list's profile_work is not
-    cap = kernels.BINARY_PROFILE_MAX_N
+    cap = estimator.BINARY_PROFILE_MAX_N
     with pytest.raises(PreconditionError, match="exceeds the cap"):
         bench_steps("binary_search", list(range(cap - 399, cap + 1)))
     with pytest.raises(PreconditionError, match="exceeds the cap"):
@@ -105,21 +104,21 @@ def test_total_profile_work_is_capped_before_any_profile(monkeypatch):
     # admitted: both default lists, a single size at each cap, x4 to the cap
     admitted = {
         "binary": [parse_sizes(DEFAULT_SIZES["binary_search"]), [cap], parse_sizes(f"16:{cap}:x4")],
-        "linear": [parse_sizes(DEFAULT_SIZES["linear_oracle"]), [kernels.LINEAR_PROFILE_MAX_N]],
+        "linear": [parse_sizes(DEFAULT_SIZES["linear_oracle"]), [estimator.LINEAR_PROFILE_MAX_N]],
     }
     for kind, lists in admitted.items():
         for sizes in lists:
-            work = kernels.check_profile_sizes(kind, sizes)
-            assert work == sum(kernels.profile_work(kind, n) for n in sizes)
-            assert work <= kernels.MAX_PROFILE_WORK
+            work = estimator.check_profile_sizes(kind, sizes)
+            assert work == sum(estimator.profile_work(kind, n) for n in sizes)
+            assert work <= estimator.MAX_PROFILE_WORK
 
 
 def test_profile_work_bounds_the_loop_work():
     # binary: n + 2 keys of at most n.bit_length() iterations plus the exit
     # test; linear: n + 2 keys of at most n comparisons
     for n in (1, 2, 3, 16, 1000):
-        assert kernels.profile_work("binary", n) == (n + 2) * (kernels.binary_max_steps(n) + 1)
-        assert kernels.profile_work("linear", n) == (n + 2) * kernels.linear_max_steps(n)
+        assert estimator.profile_work("binary", n) == (n + 2) * (estimator.binary_max_steps(n) + 1)
+        assert estimator.profile_work("linear", n) == (n + 2) * estimator.linear_max_steps(n)
 
 
 def test_fit_binary_is_logarithmic_with_margin():

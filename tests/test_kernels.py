@@ -3,12 +3,15 @@
 Grid claims are checked by dyadic blocks and by a pointwise scan; the
 adversarial profiles are checked against their closed forms: binary
 search's worst case on n elements is ``n.bit_length()`` iterations, the
-linear scan's is n comparisons.
+linear scan's is n comparisons. The kernels live in their home modules;
+``olog.kernels`` only re-exports the names ``perfbench`` reads.
 """
+
+import inspect
 
 import pytest
 
-from olog import costmodel, intmath, kernels
+from olog import checker, costmodel, estimator, intmath, kernels
 from olog.algorithms import (
     MODE_FULL_TRACE,
     binary_search,
@@ -38,7 +41,7 @@ def _within_witness_pointwise(c, n0, n_max):
 # claim -> (route under test, independent route)
 ROUTES = {
     "ilog2_scan_monotonic": (
-        kernels.ilog2_scan_monotonic, lambda n: pointwise.first_failure(MONOTONIC, 1, n)
+        intmath.scan_monotonic, lambda n: pointwise.first_failure(MONOTONIC, 1, n)
     ),
     "ilog2_scan_doubling": (
         lambda n: intmath.first_failure(DOUBLING, 1, n),
@@ -49,8 +52,8 @@ ROUTES = {
         lambda c, n0, n: is_log2_from(LogWitness(c, n0), STEP_BUDGET, n),
         _within_witness_pointwise,
     ),
-    "binary_max_steps": (kernels.binary_max_steps, int.bit_length),
-    "linear_max_steps": (kernels.linear_max_steps, lambda n: n),
+    "binary_max_steps": (estimator.binary_max_steps, int.bit_length),
+    "linear_max_steps": (estimator.linear_max_steps, lambda n: n),
 }
 
 
@@ -69,7 +72,7 @@ ROUTES = {
         ("linear_max_steps", (257,)),
         # the worst count steps up at each power of two
         *(("binary_max_steps", (2**k + d,)) for k in (16, 20, 26) for d in (-1, 0, 1)
-          if 2**k + d <= kernels.BINARY_PROFILE_MAX_N),
+          if 2**k + d <= estimator.BINARY_PROFILE_MAX_N),
     ],
 )
 def test_scan_parity(fn, args):
@@ -81,7 +84,7 @@ def test_scan_parity(fn, args):
 def test_calc_step_parity(step):
     s = canonical_chain()[step - 1]
     grid = 2**14
-    assert kernels.calc_step_scan(s.relation, s.n_min, grid) == 0
+    assert intmath.first_failure(s.relation, s.n_min, grid) == 0
     assert pointwise.first_failure(s.relation, s.n_min, grid) == 0
 
 
@@ -90,7 +93,7 @@ def test_binary_max_steps_matches_per_key_library_runs():
     # family; 2^k - 1..2^k + 1 straddle each power of two up to 2^13
     straddles = [2**k + d for k in range(9, 14) for d in (-1, 0, 1)]
     for n in [*range(1, 301), *straddles]:
-        assert kernels.binary_max_steps(n) == instrumented_max_steps(n)
+        assert estimator.binary_max_steps(n) == instrumented_max_steps(n)
 
 
 def test_linear_max_steps_matches_per_key_oracle_runs():
@@ -100,7 +103,7 @@ def test_linear_max_steps_matches_per_key_oracle_runs():
         items = list(range(n))
         hits = (linear_search_oracle(items, key) for key in range(-1, n + 1))
         expected = max(n if r < 0 else r + 1 for r in hits)
-        assert kernels.linear_max_steps(n) == expected
+        assert estimator.linear_max_steps(n) == expected
 
 
 def _identity_search_steps(n, key):
@@ -121,8 +124,8 @@ def test_binary_max_steps_at_the_cap_covers_the_top_keys():
     # the width recurrence never runs a key; no key at the ends of the
     # family or next to the middle needs more than it counts, and key -1,
     # which halves 2^26 down to 1, needs exactly that
-    cap = kernels.BINARY_PROFILE_MAX_N
-    worst = kernels.binary_max_steps(cap)
+    cap = estimator.BINARY_PROFILE_MAX_N
+    worst = estimator.binary_max_steps(cap)
     assert worst == cap.bit_length()
     keys = [-1, 0, cap // 2, cap // 2 + 1] + list(range(cap - 40, cap + 1))
     assert worst == max(_identity_search_steps(cap, key) for key in keys)
@@ -131,10 +134,10 @@ def test_binary_max_steps_at_the_cap_covers_the_top_keys():
 def test_verify_sweep_takes_each_groups_own_keys():
     # [0] with keys -1..1, and [0, 2] with the one key between its values
     groups = [((0,), -1, 1), ((0, 2), 1, 1)]
-    sweep = kernels.verify_sweep(iter(groups))
+    sweep = checker.verify_sweep(iter(groups))
     assert sweep["instances"] == 4
     assert sum(sweep["violations"].values()) == 0
-    mutant = kernels.verify_sweep(iter(groups), broken_binary_search)
+    mutant = checker.verify_sweep(iter(groups), broken_binary_search)
     assert mutant["first"]["P3"]["q"] == [0] and mutant["first"]["P3"]["key"] == 1
     assert mutant["violations"]["P3"] == 2  # [0] with 1, [0, 2] with 1
 
@@ -142,7 +145,7 @@ def test_verify_sweep_takes_each_groups_own_keys():
 def test_broken_search_leaves_the_recursion_path_elsewhere():
     # [0, 0, 1] with key 1: the mutant goes right from [0, 3) to [1, 3),
     # not to [2, 3), and still terminates, so only P4 sees it
-    sweep = kernels.verify_sweep([((0, 0, 1), 1, 1)], broken_binary_search)
+    sweep = checker.verify_sweep([((0, 0, 1), 1, 1)], broken_binary_search)
     assert {p: n for p, n in sweep["violations"].items() if n} == {"P4": 1}
     assert sweep["first"]["P4"] == {
         "q": [0, 0, 1],
@@ -176,7 +179,7 @@ def test_sweep_holds_each_head_to_the_cost_of_its_range():
                 continue  # the sweep charges an aborted run to P1 or P3
             stray = _heads(out) != _heads(expected)
             strays += stray
-            sweep = kernels.verify_sweep([(q, key, key)], search)
+            sweep = checker.verify_sweep([(q, key, key)], search)
             assert sweep["violations"]["P4"] == stray, (q, key)
     assert strays > 0
 
@@ -185,8 +188,29 @@ def test_profile_caps():
     from olog.errors import PreconditionError
 
     with pytest.raises(PreconditionError):
-        kernels.binary_max_steps(0)
+        estimator.binary_max_steps(0)
     with pytest.raises(PreconditionError):
-        kernels.binary_max_steps(kernels.BINARY_PROFILE_MAX_N + 1)
+        estimator.binary_max_steps(estimator.BINARY_PROFILE_MAX_N + 1)
     with pytest.raises(PreconditionError):
-        kernels.linear_max_steps(kernels.LINEAR_PROFILE_MAX_N + 1)
+        estimator.linear_max_steps(estimator.LINEAR_PROFILE_MAX_N + 1)
+
+
+# perfbench reads these names from the shim; each must be its home's object,
+# so that a wrapper swapped in for every olog global that is it reaches the
+# home's call sites
+SHIM = {
+    "verify_sweep": (checker, "verify_sweep"),
+    "binary_max_steps": (estimator, "binary_max_steps"),
+    "linear_max_steps": (estimator, "linear_max_steps"),
+    "ilog2_scan_monotonic": (intmath, "scan_monotonic"),
+    "calc_step_scan": (intmath, "first_failure"),
+}
+
+
+def test_the_shim_reexports_its_homes_objects():
+    for name, (home, home_name) in SHIM.items():
+        assert getattr(kernels, name) is getattr(home, home_name), name
+    own = [name for name, fn in inspect.getmembers(kernels, inspect.isfunction)
+           if fn.__module__ == kernels.__name__]
+    assert own == ["backends"]
+    assert kernels.backends() == {kernels.BACKEND: kernels}

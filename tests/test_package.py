@@ -79,7 +79,7 @@ def _records():
     return [
         term, expr, relation, witness, step, result,
         complexity.CalcTrace((result,), 64), checker.InstanceSpace(2, 3), prop,
-        checker.CheckReport(1, (prop,), {}, 0, 0, "python", 0), estimator.StepSample(4, 3), fit,
+        checker.CheckReport(1, (prop,), {}, 0, 0, 0), estimator.StepSample(4, 3), fit,
         estimator.ClassificationReport("Logarithmic", {"Logarithmic": fit}, None, True),
     ]
 
