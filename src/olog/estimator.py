@@ -7,8 +7,9 @@ least squares; no iterative optimizer, so results are deterministic.
 
 The samples come from adversarial step profiles in pure Python (see
 ``bench_steps``): the instrumented ``binary_search`` on every key, the
-width recurrence ``binary_max_steps`` in O(log n) rounds a size, and the
-lockstep scan ``linear_max_steps`` in O(n) set operations a size.
+width recurrence ``binary_max_steps`` in O(log n) rounds a size, and
+``linear_max_steps``, whose worst scan is an absent key's n comparisons,
+in O(1) a size.
 """
 
 from __future__ import annotations
@@ -42,17 +43,19 @@ INSTRUMENTED_MAX_WORK = 2**18
 
 # The largest sizes a profile accepts. The instrumented search makes
 # O(n log n) loop heads over the key family and the linear scan O(n^2)
-# comparisons (the lockstep scan makes them in O(n) set operations); the
-# binary width recurrence runs any admitted size in O(log n) rounds.
+# comparisons; the binary width recurrence runs any admitted size in
+# O(log n) rounds, and linear_max_steps any in O(1).
 BINARY_PROFILE_MAX_N = 2**26
 LINEAR_PROFILE_MAX_N = 2**14
 
 # The caps bound one size; MAX_PROFILE_WORK bounds a whole size list, in
 # the units of profile_work, so that a strictly increasing list cannot
-# hold hundreds of sizes near a cap. The linear scan over the sizes
-# 1..2342 takes 0.4 s (Python 3.11.7). It admits a single size at either
-# cap (1.9e9 and 2.7e8 units), both default lists (3.0e7 and 2.9e8) and
-# 16:67108864:x4 (2.4e9).
+# hold hundreds of sizes near a cap. Its units count the per-key work of
+# the instrumented search and of one scan per key, but no linear list runs
+# the scan and no binary list above INSTRUMENTED_MAX_WORK the search, so
+# the cap bounds the list rather than bench's time. It admits a single size at either cap (1.9e9 and
+# 2.7e8 units), both default lists (3.0e7 and 2.9e8) and 16:67108864:x4
+# (2.4e9).
 MAX_PROFILE_WORK = 2**32
 
 #: Ratio of runner-up error to best error below which the verdict is
@@ -156,25 +159,11 @@ def binary_max_steps(n: int) -> int:
 
 
 def linear_max_steps(n: int) -> int:
-    """Worst comparison count of the linear scan over the same key family.
-
-    Executes the scan of q = [0, n) for every key in [-1, n], all keys in
-    lockstep: at position i every key still scanning compares with q[i],
-    and the keys equal to it leave. A key that hits at i pays i + 1, one
-    that never hits pays n, so the count is the last position at which
-    any key was still live. The live keys sit in a set, which finds the
-    keys equal to q[i] by membership: O(n) in all.
-    """
+    """Worst comparison count of the linear scan of q = [0, n) over the same
+    key family: n, since an absent key (-1 or n) compares with all n
+    positions and no key compares with more."""
     check_profile_size("linear", n)
-    q = range(n)
-    live = set(range(-1, n + 1))
-    steps = 0
-    for i in range(n):
-        if not live:
-            break
-        steps = i + 1
-        live.discard(q[i])
-    return steps
+    return n
 
 
 def instrumented_max_steps(n: int) -> int:
@@ -197,7 +186,7 @@ def bench_steps(algorithm: str, sizes: Sequence[int]) -> list[StepSample]:
     ``INSTRUMENTED_MAX_WORK`` units runs :func:`binary_search` itself on
     every key; a larger one runs the width recurrence
     ``binary_max_steps``, and both give the same counts. Every linear
-    list runs the lockstep scan ``linear_max_steps``.
+    list runs ``linear_max_steps``.
     """
     if algorithm not in ALGORITHMS:
         raise PreconditionError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")

@@ -7,7 +7,7 @@ import sys
 import time
 from collections import Counter
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import product
 from pathlib import Path
 
 import jsonschema
@@ -35,13 +35,18 @@ def _instances(space):
     return [(q, key) for q, lo, hi in space.groups() for key in range(lo, hi + 1)]
 
 
+def _sorted_tuples(length, alphabet):
+    # every tuple of the length, in lexicographic order, kept if non-decreasing:
+    # independent of the combinations_with_replacement the stream comes from
+    return [q for q in product(range(alphabet), repeat=length) if list(q) == sorted(q)]
+
+
 def _reference_instances(max_len, alphabet):
-    # shortest first, lexicographic within a length, keys ascending:
-    # combinations_with_replacement yields one length's sorted tuples in order
+    # shortest first, lexicographic within a length, keys ascending
     return [
         (q, key)
         for length in range(max_len + 1)
-        for q in combinations_with_replacement(range(alphabet), length)
+        for q in _sorted_tuples(length, alphabet)
         for key in range(-1, alphabet + 1)
     ]
 
@@ -90,7 +95,7 @@ def test_groups_stream_every_sequence_with_the_space_keys(max_len, alphabet):
     expected = [
         (items, -1, alphabet)
         for length in range(max_len + 1)
-        for items in combinations_with_replacement(range(alphabet), length)
+        for items in _sorted_tuples(length, alphabet)
     ]
     assert list(groups) == expected
 
@@ -334,6 +339,41 @@ def test_an_off_by_one_ilog2_fails_p8(monkeypatch):
     assert p8.counterexample == {"n": 1, "detail": "ilog2(1) != ilog2_oracle(1)"}
 
 
+def _always_absent(q, key, mode):
+    # a search that reports every key absent, with the right counter and trace
+    return binary_search(q, key, mode)._replace(r=-1)
+
+
+def test_a_search_that_misses_present_keys_fails_p1_and_p2():
+    # P1's postconditions and P2's oracle both see the six present
+    # instances: [0] and [1] with their value, [0, 0] and [1, 1] with
+    # theirs, [0, 1] with either
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2,
+                        search_fn=_always_absent, workers=0)
+    assert _failing(report) == {"P1": (6, ([0], 0)), "P2": (6, ([0], 0))}
+    p2 = next(p for p in report.properties if p.id == "P2")
+    assert p2.counterexample["detail"] == "r=-1 disagrees with oracle index 0"
+
+
+def _ten_steps_late(q, key, mode):
+    # a search whose counter runs 10 ahead of its trace and of tbs
+    out = binary_search(q, key, mode)
+    return out._replace(t=out.t + 10)
+
+
+def test_a_counter_past_the_witness_bound_fails_p7():
+    # every instance's t reaches 10..12, over every budget (at most 3 at
+    # length 2), and over 6*ilog2(2) = 6 on the 12 instances of length 2,
+    # the only ones the witness covers (n0 = 2)
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2,
+                        search_fn=_ten_steps_late, workers=0)
+    failing = _failing(report)
+    assert {p: v for p, (v, _) in failing.items()} == {"P3": 24, "P4": 24, "P6": 24, "P7": 12}
+    assert failing["P7"] == (12, ([0, 0], -1))
+    p7 = next(p for p in report.properties if p.id == "P7")
+    assert p7.counterexample["detail"] == "t=12 exceeds 6*ilog2(2)=6"
+
+
 def _absent_as_minus_two(q, key, mode):
     # a search that reports an absent key as -2 instead of -1
     out = binary_search(q, key, mode)
@@ -562,6 +602,20 @@ def test_an_explicit_worker_count_out_of_range_starts_no_process(monkeypatch):
         message = rf"^workers must be in \[0, 256\], got {workers}$"
         with pytest.raises(PreconditionError, match=message):
             verify_all(InstanceSpace(1, 1), grid=2, workers=workers)
+
+
+def test_an_explicit_worker_count_of_another_type_starts_no_process(monkeypatch):
+    # 2.5 and 1.0 used to reach range() in the fork loop, "2" the range
+    # comparison, and True ran as one worker
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(checker.os, "fork", no_fork)
+    monkeypatch.delenv("OLOG_WORKERS", raising=False)
+    for workers in (2.5, 1.0, "2", True):
+        message = rf"^workers must be an integer, got {workers!r}$"
+        with pytest.raises(PreconditionError, match=message):
+            verify_all(InstanceSpace(2, 2), grid=2, workers=workers)
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):

@@ -97,7 +97,7 @@ def test_binary_max_steps_matches_per_key_library_runs():
 
 
 def test_linear_max_steps_matches_per_key_oracle_runs():
-    # one oracle scan per key against the lockstep scan of all keys;
+    # one oracle scan per key against the closed form n;
     # 1023..1025 and 4095..4097 straddle powers of two
     for n in [*range(1, 301), 1023, 1024, 1025, 4095, 4096, 4097]:
         items = list(range(n))
