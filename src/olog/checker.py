@@ -58,7 +58,7 @@ from olog.algorithms import (
 )
 from olog.complexity import CANONICAL_WITNESS
 from olog.errors import InvariantViolation, PreconditionError, WorkerError
-from olog.intmath import LOG_BOUND, MAX_GRID, STEP_BUDGET, ilog2, validated_make
+from olog.intmath import LOG_BOUND, MAX_GRID, STEP_BUDGET, ilog2, require_int, validated_make
 
 PROPERTY_NAMES = {
     "P1": "binary_posts",
@@ -122,9 +122,9 @@ class InstanceSpace(_InstanceSpaceFields):
     _make = classmethod(validated_make)
 
     def __new__(cls, max_len: int = 8, alphabet: int = 6):
-        if max_len < 1:
+        if require_int("max_len", max_len) < 1:
             raise PreconditionError(f"max_len must be >= 1, got {max_len}")
-        if alphabet < 1:
+        if require_int("alphabet", alphabet) < 1:
             raise PreconditionError(f"alphabet must be >= 1, got {alphabet}")
         return super().__new__(cls, max_len, alphabet)
 
@@ -239,9 +239,7 @@ def _sweep_work(space: InstanceSpace) -> int:
 def _checked_workers(source: str, workers: int) -> int:
     """``workers``, unless it is not an int (a bool is not) or is outside
     [0, MAX_WORKERS]."""
-    if not isinstance(workers, int) or isinstance(workers, bool):
-        raise PreconditionError(f"{source} must be an integer, got {workers!r}")
-    if not 0 <= workers <= MAX_WORKERS:
+    if not 0 <= require_int(source, workers) <= MAX_WORKERS:
         raise PreconditionError(f"{source} must be in [0, {MAX_WORKERS}], got {workers}")
     return workers
 
@@ -521,14 +519,16 @@ def verify_all(
     ``workers=None`` takes ``OLOG_WORKERS`` when it is set, and otherwise
     uses every usable CPU once the space is big enough to pay for
     forking. A count outside [0, MAX_WORKERS], passed or from the
-    variable, or a passed count that is not an int, raises
+    variable, or a passed count or grid that is not an int, raises
     PreconditionError before any fork. A platform without ``os.fork``
     sweeps one share whatever the count.
 
-    Raises WorkerError when a forked worker dies before it reports.
+    Raises WorkerError when a forked worker dies before it reports, or
+    when the merged sweep checked fewer or more instances than the space
+    holds: a partial sweep's counts vouch for nothing.
     """
     n0 = CANONICAL_WITNESS.n0
-    if not n0 <= grid <= MAX_GRID:
+    if not n0 <= require_int("grid", grid) <= MAX_GRID:
         raise PreconditionError(
             f"grid must be in [{n0}, 2**32] ({n0} is the witness threshold), got {grid}"
         )
@@ -556,6 +556,11 @@ def verify_all(
     started = time.perf_counter()
 
     sweep = _forked_sweep(space, search_fn, max(workers, 1) if hasattr(os, "fork") else 1)
+    if sweep["instances"] != space.instances:
+        raise WorkerError(
+            f"the sweep checked {sweep['instances']} of the space's "
+            f"{space.instances} instances; no verdict"
+        )
 
     results = []
     for pid in INSTANCE_PROPS:

@@ -6,8 +6,9 @@ Four workflows: ``verify`` (exhaustive property suite), ``bound``
 (per-iteration view of a single search).
 
 Exit codes: 0 success, 1 a checked property/bound failed, 2 bad
-configuration or input, a sweep worker that died without a verdict, or
-output that could not be written.
+configuration or input, a sweep with no verdict (a worker that died, or
+shares that missed part of the space), or output that could not be
+written.
 
 Each command imports the modules it runs inside its ``_cmd_*``
 function, so a call pays the start-up of those modules only.
@@ -114,8 +115,7 @@ def _cmd_bound(args, out) -> int:
         out.write(json.dumps(trace.to_dict(), indent=2) + "\n")
     elif args.format == "csv":
         lines = ["step,from,rel,to,checked_to,ok"]
-        for i, s in enumerate(trace.steps, start=1):
-            d = s.to_dict()
+        for i, d in enumerate(trace.to_dict()["steps"], start=1):
             lines.append(f"{i},{d['from']},{d['rel']},{d['to']},{d['checked_to']},{d['ok']}")
         out.write("\n".join(lines) + "\n")
     else:
@@ -123,9 +123,9 @@ def _cmd_bound(args, out) -> int:
             f"witness: c={trace.witness.c}, n0={trace.witness.n0} "
             f"(each step checked by dyadic blocks to n={trace.grid})"
         ]
-        for s in trace.steps:
-            mark = "ok  " if s.ok else "FAIL"
-            lines.append(f"  {mark} {s.step.relation}   [{s.step.why}]")
+        for step, n in zip(trace.steps, trace.failures):
+            mark = "FAIL" if n else "ok  "
+            lines.append(f"  {mark} {step.relation}   [{step.why}]")
         out.write("\n".join(lines) + "\n")
     failure = trace.failure()
     if failure is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from olog.errors import PreconditionError, VacuousRangeError
+from olog.errors import PreconditionError
 from olog.intmath import (
     MAX_GRID,
     STEP_BUDGET,
@@ -25,6 +25,7 @@ from olog.intmath import (
     Relation,
     Term,
     first_failure,
+    require_int,
     validated_make,
 )
 
@@ -59,54 +60,43 @@ class CalcStep(NamedTuple):
     why: str
 
 
-class CalcStepResult(NamedTuple):
-    step: CalcStep
-    checked_to: int
-    ok: bool
-    first_failure_n: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        rel = self.step.relation
-        return {
-            "from": str(rel.lhs),
-            "rel": rel.rel,
-            "to": str(rel.rhs),
-            "checked_to": self.checked_to,
-            "ok": self.ok,
-        }
-
-
 class CalcTrace(NamedTuple):
-    """A re-checked inequality chain; its witness is read off the chain itself."""
+    """A checked inequality chain. ``failures[i]`` is the first n in
+    [steps[i]'s threshold, grid] at which step i fails, or 0 where it
+    holds; the witness is read off the chain itself."""
 
-    steps: tuple[CalcStepResult, ...]
+    steps: tuple[CalcStep, ...]
+    failures: tuple[int, ...]
     grid: int
 
     @property
     def witness(self) -> LogWitness:
-        return chain_witness([s.step for s in self.steps])
+        return chain_witness(self.steps)
 
     @property
     def ok(self) -> bool:
-        return all(s.ok for s in self.steps)
-
-    def first_failure(self) -> Optional[tuple[int, int]]:
-        """(1-based step index, n) of the earliest failing point, or None."""
-        for i, s in enumerate(self.steps, start=1):
-            if not s.ok:
-                return i, s.first_failure_n
-        return None
+        return not any(self.failures)
 
     def failure(self) -> Optional[dict]:
-        """The earliest failing point as P9's counterexample, or None."""
-        if (bad := self.first_failure()) is None:
-            return None
-        return {"step": bad[0], "n": bad[1], "detail": f"chain step {bad[0]} fails at n={bad[1]}"}
+        """The earliest failing step and n as P9's counterexample, or None."""
+        for i, n in enumerate(self.failures, start=1):
+            if n:
+                return {"step": i, "n": n, "detail": f"chain step {i} fails at n={n}"}
+        return None
 
     def to_dict(self) -> dict:
         return {
             "witness": {"c": self.witness.c, "n0": self.witness.n0},
-            "steps": [s.to_dict() for s in self.steps],
+            "steps": [
+                {
+                    "from": str(step.relation.lhs),
+                    "rel": step.relation.rel,
+                    "to": str(step.relation.rhs),
+                    "checked_to": self.grid,
+                    "ok": n == 0,
+                }
+                for step, n in zip(self.steps, self.failures)
+            ],
         }
 
 
@@ -150,39 +140,32 @@ def chain_witness(steps) -> LogWitness:
 CANONICAL_WITNESS = chain_witness(canonical_chain())
 
 
-def check_calc_chain(steps, n_max: int) -> tuple[CalcStepResult, ...]:
+def check_calc_chain(steps, n_max: int) -> CalcTrace:
     """Check every chain step on [step.n_min, n_max], by dyadic blocks.
 
     Any step list works the same way, so a spliced-in broken step is
-    caught exactly like a real one.
+    caught exactly like a real one. A grid outside [1, 2**32] raises
+    ``PreconditionError``, and a step whose threshold lies past n_max
+    ``VacuousRangeError`` (both from ``first_failure``).
     """
-    if n_max < 1 or n_max > MAX_GRID:
-        raise PreconditionError(f"chain grid must be in [1, 2**32], got {n_max}")
-    results = []
-    for i, step in enumerate(steps, start=1):
-        lo = max(step.n_min, 1)
-        if lo > n_max:
-            raise VacuousRangeError(
-                f"step {i} needs n >= {step.n_min} but the grid only reaches {n_max}"
-            )
-        bad = first_failure(step.relation, lo, n_max)
-        results.append(
-            CalcStepResult(step, n_max, bad == 0, None if bad == 0 else bad)
-        )
-    return tuple(results)
+    steps = tuple(steps)
+    failures = tuple(first_failure(s.relation, max(s.n_min, 1), n_max) for s in steps)
+    return CalcTrace(steps, failures, n_max)
 
 
 def derive_log_witness(n_max: int) -> CalcTrace:
     """Check the canonical chain at every n in [each step's threshold, n_max].
 
     The trace is returned whether or not every step holds; its witness
-    comes from the chain, and ``first_failure`` names a failing step and n.
+    comes from the chain, and ``failure`` names a failing step and n.
     """
     chain = canonical_chain()
     n0 = chain_witness(chain).n0
-    if n_max < n0:
+    if require_int("grid", n_max) < n0:
         raise PreconditionError(f"witness derivation needs n_max >= {n0}, got {n_max}")
-    return CalcTrace(check_calc_chain(chain, n_max), n_max)
+    if n_max > MAX_GRID:
+        raise PreconditionError(f"chain grid must be in [1, 2**32], got {n_max}")
+    return check_calc_chain(chain, n_max)
 
 
 def is_log2_from(witness: LogWitness, bound: Expr, n_max: int) -> bool:

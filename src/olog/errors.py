@@ -33,5 +33,5 @@ class InvariantViolation(ContractError):
 
 
 class WorkerError(RuntimeError):
-    """A forked worker of the sweep died before it reported its share,
-    so the sweep has no verdict."""
+    """The sweep has no verdict: a forked worker died before it reported
+    its share, or the shares together missed part of the space."""

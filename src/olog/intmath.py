@@ -159,7 +159,16 @@ class Relation(_RelationFields):
         return f"{self.lhs} {self.rel} {self.rhs}"
 
 
+def require_int(what: str, value) -> int:
+    """``value``, unless it is not an int (a bool is not)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PreconditionError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_range(n_lo: int, n_hi: int) -> None:
+    require_int("a grid bound", n_lo)
+    require_int("a grid bound", n_hi)
     if n_lo < 1 or n_hi > MAX_GRID:
         raise PreconditionError(f"grid range must lie in [1, 2**32], got [{n_lo}, {n_hi}]")
     if n_lo > n_hi:

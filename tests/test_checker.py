@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from olog.algorithms import (
     broken_binary_search,
 )
 from olog.checker import InstanceSpace, nondecreasing_sequences, verify_all
-from olog.errors import PreconditionError
+from olog.errors import PreconditionError, WorkerError
 
 SCHEMAS = Path(olog.__file__).parent / "schemas"
 
@@ -616,6 +617,48 @@ def test_an_explicit_worker_count_of_another_type_starts_no_process(monkeypatch)
         message = rf"^workers must be an integer, got {workers!r}$"
         with pytest.raises(PreconditionError, match=message):
             verify_all(InstanceSpace(2, 2), grid=2, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: InstanceSpace(2.5, 2),
+        lambda: InstanceSpace(2, "3"),
+        lambda: InstanceSpace(True, 2),
+        lambda: verify_all(InstanceSpace(1, 1), grid=2.5),
+        lambda: verify_all(InstanceSpace(1, 1), grid="64"),
+        lambda: verify_all(InstanceSpace(1, 1), grid=True),
+        lambda: complexity.derive_log_witness(2.5),
+        lambda: complexity.derive_log_witness("64"),
+        lambda: complexity.is_log2_from(complexity.LogWitness(6, 2), intmath.STEP_BUDGET, 64.0),
+    ],
+    ids=["max_len-float", "alphabet-str", "max_len-bool", "grid-float", "grid-str",
+         "grid-bool", "chain-float", "chain-str", "is_log2_from-float"],
+)
+def test_a_value_that_is_not_an_int_is_rejected_before_any_sweep(call, monkeypatch):
+    # a float grid passes the range comparisons, so only a type check made
+    # before the sweep keeps it from sweeping the space and then failing in P8
+    swept = []
+    monkeypatch.setattr(checker, "_forked_sweep", lambda *args: swept.append(args))
+    with pytest.raises(PreconditionError, match=r" must be an integer, got "):
+        call()
+    assert swept == []
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_sweep_that_misses_a_group_gets_no_verdict(workers, monkeypatch):
+    # the last share drops its first group; with two workers that share is
+    # a forked child's, which inherits the replaced _share
+    def dropping_share(space, search_fn, w, shares):
+        groups = itertools.islice(space.groups(), w, None, shares)
+        if w == shares - 1:
+            next(groups)
+        return checker.verify_sweep(groups, search_fn)
+
+    monkeypatch.setattr(checker, "_share", dropping_share)
+    message = r"^the sweep checked 20 of the space's 24 instances; no verdict$"
+    with pytest.raises(WorkerError, match=message):
+        verify_all(InstanceSpace(2, 2), grid=4, workers=workers)
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):

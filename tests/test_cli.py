@@ -388,6 +388,13 @@ def test_bound_rejects_tiny_grid(capsys):
     assert main(["bound", "--grid", "1"]) == 2
 
 
+def test_bound_rejects_a_grid_past_the_cap(capsys):
+    assert main(["bound", "--grid", "4294967297"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: chain grid must be in [1, 2**32], got 4294967297\n"
+
+
 def test_bench_binary_json(capsys):
     assert main(["bench", "--sizes", "16:1048576:x4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

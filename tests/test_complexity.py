@@ -67,14 +67,15 @@ def test_derive_log_witness_full_grid():
     trace = derive_log_witness(2**20)
     assert trace.witness == (6, 2)
     assert len(trace.steps) == 5
-    assert trace.ok
-    assert all(s.checked_to == 2**20 for s in trace.steps)
+    assert trace.ok and trace.failures == (0,) * 5
+    assert trace.grid == 2**20
+    assert all(s["checked_to"] == 2**20 for s in trace.to_dict()["steps"])
 
 
 def test_derive_log_witness_smallest_grid():
     trace = derive_log_witness(2)
     assert trace.witness == (6, 2)
-    assert trace.ok and trace.first_failure() is None and trace.failure() is None
+    assert trace.ok and trace.failure() is None
 
 
 def test_derive_log_witness_rejects_grid_below_threshold():
@@ -89,8 +90,19 @@ def test_witness_round_trips_through_checker():
 
 def test_chain_steps_check_in_isolation():
     # every canonical step alone holds on a small grid
-    for result in check_calc_chain(canonical_chain(), 4096):
-        assert result.ok, str(result.step.relation)
+    trace = check_calc_chain(canonical_chain(), 4096)
+    assert trace.steps == canonical_chain()
+    assert trace.failures == (0,) * 5 and trace.grid == 4096
+
+
+def test_check_calc_chain_rejects_a_grid_past_the_cap():
+    with pytest.raises(PreconditionError):
+        check_calc_chain(canonical_chain(), 2**32 + 1)
+
+
+def test_check_calc_chain_rejects_a_step_the_grid_does_not_reach():
+    with pytest.raises(VacuousRangeError):
+        check_calc_chain(_edited_chain(3, n_min=65), 64)
 
 
 def _reversed_step3():
@@ -119,33 +131,27 @@ def _step5_rhs_mutant():
 
 
 def test_reversed_monotonic_step_is_caught():
-    steps = _reversed_step3()
-    results = check_calc_chain(steps, 1024)
-    assert results[2].ok is False
-    assert results[2].first_failure_n == 2
-    assert all(r.ok for i, r in enumerate(results) if i != 2)
+    trace = check_calc_chain(_reversed_step3(), 1024)
+    assert trace.failures == (0, 0, 2, 0, 0)
 
 
 def test_step5_rhs_mutant_is_caught():
     # a chain is checked by what its steps compute, never by their labels
-    results = check_calc_chain(_step5_rhs_mutant(), 1024)
-    assert [r.ok for r in results] == [True, True, True, True, False]
-    assert results[4].first_failure_n == 2
+    trace = check_calc_chain(_step5_rhs_mutant(), 1024)
+    assert trace.failures == (0, 0, 0, 0, 2)
 
 
 def test_broken_chain_trace_reports_first_failure():
-    steps = _reversed_step3()
-    trace = complexity.CalcTrace(check_calc_chain(steps, 1024), 1024)
+    trace = check_calc_chain(_reversed_step3(), 1024)
     assert not trace.ok
-    assert trace.first_failure() == (3, 2)
     assert trace.failure() == {"step": 3, "n": 2, "detail": "chain step 3 fails at n=2"}
 
 
 def test_a_failing_chain_is_returned_not_raised(monkeypatch):
     monkeypatch.setattr(complexity, "canonical_chain", _step5_rhs_mutant)
     trace = derive_log_witness(1024)
-    assert [s.ok for s in trace.steps] == [True, True, True, True, False]
-    assert trace.first_failure() == (5, 2)
+    assert trace.failures == (0, 0, 0, 0, 2)
+    assert (trace.failure()["step"], trace.failure()["n"]) == (5, 2)
     assert trace.witness == (3, 2)  # what the chain claims, checked or not
 
 
@@ -183,7 +189,7 @@ def test_generic_and_kernel_chain_scans_agree():
     # on the canonical chain and on both mutants
     grid = 2**14
     for steps in (canonical_chain(), _reversed_step3(), _step5_rhs_mutant()):
-        block = [r.first_failure_n or 0 for r in check_calc_chain(steps, grid)]
+        block = list(check_calc_chain(steps, grid).failures)
         reference = [pointwise.first_failure(s.relation, s.n_min, grid) for s in steps]
         assert block == reference
 

@@ -73,12 +73,11 @@ def _records():
     relation = intmath.Relation(expr, "<=", intmath.Expr((intmath.Term(6, 1, 0),), 0))
     witness = complexity.LogWitness(6, 2)
     step = complexity.CalcStep(relation, 2, "why")
-    result = complexity.CalcStepResult(step, 64, True)
     prop = checker.PropertyResult("P1", "binary_posts", True, 0)
     fit = estimator.ClassFit(1.0, 0.0, 0.0)
     return [
-        term, expr, relation, witness, step, result,
-        complexity.CalcTrace((result,), 64), checker.InstanceSpace(2, 3), prop,
+        term, expr, relation, witness, step,
+        complexity.CalcTrace((step,), (0,), 64), checker.InstanceSpace(2, 3), prop,
         checker.CheckReport(1, (prop,), {}, 0, 0, 0), estimator.StepSample(4, 3), fit,
         estimator.ClassificationReport("Logarithmic", {"Logarithmic": fit}, None, True),
     ]
