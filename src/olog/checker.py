@@ -58,7 +58,7 @@ from olog.algorithms import (
 )
 from olog.complexity import CANONICAL_WITNESS
 from olog.errors import InvariantViolation, PreconditionError, WorkerError
-from olog.intmath import LOG_BOUND, MAX_GRID, STEP_BUDGET, ilog2, require_int, validated_make
+from olog.intmath import LOG_BOUND, STEP_BUDGET, ilog2, require_int, validated_make
 
 PROPERTY_NAMES = {
     "P1": "binary_posts",
@@ -147,17 +147,14 @@ class InstanceSpace(_InstanceSpaceFields):
         return self.keys_per_sequence * math.comb(self.max_len + self.alphabet, self.max_len)
 
     @property
-    def elements(self) -> int:
-        """Total length of all sequences: alphabet * C(max_len+alphabet, alphabet+1).
-
-        Length L contributes L*C(L+alphabet-1, L) = alphabet*C(L+alphabet-1, alphabet)
-        elements, and those sum over L <= max_len to the closed form."""
-        return self.alphabet * math.comb(self.max_len + self.alphabet, self.alphabet + 1)
-
-    @property
     def key_elements(self) -> int:
-        """Keys times total sequence length: each key's search scans its sequence."""
-        return self.keys_per_sequence * self.elements
+        """Keys times total sequence length, as each key's search scans its
+        sequence. The sequences of length L hold L*C(L+alphabet-1, L) =
+        alphabet*C(L+alphabet-1, alphabet) elements, which sum over L <= max_len
+        to alphabet*C(max_len+alphabet, alphabet+1)."""
+        return self.keys_per_sequence * self.alphabet * math.comb(
+            self.max_len + self.alphabet, self.alphabet + 1
+        )
 
     @property
     def complete_to(self) -> int:
@@ -518,20 +515,18 @@ def verify_all(
     report is identical for every worker count except ``wall_time_ms``.
     ``workers=None`` takes ``OLOG_WORKERS`` when it is set, and otherwise
     uses every usable CPU once the space is big enough to pay for
-    forking. A count outside [0, MAX_WORKERS], passed or from the
-    variable, or a passed count or grid that is not an int, raises
-    PreconditionError before any fork. A platform without ``os.fork``
-    sweeps one share whatever the count.
+    forking. A grid ``complexity.derive_log_witness`` rejects (P9's chain
+    runs first), a space over a cap, and a worker count, passed or from
+    the variable, that is not an int in [0, MAX_WORKERS] raise
+    PreconditionError before any fork, in that order. A platform without
+    ``os.fork`` sweeps one share whatever the count.
 
     Raises WorkerError when a forked worker dies before it reports, or
     when the merged sweep checked fewer or more instances than the space
     holds: a partial sweep's counts vouch for nothing.
     """
-    n0 = CANONICAL_WITNESS.n0
-    if not n0 <= require_int("grid", grid) <= MAX_GRID:
-        raise PreconditionError(
-            f"grid must be in [{n0}, 2**32] ({n0} is the witness threshold), got {grid}"
-        )
+    started = time.perf_counter()
+    chain = complexity.derive_log_witness(grid)  # P9, and the grid's one check
     # C(max_len+alphabet, max_len) > max(max_len, alphabet), so a space
     # this floor rejects is never counted: its binomial could take minutes
     # to form, and have too many digits to print
@@ -552,8 +547,6 @@ def verify_all(
         workers = _pool_workers(space)
     else:
         workers = _checked_workers("workers", workers)
-
-    started = time.perf_counter()
 
     sweep = _forked_sweep(space, search_fn, max(workers, 1) if hasattr(os, "fork") else 1)
     if sweep["instances"] != space.instances:
@@ -577,7 +570,7 @@ def verify_all(
         if n
     ]
     results.append(PropertyResult("P8", PROPERTY_NAMES["P8"], not p8, len(p8), p8[0] if p8 else None))
-    p9 = complexity.derive_log_witness(grid).failure()
+    p9 = chain.failure()
     results.append(PropertyResult("P9", PROPERTY_NAMES["P9"], not p9, int(bool(p9)), p9))
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)

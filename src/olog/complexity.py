@@ -157,14 +157,17 @@ def derive_log_witness(n_max: int) -> CalcTrace:
     """Check the canonical chain at every n in [each step's threshold, n_max].
 
     The trace is returned whether or not every step holds; its witness
-    comes from the chain, and ``failure`` names a failing step and n.
+    comes from the chain, and ``failure`` names a failing step and n. A
+    grid that is not an int in [n0, 2**32], n0 the witness threshold,
+    raises ``PreconditionError``: this is the grid rule of ``verify`` and
+    ``bound`` alike.
     """
     chain = canonical_chain()
     n0 = chain_witness(chain).n0
-    if require_int("grid", n_max) < n0:
-        raise PreconditionError(f"witness derivation needs n_max >= {n0}, got {n_max}")
-    if n_max > MAX_GRID:
-        raise PreconditionError(f"chain grid must be in [1, 2**32], got {n_max}")
+    if not n0 <= require_int("grid", n_max) <= MAX_GRID:
+        raise PreconditionError(
+            f"grid must be in [{n0}, 2**32] ({n0} is the witness threshold), got {n_max}"
+        )
     return check_calc_chain(chain, n_max)
 
 
@@ -183,8 +186,11 @@ def is_o_log2n(n: int, t: int, bound: Expr, witness: LogWitness, n_max: int) -> 
     """True iff t <= bound(n) and the bound is logarithmic on the checked grid.
 
     The classical form quantifies existentially over bound functions;
-    here the caller supplies the explicit witness function instead.
+    here the caller supplies the explicit witness function instead. An n,
+    t or n_max that is not an int raises ``PreconditionError``.
     """
+    for what, value in (("n", n), ("t", t), ("n_max", n_max)):
+        require_int(what, value)
     if n < 1:
         raise PreconditionError(f"membership check requires n >= 1, got {n}")
     if n_max < max(n, witness.n0):

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from olog.algorithms import SortedSeq, binary_search
 from olog.errors import PreconditionError
-from olog.intmath import ilog2, validated_make
+from olog.intmath import ilog2, require_int, validated_make
 
 ALGORITHMS = ("binary_search", "linear_oracle")
 
@@ -73,9 +73,9 @@ class StepSample(_StepSampleFields):
     _make = classmethod(validated_make)
 
     def __new__(cls, n: int, t_max: int):
-        if n < 1:
+        if require_int("sample size", n) < 1:
             raise PreconditionError(f"sample size must be >= 1, got {n}")
-        return super().__new__(cls, n, t_max)
+        return super().__new__(cls, n, require_int("t_max", t_max))
 
 
 class ClassFit(NamedTuple):
@@ -108,10 +108,10 @@ class ClassificationReport(NamedTuple):
 
 
 def check_profile_size(kind: str, n: int) -> None:
-    """Raise unless ``n`` is within the cap of the ``kind`` profile,
+    """Raise unless ``n`` is an int within the cap of the ``kind`` profile,
     ``"binary"`` or ``"linear"``."""
     cap = BINARY_PROFILE_MAX_N if kind == "binary" else LINEAR_PROFILE_MAX_N
-    if not 1 <= n <= cap:
+    if not 1 <= require_int(f"{kind} profile size", n) <= cap:
         raise PreconditionError(f"{kind} profile size must be in [1, {cap}], got {n}")
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from olog import costmodel
+from olog import algorithms, costmodel
 from olog.algorithms import (
     MODE_FULL_TRACE,
     SortedSeq,
@@ -42,6 +42,16 @@ def test_sorted_seq_is_immutable_value():
     s = SortedSeq([1, 2, 3])
     assert s == SortedSeq((1, 2, 3))
     assert len(s) == 3 and s[1] == 2 and list(s) == [1, 2, 3]
+    assert hash(s) == hash(SortedSeq((1, 2, 3))) and len({s, SortedSeq([1, 2, 3])}) == 1
+    assert SortedSeq([1]) != (1,)  # a tuple of the same items is no SortedSeq
+    assert repr(s) == "SortedSeq([1, 2, 3])"
+
+
+def test_sorted_seq_refuses_a_sequence_past_the_length_cap(monkeypatch):
+    monkeypatch.setattr(algorithms, "MAX_LEN", 2)
+    assert len(SortedSeq([1, 2])) == 2
+    with pytest.raises(PreconditionError, match="exceeds"):
+        SortedSeq([1, 2, 3])
 
 
 # hand-stepped instances; every (r, t) re-verified below against the

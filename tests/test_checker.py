@@ -85,7 +85,6 @@ def test_instance_count_closed_form(max_len, alphabet):
     space = InstanceSpace(max_len=max_len, alphabet=alphabet)
     reference = _reference_instances(max_len, alphabet)
     assert space.instances == len(reference)
-    assert space.elements == sum(len(s) for s, key in reference if key == -1)
     assert space.key_elements == sum((hi - lo + 1) * len(s) for s, lo, hi in space.groups())
 
 
@@ -305,6 +304,27 @@ def test_max_tbs_gap_sees_a_counter_that_overcounts():
     assert report.max_tbs_gap == 3
     exact = verify_all(space, grid=16, workers=0)
     assert exact.max_tbs_gap == 0
+
+
+def test_a_cost_model_past_its_depth_cap_fails_p5_only(monkeypatch):
+    # a mutant of _tbs that recurses on its own range while it is 2 wide or
+    # more, so the depth guard is what stops it; every instance of length 2
+    # fails P5, and the search, which does not read the cost model, passes
+    exact = costmodel._tbs
+
+    def planted(q, lo, hi, key, depth, costs):
+        if hi - lo < 2:
+            return exact(q, lo, hi, key, depth, costs)
+        exact(q, lo, lo, key, depth, costs)  # the guard; an empty range costs 0
+        return 1 + costmodel._tbs(q, lo, hi, key, depth + 1, costs)
+
+    monkeypatch.setattr(costmodel, "_tbs", planted)
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=16, workers=0)
+    assert _failing(report) == {"P5": (12, ([0, 0], -1))}
+    p5 = next(p for p in report.properties if p.id == "P5")
+    assert p5.counterexample["detail"] == (
+        "the tbs walk raised AssertionError: transition-cost recursion exceeded its depth cap"
+    )
 
 
 @pytest.mark.parametrize("branch,first", [("left", ([0, 0], -1)), ("right", ([0, 0], 1))])

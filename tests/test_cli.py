@@ -392,7 +392,23 @@ def test_bound_rejects_a_grid_past_the_cap(capsys):
     assert main(["bound", "--grid", "4294967297"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: chain grid must be in [1, 2**32], got 4294967297\n"
+    assert captured.err == (
+        "error: grid must be in [2, 2**32] (2 is the witness threshold), got 4294967297\n"
+    )
+
+
+@pytest.mark.parametrize("grid", ["1", "-3", "4294967297"])
+def test_verify_and_bound_reject_a_grid_with_one_error_line(grid, capsys):
+    # both check the grid in derive_log_witness, before any other work
+    errors = []
+    for argv in (["verify", "--max-len", "40", "--alphabet", "40"], ["bound"]):
+        assert main([*argv, f"--grid={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == (
+        f"error: grid must be in [2, 2**32] (2 is the witness threshold), got {grid}\n"
+    )
 
 
 def test_bench_binary_json(capsys):

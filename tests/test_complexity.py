@@ -63,6 +63,15 @@ def test_is_o_log2n_preconditions():
         is_o_log2n(64, 3, STEP_BUDGET, w, 32)  # grid does not cover n
 
 
+@pytest.mark.parametrize(
+    "n,t,n_max",
+    [(8.5, 4, 64), (True, 4, 64), (8, 4.5, 64), (8, 4, "64"), (8, 100, 64.0), (8, 4, 64.0)],
+)
+def test_is_o_log2n_refuses_what_is_not_an_int(n, t, n_max):
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        is_o_log2n(n, t, STEP_BUDGET, LogWitness(6, 2), n_max)
+
+
 def test_derive_log_witness_full_grid():
     trace = derive_log_witness(2**20)
     assert trace.witness == (6, 2)
@@ -79,7 +88,7 @@ def test_derive_log_witness_smallest_grid():
 
 
 def test_derive_log_witness_rejects_grid_below_threshold():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^grid must be in \[2, 2\*\*32\] \(2 is"):
         derive_log_witness(1)
 
 

@@ -43,6 +43,24 @@ def test_bench_validation():
         bench_steps("bogosort", [16, 32])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bench_steps("linear_oracle", [16.0, 256.0, 4096.0, 16384.0]),
+        lambda: bench_steps("binary_search", [16.0, 256.0, 4096.0, 16384.0]),
+        lambda: bench_steps("binary_search", [True, 16, 256, 4096]),
+        lambda: estimator.binary_max_steps(16.0),
+        lambda: estimator.linear_max_steps(16.5),
+        lambda: estimator.check_profile_sizes("binary", [16, "256"]),
+        lambda: StepSample(4.5, 3),
+        lambda: StepSample(16, 4.5),
+    ],
+)
+def test_profiles_and_samples_refuse_what_is_not_an_int(call):
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        call()
+
+
 def _profiles_run(monkeypatch):
     """Which profile bench_steps calls, recorded per size."""
     ran = []
