@@ -22,7 +22,8 @@ checks the full battery on every instance:
   enumerated sequence is enumerated with the same keys, so each subrange
   is an instance's.
 * P6 step_budget: t <= ``intmath.STEP_BUDGET``, 2*ilog2(len(q)+1) + 1.
-* P7 witness_bound: for len(q) >= 2, t <= 6*ilog2(len(q)).
+* P7 witness_bound: for len(q) >= n0, t <= c*ilog2(len(q)), (c, n0) the
+  witness of the chain P9 checks: (6, 2) as shipped.
 * P8 ilog2_monotonic: adjacent-pair monotonicity up to the grid bound,
   and agreement with ``ilog2_oracle`` at both ends of every dyadic block.
 * P9 calc_chain: the witness derivation re-checks on the same grid.
@@ -49,14 +50,7 @@ import time
 from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
 
 from olog import complexity, costmodel, intmath
-from olog.algorithms import (
-    MODE_FULL_TRACE,
-    SortedSeq,
-    binary_search,
-    check_binary_posts,
-    first_indices,
-)
-from olog.complexity import CANONICAL_WITNESS
+from olog.algorithms import SortedSeq, binary_search, check_binary_posts, first_indices
 from olog.errors import InvariantViolation, PreconditionError, WorkerError
 from olog.intmath import LOG_BOUND, STEP_BUDGET, ilog2, require_int, validated_make
 
@@ -245,8 +239,9 @@ def _pool_workers(space: InstanceSpace) -> int:
     """Worker processes for the sweep; 0 runs it in this process.
 
     ``OLOG_WORKERS`` forces the count when set (0 is sequential, at
-    most MAX_WORKERS). Otherwise every usable CPU is used once the
-    space's estimated work pays for forking.
+    most MAX_WORKERS). Otherwise each worker gets at least half of
+    POOL_MIN_WORK, where two break even: min(usable CPUs, 2*work //
+    POOL_MIN_WORK) workers, or 0 when that is below 2.
     """
     raw = os.environ.get("OLOG_WORKERS")
     if raw is not None:
@@ -255,8 +250,8 @@ def _pool_workers(space: InstanceSpace) -> int:
         except ValueError:
             raise PreconditionError(f"OLOG_WORKERS must be an integer, got {raw!r}")
         return _checked_workers("OLOG_WORKERS", workers)
-    cpus = _usable_cpus()
-    return cpus if cpus >= 2 and _sweep_work(space) >= POOL_MIN_WORK else 0
+    workers = min(_usable_cpus(), 2 * _sweep_work(space) // POOL_MIN_WORK)
+    return workers if workers >= 2 else 0
 
 
 def _enumeration_order(counterexample: dict) -> tuple:
@@ -310,9 +305,10 @@ def verify_sweep(groups, search_fn=None) -> dict:
     Returns violation counts and the first counterexample per property
     (P1..P7), in enumeration order, plus ``max_tbs_gap``, the largest
     ``abs(tbs - t)`` between the cost of an instance's full range and the
-    search's counter, whichever way it errs. ``search_fn``
+    search's counter, whichever way it errs. ``search_fn(q, key)``
     defaults to :func:`binary_search`, looked up at call time so that a
-    wrapper installed on this module's global is honoured.
+    wrapper installed on this module's global is honoured. P7 reads the
+    witness of the chain P9 checks, once per call.
 
     Each instance walks the ``tbs`` recurrence once; P4 holds the counter
     to that walk at every recorded head, and P5 checks its value on the
@@ -326,7 +322,7 @@ def verify_sweep(groups, search_fn=None) -> dict:
     """
     if search_fn is None:
         search_fn = binary_search
-    c, n0 = CANONICAL_WITNESS
+    c, n0 = complexity.chain_witness(complexity.canonical_chain())
     counts = {p: 0 for p in INSTANCE_PROPS}
     first: dict = {p: None for p in counts}
     instances = 0
@@ -363,7 +359,7 @@ def verify_sweep(groups, search_fn=None) -> dict:
                     record("P5", items, key, f"tbs(0, {n})={tbs_total} exceeds its log bound")
 
             try:
-                out = search_fn(q, key, MODE_FULL_TRACE)
+                out = search_fn(q, key)
             except InvariantViolation as violation:
                 prop = "P3" if violation.predicate == "termination" else "P1"
                 record(prop, items, key, str(violation))
@@ -514,9 +510,9 @@ def verify_all(
     counts and keeps each property's earliest counterexample, so the
     report is identical for every worker count except ``wall_time_ms``.
     ``workers=None`` takes ``OLOG_WORKERS`` when it is set, and otherwise
-    uses every usable CPU once the space is big enough to pay for
-    forking. A grid ``complexity.derive_log_witness`` rejects (P9's chain
-    runs first), a space over a cap, and a worker count, passed or from
+    one worker per half POOL_MIN_WORK of the space's work, up to the
+    usable CPUs. A grid ``complexity.derive_log_witness`` rejects (P9's
+    chain runs first), a space over a cap, and a worker count, passed or from
     the variable, that is not an int in [0, MAX_WORKERS] raise
     PreconditionError before any fork, in that order. A platform without
     ``os.fork`` sweeps one share whatever the count.

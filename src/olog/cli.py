@@ -169,7 +169,7 @@ def _cmd_bench(args, out) -> int:
 
 def _cmd_trace(args, out) -> int:
     from olog import costmodel
-    from olog.algorithms import MODE_FULL_TRACE, SortedSeq, binary_search
+    from olog.algorithms import SortedSeq, binary_search
     from olog.intmath import STEP_BUDGET
 
     # argparse on Python 3.11 takes --q=-- for the end-of-options marker
@@ -177,7 +177,7 @@ def _cmd_trace(args, out) -> int:
     text = args.q.strip() if isinstance(args.q, str) else "--"
     items = [int(p) for p in text.split(",") if p.strip() != ""] if text else []
     seq = SortedSeq(items)  # raises PreconditionError when unsorted
-    outcome = binary_search(seq, args.key, MODE_FULL_TRACE)
+    outcome = binary_search(seq, args.key)
     budget = STEP_BUDGET(len(seq))
     costs = costmodel.tbs_path(seq, args.key)
     tbs_total = costs[0, len(seq)]

@@ -43,7 +43,7 @@ class LogWitness(_LogWitnessFields):
 
     def __new__(cls, c: int, n0: int):
         self = super().__new__(cls, c, n0)
-        if c < 1 or n0 < 1:
+        if require_int("c", c) < 1 or require_int("n0", n0) < 1:
             raise PreconditionError(f"witness needs c >= 1 and n0 >= 1, got {self!r}")
         return self
 
@@ -134,10 +134,6 @@ def chain_witness(steps) -> LogWitness:
     if len(end.terms) != 1 or end != Expr((Term(end.terms[0].a, 1, 0),), 0):
         raise PreconditionError(f"a chain must end at c*ilog2(n), got {end}")
     return LogWitness(end.terms[0].a, max(s.n_min for s in steps))
-
-
-#: The witness the canonical chain establishes, read off that chain.
-CANONICAL_WITNESS = chain_witness(canonical_chain())
 
 
 def check_calc_chain(steps, n_max: int) -> CalcTrace:

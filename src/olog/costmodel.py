@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from olog.errors import PreconditionError
+from olog.intmath import require_int
 
 # Lengths are capped at 2**32 (see intmath), so recursion depth never
 # exceeds ~33; anything deeper signals a broken recurrence.
@@ -19,7 +20,7 @@ _MAX_DEPTH = 64
 
 
 def _check_range(q: Sequence[int], lo: int, hi: int) -> None:
-    if not (0 <= lo <= hi <= len(q)):
+    if not (0 <= require_int("lo", lo) <= require_int("hi", hi) <= len(q)):
         raise PreconditionError(
             f"range must satisfy 0 <= lo <= hi <= len(q); got lo={lo}, hi={hi}, len={len(q)}"
         )

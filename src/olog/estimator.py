@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from olog.algorithms import SortedSeq, binary_search
+from olog.algorithms import MODE_OFF, SortedSeq, binary_search
 from olog.errors import PreconditionError
 from olog.intmath import ilog2, require_int, validated_make
 
@@ -168,9 +168,10 @@ def linear_max_steps(n: int) -> int:
 
 def instrumented_max_steps(n: int) -> int:
     """Worst iteration count of :func:`binary_search` itself over the
-    adversarial key family on [0, n)."""
+    adversarial key family on [0, n), unchecked: ``t`` is the same in
+    both modes, and the checked run costs O(n) a key."""
     q = SortedSeq(range(n))
-    return max(binary_search(q, key).t for key in range(-1, n + 1))
+    return max(binary_search(q, key, MODE_OFF).t for key in range(-1, n + 1))
 
 
 def bench_steps(algorithm: str, sizes: Sequence[int]) -> list[StepSample]:

@@ -48,9 +48,9 @@ def ilog2(n: int) -> int:
         The largest k such that 2**k <= n.
 
     Raises:
-        PreconditionError: if ``n < 1``.
+        PreconditionError: if ``n`` is not an int (a bool is not) or ``n < 1``.
     """
-    if n < 1:
+    if require_int("n", n) < 1:
         raise PreconditionError(f"ilog2 requires n >= 1, got {n}")
     k = 0
     while n > 1:
@@ -65,7 +65,7 @@ def ilog2_oracle(n: int) -> int:
     Uses only multiplication by two and comparison, never division, so
     it shares no code path with ``ilog2``.
     """
-    if n < 1:
+    if require_int("n", n) < 1:
         raise PreconditionError(f"ilog2_oracle requires n >= 1, got {n}")
     power = 1
     k = 0
@@ -98,8 +98,8 @@ class Term(_TermFields):
     _make = classmethod(validated_make)
 
     def __new__(cls, a: int, b: int, d: int):
-        self = super().__new__(cls, a, b, d)
-        if b < 1 or d < 0:
+        self = super().__new__(cls, require_int("a term's a", a), b, d)
+        if require_int("a term's b", b) < 1 or require_int("a term's d", d) < 0:
             raise PreconditionError(f"a term needs b >= 1 and d >= 0, got {self!r}")
         return self
 

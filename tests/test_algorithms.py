@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from olog import algorithms, costmodel
 from olog.algorithms import (
     MODE_FULL_TRACE,
+    MODE_OFF,
     SortedSeq,
     _inv_holds,
     _search,
@@ -66,7 +67,7 @@ SEARCH_CASES = [
 
 @pytest.mark.parametrize("items,key,r,t", SEARCH_CASES)
 def test_binary_search_known_instances(items, key, r, t):
-    outcome = binary_search(SortedSeq(items), key)
+    outcome = binary_search(SortedSeq(items), key, MODE_OFF)
     assert (outcome.r, outcome.t) == (r, t)
     assert outcome.trace is None
 
@@ -261,14 +262,14 @@ def test_search_counter_bounded(instance):
 
 def test_broken_search_trips_the_termination_check():
     with pytest.raises(InvariantViolation) as err:
-        broken_binary_search(SortedSeq([0]), 1, MODE_FULL_TRACE)
+        broken_binary_search(SortedSeq([0]), 1)
     assert err.value.predicate == "termination"
     assert err.value.state["lo"] == 0 and err.value.state["hi"] == 1
 
 
 def test_broken_search_agrees_when_bug_not_hit():
     # going left only never exercises the planted bug
-    outcome = broken_binary_search(SortedSeq([1, 3, 5, 7]), -2, MODE_FULL_TRACE)
+    outcome = broken_binary_search(SortedSeq([1, 3, 5, 7]), -2)
     assert (outcome.r, outcome.t) == (-1, 3)
 
 
@@ -276,12 +277,12 @@ def test_broken_search_agrees_when_bug_not_hit():
     "call,outcome",
     [
         ("broken_binary_search([0], 1)", "InvariantViolation"),
-        ("broken_binary_search([0], 1, 'off')", "PreconditionError"),
+        ("broken_binary_search([0], 1, 'off')", "TypeError"),
     ],
 )
 def test_broken_search_never_runs_unchecked(call, outcome):
     # without the termination check [0] with key 1 would loop forever, so
-    # the default is the checking mode and "off" is refused
+    # the broken search takes no mode: it always checks
     probe = (
         "import olog\n"
         "try:\n"

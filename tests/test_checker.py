@@ -227,9 +227,8 @@ def test_mutant_is_caught_with_minimal_counterexample():
 
 def test_overshooting_mutant_verdicts_are_pinned():
     # lo = mid + 2: the loop-head invariant (P1) and the tbs walk (P4) catch it
-    report = verify_all(
-        InstanceSpace(max_len=4, alphabet=3), 64, search_fn=partial(_search, advance=2), workers=0
-    )
+    mutant = partial(_search, check_mode=MODE_FULL_TRACE, advance=2)
+    report = verify_all(InstanceSpace(max_len=4, alphabet=3), 64, search_fn=mutant, workers=0)
     failing = _failing(report)
     assert failing == {"P1": (29, ([0], 1)), "P4": (38, ([0, 0, 0], 1))}
     assert report.minimal_counterexample()["detail"] == (
@@ -264,9 +263,9 @@ def test_mutant_report_is_schema_valid():
     jsonschema.validate(report.to_dict(), schema)
 
 
-def _never_counts(q, key, mode):
+def _never_counts(q, key):
     # a search whose counter never counts and which records nothing
-    return SearchOutcome(binary_search(q, key, mode).r, 0, ())
+    return SearchOutcome(binary_search(q, key).r, 0, ())
 
 
 def _failing(report):
@@ -286,9 +285,9 @@ def test_a_search_that_never_counts_fails_p4():
     assert report.minimal_counterexample()["detail"] == "t=0 differs from tbs=1"
 
 
-def _counts_twice(q, key, mode):
+def _counts_twice(q, key):
     # a search whose counter, and the trace's, charges two steps per iteration
-    out = binary_search(q, key, mode)
+    out = binary_search(q, key)
     trace = tuple(rec._replace(t_after=2 * rec.t_after) for rec in out.trace)
     return SearchOutcome(out.r, 2 * out.t, trace)
 
@@ -360,9 +359,9 @@ def test_an_off_by_one_ilog2_fails_p8(monkeypatch):
     assert p8.counterexample == {"n": 1, "detail": "ilog2(1) != ilog2_oracle(1)"}
 
 
-def _always_absent(q, key, mode):
+def _always_absent(q, key):
     # a search that reports every key absent, with the right counter and trace
-    return binary_search(q, key, mode)._replace(r=-1)
+    return binary_search(q, key)._replace(r=-1)
 
 
 def test_a_search_that_misses_present_keys_fails_p1_and_p2():
@@ -376,9 +375,9 @@ def test_a_search_that_misses_present_keys_fails_p1_and_p2():
     assert p2.counterexample["detail"] == "r=-1 disagrees with oracle index 0"
 
 
-def _ten_steps_late(q, key, mode):
+def _ten_steps_late(q, key):
     # a search whose counter runs 10 ahead of its trace and of tbs
-    out = binary_search(q, key, mode)
+    out = binary_search(q, key)
     return out._replace(t=out.t + 10)
 
 
@@ -395,9 +394,25 @@ def test_a_counter_past_the_witness_bound_fails_p7():
     assert p7.counterexample["detail"] == "t=12 exceeds 6*ilog2(2)=6"
 
 
-def _absent_as_minus_two(q, key, mode):
+@pytest.mark.parametrize("workers", [0, 2])
+def test_p7_judges_the_witness_of_the_chain_p9_checks(monkeypatch, workers):
+    # a chain whose last step ends at 12*ilog2(n) witnesses (12, 2), and the
+    # counter 10 ahead reaches at most 12 = 12*ilog2(2): P7 passes with P9,
+    # and only the properties that see the counter itself fail
+    steps = list(complexity.canonical_chain())
+    last = steps[-1]
+    twelve = intmath.Expr((intmath.Term(12, 1, 0),), 0)
+    steps[-1] = last._replace(relation=last.relation._replace(rhs=twelve))
+    monkeypatch.setattr(complexity, "canonical_chain", lambda: tuple(steps))
+    assert complexity.derive_log_witness(2).witness == (12, 2)
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2,
+                        search_fn=_ten_steps_late, workers=workers)
+    assert {p: v for p, (v, _) in _failing(report).items()} == {"P3": 24, "P4": 24, "P6": 24}
+
+
+def _absent_as_minus_two(q, key):
     # a search that reports an absent key as -2 instead of -1
-    out = binary_search(q, key, mode)
+    out = binary_search(q, key)
     return out._replace(r=-2) if out.r < 0 else out
 
 
@@ -409,10 +424,10 @@ def test_an_absent_index_other_than_minus_one_fails_p1():
     assert report.minimal_counterexample()["detail"] == "postconditions fail for r=-2"
 
 
-def _raises_on_one(q, key, mode):
+def _raises_on_one(q, key):
     if list(q) == [0, 1] and key == 1:
         raise KeyError("planted")
-    return binary_search(q, key, mode)
+    return binary_search(q, key)
 
 
 def test_a_search_that_raises_gets_a_p1_verdict():
@@ -478,13 +493,13 @@ def _strip(report):
     return doc
 
 
-def _slow_minimal_share(q, key, mode):
+def _slow_minimal_share(q, key):
     # group 1, [0], holds the broken search's minimal counterexample ([0],
     # 1); with two workers it is the child's share, which then finishes
     # after the parent's
     if list(q) == [0] and key == -1:
         time.sleep(0.05)
-    return broken_binary_search(q, key, mode)
+    return broken_binary_search(q, key)
 
 
 def test_parallel_equals_serial(monkeypatch):
@@ -527,8 +542,8 @@ def test_parallel_equals_serial(monkeypatch):
 
 def test_unpicklable_search_fn_stays_in_process(monkeypatch):
     # nothing is pickled: the forked shares inherit a local search_fn
-    def local_search(q, key, mode):
-        return broken_binary_search(q, key, mode)
+    def local_search(q, key):
+        return broken_binary_search(q, key)
 
     space = InstanceSpace(max_len=4, alphabet=3)
     monkeypatch.delenv("OLOG_WORKERS", raising=False)
@@ -554,7 +569,7 @@ def test_forced_pool_runs_an_unpicklable_search_fn_in_process(monkeypatch):
     expected = verify_all(space, 16, workers=0)
     monkeypatch.setattr(checker.os, "fork", counting_fork)
     monkeypatch.setenv("OLOG_WORKERS", "2")
-    report = verify_all(space, 16, search_fn=lambda q, key, mode: binary_search(q, key, mode))
+    report = verify_all(space, 16, search_fn=lambda q, key: binary_search(q, key))
     assert _strip(report) == _strip(expected)
     assert forks == [1]
 
@@ -572,15 +587,23 @@ def test_a_platform_without_fork_sweeps_in_process(monkeypatch):
 
 
 def test_pool_workers_decision(monkeypatch):
+    def no_fork():
+        raise AssertionError("the decision forked")
+
     big, small = InstanceSpace(), InstanceSpace(max_len=2, alphabet=2)
+    monkeypatch.setattr(checker.os, "fork", no_fork)
     monkeypatch.delenv("OLOG_WORKERS", raising=False)
+    # on 64 CPUs each worker still gets at least half of POOL_MIN_WORK
+    monkeypatch.setattr(checker, "_usable_cpus", lambda: 64)
+    for (max_len, alphabet), workers in {(6, 6): 0, (8, 6): 7, (5, 12): 21, (26, 3): 10}.items():
+        assert checker._pool_workers(InstanceSpace(max_len, alphabet)) == workers
     monkeypatch.setattr(checker, "_usable_cpus", lambda: 4)
     assert checker._pool_workers(big) == 4
     assert checker._pool_workers(small) == 0  # below the break-even
     # the break-even is inclusive, on the closed-form work estimate
     assert checker._sweep_work(small) == 4 * 8 + checker.SEQ_WORK * 24
     monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(small))
-    assert checker._pool_workers(small) == 4
+    assert checker._pool_workers(small) == 2  # each worker gets half the break-even
     monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(small) + 1)
     assert checker._pool_workers(small) == 0
 
@@ -700,20 +723,20 @@ from olog.algorithms import binary_search
 PARENT = os.getpid()
 max_len, alphabet, workers = map(int, sys.argv[1:4])
 
-def killed_on_one(q, key, mode):
+def killed_on_one(q, key):
     if tuple(q) == (0, 1, 2) and key == 1:
         os.kill(os.getpid(), signal.SIGKILL)
-    return binary_search(q, key, mode)
+    return binary_search(q, key)
 
-def parent_raises(q, key, mode):
+def parent_raises(q, key):
     if os.getpid() == PARENT:
         raise KeyboardInterrupt
     time.sleep(30)
 
-def children_exit(q, key, mode):
+def children_exit(q, key):
     if os.getpid() != PARENT:
         os._exit(3)
-    return binary_search(q, key, mode)
+    return binary_search(q, key)
 
 search_fn = {"kill": killed_on_one, "raise": parent_raises, "exit": children_exit}[sys.argv[4]]
 started = time.perf_counter()

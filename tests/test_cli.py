@@ -149,10 +149,10 @@ def test_a_dead_sweep_worker_exits_2_with_one_error_line():
         "from olog import checker\n"
         "from olog.algorithms import binary_search\n"
         "from olog.cli import main\n"
-        "def killed_on_one(q, key, mode):\n"
+        "def killed_on_one(q, key):\n"
         "    if tuple(q) == (0, 1, 2) and key == 1:\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
-        "    return binary_search(q, key, mode)\n"
+        "    return binary_search(q, key)\n"
         "real = checker.verify_all\n"
         "checker.verify_all = lambda space, grid: real(space, grid, search_fn=killed_on_one)\n"
         "os.environ['OLOG_WORKERS'] = '2'\n"

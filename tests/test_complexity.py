@@ -33,6 +33,12 @@ def test_witness_requires_positive_parts():
         LogWitness(6, 0)
 
 
+@pytest.mark.parametrize("c,n0", [(6.5, 2), (True, 2), (6, 2.0), (6, True)])
+def test_witness_refuses_what_is_not_an_int(c, n0):
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        LogWitness(c, n0)
+
+
 def test_is_log2_from_examples():
     assert is_log2_from(LogWitness(6, 2), STEP_BUDGET, 1024) is True
     # at n=1: bound(1)=3 but 6*ilog2(1)=0
@@ -189,8 +195,8 @@ def test_a_chain_must_end_at_a_multiple_of_ilog2_n(monkeypatch):
 
 
 def test_the_canonical_witness_is_the_shipped_chains():
-    assert complexity.CANONICAL_WITNESS == (6, 2)
-    assert complexity.chain_witness(canonical_chain()) == complexity.CANONICAL_WITNESS
+    assert complexity.chain_witness(canonical_chain()) == (6, 2)
+    assert derive_log_witness(64).witness == (6, 2)
 
 
 def test_generic_and_kernel_chain_scans_agree():

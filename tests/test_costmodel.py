@@ -132,3 +132,9 @@ def test_tbs_translation_invariant(items, data):
     hi = data.draw(st.integers(min_value=lo, max_value=len(items)))
     key = data.draw(st.integers(min_value=-101, max_value=101))
     assert tbs(items, lo, hi, key) == tbs(items[lo:hi], 0, hi - lo, key)
+
+
+@pytest.mark.parametrize("lo,hi", [(True, 3), (0.0, 3), (0, 3.0), (0, "3")])
+def test_tbs_refuses_bounds_that_are_not_ints(lo, hi):
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        tbs([1, 2, 3], lo, hi, 2)

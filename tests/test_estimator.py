@@ -1,6 +1,7 @@
 import pytest
 
 from olog import estimator
+from olog.algorithms import MODE_OFF, binary_search
 from olog.cli import DEFAULT_SIZES, parse_sizes
 from olog.errors import PreconditionError
 from olog.estimator import StepSample, bench_steps, fit_class, samples_to_csv
@@ -95,6 +96,21 @@ def test_both_binary_profiles_give_the_same_samples(last, selected, monkeypatch)
     assert bench_steps("binary_search", sizes) == samples
     assert set(ran) == {"profile", "instrumented"} - {selected}
     assert samples == [StepSample(n, n.bit_length()) for n in sizes]
+
+
+def test_the_instrumented_profile_runs_the_search_unchecked(monkeypatch):
+    # t is the same in both modes, and checking costs O(n) a key: about
+    # 40x the profile's time at 1,16,256,4096
+    modes = []
+
+    def recorder(q, key, *mode):
+        modes.append(mode)
+        return binary_search(q, key, *mode)
+
+    monkeypatch.setattr(estimator, "binary_search", recorder)
+    sizes = [1, 16, 256]
+    assert bench_steps("binary_search", sizes) == [StepSample(n, n.bit_length()) for n in sizes]
+    assert modes == [(MODE_OFF,)] * sum(n + 2 for n in sizes)
 
 
 def test_linear_lists_run_the_lockstep_scan(monkeypatch):

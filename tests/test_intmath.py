@@ -199,3 +199,21 @@ def test_labels_come_from_the_terms():
     assert str(Relation(Expr((Term(-3, 3, 2),), -1), "<=", Expr((), 0))) == (
         "-3*ilog2(3*n+2) - 1 <= 0"
     )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ilog2(2.5),
+        lambda: ilog2(True),
+        lambda: ilog2_oracle(8.0),
+        lambda: ilog2_oracle(False),
+        lambda: Term(2.5, 1, 0),
+        lambda: Term(True, 1, 0),
+        lambda: Term(1, 1.5, 0),
+        lambda: Term(1, 1, 0.5),
+    ],
+)
+def test_ilog2_and_terms_refuse_what_is_not_an_int(call):
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        call()

@@ -174,7 +174,7 @@ def test_sweep_holds_each_head_to_the_cost_of_its_range():
         # when the recorded heads and counter are the correct search's
         for search in (binary_search, broken_binary_search):
             try:
-                out = search(q, key, MODE_FULL_TRACE)
+                out = search(q, key)
             except InvariantViolation:
                 continue  # the sweep charges an aborted run to P1 or P3
             stray = _heads(out) != _heads(expected)
