@@ -218,9 +218,9 @@ def binary_search(q, key: int, check_mode: str = MODE_FULL_TRACE) -> SearchOutco
       the counter and the records against the cost model ``tbs``.
     * ``"off"``: the same loop with nothing but the counter; ``t`` is the
       same in both modes. It exists for speed: the invariant reads
-      ``key_span``, which makes each checked call O(n), so the adversarial
-      profile of 1,16,256,4096 takes 11.7 ms off and 487 ms checked
-      (medians of 7, Xeon, 2 vCPU, Python 3.11.7).
+      ``key_span``, so a checked call is O(n) and only an unchecked one
+      O(log n); the adversarial profile of 1,16,256,4096 takes 11.7 ms
+      off and 487 ms checked (medians of 7, Xeon, 2 vCPU, Python 3.11.7).
     """
     return _search(q, key, check_mode, advance=1)
 

@@ -23,7 +23,8 @@ checks the full battery on every instance:
   is an instance's.
 * P6 step_budget: t <= ``intmath.STEP_BUDGET``, 2*ilog2(len(q)+1) + 1.
 * P7 witness_bound: for len(q) >= n0, t <= c*ilog2(len(q)), (c, n0) the
-  witness of the chain P9 checks: (6, 2) as shipped.
+  witness of ``complexity.canonical_chain()``, the chain P9 checks: (6, 2)
+  as shipped.
 * P8 ilog2_monotonic: adjacent-pair monotonicity up to the grid bound,
   and agreement with ``ilog2_oracle`` at both ends of every dyadic block.
 * P9 calc_chain: the witness derivation re-checks on the same grid.
@@ -239,9 +240,8 @@ def _pool_workers(space: InstanceSpace) -> int:
     """Worker processes for the sweep; 0 runs it in this process.
 
     ``OLOG_WORKERS`` forces the count when set (0 is sequential, at
-    most MAX_WORKERS). Otherwise each worker gets at least half of
-    POOL_MIN_WORK, where two break even: min(usable CPUs, 2*work //
-    POOL_MIN_WORK) workers, or 0 when that is below 2.
+    most MAX_WORKERS). Otherwise every usable CPU is used once the
+    space's estimated work pays for forking.
     """
     raw = os.environ.get("OLOG_WORKERS")
     if raw is not None:
@@ -250,8 +250,8 @@ def _pool_workers(space: InstanceSpace) -> int:
         except ValueError:
             raise PreconditionError(f"OLOG_WORKERS must be an integer, got {raw!r}")
         return _checked_workers("OLOG_WORKERS", workers)
-    workers = min(_usable_cpus(), 2 * _sweep_work(space) // POOL_MIN_WORK)
-    return workers if workers >= 2 else 0
+    cpus = _usable_cpus()
+    return cpus if cpus >= 2 and _sweep_work(space) >= POOL_MIN_WORK else 0
 
 
 def _enumeration_order(counterexample: dict) -> tuple:
@@ -308,7 +308,8 @@ def verify_sweep(groups, search_fn=None) -> dict:
     search's counter, whichever way it errs. ``search_fn(q, key)``
     defaults to :func:`binary_search`, looked up at call time so that a
     wrapper installed on this module's global is honoured. P7 reads the
-    witness of the chain P9 checks, once per call.
+    witness of ``complexity.canonical_chain()``, built once per call: the
+    chain ``derive_log_witness`` checks for P9.
 
     Each instance walks the ``tbs`` recurrence once; P4 holds the counter
     to that walk at every recorded head, and P5 checks its value on the
@@ -510,9 +511,9 @@ def verify_all(
     counts and keeps each property's earliest counterexample, so the
     report is identical for every worker count except ``wall_time_ms``.
     ``workers=None`` takes ``OLOG_WORKERS`` when it is set, and otherwise
-    one worker per half POOL_MIN_WORK of the space's work, up to the
-    usable CPUs. A grid ``complexity.derive_log_witness`` rejects (P9's
-    chain runs first), a space over a cap, and a worker count, passed or from
+    uses every usable CPU once the space is big enough to pay for
+    forking. A grid ``complexity.derive_log_witness`` rejects (P9's chain
+    runs first), a space over a cap, and a worker count, passed or from
     the variable, that is not an int in [0, MAX_WORKERS] raise
     PreconditionError before any fork, in that order. A platform without
     ``os.fork`` sweeps one share whatever the count.

