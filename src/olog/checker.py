@@ -48,7 +48,7 @@ import marshal
 import math
 import os
 import time
-from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
+from typing import Iterator, NamedTuple, NoReturn, Optional
 
 from olog import complexity, costmodel, intmath
 from olog.algorithms import SortedSeq, binary_search, check_binary_posts, first_indices
@@ -96,11 +96,10 @@ SEQ_WORK = 8
 # (6, 6) space, 7.4k instances, 60 ms), medians of 40 interleaved runs on
 # a shared host; below POOL_MIN_WORK the sweep stays in process.
 POOL_MIN_WORK = 10**5
-# A forced OLOG_WORKERS count, or a workers argument, above this is
-# rejected instead of forking that many processes. Two workers on 2 CPUs
-# is the most measured to pay, and more workers than usable CPUs only add
-# start-up; the ceiling sits far above both without letting a typo start
-# 10^5 processes.
+# A forced OLOG_WORKERS count above this is rejected instead of forking
+# that many processes. Two workers on 2 CPUs is the most measured to pay,
+# and more workers than usable CPUs only add start-up; the ceiling sits
+# far above both without letting a typo start 10^5 processes.
 MAX_WORKERS = 256
 
 
@@ -228,20 +227,12 @@ def _sweep_work(space: InstanceSpace) -> int:
     return space.key_elements + SEQ_WORK * space.instances
 
 
-def _checked_workers(source: str, workers: int) -> int:
-    """``workers``, unless it is not an int (a bool is not) or is outside
-    [0, MAX_WORKERS]."""
-    if not 0 <= require_int(source, workers) <= MAX_WORKERS:
-        raise PreconditionError(f"{source} must be in [0, {MAX_WORKERS}], got {workers}")
-    return workers
-
-
 def _pool_workers(space: InstanceSpace) -> int:
     """Worker processes for the sweep; 0 runs it in this process.
 
-    ``OLOG_WORKERS`` forces the count when set (0 is sequential, at
-    most MAX_WORKERS). Otherwise every usable CPU is used once the
-    space's estimated work pays for forking.
+    ``OLOG_WORKERS`` forces the count when set: an int in [0, MAX_WORKERS],
+    0 sequential. Otherwise every usable CPU is used once the space's
+    estimated work pays for forking.
     """
     raw = os.environ.get("OLOG_WORKERS")
     if raw is not None:
@@ -249,7 +240,9 @@ def _pool_workers(space: InstanceSpace) -> int:
             workers = int(raw)
         except ValueError:
             raise PreconditionError(f"OLOG_WORKERS must be an integer, got {raw!r}")
-        return _checked_workers("OLOG_WORKERS", workers)
+        if not 0 <= workers <= MAX_WORKERS:
+            raise PreconditionError(f"OLOG_WORKERS must be in [0, {MAX_WORKERS}], got {workers}")
+        return workers
     cpus = _usable_cpus()
     return cpus if cpus >= 2 and _sweep_work(space) >= POOL_MIN_WORK else 0
 
@@ -299,15 +292,15 @@ def _p4_failure(trace, t, costs, tbs_total):
     return None
 
 
-def verify_sweep(groups, search_fn=None) -> dict:
+def verify_sweep(groups) -> dict:
     """Run the per-instance property battery over (items, key_lo, key_hi) groups.
 
     Returns violation counts and the first counterexample per property
     (P1..P7), in enumeration order, plus ``max_tbs_gap``, the largest
     ``abs(tbs - t)`` between the cost of an instance's full range and the
-    search's counter, whichever way it errs. ``search_fn(q, key)``
-    defaults to :func:`binary_search`, looked up at call time so that a
-    wrapper installed on this module's global is honoured. P7 reads the
+    search's counter, whichever way it errs. The search is this module's
+    global ``binary_search``, looked up once per call, so a search planted
+    there (``broken_binary_search``, say) is the one judged. P7 reads the
     witness of ``complexity.canonical_chain()``, built once per call: the
     chain ``derive_log_witness`` checks for P9.
 
@@ -321,8 +314,7 @@ def verify_sweep(groups, search_fn=None) -> dict:
     An exception the search raises counts against P1 (P3 for the
     termination check), and one the walk raises against P5, skipping P4.
     """
-    if search_fn is None:
-        search_fn = binary_search
+    search = binary_search
     c, n0 = complexity.chain_witness(complexity.canonical_chain())
     counts = {p: 0 for p in INSTANCE_PROPS}
     first: dict = {p: None for p in counts}
@@ -360,7 +352,7 @@ def verify_sweep(groups, search_fn=None) -> dict:
                     record("P5", items, key, f"tbs(0, {n})={tbs_total} exceeds its log bound")
 
             try:
-                out = search_fn(q, key)
+                out = search(q, key)
             except InvariantViolation as violation:
                 prop = "P3" if violation.predicate == "termination" else "P1"
                 record(prop, items, key, str(violation))
@@ -396,21 +388,21 @@ def verify_sweep(groups, search_fn=None) -> dict:
     }
 
 
-def _share(space: InstanceSpace, search_fn, w: int, workers: int) -> dict:
+def _share(space: InstanceSpace, w: int, workers: int) -> dict:
     """The sweep of the w-th of ``workers`` strided shares: every
     ``workers``-th group of the enumeration, from the w-th on."""
     groups = itertools.islice(space.groups(), w, None, workers)
-    return verify_sweep(groups, search_fn)
+    return verify_sweep(groups)
 
 
-def _sweep_child(space: InstanceSpace, search_fn, w: int, workers: int, wfd: int) -> NoReturn:
+def _sweep_child(space: InstanceSpace, w: int, workers: int, wfd: int) -> NoReturn:
     """A forked worker: sweep share w, write the result to ``wfd`` with
     marshal, and leave with os._exit, so that nothing the parent set up
     (buffered output, atexit handlers, pytest's state) runs twice. A
     failure prints its traceback and exits 1; an interrupt exits 1."""
     status = 1
     try:
-        data = marshal.dumps(_share(space, search_fn, w, workers))
+        data = marshal.dumps(_share(space, w, workers))
         with open(wfd, "wb") as pipe:
             pipe.write(data)
         status = 0
@@ -437,23 +429,24 @@ def _death(code: int) -> str:
     return f"was killed by signal {-code} ({name})"
 
 
-def _forked_sweep(space: InstanceSpace, search_fn, workers: int) -> dict:
+def _forked_sweep(space: InstanceSpace, workers: int) -> dict:
     """Sweep the space in ``workers`` strided shares: this process sweeps
     share 0 and a forked child each of the others, so one share forks
     nothing.
 
-    The children inherit ``search_fn`` and every patched module global, so
-    nothing is pickled. Each one writes its result to a pipe and exits;
-    this process reads each pipe to EOF and then reaps the child, so a
-    child that dies (killed by a signal, say) shows up as a bad wait
-    status and raises WorkerError, never as a hang. Whatever raises, every
-    child still running is killed and every child reaped.
+    The children inherit every module global as it stands at the fork, a
+    planted search or cost model included, so nothing is pickled. Each one
+    writes its result to a pipe and exits; this process reads each pipe to
+    EOF and then reaps the child, so a child that dies (killed by a
+    signal, say) shows up as a bad wait status and raises WorkerError,
+    never as a hang. Whatever raises, every child still running is killed
+    and every child reaped.
 
     Each process enumerates the whole stream and skips the other shares'
     groups, so each pays for the whole enumeration: under 1% of the
     sequential sweep at (5, 12) and about 5% at (2000, 1) (Python 3.11.7, 2
     vCPU). Only the calling thread survives a fork, so a caller whose
-    other threads hold locks should sweep with ``workers=0``.
+    other threads hold locks should set ``OLOG_WORKERS=0``.
     """
     children: dict = {}  # pid -> (share, read end of its pipe), until reaped
     try:
@@ -466,10 +459,10 @@ def _forked_sweep(space: InstanceSpace, search_fn, workers: int) -> dict:
                 os.close(wfd)
                 raise
             if pid == 0:
-                _sweep_child(space, search_fn, w, workers, wfd)
+                _sweep_child(space, w, workers, wfd)
             os.close(wfd)
             children[pid] = (w, open(rfd, "rb"))
-        shares = [_share(space, search_fn, 0, workers)]
+        shares = [_share(space, 0, workers)]
         for pid in list(children):
             w, pipe = children[pid]
             data = pipe.read()
@@ -491,32 +484,26 @@ def _forked_sweep(space: InstanceSpace, search_fn, workers: int) -> dict:
     return _merge_sweeps(shares)
 
 
-def verify_all(
-    space: InstanceSpace,
-    grid: int,
-    search_fn: Optional[Callable] = None,
-    workers: Optional[int] = None,
-) -> CheckReport:
+def verify_all(space: InstanceSpace, grid: int) -> CheckReport:
     """Run the whole suite; failing properties become report entries,
     never exceptions.
 
-    ``search_fn`` swaps in a different search implementation (the
-    shipped broken variant, say) so the instrumentation can catch it
-    in the act.
+    The sweep judges this module's global ``binary_search`` (see
+    ``verify_sweep``).
 
-    The enumeration is streamed, never held as a list. Every worker
-    count runs ``_forked_sweep`` with W = max(workers, 1) shares: W - 1
-    forked children and this process each sweep every W-th group, so 0
-    or 1 sweeps in this process and forks nothing. The merge adds the
-    counts and keeps each property's earliest counterexample, so the
-    report is identical for every worker count except ``wall_time_ms``.
-    ``workers=None`` takes ``OLOG_WORKERS`` when it is set, and otherwise
-    uses every usable CPU once the space is big enough to pay for
-    forking. A grid ``complexity.derive_log_witness`` rejects (P9's chain
-    runs first), a space over a cap, and a worker count, passed or from
-    the variable, that is not an int in [0, MAX_WORKERS] raise
-    PreconditionError before any fork, in that order. A platform without
-    ``os.fork`` sweeps one share whatever the count.
+    The enumeration is streamed, never held as a list. The worker count
+    N is ``OLOG_WORKERS`` when it is set, and otherwise every usable CPU
+    once the space is big enough to pay for forking; a caller with other
+    threads sets ``OLOG_WORKERS=0``. ``_forked_sweep`` runs W = max(N, 1)
+    shares: W - 1 forked children and this process each sweep every W-th
+    group, so 0 or 1 sweeps in this process and forks nothing. The merge
+    adds the counts and keeps each property's earliest counterexample, so
+    the report is identical for every worker count except
+    ``wall_time_ms``. A grid ``complexity.derive_log_witness`` rejects
+    (P9's chain runs first), a space over a cap, and an ``OLOG_WORKERS``
+    that is not an int in [0, MAX_WORKERS] raise PreconditionError before
+    any fork, in that order. A platform without ``os.fork`` sweeps one
+    share whatever the count.
 
     Raises WorkerError when a forked worker dies before it reports, or
     when the merged sweep checked fewer or more instances than the space
@@ -540,12 +527,8 @@ def verify_all(
         raise PreconditionError(
             f"keys x sequence elements = {space.key_elements} exceed the cap {MAX_ELEMENTS}"
         )
-    if workers is None:
-        workers = _pool_workers(space)
-    else:
-        workers = _checked_workers("workers", workers)
-
-    sweep = _forked_sweep(space, search_fn, max(workers, 1) if hasattr(os, "fork") else 1)
+    workers = _pool_workers(space)
+    sweep = _forked_sweep(space, max(workers, 1) if hasattr(os, "fork") else 1)
     if sweep["instances"] != space.instances:
         raise WorkerError(
             f"the sweep checked {sweep['instances']} of the space's "

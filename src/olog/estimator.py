@@ -75,7 +75,11 @@ class StepSample(_StepSampleFields):
     def __new__(cls, n: int, t_max: int):
         if require_int("sample size", n) < 1:
             raise PreconditionError(f"sample size must be >= 1, got {n}")
-        return super().__new__(cls, n, require_int("t_max", t_max))
+        # a search over n >= 1 elements takes at least one step, and
+        # fit_class divides by the mean step count
+        if require_int("t_max", t_max) < 1:
+            raise PreconditionError(f"t_max must be >= 1, got {t_max}")
+        return super().__new__(cls, n, t_max)
 
 
 class ClassFit(NamedTuple):

@@ -120,11 +120,21 @@ class Term(_TermFields):
         return found
 
 
-class Expr(NamedTuple):
-    """``sum(terms) + e``, the value each side of a grid claim takes at n."""
-
+class _ExprFields(NamedTuple):
     terms: tuple[Term, ...]
     e: int
+
+
+class Expr(_ExprFields):
+    """``sum(terms) + e``, the value each side of a grid claim takes at n."""
+
+    __slots__ = ()
+    _make = classmethod(validated_make)
+
+    def __new__(cls, terms: tuple[Term, ...], e: int):
+        if not isinstance(terms, tuple) or not all(isinstance(t, Term) for t in terms):
+            raise PreconditionError(f"an expression's terms must be a Term tuple, got {terms!r}")
+        return super().__new__(cls, terms, require_int("an expression's e", e))
 
     def __call__(self, n: int) -> int:
         return sum(t(n) for t in self.terms) + self.e

@@ -139,12 +139,10 @@ def test_c7_estimator_separation():
     _finish(7, "estimator separates Logarithmic from Linear", failures, run.elapsed)
 
 
-def test_c8_mutant_sensitivity():
+def test_c8_mutant_sensitivity(monkeypatch):
+    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
     with _Run() as run:
-        report = checker.verify_all(
-            InstanceSpace(max_len=4, alphabet=3), grid=16,
-            search_fn=broken_binary_search,
-        )
+        report = checker.verify_all(InstanceSpace(max_len=4, alphabet=3), grid=16)
     failures = []
     if report.all_passed:
         failures.append("broken search passed the suite (false pass)")

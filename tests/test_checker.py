@@ -201,10 +201,14 @@ def test_tiny_space_passes():
     assert report.instances_checked == 6
 
 
-def test_mutant_is_caught_with_minimal_counterexample():
-    report = verify_all(
-        InstanceSpace(max_len=4, alphabet=3), grid=16, search_fn=broken_binary_search
-    )
+def _verify_under(monkeypatch, workers, space, grid):
+    monkeypatch.setenv("OLOG_WORKERS", str(workers))
+    return verify_all(space, grid)
+
+
+def test_mutant_is_caught_with_minimal_counterexample(monkeypatch):
+    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
+    report = verify_all(InstanceSpace(max_len=4, alphabet=3), grid=16)
     assert not report.all_passed
     failing = {p.id for p in report.properties if not p.passed}
     assert failing & {"P3", "P4"}
@@ -225,10 +229,12 @@ def test_mutant_is_caught_with_minimal_counterexample():
     }
 
 
-def test_overshooting_mutant_verdicts_are_pinned():
+def test_overshooting_mutant_verdicts_are_pinned(monkeypatch):
     # lo = mid + 2: the loop-head invariant (P1) and the tbs walk (P4) catch it
     mutant = partial(_search, check_mode=MODE_FULL_TRACE, advance=2)
-    report = verify_all(InstanceSpace(max_len=4, alphabet=3), 64, search_fn=mutant, workers=0)
+    monkeypatch.setattr(checker, "binary_search", mutant)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(InstanceSpace(max_len=4, alphabet=3), 64)
     failing = _failing(report)
     assert failing == {"P1": (29, ([0], 1)), "P4": (38, ([0, 0, 0], 1))}
     assert report.minimal_counterexample()["detail"] == (
@@ -249,16 +255,16 @@ def test_sweep_walks_the_recurrence_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(costmodel, "_tbs", counting)
     # in process: a forked worker's walks would be counted in its own copy
-    report = verify_all(InstanceSpace(), grid=2, workers=0)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(InstanceSpace(), grid=2)
     assert report.all_passed
     assert walks == {"full": report.instances_checked}
     assert report.instances_checked == 24024
 
 
-def test_mutant_report_is_schema_valid():
-    report = verify_all(
-        InstanceSpace(max_len=2, alphabet=2), grid=4, search_fn=broken_binary_search
-    )
+def test_mutant_report_is_schema_valid(monkeypatch):
+    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
     schema = json.loads((SCHEMAS / "check_report.schema.json").read_text())
     jsonschema.validate(report.to_dict(), schema)
 
@@ -278,8 +284,9 @@ def _failing(report):
     return failing
 
 
-def test_a_search_that_never_counts_fails_p4():
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4, search_fn=_never_counts)
+def test_a_search_that_never_counts_fails_p4(monkeypatch):
+    monkeypatch.setattr(checker, "binary_search", _never_counts)
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
     # every instance but the four on [] costs at least 1
     assert _failing(report) == {"P4": (20, ([0], -1))}
     assert report.minimal_counterexample()["detail"] == "t=0 differs from tbs=1"
@@ -292,17 +299,19 @@ def _counts_twice(q, key):
     return SearchOutcome(out.r, 2 * out.t, trace)
 
 
-def test_max_tbs_gap_sees_a_counter_that_overcounts():
+def test_max_tbs_gap_sees_a_counter_that_overcounts(monkeypatch):
     space = InstanceSpace(max_len=4, alphabet=3)
-    report = verify_all(space, grid=16, search_fn=_counts_twice, workers=0)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    exact = verify_all(space, grid=16)
+    assert exact.max_tbs_gap == 0
+    monkeypatch.setattr(checker, "binary_search", _counts_twice)
+    report = verify_all(space, grid=16)
     # the five instances on [] cost 0, so doubling their counter is harmless;
     # 41 of the others, doubled, exceed the step budget
     failing = {p: v for p, (v, _) in _failing(report).items()}
     assert failing == {"P3": 170, "P4": 170, "P6": 41}
     # |tbs - 2t| = t, whose largest value on length 4 is 3
     assert report.max_tbs_gap == 3
-    exact = verify_all(space, grid=16, workers=0)
-    assert exact.max_tbs_gap == 0
 
 
 def test_a_cost_model_past_its_depth_cap_fails_p5_only(monkeypatch):
@@ -318,7 +327,8 @@ def test_a_cost_model_past_its_depth_cap_fails_p5_only(monkeypatch):
         return 1 + costmodel._tbs(q, lo, hi, key, depth + 1, costs)
 
     monkeypatch.setattr(costmodel, "_tbs", planted)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=16, workers=0)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=16)
     assert _failing(report) == {"P5": (12, ([0, 0], -1))}
     p5 = next(p for p in report.properties if p.id == "P5")
     assert p5.counterexample["detail"] == (
@@ -338,7 +348,8 @@ def test_a_cost_model_that_overcharges_fails_p4(monkeypatch, branch, first):
         return exact(q, lo, hi, key, *rest) + extra
 
     monkeypatch.setattr(costmodel, "_tbs", planted)
-    report = verify_all(InstanceSpace(max_len=4, alphabet=3), grid=16, workers=0)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(InstanceSpace(max_len=4, alphabet=3), grid=16)
     assert set(_failing(report)) == {"P4"}
     assert _failing(report)["P4"][1] == first
     assert report.minimal_counterexample()["q"] == first[0]
@@ -353,7 +364,8 @@ def test_an_off_by_one_ilog2_fails_p8(monkeypatch):
     # every value one too large keeps P8's adjacent-pair relation; the
     # doubling oracle does not move
     _off_by_one(monkeypatch)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2**20, workers=0)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2**20)
     p8 = next(p for p in report.properties if p.id == "P8")
     assert (p8.passed, p8.violations) == (False, 1)
     assert p8.counterexample == {"n": 1, "detail": "ilog2(1) != ilog2_oracle(1)"}
@@ -364,12 +376,13 @@ def _always_absent(q, key):
     return binary_search(q, key)._replace(r=-1)
 
 
-def test_a_search_that_misses_present_keys_fails_p1_and_p2():
+def test_a_search_that_misses_present_keys_fails_p1_and_p2(monkeypatch):
     # P1's postconditions and P2's oracle both see the six present
     # instances: [0] and [1] with their value, [0, 0] and [1, 1] with
     # theirs, [0, 1] with either
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2,
-                        search_fn=_always_absent, workers=0)
+    monkeypatch.setattr(checker, "binary_search", _always_absent)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2)
     assert _failing(report) == {"P1": (6, ([0], 0)), "P2": (6, ([0], 0))}
     p2 = next(p for p in report.properties if p.id == "P2")
     assert p2.counterexample["detail"] == "r=-1 disagrees with oracle index 0"
@@ -381,12 +394,13 @@ def _ten_steps_late(q, key):
     return out._replace(t=out.t + 10)
 
 
-def test_a_counter_past_the_witness_bound_fails_p7():
+def test_a_counter_past_the_witness_bound_fails_p7(monkeypatch):
     # every instance's t reaches 10..12, over every budget (at most 3 at
     # length 2), and over 6*ilog2(2) = 6 on the 12 instances of length 2,
     # the only ones the witness covers (n0 = 2)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2,
-                        search_fn=_ten_steps_late, workers=0)
+    monkeypatch.setattr(checker, "binary_search", _ten_steps_late)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2)
     failing = _failing(report)
     assert {p: v for p, (v, _) in failing.items()} == {"P3": 24, "P4": 24, "P6": 24, "P7": 12}
     assert failing["P7"] == (12, ([0, 0], -1))
@@ -405,8 +419,9 @@ def test_p7_judges_the_witness_of_the_chain_p9_checks(monkeypatch, workers):
     steps[-1] = last._replace(relation=last.relation._replace(rhs=twelve))
     monkeypatch.setattr(complexity, "canonical_chain", lambda: tuple(steps))
     assert complexity.derive_log_witness(2).witness == (12, 2)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2,
-                        search_fn=_ten_steps_late, workers=workers)
+    monkeypatch.setattr(checker, "binary_search", _ten_steps_late)
+    monkeypatch.setenv("OLOG_WORKERS", str(workers))
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2)
     assert {p: v for p, (v, _) in _failing(report).items()} == {"P3": 24, "P4": 24, "P6": 24}
 
 
@@ -416,9 +431,10 @@ def _absent_as_minus_two(q, key):
     return out._replace(r=-2) if out.r < 0 else out
 
 
-def test_an_absent_index_other_than_minus_one_fails_p1():
-    report = verify_all(InstanceSpace(max_len=3, alphabet=2), grid=16,
-                        search_fn=_absent_as_minus_two, workers=0)
+def test_an_absent_index_other_than_minus_one_fails_p1(monkeypatch):
+    monkeypatch.setattr(checker, "binary_search", _absent_as_minus_two)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(InstanceSpace(max_len=3, alphabet=2), grid=16)
     assert set(_failing(report)) == {"P1"}
     assert _failing(report)["P1"][1] == ([], -1)
     assert report.minimal_counterexample()["detail"] == "postconditions fail for r=-2"
@@ -430,12 +446,15 @@ def _raises_on_one(q, key):
     return binary_search(q, key)
 
 
-def test_a_search_that_raises_gets_a_p1_verdict():
+def test_a_search_that_raises_gets_a_p1_verdict(monkeypatch):
     space = InstanceSpace(max_len=4, alphabet=3)
-    report = verify_all(space, grid=16, search_fn=_raises_on_one, workers=0)
+    monkeypatch.setattr(checker, "binary_search", _raises_on_one)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(space, grid=16)
     assert _failing(report) == {"P1": (1, ([0, 1], 1))}
     assert report.minimal_counterexample()["detail"] == "the search raised KeyError: 'planted'"
-    forked = verify_all(space, grid=16, search_fn=_raises_on_one, workers=2)
+    monkeypatch.setenv("OLOG_WORKERS", "2")
+    forked = verify_all(space, grid=16)
     assert _strip(forked) == _strip(report)
 
 
@@ -449,11 +468,13 @@ def test_a_cost_walk_that_raises_gets_a_p5_verdict(monkeypatch):
 
     monkeypatch.setattr(costmodel, "_tbs", planted)
     space = InstanceSpace(max_len=4, alphabet=3)
-    report = verify_all(space, grid=16, workers=0)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(space, grid=16)
     # the instance's P4 is skipped: there is no cost to judge the counter by
     assert _failing(report) == {"P5": (1, ([0, 1], 1))}
     assert report.minimal_counterexample()["detail"] == "the tbs walk raised IndexError: planted"
-    assert _strip(verify_all(space, grid=16, workers=2)) == _strip(report)
+    monkeypatch.setenv("OLOG_WORKERS", "2")
+    assert _strip(verify_all(space, grid=16)) == _strip(report)
 
 
 def test_a_report_with_every_kind_of_failure_is_schema_valid(monkeypatch):
@@ -463,9 +484,9 @@ def test_a_report_with_every_kind_of_failure_is_schema_valid(monkeypatch):
     steps[4] = complexity.CalcStep(weakened, s5.n_min, s5.why)
     monkeypatch.setattr(complexity, "canonical_chain", lambda: tuple(steps))
     _off_by_one(monkeypatch)
-    report = verify_all(
-        InstanceSpace(max_len=2, alphabet=2), grid=64, search_fn=_raises_on_one, workers=0
-    )
+    monkeypatch.setattr(checker, "binary_search", _raises_on_one)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=64)
     failing = _failing(report)
     assert set(failing) == {"P1", "P8", "P9"}
     doc = report.to_dict()
@@ -504,60 +525,64 @@ def _slow_minimal_share(q, key):
 
 def test_parallel_equals_serial(monkeypatch):
     space = InstanceSpace(max_len=4, alphabet=3)
-    serial = verify_all(space, grid=64, workers=0)
+    serial = _verify_under(monkeypatch, 0, space, 64)
     for workers in (2, 3):
-        assert _strip(verify_all(space, grid=64, workers=workers)) == _strip(serial)
+        assert _strip(_verify_under(monkeypatch, workers, space, 64)) == _strip(serial)
 
-    serial_m = verify_all(space, grid=64, workers=0, search_fn=broken_binary_search)
+    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
+    serial_m = _verify_under(monkeypatch, 0, space, 64)
     assert serial_m.minimal_counterexample()["q"] == [0]
     for workers in (2, 3):
-        parallel_m = verify_all(space, grid=64, workers=workers, search_fn=broken_binary_search)
-        assert _strip(parallel_m) == _strip(serial_m)
+        assert _strip(_verify_under(monkeypatch, workers, space, 64)) == _strip(serial_m)
     # the merge takes each property's earliest counterexample, not the
     # first share's, nor the share that finished first
-    slow = verify_all(space, grid=64, workers=2, search_fn=_slow_minimal_share)
-    assert _strip(slow) == _strip(serial_m)
+    monkeypatch.setattr(checker, "binary_search", _slow_minimal_share)
+    assert _strip(_verify_under(monkeypatch, 2, space, 64)) == _strip(serial_m)
 
     # (1, 1) has two groups, [] and [0]: three of five shares hold none
     tiny = InstanceSpace(max_len=1, alphabet=1)
-    for search_fn in (None, broken_binary_search):
-        expected = verify_all(tiny, grid=4, workers=0, search_fn=search_fn)
-        assert _strip(verify_all(tiny, grid=4, workers=5, search_fn=search_fn)) == _strip(expected)
+    for search in (broken_binary_search, binary_search):
+        monkeypatch.setattr(checker, "binary_search", search)
+        expected = _verify_under(monkeypatch, 0, tiny, 4)
+        assert _strip(_verify_under(monkeypatch, 5, tiny, 4)) == _strip(expected)
 
     # the default space is above the fork's break-even, so with two or
-    # more usable CPUs workers=None forks
-    monkeypatch.delenv("OLOG_WORKERS", raising=False)
+    # more usable CPUs the automatic count forks
     default = InstanceSpace()
-    assert _strip(verify_all(default, grid=2**20)) == _strip(
-        verify_all(default, grid=2**20, workers=0)
-    )
+    expected = _verify_under(monkeypatch, 0, default, 2**20)
+    monkeypatch.delenv("OLOG_WORKERS")
+    assert _strip(verify_all(default, grid=2**20)) == _strip(expected)
 
     # forked workers inherit the planted cost model
     _plant_cost_model(monkeypatch)
     planted_space = InstanceSpace(max_len=7, alphabet=3)
-    serial_p = verify_all(planted_space, grid=2, workers=0)
+    serial_p = _verify_under(monkeypatch, 0, planted_space, 2)
     assert _p5(serial_p) == (False, 42, ([0, 0, 0, 0, 0], -1))
-    assert _strip(serial_p) == _strip(verify_all(planted_space, grid=2, workers=2))
+    assert _strip(serial_p) == _strip(_verify_under(monkeypatch, 2, planted_space, 2))
 
 
-def test_unpicklable_search_fn_stays_in_process(monkeypatch):
-    # nothing is pickled: the forked shares inherit a local search_fn
+def test_a_planted_local_function_reaches_the_automatic_forked_shares(monkeypatch):
+    # nothing is pickled: the forked shares inherit a search planted on the
+    # module global, a local function included
     def local_search(q, key):
         return broken_binary_search(q, key)
 
     space = InstanceSpace(max_len=4, alphabet=3)
-    monkeypatch.delenv("OLOG_WORKERS", raising=False)
+    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
+    expected = _verify_under(monkeypatch, 0, space, 16)
+    monkeypatch.delenv("OLOG_WORKERS")
     monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(space))
     assert checker._pool_workers(space) == 2
-    report = verify_all(space, grid=16, search_fn=local_search)
-    expected = verify_all(space, grid=16, search_fn=broken_binary_search, workers=0)
+    monkeypatch.setattr(checker, "binary_search", local_search)
+    report = verify_all(space, grid=16)
     assert _strip(report) == _strip(expected)
     assert report.minimal_counterexample()["q"] == [0]
 
 
-def test_forced_pool_runs_an_unpicklable_search_fn_in_process(monkeypatch):
-    # a lambda sweeps in the forked shares under a forced worker count
+def test_a_planted_lambda_reaches_the_forced_forked_shares(monkeypatch):
+    # a lambda planted on the module global sweeps in the forked shares
+    # under a forced worker count
     forks = []
     real_fork = checker.os.fork
 
@@ -566,21 +591,20 @@ def test_forced_pool_runs_an_unpicklable_search_fn_in_process(monkeypatch):
         return real_fork()
 
     space = InstanceSpace(max_len=3, alphabet=2)
-    expected = verify_all(space, 16, workers=0)
+    expected = _verify_under(monkeypatch, 0, space, 16)
     monkeypatch.setattr(checker.os, "fork", counting_fork)
-    monkeypatch.setenv("OLOG_WORKERS", "2")
-    report = verify_all(space, 16, search_fn=lambda q, key: binary_search(q, key))
+    monkeypatch.setattr(checker, "binary_search", lambda q, key: binary_search(q, key))
+    report = _verify_under(monkeypatch, 2, space, 16)
     assert _strip(report) == _strip(expected)
     assert forks == [1]
 
 
 def test_a_platform_without_fork_sweeps_in_process(monkeypatch):
     monkeypatch.delattr(checker.os, "fork")
-    monkeypatch.setenv("OLOG_WORKERS", "2")
     space = InstanceSpace(max_len=3, alphabet=2)
-    expected = _strip(verify_all(space, 16, workers=0))
-    assert _strip(verify_all(space, 16)) == expected
-    assert _strip(verify_all(space, 16, workers=3)) == expected
+    expected = _strip(_verify_under(monkeypatch, 0, space, 16))
+    assert _strip(_verify_under(monkeypatch, 2, space, 16)) == expected
+    assert _strip(_verify_under(monkeypatch, 3, space, 16)) == expected
     monkeypatch.setenv("OLOG_WORKERS", "nope")
     with pytest.raises(PreconditionError, match="OLOG_WORKERS"):
         verify_all(space, 16)
@@ -627,31 +651,31 @@ def test_forced_worker_count_over_the_ceiling_starts_no_process(monkeypatch):
 
 
 def test_an_explicit_worker_count_out_of_range_starts_no_process(monkeypatch):
-    # the argument is held to the variable's range: 10^5 used to fork at
-    # once, and -7 to sweep in process without a word
+    # a forced count outside [0, MAX_WORKERS] is refused whole: 10^5 would
+    # fork at once, and -7 sweep in process without a word
     def no_fork():
         raise AssertionError("a worker was forked")
 
     monkeypatch.setattr(checker.os, "fork", no_fork)
-    monkeypatch.delenv("OLOG_WORKERS", raising=False)
     for workers in (10**5, checker.MAX_WORKERS + 1, -7, -1):
-        message = rf"^workers must be in \[0, 256\], got {workers}$"
+        monkeypatch.setenv("OLOG_WORKERS", str(workers))
+        message = rf"^OLOG_WORKERS must be in \[0, 256\], got {workers}$"
         with pytest.raises(PreconditionError, match=message):
-            verify_all(InstanceSpace(1, 1), grid=2, workers=workers)
+            verify_all(InstanceSpace(1, 1), grid=2)
 
 
 def test_an_explicit_worker_count_of_another_type_starts_no_process(monkeypatch):
-    # 2.5 and 1.0 used to reach range() in the fork loop, "2" the range
-    # comparison, and True ran as one worker
+    # a forced count that is not a decimal integer (a float, a bool's name,
+    # nothing at all) is refused before any fork
     def no_fork():
         raise AssertionError("a worker was forked")
 
     monkeypatch.setattr(checker.os, "fork", no_fork)
-    monkeypatch.delenv("OLOG_WORKERS", raising=False)
-    for workers in (2.5, 1.0, "2", True):
-        message = rf"^workers must be an integer, got {workers!r}$"
+    for workers in ("2.5", "1.0", "True", ""):
+        monkeypatch.setenv("OLOG_WORKERS", workers)
+        message = rf"^OLOG_WORKERS must be an integer, got {workers!r}$"
         with pytest.raises(PreconditionError, match=message):
-            verify_all(InstanceSpace(2, 2), grid=2, workers=workers)
+            verify_all(InstanceSpace(2, 2), grid=2)
 
 
 @pytest.mark.parametrize(
@@ -684,16 +708,16 @@ def test_a_value_that_is_not_an_int_is_rejected_before_any_sweep(call, monkeypat
 def test_a_sweep_that_misses_a_group_gets_no_verdict(workers, monkeypatch):
     # the last share drops its first group; with two workers that share is
     # a forked child's, which inherits the replaced _share
-    def dropping_share(space, search_fn, w, shares):
+    def dropping_share(space, w, shares):
         groups = itertools.islice(space.groups(), w, None, shares)
         if w == shares - 1:
             next(groups)
-        return checker.verify_sweep(groups, search_fn)
+        return checker.verify_sweep(groups)
 
     monkeypatch.setattr(checker, "_share", dropping_share)
     message = r"^the sweep checked 20 of the space's 24 instances; no verdict$"
     with pytest.raises(WorkerError, match=message):
-        verify_all(InstanceSpace(2, 2), grid=4, workers=workers)
+        _verify_under(monkeypatch, workers, InstanceSpace(2, 2), 4)
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
@@ -713,7 +737,8 @@ from olog import checker
 from olog.algorithms import binary_search
 
 PARENT = os.getpid()
-max_len, alphabet, workers = map(int, sys.argv[1:4])
+max_len, alphabet = map(int, sys.argv[1:3])
+os.environ["OLOG_WORKERS"] = sys.argv[3]
 
 def killed_on_one(q, key):
     if tuple(q) == (0, 1, 2) and key == 1:
@@ -730,11 +755,12 @@ def children_exit(q, key):
         os._exit(3)
     return binary_search(q, key)
 
-search_fn = {"kill": killed_on_one, "raise": parent_raises, "exit": children_exit}[sys.argv[4]]
+checker.binary_search = {
+    "kill": killed_on_one, "raise": parent_raises, "exit": children_exit
+}[sys.argv[4]]
 started = time.perf_counter()
 try:
-    checker.verify_all(checker.InstanceSpace(max_len, alphabet), 2, search_fn=search_fn,
-                       workers=workers)
+    checker.verify_all(checker.InstanceSpace(max_len, alphabet), 2)
 except BaseException as err:
     print(type(err).__name__, err)
 print(f"{time.perf_counter() - started:.3f}")
@@ -831,7 +857,8 @@ def test_p5_reads_the_log_bound_term(monkeypatch):
     # one below LOG_BOUND at every width: only width 1, where tbs is 1 and
     # the planted bound 0, breaks it
     monkeypatch.setattr(checker, "LOG_BOUND", intmath.Expr((intmath.Term(2, 1, 0),), 0))
-    report = verify_all(InstanceSpace(max_len=3, alphabet=2), grid=2, workers=0)
+    monkeypatch.setenv("OLOG_WORKERS", "0")
+    report = verify_all(InstanceSpace(max_len=3, alphabet=2), grid=2)
     assert _p5(report) == (False, 8, ([0], -1))
     assert [p.id for p in report.properties if not p.passed] == ["P5"]
 

@@ -153,8 +153,7 @@ def test_a_dead_sweep_worker_exits_2_with_one_error_line():
         "    if tuple(q) == (0, 1, 2) and key == 1:\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
         "    return binary_search(q, key)\n"
-        "real = checker.verify_all\n"
-        "checker.verify_all = lambda space, grid: real(space, grid, search_fn=killed_on_one)\n"
+        "checker.binary_search = killed_on_one\n"
         "os.environ['OLOG_WORKERS'] = '2'\n"
         "sys.exit(main(['verify', '--max-len', '3', '--alphabet', '5', '--grid', '2']))\n"
     )
@@ -307,12 +306,7 @@ def test_verify_exits_1_when_a_property_fails(monkeypatch, capsys):
     import olog.checker as checker_mod
     from olog.algorithms import broken_binary_search
 
-    real = checker_mod.verify_all
-    monkeypatch.setattr(
-        checker_mod,
-        "verify_all",
-        lambda space, grid, **kw: real(space, grid, search_fn=broken_binary_search, **kw),
-    )
+    monkeypatch.setattr(checker_mod, "binary_search", broken_binary_search)
     assert main(["verify", "--max-len", "3", "--alphabet", "2", "--grid", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "'q': [0]" in out

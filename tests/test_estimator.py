@@ -207,6 +207,14 @@ def test_fit_preconditions():
         fit_class([StepSample(n, n) for n in (16, 32, 64, 128)])  # too narrow a span
     with pytest.raises(PreconditionError):
         StepSample(0, 1)
+    # a zero mean step count used to divide by zero in the fit
+    for counts in ((0, 0, 0, 0), (1, -1, 1, -1)):
+        with pytest.raises(PreconditionError, match="t_max must be >= 1"):
+            fit_class([StepSample(n, t) for n, t in zip((1, 10, 100, 1000), counts)])
+    for bad in (lambda: StepSample(16, 0), lambda: StepSample(16, -1),
+                lambda: StepSample(16, 5)._replace(t_max=0)):
+        with pytest.raises(PreconditionError, match="t_max must be >= 1"):
+            bad()
 
 
 def test_margin_at_least_one_when_finite():

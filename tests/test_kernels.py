@@ -131,21 +131,23 @@ def test_binary_max_steps_at_the_cap_covers_the_top_keys():
     assert worst == max(_identity_search_steps(cap, key) for key in keys)
 
 
-def test_verify_sweep_takes_each_groups_own_keys():
+def test_verify_sweep_takes_each_groups_own_keys(monkeypatch):
     # [0] with keys -1..1, and [0, 2] with the one key between its values
     groups = [((0,), -1, 1), ((0, 2), 1, 1)]
     sweep = checker.verify_sweep(iter(groups))
     assert sweep["instances"] == 4
     assert sum(sweep["violations"].values()) == 0
-    mutant = checker.verify_sweep(iter(groups), broken_binary_search)
+    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
+    mutant = checker.verify_sweep(iter(groups))
     assert mutant["first"]["P3"]["q"] == [0] and mutant["first"]["P3"]["key"] == 1
     assert mutant["violations"]["P3"] == 2  # [0] with 1, [0, 2] with 1
 
 
-def test_broken_search_leaves_the_recursion_path_elsewhere():
+def test_broken_search_leaves_the_recursion_path_elsewhere(monkeypatch):
     # [0, 0, 1] with key 1: the mutant goes right from [0, 3) to [1, 3),
     # not to [2, 3), and still terminates, so only P4 sees it
-    sweep = checker.verify_sweep([((0, 0, 1), 1, 1)], broken_binary_search)
+    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
+    sweep = checker.verify_sweep([((0, 0, 1), 1, 1)])
     assert {p: n for p, n in sweep["violations"].items() if n} == {"P4": 1}
     assert sweep["first"]["P4"] == {
         "q": [0, 0, 1],
@@ -158,7 +160,7 @@ def _heads(out):
     return [(rec.lo, rec.hi, rec.t_after) for rec in out.trace], out.t
 
 
-def test_sweep_holds_each_head_to_the_cost_of_its_range():
+def test_sweep_holds_each_head_to_the_cost_of_its_range(monkeypatch):
     # the correct search's counter plus the cost of each head's range is
     # the whole range's cost, by costmodel.tbs rather than the sweep's walk
     strays = 0
@@ -179,7 +181,8 @@ def test_sweep_holds_each_head_to_the_cost_of_its_range():
                 continue  # the sweep charges an aborted run to P1 or P3
             stray = _heads(out) != _heads(expected)
             strays += stray
-            sweep = checker.verify_sweep([(q, key, key)], search)
+            monkeypatch.setattr(checker, "binary_search", search)
+            sweep = checker.verify_sweep([(q, key, key)])
             assert sweep["violations"]["P4"] == stray, (q, key)
     assert strays > 0
 
