@@ -1,11 +1,11 @@
 """Instrumented binary search over immutable sorted integer sequences.
 
 The search returns both the functional result and an exact count of
-loop iterations. In the checking mode it records every iteration and
-re-validates its loop invariant and termination at every loop head,
-aborting with a structured :class:`~olog.errors.InvariantViolation` if
-either fails; that signals an implementation bug, never bad user input.
-The checker judges the counter against the cost model.
+loop iterations. It records every iteration and re-validates its loop
+invariant and termination at every loop head, aborting with a
+structured :class:`~olog.errors.InvariantViolation` if either fails;
+that signals an implementation bug, never bad user input. The checker
+judges the counter against the cost model.
 
 A deliberately broken variant (``broken_binary_search``) runs the same
 loop with one changed step, so the checking machinery can be shown to
@@ -15,15 +15,12 @@ catch it.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from olog.errors import InvariantViolation, PreconditionError
 
 MAX_LEN = 2**32
-
-MODE_OFF = "off"
-MODE_FULL_TRACE = "full_trace"
-_MODES = (MODE_OFF, MODE_FULL_TRACE)
 
 
 def check_sorted(items: Sequence[int]) -> bool:
@@ -86,11 +83,12 @@ class IterRecord(NamedTuple):
 
 
 class SearchOutcome(NamedTuple):
-    """Result index ``r`` (-1 when absent), iteration count ``t``, optional trace."""
+    """Result index ``r`` (-1 when absent), iteration count ``t`` and one
+    :class:`IterRecord` per iteration."""
 
     r: int
     t: int
-    trace: Optional[tuple[IterRecord, ...]] = None
+    trace: tuple[IterRecord, ...]
 
 
 def linear_search_oracle(q: Sequence[int], key: int) -> int:
@@ -120,13 +118,15 @@ def first_indices(q: Sequence[int]) -> dict:
 
 
 def key_span(items: Sequence[int], key: int) -> tuple[int, int]:
-    """(first, last): the smallest and largest index holding ``key``, or
-    (len(items), -1) when it is absent. Copies nothing and relies on no
-    order: a scan from the left and one from the right, after a membership
-    test that spares an absent key the cost of a raised ValueError."""
-    if key not in items:
-        return len(items), -1
-    return items.index(key), len(items) - 1 - operator.indexOf(reversed(items), key)
+    """(first, last): the smallest and largest index holding ``key`` in
+    the sorted ``items``, or (len(items), -1) when it is absent.
+
+    Two bisections, O(log n): the order is the one a :class:`SortedSeq`
+    checked when it was built, and the standard library's bisection
+    shares no code with the search it serves."""
+    first = bisect_left(items, key)
+    last = bisect_right(items, key, first) - 1
+    return (first, last) if first <= last else (len(items), -1)
 
 
 def check_binary_posts(q: Sequence[int], r: int, key: int) -> bool:
@@ -138,10 +138,10 @@ def check_binary_posts(q: Sequence[int], r: int, key: int) -> bool:
 
 
 def _inv_holds(items, lo: int, hi: int, r: int, key: int, span: tuple[int, int]) -> bool:
-    """The one statement of the loop-head invariant, given
-    ``span = key_span(items, key)``: "key not in items[:lo]" is first >= lo
-    and "key not in items[hi:]" is last < hi, for any sequence, so a head
-    costs O(1)."""
+    """The one statement of the loop-head invariant, given ``span``, the
+    key's smallest and largest index as ``key_span`` gives them: "key not
+    in items[:lo]" is first >= lo and "key not in items[hi:]" is
+    last < hi, for any sequence, so a head costs O(1)."""
     n = len(items)
     if not (0 <= lo <= hi <= n):
         return False
@@ -159,36 +159,31 @@ def _state(lo, hi, r, t) -> dict:
     return {"lo": lo, "hi": hi, "r": r, "t": t}
 
 
-def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
+def _search(q, key: int, advance: int) -> SearchOutcome:
     """The one instrumented search loop; the go-right step sets
     ``lo = mid + advance``.
 
     The loop has a single exit point: the found branch records the index
     and collapses the range instead of breaking out.
     """
-    if check_mode not in _MODES:
-        raise PreconditionError(f"unknown check_mode {check_mode!r}")
     items = (q if isinstance(q, SortedSeq) else SortedSeq(q)).items
-    checking = check_mode == MODE_FULL_TRACE
 
     r = -1
     lo, hi = 0, len(items)
     t = 0
     trace: list[IterRecord] = []
     prev_width = hi + 1
-    if checking:
-        span = key_span(items, key)
+    span = key_span(items, key)
 
     while True:
-        if checking:
-            width = hi - lo
-            if width >= prev_width:
-                state = _state(lo, hi, r, t)
-                why = f"hi-lo failed to decrease ({prev_width} -> {width}) at {state!r}"
-                raise InvariantViolation("termination", state, why)
-            if not _inv_holds(items, lo, hi, r, key, span):
-                raise InvariantViolation("binary_loop", _state(lo, hi, r, t))
-            prev_width = width
+        width = hi - lo
+        if width >= prev_width:
+            state = _state(lo, hi, r, t)
+            why = f"hi-lo failed to decrease ({prev_width} -> {width}) at {state!r}"
+            raise InvariantViolation("termination", state, why)
+        if not _inv_holds(items, lo, hi, r, key, span):
+            raise InvariantViolation("binary_loop", _state(lo, hi, r, t))
+        prev_width = width
         if not lo < hi:
             break
         mid = (lo + hi) // 2
@@ -201,28 +196,22 @@ def _search(q, key: int, check_mode: str, advance: int) -> SearchOutcome:
             r = mid
             hi = lo
         t += 1
-        if checking:
-            trace.append(_new_record(IterRecord, (iter_lo, iter_hi, mid, t)))
+        trace.append(_new_record(IterRecord, (iter_lo, iter_hi, mid, t)))
 
-    return _new_record(SearchOutcome, (r, t, tuple(trace) if checking else None))
+    return _new_record(SearchOutcome, (r, t, tuple(trace)))
 
 
-def binary_search(q, key: int, check_mode: str = MODE_FULL_TRACE) -> SearchOutcome:
+def binary_search(q, key: int) -> SearchOutcome:
     """Search ``key`` in sorted ``q``, counting loop iterations exactly.
 
-    ``check_mode``:
-
-    * ``"full_trace"`` (the default): asserts the loop invariant and the
-      strictly decreasing range width at every loop head, and captures
-      one :class:`IterRecord` per executed iteration. The checker judges
-      the counter and the records against the cost model ``tbs``.
-    * ``"off"``: the same loop with nothing but the counter; ``t`` is the
-      same in both modes. It exists for speed: the invariant reads
-      ``key_span``, so a checked call is O(n) and only an unchecked one
-      O(log n); the adversarial profile of 1,16,256,4096 takes 11.7 ms
-      off and 487 ms checked (medians of 7, Xeon, 2 vCPU, Python 3.11.7).
+    Asserts the loop invariant and the strictly decreasing range width at
+    every loop head, and captures one :class:`IterRecord` per executed
+    iteration; the checker judges the counter and the records against the
+    cost model ``tbs``. The invariant reads ``key_span``, so a call on a
+    :class:`SortedSeq` is O(log n); a plain list is first checked for
+    order, in O(n).
     """
-    return _search(q, key, check_mode, advance=1)
+    return _search(q, key, advance=1)
 
 
 def broken_binary_search(q, key: int) -> SearchOutcome:
@@ -230,7 +219,6 @@ def broken_binary_search(q, key: int) -> SearchOutcome:
 
     The same loop as :func:`binary_search` except the go-right branch
     keeps ``lo`` at ``mid`` instead of skipping past it, so the range
-    can stop shrinking. It runs only in the checking mode, whose
-    termination check is what stops it.
+    can stop shrinking. The termination check is what stops it.
     """
-    return _search(q, key, MODE_FULL_TRACE, advance=0)  # the planted bug: must be 1
+    return _search(q, key, advance=0)  # the planted bug: must be 1

@@ -6,10 +6,10 @@ a two-parameter fit t ~ a*g(n) + b (a clamped at 0) by closed-form
 least squares; no iterative optimizer, so results are deterministic.
 
 The samples come from adversarial step profiles in pure Python (see
-``bench_steps``): the instrumented ``binary_search`` on every key, the
-width recurrence ``binary_max_steps`` in O(log n) rounds a size, and
-``linear_max_steps``, whose worst scan is an absent key's n comparisons,
-in O(1) a size.
+``bench_steps``): the width recurrence ``binary_max_steps`` in O(log n)
+rounds a size, and ``linear_max_steps``, whose worst scan is an absent
+key's n comparisons, in O(1) a size. The tests hold each to a run of
+its search on every key.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from olog.algorithms import MODE_OFF, SortedSeq, binary_search
 from olog.errors import PreconditionError
 from olog.intmath import ilog2, require_int, validated_make
 
@@ -32,17 +31,8 @@ GROWTH_CLASSES = (
     ("Quadratic", lambda n: n * n),
 )
 
-# A binary list of at most this much profile_work runs the instrumented
-# search on every key in process, so that bench executes the code it
-# names; a larger one runs the width recurrence binary_max_steps. The
-# constant is a time budget: the instrumented search takes 0.19-0.29 us
-# per unit (best of 5, Xeon, 2 vCPU, Python 3.11.7), 13-18 ms for
-# 1,16,256,4096 (60 066 units), 69-97 ms for 16:16384:x4 (335 076) and
-# 58-76 ms at the constant.
-INSTRUMENTED_MAX_WORK = 2**18
-
-# The largest sizes a profile accepts. The instrumented search makes
-# O(n log n) loop heads over the key family and the linear scan O(n^2)
+# The largest sizes a profile accepts. Run on every key of the family,
+# the search would make O(n log n) loop heads and the linear scan O(n^2)
 # comparisons; the binary width recurrence runs any admitted size in
 # O(log n) rounds, and linear_max_steps any in O(1).
 BINARY_PROFILE_MAX_N = 2**26
@@ -51,11 +41,10 @@ LINEAR_PROFILE_MAX_N = 2**14
 # The caps bound one size; MAX_PROFILE_WORK bounds a whole size list, in
 # the units of profile_work, so that a strictly increasing list cannot
 # hold hundreds of sizes near a cap. Its units count the per-key work of
-# the instrumented search and of one scan per key, but no linear list runs
-# the scan and no binary list above INSTRUMENTED_MAX_WORK the search, so
-# the cap bounds the list rather than bench's time. It admits a single size at either cap (1.9e9 and
-# 2.7e8 units), both default lists (3.0e7 and 2.9e8) and 16:67108864:x4
-# (2.4e9).
+# the search and of one scan per key, but neither profile runs a key, so
+# the cap bounds the list rather than bench's time. It admits a single
+# size at either cap (1.9e9 and 2.7e8 units), both default lists (3.0e7
+# and 2.9e8) and 16:67108864:x4 (2.4e9).
 MAX_PROFILE_WORK = 2**32
 
 #: Ratio of runner-up error to best error below which the verdict is
@@ -122,15 +111,14 @@ def check_profile_size(kind: str, n: int) -> None:
 def profile_work(kind: str, n: int) -> int:
     """Closed-form bound on the per-key loop work of the ``kind`` profile
     at size ``n``: each of the n + 2 keys runs at most n.bit_length() + 1
-    loop heads of the instrumented search, or compares with at most n
-    positions of the linear scan."""
+    loop heads of the search, or compares with at most n positions of
+    the linear scan."""
     return (n + 2) * (n.bit_length() + 1 if kind == "binary" else n)
 
 
-def check_profile_sizes(kind: str, sizes) -> int:
+def check_profile_sizes(kind: str, sizes) -> None:
     """Raise unless every size is within the ``kind`` profile's cap and
-    their total ``profile_work`` within MAX_PROFILE_WORK; return that total.
-    Runs no profile."""
+    their total ``profile_work`` within MAX_PROFILE_WORK. Runs no profile."""
     for n in sizes:
         check_profile_size(kind, n)
     work = sum(profile_work(kind, n) for n in sizes)
@@ -138,7 +126,6 @@ def check_profile_sizes(kind: str, sizes) -> int:
         raise PreconditionError(
             f"{kind} profile work {work} of {len(sizes)} sizes exceeds the cap {MAX_PROFILE_WORK}"
         )
-    return work
 
 
 def binary_max_steps(n: int) -> int:
@@ -170,14 +157,6 @@ def linear_max_steps(n: int) -> int:
     return n
 
 
-def instrumented_max_steps(n: int) -> int:
-    """Worst iteration count of :func:`binary_search` itself over the
-    adversarial key family on [0, n), unchecked: ``t`` is the same in
-    both modes, and the checked run costs O(n) a key."""
-    q = SortedSeq(range(n))
-    return max(binary_search(q, key, MODE_OFF).t for key in range(-1, n + 1))
-
-
 def bench_steps(algorithm: str, sizes: Sequence[int]) -> list[StepSample]:
     """Worst step count per size over the adversarial key family.
 
@@ -187,11 +166,8 @@ def bench_steps(algorithm: str, sizes: Sequence[int]) -> list[StepSample]:
 
     Every size is checked against its cap, and the list's total
     ``profile_work`` against ``MAX_PROFILE_WORK``, before the first
-    profile runs. A binary list of at most
-    ``INSTRUMENTED_MAX_WORK`` units runs :func:`binary_search` itself on
-    every key; a larger one runs the width recurrence
-    ``binary_max_steps``, and both give the same counts. Every linear
-    list runs ``linear_max_steps``.
+    profile runs. Every binary list runs the width recurrence
+    ``binary_max_steps`` and every linear list ``linear_max_steps``.
     """
     if algorithm not in ALGORITHMS:
         raise PreconditionError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
@@ -200,13 +176,8 @@ def bench_steps(algorithm: str, sizes: Sequence[int]) -> list[StepSample]:
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise PreconditionError(f"sizes must be strictly increasing, got {list(sizes)}")
     kind = "binary" if algorithm == "binary_search" else "linear"
-    work = check_profile_sizes(kind, sizes)
-    if kind == "linear":
-        profile = linear_max_steps
-    elif work <= INSTRUMENTED_MAX_WORK:
-        profile = instrumented_max_steps
-    else:
-        profile = binary_max_steps
+    check_profile_sizes(kind, sizes)
+    profile = binary_max_steps if kind == "binary" else linear_max_steps
     return [StepSample(n, profile(n)) for n in sizes]
 
 

@@ -157,6 +157,8 @@ class Relation(_RelationFields):
     _make = classmethod(validated_make)
 
     def __new__(cls, lhs: Expr, rel: str, rhs: Expr):
+        if not (isinstance(lhs, Expr) and isinstance(rhs, Expr)):
+            raise PreconditionError(f"a relation's sides must be Exprs, got {lhs!r} and {rhs!r}")
         if rel not in ("=", "<="):
             raise PreconditionError(f"relation must be '=' or '<=', got {rel!r}")
         return super().__new__(cls, lhs, rel, rhs)

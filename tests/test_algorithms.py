@@ -9,8 +9,6 @@ from hypothesis import given, strategies as st
 
 from olog import algorithms, costmodel
 from olog.algorithms import (
-    MODE_FULL_TRACE,
-    MODE_OFF,
     SortedSeq,
     _inv_holds,
     _search,
@@ -55,8 +53,8 @@ def test_sorted_seq_refuses_a_sequence_past_the_length_cap(monkeypatch):
         SortedSeq([1, 2, 3])
 
 
-# hand-stepped instances; every (r, t) re-verified below against the
-# full-trace run and the transition-cost model
+# hand-stepped instances; every (r, t) re-verified below against an
+# unchecked loop and the transition-cost model
 SEARCH_CASES = [
     ([], 5, -1, 0),
     ([1, 3, 5, 7], 7, 3, 2),
@@ -67,15 +65,30 @@ SEARCH_CASES = [
 
 @pytest.mark.parametrize("items,key,r,t", SEARCH_CASES)
 def test_binary_search_known_instances(items, key, r, t):
-    outcome = binary_search(SortedSeq(items), key, MODE_OFF)
+    outcome = binary_search(SortedSeq(items), key)
     assert (outcome.r, outcome.t) == (r, t)
-    assert outcome.trace is None
+
+
+def _unchecked_search(items, key):
+    # the search's loop with nothing but the counter
+    r, lo, hi, t = -1, 0, len(items), 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if key < items[mid]:
+            hi = mid
+        elif items[mid] < key:
+            lo = mid + 1
+        else:
+            r, hi = mid, lo
+        t += 1
+    return r, t
 
 
 @pytest.mark.parametrize("items,key,r,t", SEARCH_CASES)
 def test_checking_modes_change_nothing(items, key, r, t):
-    outcome = binary_search(SortedSeq(items), key, MODE_FULL_TRACE)
-    assert (outcome.r, outcome.t) == (r, t)
+    # the checks observe the loop and never steer it
+    outcome = binary_search(SortedSeq(items), key)
+    assert (outcome.r, outcome.t) == _unchecked_search(items, key) == (r, t)
     assert len(outcome.trace) == t
 
 
@@ -86,7 +99,7 @@ def test_empty_input_contract():
 
 
 def test_full_trace_records():
-    outcome = binary_search(SortedSeq([1, 3, 5, 7]), 7, MODE_FULL_TRACE)
+    outcome = binary_search(SortedSeq([1, 3, 5, 7]), 7)
     assert outcome.t == len(outcome.trace) == 2
     first, second = outcome.trace
     assert (first.lo, first.hi, first.mid, first.t_after) == (0, 4, 2, 1)
@@ -104,11 +117,6 @@ def test_binary_search_accepts_plain_lists():
     assert binary_search([1, 3, 5, 7], 5).r == 2
     with pytest.raises(PreconditionError):
         binary_search([3, 1], 1)
-
-
-def test_binary_search_rejects_unknown_mode():
-    with pytest.raises(PreconditionError):
-        binary_search(SortedSeq([]), 0, "everything")
 
 
 @pytest.mark.parametrize(
@@ -149,9 +157,15 @@ def test_check_binary_loop_inv(lo, hi, r, key, expected):
     assert _inv_holds(items, lo, hi, r, key, key_span(items, key)) is expected
 
 
+def _scanned_span(items, key):
+    # key_span's answer by a scan that relies on no order
+    hits = [i for i, value in enumerate(items) if value == key]
+    return (hits[0], hits[-1]) if hits else (len(items), -1)
+
+
 def _sliced_loop_inv(q, lo, hi, r, key):
     # the invariant as slices, which copy a prefix and a suffix at every head:
-    # the reference that the O(1) statement over key_span must equal
+    # the reference that the O(1) statement over the key's span must equal
     if not (0 <= lo <= hi <= len(q)):
         return False
     items = tuple(q)
@@ -178,17 +192,17 @@ def loop_heads(draw):
 @given(loop_heads())
 def test_loop_inv_equals_the_sliced_statement(head):
     items, lo, hi, r, key = head
-    inv = _inv_holds(items, lo, hi, r, key, key_span(items, key))
+    inv = _inv_holds(items, lo, hi, r, key, _scanned_span(items, key))
     assert inv is _sliced_loop_inv(items, lo, hi, r, key)
 
 
 @given(loop_heads())
 def test_first_indices_and_key_span_equal_their_scans(head):
+    # first_indices relies on no order; key_span bisects a sorted sequence
     items, _, _, _, key = head
     assert first_indices(items).get(key, -1) == linear_search_oracle(items, key)
-    first, last = key_span(items, key)
-    hits = [i for i, value in enumerate(items) if value == key]
-    assert (first, last) == ((hits[0], hits[-1]) if hits else (len(items), -1))
+    ordered = sorted(items)
+    assert key_span(ordered, key) == _scanned_span(ordered, key)
 
 
 class _CountingKey:
@@ -213,23 +227,32 @@ class _CountingKey:
     __hash__ = None
 
 
+@pytest.fixture(scope="module")
+def evens():
+    return {n: SortedSeq(range(0, 2 * n, 2)) for n in (1024, 2**20)}
+
+
 @pytest.mark.parametrize("value", [-1, 0, 1, 512, 1023, 1024, 2046, 2047, 2048])
-def test_checking_search_compares_linearly_often(value):
-    # the span costs at most 2n comparisons once, each loop head at most 3
-    # more; checking each head by slicing (_sliced_loop_inv) makes up to
-    # 10 252 at n = 1024
-    n = 1024
-    key = _CountingKey(value)
-    out = binary_search(SortedSeq(range(0, 2 * n, 2)), key, MODE_FULL_TRACE)
-    assert out.r == (value // 2 if value % 2 == 0 and 0 <= value < 2 * n else -1)
-    assert key.calls <= 2 * n + 3 * (out.t + 1)
+def test_checking_search_compares_linearly_often(value, evens):
+    # logarithmically, in fact: the span's two bisections cost at most
+    # n.bit_length() + 1 comparisons each, once a call, and each loop head
+    # at most 3 more. A scan for the span costs about 2n, and slicing at
+    # each head (_sliced_loop_inv) up to 10 252 at n = 1024
+    for n, q in evens.items():
+        # the same offsets from the top of the sequence as from its bottom
+        for key_value in {value, value + 2 * n - 2048}:
+            key = _CountingKey(key_value)
+            out = binary_search(q, key)
+            present = key_value % 2 == 0 and 0 <= key_value < 2 * n
+            assert out.r == (key_value // 2 if present else -1)
+            assert key.calls <= 2 * (n.bit_length() + 1) + 3 * (out.t + 1)
 
 
 def test_overshooting_mutant_trips_the_prefix_clause():
     # lo = mid + 2 skips the key at index 2: the bounds hold at [3, 3),
     # the discarded prefix holds the key
     with pytest.raises(InvariantViolation) as err:
-        _search(SortedSeq([0, 1, 2]), 2, MODE_FULL_TRACE, advance=2)
+        _search(SortedSeq([0, 1, 2]), 2, advance=2)
     assert err.value.predicate == "binary_loop"
     assert err.value.state == {"lo": 3, "hi": 3, "r": -1, "t": 1}
 
@@ -243,7 +266,7 @@ sorted_instances = st.tuples(
 @given(sorted_instances)
 def test_search_agrees_with_linear_oracle(instance):
     items, key = instance
-    outcome = binary_search(SortedSeq(items), key, MODE_FULL_TRACE)
+    outcome = binary_search(SortedSeq(items), key)
     oracle = linear_search_oracle(items, key)
     assert (outcome.r >= 0) == (oracle >= 0)
     if outcome.r >= 0:
@@ -254,7 +277,7 @@ def test_search_agrees_with_linear_oracle(instance):
 @given(sorted_instances)
 def test_search_counter_bounded(instance):
     items, key = instance
-    outcome = binary_search(SortedSeq(items), key, MODE_FULL_TRACE)
+    outcome = binary_search(SortedSeq(items), key)
     assert outcome.t == len(outcome.trace)
     assert outcome.t == costmodel.tbs(items, 0, len(items), key)
     assert outcome.t <= STEP_BUDGET(len(items))
@@ -282,7 +305,7 @@ def test_broken_search_agrees_when_bug_not_hit():
 )
 def test_broken_search_never_runs_unchecked(call, outcome):
     # without the termination check [0] with key 1 would loop forever, so
-    # the broken search takes no mode: it always checks
+    # the broken search takes no mode: like every search, it always checks
     probe = (
         "import olog\n"
         "try:\n"

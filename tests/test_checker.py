@@ -18,7 +18,6 @@ import olog
 import subranges
 from olog import checker, complexity, costmodel, intmath
 from olog.algorithms import (
-    MODE_FULL_TRACE,
     SearchOutcome,
     SortedSeq,
     _search,
@@ -231,7 +230,7 @@ def test_mutant_is_caught_with_minimal_counterexample(monkeypatch):
 
 def test_overshooting_mutant_verdicts_are_pinned(monkeypatch):
     # lo = mid + 2: the loop-head invariant (P1) and the tbs walk (P4) catch it
-    mutant = partial(_search, check_mode=MODE_FULL_TRACE, advance=2)
+    mutant = partial(_search, advance=2)
     monkeypatch.setattr(checker, "binary_search", mutant)
     monkeypatch.setenv("OLOG_WORKERS", "0")
     report = verify_all(InstanceSpace(max_len=4, alphabet=3), 64)
@@ -887,7 +886,7 @@ def _order_types(n):
 
 
 def _outcome(items, key):
-    out = binary_search(SortedSeq(items), key, MODE_FULL_TRACE)
+    out = binary_search(SortedSeq(items), key)
     trace = [(rec.lo, rec.hi, rec.mid) for rec in out.trace]
     return out.r, out.t, trace, costmodel.tbs(items, 0, len(items), key)
 

@@ -230,14 +230,16 @@ def test_commands_load_only_their_modules_and_never_numpy():
 
 
 def test_bench_loads_neither_the_checker_nor_the_witness_derivation():
-    # nor the cost model, nor the kernels shim, whichever profile runs
+    # nor the search, the cost model or the kernels shim: every profile is
+    # a closed form or the width recurrence
     probe = (
         "import sys; from olog.cli import main; "
         "assert main(['bench', '--sizes', '16:4096:x4']) == 0; "
         "assert main(['bench', '--sizes', '1,16,256,4096']) == 0; "
         "assert main(['bench']) == 0; "
         "assert main(['bench', '--algo', 'linear']) == 0; "
-        "extra = {'olog.checker', 'olog.complexity', 'olog.costmodel', 'olog.kernels'}; "
+        "extra = {'olog.algorithms', 'olog.checker', 'olog.complexity', 'olog.costmodel', "
+        "'olog.kernels'}; "
         "extra &= set(sys.modules); "
         "assert not extra, f'bench loaded {extra}'"
     )

@@ -1,7 +1,6 @@
 import pytest
 
 from olog import estimator
-from olog.algorithms import MODE_OFF, binary_search
 from olog.cli import DEFAULT_SIZES, parse_sizes
 from olog.errors import PreconditionError
 from olog.estimator import StepSample, bench_steps, fit_class, samples_to_csv
@@ -72,51 +71,26 @@ def _profiles_run(monkeypatch):
             return fn(n)
         return profile
 
-    names = {"instrumented_max_steps": "instrumented", "binary_max_steps": "profile",
-             "linear_max_steps": "linear"}
+    names = {"binary_max_steps": "binary", "linear_max_steps": "linear"}
     for name, label in names.items():
         monkeypatch.setattr(estimator, name, record(label, getattr(estimator, name)))
     return ran
 
 
-# profile_work of 1,16,256,4096 is 60 066; with 13 469 last the list is 13
-# units under INSTRUMENTED_MAX_WORK, with 13 470 last it is 2 units over
-@pytest.mark.parametrize("last,selected", [(13469, "instrumented"), (13470, "profile")])
-def test_both_binary_profiles_give_the_same_samples(last, selected, monkeypatch):
-    sizes = [1, 16, 256, 4096, last]
-    work = sum(estimator.profile_work("binary", n) for n in sizes)
-    assert work - estimator.INSTRUMENTED_MAX_WORK == (-13 if selected == "instrumented" else 2)
+def test_binary_lists_run_the_width_recurrence(monkeypatch):
+    # small and default lists alike; tests/test_kernels.py holds its counts
+    # to the checked search run on every key
     ran = _profiles_run(monkeypatch)
-    samples = bench_steps("binary_search", sizes)
-    assert ran == [selected] * len(sizes)
-    # the other side of the selection, on the same list
-    other = work - 1 if selected == "instrumented" else work
-    monkeypatch.setattr(estimator, "INSTRUMENTED_MAX_WORK", other)
-    ran.clear()
-    assert bench_steps("binary_search", sizes) == samples
-    assert set(ran) == {"profile", "instrumented"} - {selected}
-    assert samples == [StepSample(n, n.bit_length()) for n in sizes]
-
-
-def test_the_instrumented_profile_runs_the_search_unchecked(monkeypatch):
-    # t is the same in both modes, and checking costs O(n) a key: about
-    # 40x the profile's time at 1,16,256,4096
-    modes = []
-
-    def recorder(q, key, *mode):
-        modes.append(mode)
-        return binary_search(q, key, *mode)
-
-    monkeypatch.setattr(estimator, "binary_search", recorder)
-    sizes = [1, 16, 256]
-    assert bench_steps("binary_search", sizes) == [StepSample(n, n.bit_length()) for n in sizes]
-    assert modes == [(MODE_OFF,)] * sum(n + 2 for n in sizes)
+    for sizes in ([1, 16, 256, 4096], parse_sizes(DEFAULT_SIZES["binary_search"])):
+        ran.clear()
+        assert bench_steps("binary_search", sizes) == [StepSample(n, n.bit_length()) for n in sizes]
+        assert ran == ["binary"] * len(sizes)
 
 
 def test_linear_lists_run_the_lockstep_scan(monkeypatch):
     ran = _profiles_run(monkeypatch)
     assert [s.t_max for s in bench_steps("linear_oracle", [1, 16])] == [1, 16]
-    assert ran == ["linear", "linear"]  # neither binary profile
+    assert ran == ["linear", "linear"]  # not the binary profile
     # the default list, 16 to 16384 by x4
     sizes = parse_sizes(DEFAULT_SIZES["linear_oracle"])
     assert bench_steps("linear_oracle", sizes) == [StepSample(n, n) for n in sizes]
@@ -128,7 +102,6 @@ def test_total_profile_work_is_capped_before_any_profile(monkeypatch):
 
     for name in ("binary_max_steps", "linear_max_steps"):
         monkeypatch.setattr(estimator, name, no_profile)
-    monkeypatch.setattr(estimator, "instrumented_max_steps", no_profile)
     # each size is within its cap, the list's profile_work is not
     cap = estimator.BINARY_PROFILE_MAX_N
     with pytest.raises(PreconditionError, match="exceeds the cap"):
@@ -142,9 +115,8 @@ def test_total_profile_work_is_capped_before_any_profile(monkeypatch):
     }
     for kind, lists in admitted.items():
         for sizes in lists:
-            work = estimator.check_profile_sizes(kind, sizes)
-            assert work == sum(estimator.profile_work(kind, n) for n in sizes)
-            assert work <= estimator.MAX_PROFILE_WORK
+            estimator.check_profile_sizes(kind, sizes)
+            assert sum(estimator.profile_work(kind, n) for n in sizes) <= estimator.MAX_PROFILE_WORK
 
 
 def test_profile_work_bounds_the_loop_work():

@@ -245,3 +245,21 @@ def test_ilog2_and_terms_refuse_what_is_not_an_int(call):
 def test_an_expression_refuses_what_is_not_its_fields(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs",
+    [
+        # each used to be built, and then to raise a bare AttributeError
+        # ('terms') from first_failure's block scan
+        (Term(1, 1, 0), Expr((), 5)),
+        (((Term(1, 1, 0),), 0), Expr((), 5)),
+        (Expr((Term(1, 1, 0),), 0), 5),
+    ],
+    ids=["lhs-term", "lhs-plain-tuple", "rhs-int"],
+)
+def test_a_relation_refuses_sides_that_are_not_expressions(lhs, rhs):
+    with pytest.raises(PreconditionError, match="sides must be Exprs"):
+        Relation(lhs, "<=", rhs)
+    with pytest.raises(PreconditionError, match="sides must be Exprs"):
+        Relation(Expr((), 0), "<=", Expr((), 1))._replace(lhs=lhs, rhs=rhs)

@@ -13,7 +13,7 @@ import pytest
 
 from olog import checker, costmodel, estimator, intmath, kernels
 from olog.algorithms import (
-    MODE_FULL_TRACE,
+    SortedSeq,
     binary_search,
     broken_binary_search,
     linear_search_oracle,
@@ -21,7 +21,6 @@ from olog.algorithms import (
 from olog.checker import InstanceSpace
 from olog.complexity import LogWitness, canonical_chain, is_log2_from
 from olog.errors import InvariantViolation
-from olog.estimator import instrumented_max_steps
 from olog.intmath import MONOTONIC, STEP_BUDGET, Expr, Relation, Term
 
 import pointwise
@@ -89,11 +88,13 @@ def test_calc_step_parity(step):
 
 
 def test_binary_max_steps_matches_per_key_library_runs():
-    # bench's in-process profile runs binary_search on every key of the
-    # family; 2^k - 1..2^k + 1 straddle each power of two up to 2^13
+    # the checked binary_search on every key of bench's family, -1..n;
+    # 2^k - 1..2^k + 1 straddle each power of two up to 2^13
     straddles = [2**k + d for k in range(9, 14) for d in (-1, 0, 1)]
     for n in [*range(1, 301), *straddles]:
-        assert estimator.binary_max_steps(n) == instrumented_max_steps(n)
+        q = SortedSeq(range(n))
+        worst = max(binary_search(q, key).t for key in range(-1, n + 1))
+        assert estimator.binary_max_steps(n) == worst
 
 
 def test_linear_max_steps_matches_per_key_oracle_runs():
@@ -166,7 +167,7 @@ def test_sweep_holds_each_head_to_the_cost_of_its_range(monkeypatch):
     strays = 0
     groups = InstanceSpace(max_len=6, alphabet=3).groups()
     for q, key in ((q, key) for q, lo, hi in groups for key in range(lo, hi + 1)):
-        expected = binary_search(q, key, MODE_FULL_TRACE)
+        expected = binary_search(q, key)
         total = costmodel.tbs(q, 0, len(q), key)
         t_head = 0
         for rec in expected.trace:
