@@ -74,20 +74,23 @@ INSTANCE_PROPS = tuple(PROPERTY_NAMES)[:7]
 # max-len 26, the high end at max-len 1), so a space at the instance cap
 # runs for about half a minute to two minutes.
 MAX_INSTANCES = 10**7
-# Each key still scans its sequence a few times at C speed (the span the
-# search's loop-head invariant reads, P1's absence test) and each sequence
-# is scanned in Python (its sortedness check, P2's first_indices), so the
-# work grows with keys x total sequence length, which the instance count
-# does not bound (alphabet 1 holds one sequence per length). max-len 4000
-# at alphabet 1, 2.4e7 of these, takes 1.5-1.8 s sequential and 1.2-1.3 s
-# on two workers (same machine), and the cap sits at about four times
-# that. The sequences are streamed, so memory does not grow with them:
-# that space peaks at 15-19 MB RSS, the default at 15-17 MB.
+# The search bisects the span its loop-head invariant reads, but three
+# scans still grow with length: P1's absence test, `key not in tuple(q)`,
+# once per absent key, and per sequence SortedSeq's order check and P2's
+# first_indices. Under cProfile first_indices is 35% of the (2000, 1)
+# sweep, the order check 9% and the absence test 6%. So the work grows
+# with keys x total sequence length, which the instance count does not
+# bound (alphabet 1 holds one sequence per length). max-len 4000 at
+# alphabet 1, 2.4e7 of these, takes 1.1-1.6 s sequential and 0.8-0.9 s
+# on two workers (`olog verify` wall, same machine), and the cap sits at
+# about four times that. The sequences are streamed, so memory does not
+# grow with them: that space and the default both peak at 15 MB RSS.
 MAX_ELEMENTS = 10**8
 # The sweep's cost is estimated in units of one key x (length + SEQ_WORK):
-# a key's search, oracle and checks cost 0.4-0.8 us x (length + 8) up to
-# length 26, and 0.06-0.08 us x length at length 4000 (same machine), so
-# the estimate weighs long sequences several times above their cost.
+# a key's search, oracle and checks cost 0.2-0.6 us x (length + 8) from
+# max-len 5 to 26, and 0.04-0.05 us x length at max-len 2000 and 4000
+# (sequential verify_all, same machine), so the estimate weighs long
+# sequences several times above their cost.
 SEQ_WORK = 8
 # Forking one worker, reading its result and reaping it costs 3-7 ms
 # (verify_all on the (1, 1) space, 2 vCPU, Python 3.11.7). Against the
@@ -142,10 +145,12 @@ class InstanceSpace(_InstanceSpaceFields):
 
     @property
     def key_elements(self) -> int:
-        """Keys times total sequence length, as each key's search scans its
-        sequence. The sequences of length L hold L*C(L+alphabet-1, L) =
-        alphabet*C(L+alphabet-1, alphabet) elements, which sum over L <= max_len
-        to alphabet*C(max_len+alphabet, alphabet+1)."""
+        """Keys times total sequence length, the unit of the sweep's work
+        that grows with length (see MAX_ELEMENTS): 0.04-0.05 us each at
+        max-len 2000 and 4000 over one letter. The sequences of length L
+        hold L*C(L+alphabet-1, L) = alphabet*C(L+alphabet-1, alphabet)
+        elements, which sum over L <= max_len to
+        alphabet*C(max_len+alphabet, alphabet+1)."""
         return self.keys_per_sequence * self.alphabet * math.comb(
             self.max_len + self.alphabet, self.alphabet + 1
         )

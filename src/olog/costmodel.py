@@ -14,8 +14,9 @@ from typing import Sequence
 from olog.errors import PreconditionError
 from olog.intmath import require_int
 
-# Lengths are capped at 2**32 (see intmath), so recursion depth never
-# exceeds ~33; anything deeper signals a broken recurrence.
+# Lengths are capped at 2**32 (algorithms.MAX_LEN; intmath.MAX_GRID caps
+# the grid), so recursion depth never exceeds ~33; anything deeper signals
+# a broken recurrence.
 _MAX_DEPTH = 64
 
 

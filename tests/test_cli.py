@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import olog
+from olog import SortedSeq, binary_search
 from olog.cli import main, parse_sizes
 from olog.errors import PreconditionError
 
@@ -291,6 +292,32 @@ def test_long_sequences_are_streamed(workers, monkeypatch):
     assert long <= 1.5 * default
 
 
+# argv and pinned counts of the spaces verify must report alike under the
+# sequential sweep, two forked workers and three, whose strides over the
+# groups are uneven on two CPUs
+_SPACES = {
+    "default": ([], {"complete_to": 5}),
+    "wide": (["--max-len", "5", "--alphabet", "12", "--grid", "2"], {"instances_checked": 86632}),
+    "long": (["--max-len", "2000", "--alphabet", "1", "--grid", "2"], {"instances_checked": 6003}),
+}
+
+
+@pytest.mark.parametrize("space", sorted(_SPACES))
+def test_verify_reports_the_same_pass_under_0_2_and_3_workers(space, monkeypatch):
+    argv, pinned = _SPACES[space]
+    reports = []
+    for workers in ("0", "2", "3"):
+        monkeypatch.setenv("OLOG_WORKERS", workers)
+        run = _python("-m", "olog", "verify", *argv, "--format", "json", timeout=60)
+        assert run.returncode == 0, run.stderr
+        report = json.loads(run.stdout)
+        del report["wall_time_ms"]
+        reports.append(report)
+    assert reports[0]["all_passed"]
+    assert {key: reports[0][key] for key in pinned} == pinned
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_bench_profiles_run_in_bounded_memory():
     # the width recurrence holds at most two widths a round: 14.7 MB for
     # the default list against 14.4 MB for --help, where a vectorised
@@ -323,13 +350,15 @@ def test_bound_default(capsys):
 
 
 def test_bound_json_schema(capsys):
-    assert main(["bound", "--grid", "1024", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    jsonschema.validate(payload, _schema("calc_trace.schema.json"))
-    assert payload["witness"] == {"c": 6, "n0": 2}
-    assert len(payload["steps"]) == 5
-    assert all(s["ok"] for s in payload["steps"])
-    assert all(s["checked_to"] == 1024 for s in payload["steps"])
+    # the default grid is 2**20, the cap 2**32
+    for argv, grid in ((["--grid", "1024"], 1024), ([], 2**20), (["--grid", "4294967296"], 2**32)):
+        assert main(["bound", *argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        jsonschema.validate(payload, _schema("calc_trace.schema.json"))
+        assert payload["witness"] == {"c": 6, "n0": 2}
+        assert len(payload["steps"]) == 5
+        assert all(s["ok"] for s in payload["steps"])
+        assert all(s["checked_to"] == grid for s in payload["steps"])
 
 
 def test_bound_csv(capsys):
@@ -380,31 +409,16 @@ def test_bound_prints_the_witness_its_chain_ends_at(monkeypatch, capsys):
     assert "FAIL" not in out
 
 
-def test_bound_rejects_tiny_grid(capsys):
-    assert main(["bound", "--grid", "1"]) == 2
-
-
-def test_bound_rejects_a_grid_past_the_cap(capsys):
-    assert main(["bound", "--grid", "4294967297"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: grid must be in [2, 2**32] (2 is the witness threshold), got 4294967297\n"
-    )
-
-
 @pytest.mark.parametrize("grid", ["1", "-3", "4294967297"])
-def test_verify_and_bound_reject_a_grid_with_one_error_line(grid, capsys):
-    # both check the grid in derive_log_witness, before any other work
-    errors = []
-    for argv in (["verify", "--max-len", "40", "--alphabet", "40"], ["bound"]):
-        assert main([*argv, f"--grid={grid}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        errors.append(captured.err)
-    assert errors[0] == errors[1] == (
-        f"error: grid must be in [2, 2**32] (2 is the witness threshold), got {grid}\n"
-    )
+def test_verify_and_bound_reject_a_grid_with_one_error_line(grid):
+    # both check the grid in derive_log_witness, before any other work:
+    # the 40/40 space, over the instance cap, is not counted first
+    for argv in (["verify"], ["verify", "--max-len", "40", "--alphabet", "40"], ["bound"]):
+        run = _python("-m", "olog", *argv, "--grid", grid, timeout=10)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == (
+            f"error: grid must be in [2, 2**32] (2 is the witness threshold), got {grid}\n"
+        )
 
 
 def test_bench_binary_json(capsys):
@@ -427,6 +441,24 @@ def test_bench_runs_every_size_to_the_binary_cap_at_once():
     samples = json.loads(run.stdout)["samples"]
     assert [s["n"] for s in samples] == [16 * 4**k for k in range(12)]
     assert all(s["t_max"] == s["n"].bit_length() for s in samples)
+
+
+# the worst count over the keys -1..n of q = [0, n): the checked search's
+# for binary, the full scan for linear
+def _binary_worst(n):
+    q = SortedSeq(range(n))
+    return max(binary_search(q, key).t for key in range(-1, n + 1))
+
+
+_PER_KEY_WORST = {"binary": _binary_worst, "linear": lambda n: n}
+
+
+@pytest.mark.parametrize("algo", sorted(_PER_KEY_WORST))
+def test_bench_samples_are_the_per_key_worst(algo, capsys):
+    assert main(["bench", "--algo", algo, "--sizes", "1,16,256,4096", "--format", "json"]) == 0
+    samples = json.loads(capsys.readouterr().out)["samples"]
+    assert [s["n"] for s in samples] == [1, 16, 256, 4096]
+    assert all(s["t_max"] == _PER_KEY_WORST[algo](s["n"]) for s in samples)
 
 
 def test_bench_linear_control(capsys):

@@ -13,7 +13,7 @@ import io
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from olog.cli import main
 
@@ -57,6 +57,7 @@ def _run(argv, output, out_dir):
     fmt=formats,
     output=outputs,
 )
+@example(max_len=3, alphabet=2, grid=64, fmt="text", output="stdout")
 def test_verify_fuzz(max_len, alphabet, grid, fmt, output, out_dir):
     rc = _run(["verify", "--max-len", str(max_len), "--alphabet", str(alphabet),
                "--grid", str(grid), "--format", fmt], output, out_dir)
