@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import os
@@ -173,14 +174,6 @@ def test_verify_rejects_long_sequences_before_any_work():
     _assert_rejected_at_once("verify", "--max-len", "20000", "--alphabet", "1")
 
 
-def test_verify_rejects_grid_over_cap_before_any_work():
-    # the grid is validated before enumeration, so this is quick
-    run = _python("-m", "olog", "verify", "--grid", "5000000000", timeout=10)
-    assert run.returncode == 2
-    assert run.stderr.startswith("error:")
-    assert "Traceback" not in run.stderr
-
-
 def test_verify_rejects_a_forced_worker_count_over_the_ceiling(monkeypatch):
     monkeypatch.setenv("OLOG_WORKERS", "100000")
     _assert_rejected_at_once("verify")
@@ -207,6 +200,7 @@ def test_commands_load_only_their_modules_and_never_numpy():
         "assert not lazy(), f'import olog.cli loaded {lazy()}'; "
         "assert main(['--help']) == 0; "
         "assert olog() == {'olog', 'olog.cli', 'olog.errors'}, f'--help loaded {olog()}'; "
+        "assert 'json' not in set(sys.modules) - before, '--help loaded json'; "
         "rc = main(['trace', '--q', '1,2', '--key', '2']); "
         "assert not lazy(), f'trace loaded {lazy()}'; "
         "heavy = {'olog.checker', 'olog.complexity', 'olog.estimator', 'olog.kernels'}; "
@@ -689,14 +683,22 @@ def _assert_write_error(run):
     assert run.stderr.count("\n") == 1, run.stderr  # no traceback, no "Exception ignored"
 
 
-def test_a_full_device_exits_2_with_one_error_line():
+def test_a_full_device_exits_2_with_one_error_line(monkeypatch):
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this platform")
-    argv = ["-m", "olog", "trace", "--q", "1,2,3", "--key", "2"]
-    # ENOSPC at the close of --output, and at the flush of stdout
-    _assert_write_error(_python(*argv, "--output", "/dev/full", timeout=10))
-    with open("/dev/full", "w") as full:
-        _assert_write_error(_python(*argv, timeout=10, stdout=full))
+    trace = ["-m", "olog", "trace", "--q", "1,2,3", "--key", "2"]
+    # ENOSPC at the close of --output
+    _assert_write_error(_python(*trace, "--output", "/dev/full", timeout=10))
+    # and at the flush of stdout, or at its write when it is unbuffered;
+    # --help included, whose error argparse would swallow
+    for unbuffered in (None, "1"):
+        if unbuffered is None:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        for argv in (trace, ["-m", "olog", "--help"]):
+            with open("/dev/full", "w") as full:
+                _assert_write_error(_python(*argv, timeout=10, stdout=full))
 
 
 def test_a_closed_stdout_pipe_exits_2_with_one_error_line():
@@ -709,6 +711,51 @@ def test_a_closed_stdout_pipe_exits_2_with_one_error_line():
         os.close(wfd)
     _assert_write_error(run)
     assert "Broken pipe" in run.stderr
+
+
+@pytest.mark.parametrize("command", sorted(_QUICK))
+def test_main_leaves_the_heap_unfrozen(command, capsys):
+    # only console_main freezes it, as the process exits; an in-process
+    # caller keeps the cyclic collector
+    frozen = gc.get_freeze_count()
+    assert main([command, *_QUICK[command]]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_main_keeps_atexit_and_the_final_flush(monkeypatch, capsys):
+    # the handler's line stays in the stdout buffer until the interpreter
+    # flushes it at exit, after the heap was frozen
+    argv = ["bench", "--format", "json"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    probe = (
+        "import atexit, gc\n"
+        "from olog.cli import console_main\n"
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+        "console_main()\n"
+    )
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    run = _python("-c", probe, *argv, timeout=10)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == report + "frozen at exit: True\n"
+
+
+def test_console_main_exits_1_on_a_failed_bound():
+    # bound with step 5 weakened to 3*ilog2(n) + 3 <= 3*ilog2(n), through
+    # python -m olog's exit path; test_output_to_stdout_through_a_pipe and
+    # test_verify_and_bound_reject_a_grid_with_one_error_line pin 0 and 2
+    probe = (
+        "from olog import complexity\n"
+        "from olog.cli import console_main\n"
+        "from olog.intmath import Expr, Relation, Term\n"
+        "*steps, s5 = complexity.canonical_chain()\n"
+        "end = Relation(s5.relation.lhs, '<=', Expr((Term(3, 1, 0),), 0))\n"
+        "false = (*steps, complexity.CalcStep(end, s5.n_min, s5.why))\n"
+        "complexity.canonical_chain = lambda: false\n"
+        "console_main()\n"
+    )
+    run = _python("-c", probe, "bound", "--grid", "64", timeout=10)
+    assert (run.returncode, run.stderr) == (1, "error: chain step 5 fails at n=2\n")
 
 
 def test_unknown_command_exits_2():

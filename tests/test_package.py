@@ -1,5 +1,6 @@
-"""The package's lazy public API and its immutable record classes."""
+"""The package's lazy public API, its immutable record classes and its entry points."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -55,6 +56,20 @@ def test_the_readme_library_example_runs():
     library = readme.split("\n## Library\n", 1)[1]
     block = library.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(block, "README.md#library", "exec"), {})
+
+
+def test_both_entry_points_exit_through_console_main():
+    # the installed script and python -m olog both end in console_main,
+    # which freezes the heap before the exit; pyproject.toml is read as
+    # text, since Python 3.10 has no tomllib
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip().splitlines() == ['olog = "olog.cli:console_main"']
+    dunder_main = Path(olog.__file__).parent / "__main__.py"
+    body = ast.parse(dunder_main.read_text(encoding="utf-8")).body
+    assert [ast.unparse(stmt) for stmt in body] == [
+        "from olog.cli import console_main", "console_main()",
+    ]
 
 
 def test_unknown_attribute_raises_attribute_error():
