@@ -10,12 +10,10 @@ Every universally quantified claim is decided at every point of an
 explicit, reported grid (by dyadic blocks, on which ilog2 is constant),
 with exhaustive small-instance sweeps standing in for symbolic proof.
 
-The public names below, and the submodules, are loaded on first use
-(PEP 562), so ``import olog`` and each CLI command import only the
-modules they run.
+The public names below resolve on first use (PEP 562), so ``import
+olog`` loads no submodule; a submodule loads as in any package, by
+``import olog.X``.
 """
-
-import importlib
 
 __version__ = "0.1.0"
 
@@ -49,18 +47,15 @@ _EXPORTS = {
     "intmath": ("STEP_BUDGET", "ilog2", "ilog2_oracle"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli", "kernels")
 
 __all__ = list(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _HOME:
-        return getattr(importlib.import_module(f"olog.{_HOME[name]}"), name)
-    if name in _SUBMODULES:
-        return importlib.import_module(f"olog.{name}")
+    if name in _HOME:  # __import__ is the import statement's loader, which -X importtime times
+        return getattr(__import__(f"olog.{_HOME[name]}", fromlist=[name]), name)
     raise AttributeError(f"module 'olog' has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*globals(), *__all__})

@@ -50,7 +50,9 @@ import os
 import time
 from typing import Iterator, NamedTuple, NoReturn, Optional
 
-from olog import complexity, costmodel, intmath
+import olog.complexity as complexity
+import olog.costmodel as costmodel
+import olog.intmath as intmath
 from olog.algorithms import SortedSeq, binary_search, check_binary_posts, first_indices
 from olog.errors import InvariantViolation, PreconditionError, WorkerError
 from olog.intmath import LOG_BOUND, STEP_BUDGET, ilog2, require_int, validated_make

@@ -11,8 +11,8 @@ shares that missed part of the space), or output that could not be
 written.
 
 Each command imports the modules it runs inside its ``_cmd_*``
-function, ``json`` only where it writes JSON, so a call pays the
-start-up of those modules only.
+function, by dotted name so that ``-X importtime`` times each, and
+``json`` only where it writes JSON: a call pays for those alone.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def parse_sizes(text: str) -> list[int]:
 
 
 def _cmd_verify(args, out) -> int:
-    from olog import checker
+    import olog.checker as checker
 
     space = checker.InstanceSpace(max_len=args.max_len, alphabet=args.alphabet)
     report = checker.verify_all(space, grid=args.grid)
@@ -111,7 +111,7 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_bound(args, out) -> int:
-    from olog import complexity
+    import olog.complexity as complexity
 
     trace = complexity.derive_log_witness(args.grid)
     if args.format == "json":
@@ -140,7 +140,7 @@ def _cmd_bound(args, out) -> int:
 
 
 def _cmd_bench(args, out) -> int:
-    from olog import estimator
+    import olog.estimator as estimator
     from olog.intmath import STEP_BUDGET
 
     algorithm = _ALGO_FLAG[args.algo]
@@ -175,7 +175,7 @@ def _cmd_bench(args, out) -> int:
 
 
 def _cmd_trace(args, out) -> int:
-    from olog import costmodel
+    import olog.costmodel as costmodel
     from olog.algorithms import SortedSeq, binary_search
     from olog.intmath import STEP_BUDGET
 
@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_trace = sub.add_parser("trace", help="per-iteration trace of one search")
-    p_trace.add_argument("--q", required=True, help="comma-separated sorted ints ('' for empty)")
+    p_trace.add_argument("--q", required=True, help="comma-separated sorted ints ('' for empty;"
+                         " --q=-5,-3 if the first is negative)")
     p_trace.add_argument("--key", type=int, required=True)
     add_common(p_trace, ("text", "json"))
     p_trace.set_defaults(fn=_cmd_trace)

@@ -224,6 +224,46 @@ def test_commands_load_only_their_modules_and_never_numpy():
     assert run.returncode == 0, run.stderr
 
 
+# The olog modules each command loads, the package and olog.cli included:
+# what -X importtime lists for a call, and what sys.modules holds after it.
+_BASE = {"olog", "olog.cli", "olog.errors"}
+LOADS = {
+    "--help": _BASE,
+    "trace": _BASE | {"olog.algorithms", "olog.costmodel", "olog.intmath"},
+    "bench": _BASE | {"olog.estimator", "olog.intmath"},
+    "bound": _BASE | {"olog.complexity", "olog.intmath"},
+    "verify": _BASE | {"olog.algorithms", "olog.checker", "olog.complexity",
+                       "olog.costmodel", "olog.intmath"},
+}
+_LEDGER_ARGS = {
+    "--help": ["--help"],
+    "trace": ["trace", "--q", "1,2", "--key", "2"],
+    "bench": ["bench", "--sizes", "16:4096:x4"],
+    "bound": ["bound", "--grid", "64"],
+    "verify": ["verify", "--max-len", "1", "--alphabet", "1", "--grid", "16"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_importtime_accounts_for_every_module_a_command_loads(command):
+    # olog imports its own modules by dotted name, through the interpreter's
+    # import statement, so -X importtime times each one the command loads;
+    # its stderr lines end in "|   <indent>module name"
+    run = _python("-X", "importtime", "-m", "olog", *_LEDGER_ARGS[command])
+    assert run.returncode == 0, run.stderr
+    timed = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert {m for m in timed if m.split(".")[0] == "olog"} == LOADS[command]
+    probe = (
+        "import sys; from olog.cli import main; "
+        f"assert main({_LEDGER_ARGS[command]!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'olog'), file=sys.stderr)"
+    )
+    run = _python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.strip() == str(sorted(LOADS[command]))
+
+
 def test_bench_loads_neither_the_checker_nor_the_witness_derivation():
     # nor the search, the cost model or the kernels shim: every profile is
     # a closed form or the width recurrence
@@ -579,6 +619,29 @@ def test_trace_rejects_a_double_dash(capsys):
     # argparse on Python 3.11 hands --q=-- over as an empty list
     assert main(["trace", "--q=--", "--key", "0"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_negative_first_value_goes_after_an_equals_sign():
+    # argparse reads "--q -5,-3" as --q with no value followed by an option
+    # "-5,-3", so a list that starts with a minus is passed as --q=-5,-3
+    text = _python("-m", "olog", "trace", "--q=-5,-3", "--key", "-3")
+    assert (text.returncode, text.stderr) == (0, "")
+    assert text.stdout == (
+        "  lo   hi  mid    t  tbs_remaining  margin\n"
+        "   0    2    1    1              0       0\n"
+        "r=1 t=1 budget=3\n"
+    )
+    lines = _python("-m", "olog", "trace", "--q=-5,-3", "--key", "-3", "--format", "json")
+    assert (lines.returncode, lines.stderr) == (0, "")
+    assert lines.stdout == (
+        '{"lo": 0, "hi": 2, "mid": 1, "t": 1, "tbs_remaining": 0}\n'
+        '{"r": 1, "t": 1, "budget": 3}\n'
+    )
+    spaced = _python("-m", "olog", "trace", "--q", "-5,-3", "--key", "-3")
+    assert spaced.returncode == 2
+    assert "argument --q: expected one argument" in spaced.stderr
+    shown = " ".join(_python("-m", "olog", "trace", "--help").stdout.split())
+    assert "--q=-5,-3 if the first is negative" in shown
 
 
 def test_trace_has_no_csv_format(capsys):

@@ -34,21 +34,60 @@ def test_all_names_are_the_defining_modules_objects():
         defining = importlib.import_module(f"olog.{module}")
         for name in names:
             assert getattr(olog, name) is getattr(defining, name), name
-    assert set(olog.__all__) | set(SUBMODULES) <= set(dir(olog))
+    assert set(olog.__all__) <= set(dir(olog))
 
 
-def test_submodules_resolve_after_a_bare_import():
+def test_submodules_load_only_by_import():
+    # the package hook serves the public names, not the submodules: a
+    # submodule is an attribute of the package once it has been imported
     probe = (
         "import sys, olog; "
         "assert not [m for m in sys.modules if m.startswith('olog.')], 'import olog loaded more'; "
         f"names = {SUBMODULES!r}; "
-        "assert [getattr(olog, n).__name__ for n in names] == [f'olog.{n}' for n in names]; "
-        "from olog import checker; assert checker is olog.checker"
+        "resolved = [n for n in names if hasattr(olog, n)]; "
+        "assert not resolved, f'resolved before their import: {resolved}'; "
+        "from olog import checker; import olog.checker; "
+        "assert checker is olog.checker is sys.modules['olog.checker']"
     )
     src = str(Path(olog.__file__).parent.parent)
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert run.returncode == 0, run.stderr
+
+
+def test_importtime_times_the_module_a_public_name_loads():
+    # the package hook loads a public name's home module the way an import
+    # statement does, so -X importtime lists it for library callers too
+    src = str(Path(olog.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                          "from olog import verify_all, fit_class"],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    timed = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert {"olog.checker", "olog.estimator"} <= timed
+
+
+def test_olog_modules_import_each_other_by_dotted_name():
+    # "from olog import checker" goes through the package, and a call of
+    # importlib.import_module is a second loader; either hides the module
+    # from -X importtime
+    package = Path(olog.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                (node.module == "olog" and node.level == 0) or (node.level and not node.module)
+            ):
+                found += [f"{path.name}:{node.lineno} from olog import {a.name}"
+                          for a in node.names if a.name in modules]
+            elif isinstance(node, ast.Call) and "import_module" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                found.append(f"{path.name}:{node.lineno} import_module")
+    assert not found
 
 
 def test_the_readme_library_example_runs():
