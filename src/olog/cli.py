@@ -58,8 +58,7 @@ def parse_sizes(text: str) -> list[int]:
         parts = text.split(":")
         if len(parts) != 3 or not parts[2].lower().startswith("x"):
             raise PreconditionError(f"size list must look like start:stop:xFACTOR, got {text!r}")
-        start, stop = int(parts[0]), int(parts[1])
-        factor = int(parts[2][1:])
+        start, stop, factor = int(parts[0]), int(parts[1]), int(parts[2][1:])
         if start < 1 or stop < start or factor < 2:
             raise PreconditionError(f"bad geometric size list {text!r}")
         sizes = []
@@ -182,7 +181,7 @@ def _cmd_trace(args, out) -> int:
     # argparse on Python 3.11 takes --q=-- for the end-of-options marker
     # and hands over an empty list; "--" is no integer list either
     text = args.q.strip() if isinstance(args.q, str) else "--"
-    items = [int(p) for p in text.split(",") if p.strip() != ""] if text else []
+    items = [int(p) for p in text.split(",") if p.strip() != ""]
     seq = SortedSeq(items)  # raises PreconditionError when unsorted
     outcome = binary_search(seq, args.key)
     budget = STEP_BUDGET(len(seq))
@@ -295,7 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     if error is None:
         return code
     if made:
-        os.remove(args.output)
+        # the file the open made: a dangling symlink given as --output
+        # stays, and what the open created where it points goes
+        os.remove(os.path.realpath(args.output))
     return _fail_config(error)
 
 

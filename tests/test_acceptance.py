@@ -140,16 +140,21 @@ def test_c7_estimator_separation():
 
 
 def test_c8_mutant_sensitivity(monkeypatch):
+    # in process and on two workers, where [0] lies in the forked share
     monkeypatch.setattr(checker, "binary_search", broken_binary_search)
-    with _Run() as run:
-        report = checker.verify_all(InstanceSpace(max_len=4, alphabet=3), grid=16)
     failures = []
-    if report.all_passed:
-        failures.append("broken search passed the suite (false pass)")
-    failing = {p.id for p in report.properties if not p.passed}
-    if not failing & {"P3", "P4"}:
-        failures.append(f"expected P3/P4 to catch the mutant, got {failing}")
-    minimal = report.minimal_counterexample()
-    if minimal is None or (minimal["q"], minimal["key"]) != ([0], 1):
-        failures.append(f"minimal counterexample {minimal}, expected q=[0], key=1")
+    with _Run() as run:
+        for workers in ("0", "2"):
+            monkeypatch.setenv("OLOG_WORKERS", workers)
+            report = checker.verify_all(InstanceSpace(max_len=4, alphabet=3), grid=16)
+            if report.all_passed:
+                failures.append(f"broken search passed the suite (false pass), {workers} workers")
+            failing = {p.id for p in report.properties if not p.passed}
+            if not failing & {"P3", "P4"}:
+                failures.append(f"expected P3/P4 to catch the mutant, got {failing}, "
+                                f"{workers} workers")
+            minimal = report.minimal_counterexample()
+            if minimal is None or (minimal["q"], minimal["key"]) != ([0], 1):
+                failures.append(f"minimal counterexample {minimal}, expected q=[0], key=1, "
+                                f"{workers} workers")
     _finish(8, "planted mutant caught with minimal counterexample", failures, run.elapsed)

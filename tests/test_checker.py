@@ -206,33 +206,35 @@ def _verify_under(monkeypatch, workers, space, grid):
 
 
 def test_mutant_is_caught_with_minimal_counterexample(monkeypatch):
+    # under two workers both first counterexamples lie in the forked share,
+    # and the merge adds the violations of both shares
     monkeypatch.setattr(checker, "binary_search", broken_binary_search)
-    report = verify_all(InstanceSpace(max_len=4, alphabet=3), grid=16)
-    assert not report.all_passed
-    failing = {p.id for p in report.properties if not p.passed}
-    assert failing & {"P3", "P4"}
-    minimal = report.minimal_counterexample()
-    assert (minimal["q"], minimal["key"]) == ([0], 1)
-    props = {p.id: p for p in report.properties}
-    assert (props["P3"].violations, props["P3"].counterexample) == (58, minimal)
-    assert minimal["detail"] == (
-        "hi-lo failed to decrease (1 -> 1) at {'lo': 0, 'hi': 1, 'r': -1, 't': 1}"
-    )
-    # [0, 3) goes right to [2, 3), the mutant to [1, 3), where it still
-    # terminates: only P4's walk sees the stray head
-    assert props["P4"].violations == 9
-    assert props["P4"].counterexample == {
-        "q": [0, 0, 1],
-        "key": 1,
-        "detail": "head [1, 3) at t=1 is off the tbs recursion's path",
-    }
+    for workers in (0, 2):
+        report = _verify_under(monkeypatch, workers, InstanceSpace(max_len=4, alphabet=3), 16)
+        assert not report.all_passed
+        failing = {p.id for p in report.properties if not p.passed}
+        assert failing & {"P3", "P4"}
+        minimal = report.minimal_counterexample()
+        assert (minimal["q"], minimal["key"]) == ([0], 1)
+        props = {p.id: p for p in report.properties}
+        assert (props["P3"].violations, props["P3"].counterexample) == (58, minimal)
+        assert minimal["detail"] == (
+            "hi-lo failed to decrease (1 -> 1) at {'lo': 0, 'hi': 1, 'r': -1, 't': 1}"
+        )
+        # [0, 3) goes right to [2, 3), the mutant to [1, 3), where it still
+        # terminates: only P4's walk sees the stray head
+        assert props["P4"].violations == 9
+        assert props["P4"].counterexample == {
+            "q": [0, 0, 1],
+            "key": 1,
+            "detail": "head [1, 3) at t=1 is off the tbs recursion's path",
+        }
 
 
 def test_overshooting_mutant_verdicts_are_pinned(monkeypatch):
     # lo = mid + 2: the loop-head invariant (P1) and the tbs walk (P4) catch it
     mutant = partial(_search, advance=2)
     monkeypatch.setattr(checker, "binary_search", mutant)
-    monkeypatch.setenv("OLOG_WORKERS", "0")
     report = verify_all(InstanceSpace(max_len=4, alphabet=3), 64)
     failing = _failing(report)
     assert failing == {"P1": (29, ([0], 1)), "P4": (38, ([0, 0, 0], 1))}
@@ -285,10 +287,11 @@ def _failing(report):
 
 def test_a_search_that_never_counts_fails_p4(monkeypatch):
     monkeypatch.setattr(checker, "binary_search", _never_counts)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
-    # every instance but the four on [] costs at least 1
-    assert _failing(report) == {"P4": (20, ([0], -1))}
-    assert report.minimal_counterexample()["detail"] == "t=0 differs from tbs=1"
+    for workers in (0, 2):
+        report = _verify_under(monkeypatch, workers, InstanceSpace(max_len=2, alphabet=2), 4)
+        # every instance but the four on [] costs at least 1
+        assert _failing(report) == {"P4": (20, ([0], -1))}
+        assert report.minimal_counterexample()["detail"] == "t=0 differs from tbs=1"
 
 
 def _counts_twice(q, key):
@@ -300,7 +303,6 @@ def _counts_twice(q, key):
 
 def test_max_tbs_gap_sees_a_counter_that_overcounts(monkeypatch):
     space = InstanceSpace(max_len=4, alphabet=3)
-    monkeypatch.setenv("OLOG_WORKERS", "0")
     exact = verify_all(space, grid=16)
     assert exact.max_tbs_gap == 0
     monkeypatch.setattr(checker, "binary_search", _counts_twice)
@@ -326,7 +328,6 @@ def test_a_cost_model_past_its_depth_cap_fails_p5_only(monkeypatch):
         return 1 + costmodel._tbs(q, lo, hi, key, depth + 1, costs)
 
     monkeypatch.setattr(costmodel, "_tbs", planted)
-    monkeypatch.setenv("OLOG_WORKERS", "0")
     report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=16)
     assert _failing(report) == {"P5": (12, ([0, 0], -1))}
     p5 = next(p for p in report.properties if p.id == "P5")
@@ -347,7 +348,6 @@ def test_a_cost_model_that_overcharges_fails_p4(monkeypatch, branch, first):
         return exact(q, lo, hi, key, *rest) + extra
 
     monkeypatch.setattr(costmodel, "_tbs", planted)
-    monkeypatch.setenv("OLOG_WORKERS", "0")
     report = verify_all(InstanceSpace(max_len=4, alphabet=3), grid=16)
     assert set(_failing(report)) == {"P4"}
     assert _failing(report)["P4"][1] == first
@@ -363,7 +363,6 @@ def test_an_off_by_one_ilog2_fails_p8(monkeypatch):
     # every value one too large keeps P8's adjacent-pair relation; the
     # doubling oracle does not move
     _off_by_one(monkeypatch)
-    monkeypatch.setenv("OLOG_WORKERS", "0")
     report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2**20)
     p8 = next(p for p in report.properties if p.id == "P8")
     assert (p8.passed, p8.violations) == (False, 1)
@@ -380,7 +379,6 @@ def test_a_search_that_misses_present_keys_fails_p1_and_p2(monkeypatch):
     # instances: [0] and [1] with their value, [0, 0] and [1, 1] with
     # theirs, [0, 1] with either
     monkeypatch.setattr(checker, "binary_search", _always_absent)
-    monkeypatch.setenv("OLOG_WORKERS", "0")
     report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2)
     assert _failing(report) == {"P1": (6, ([0], 0)), "P2": (6, ([0], 0))}
     p2 = next(p for p in report.properties if p.id == "P2")
@@ -398,7 +396,6 @@ def test_a_counter_past_the_witness_bound_fails_p7(monkeypatch):
     # length 2), and over 6*ilog2(2) = 6 on the 12 instances of length 2,
     # the only ones the witness covers (n0 = 2)
     monkeypatch.setattr(checker, "binary_search", _ten_steps_late)
-    monkeypatch.setenv("OLOG_WORKERS", "0")
     report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2)
     failing = _failing(report)
     assert {p: v for p, (v, _) in failing.items()} == {"P3": 24, "P4": 24, "P6": 24, "P7": 12}
@@ -432,7 +429,6 @@ def _absent_as_minus_two(q, key):
 
 def test_an_absent_index_other_than_minus_one_fails_p1(monkeypatch):
     monkeypatch.setattr(checker, "binary_search", _absent_as_minus_two)
-    monkeypatch.setenv("OLOG_WORKERS", "0")
     report = verify_all(InstanceSpace(max_len=3, alphabet=2), grid=16)
     assert set(_failing(report)) == {"P1"}
     assert _failing(report)["P1"][1] == ([], -1)
@@ -484,7 +480,6 @@ def test_a_report_with_every_kind_of_failure_is_schema_valid(monkeypatch):
     monkeypatch.setattr(complexity, "canonical_chain", lambda: tuple(steps))
     _off_by_one(monkeypatch)
     monkeypatch.setattr(checker, "binary_search", _raises_on_one)
-    monkeypatch.setenv("OLOG_WORKERS", "0")
     report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=64)
     failing = _failing(report)
     assert set(failing) == {"P1", "P8", "P9"}
@@ -803,13 +798,10 @@ def test_the_parents_share_raising_kills_and_reaps_every_child():
     assert _sweep_probe(3, 2, 3, "raise") == "KeyboardInterrupt "
 
 
-def test_determinism_across_runs():
+def test_determinism_across_runs(monkeypatch):
     space = InstanceSpace(max_len=3, alphabet=3)
-    a = verify_all(space, grid=32)
-    b = verify_all(space, grid=32)
-    da, db = a.to_dict(), b.to_dict()
-    da.pop("wall_time_ms"), db.pop("wall_time_ms")
-    assert da == db
+    runs = [_strip(_verify_under(monkeypatch, workers, space, 32)) for workers in (0, 0, 2, 2)]
+    assert all(run == runs[0] for run in runs)
 
 
 def test_workers_env_override(monkeypatch):
@@ -836,27 +828,27 @@ def test_p5_matches_all_subrange_reference(default_report):
 def test_p5_planted_cost_model_matches_all_subrange_reference(monkeypatch):
     _plant_cost_model(monkeypatch)
     reference = subranges.p5_sweep(7, 3)
-    report = verify_all(InstanceSpace(max_len=7, alphabet=3), grid=2)
     # the reference counts every instance with a failing subrange, the
     # sweep only the instances whose full range fails
     assert reference == (183, ([0, 0, 0, 0, 0], -1))
-    assert _p5(report) == (False, 42, ([0, 0, 0, 0, 0], -1))
-    # the correct search's counter no longer equals the planted cost, so P4
-    # fails on the same instances, and comes first among the ties
-    p4 = next(p for p in report.properties if p.id == "P4")
-    assert (p4.violations, p4.counterexample["q"], p4.counterexample["key"]) == (
-        42, [0, 0, 0, 0, 0], -1
-    )
-    assert report.minimal_counterexample()["detail"] == (
-        "t=1 at head [0, 2) differs from tbs difference 8-2"
-    )
+    for workers in (0, 2):
+        report = _verify_under(monkeypatch, workers, InstanceSpace(max_len=7, alphabet=3), 2)
+        assert _p5(report) == (False, 42, ([0, 0, 0, 0, 0], -1))
+        # the correct search's counter no longer equals the planted cost, so
+        # P4 fails on the same instances, and comes first among the ties
+        p4 = next(p for p in report.properties if p.id == "P4")
+        assert (p4.violations, p4.counterexample["q"], p4.counterexample["key"]) == (
+            42, [0, 0, 0, 0, 0], -1
+        )
+        assert report.minimal_counterexample()["detail"] == (
+            "t=1 at head [0, 2) differs from tbs difference 8-2"
+        )
 
 
 def test_p5_reads_the_log_bound_term(monkeypatch):
     # one below LOG_BOUND at every width: only width 1, where tbs is 1 and
     # the planted bound 0, breaks it
     monkeypatch.setattr(checker, "LOG_BOUND", intmath.Expr((intmath.Term(2, 1, 0),), 0))
-    monkeypatch.setenv("OLOG_WORKERS", "0")
     report = verify_all(InstanceSpace(max_len=3, alphabet=2), grid=2)
     assert _p5(report) == (False, 8, ([0], -1))
     assert [p.id for p in report.properties if not p.passed] == ["P5"]

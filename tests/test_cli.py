@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib
 import json
@@ -19,8 +20,10 @@ SCHEMAS = Path(olog.__file__).parent / "schemas"
 SRC = Path(olog.__file__).parent.parent
 
 
-def _python(*args, timeout=60, stdout=subprocess.PIPE):
+def _python(*args, timeout=60, stdout=subprocess.PIPE, workers=None):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    if workers is not None:
+        env["OLOG_WORKERS"] = workers
     return subprocess.run(
         [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
         timeout=timeout,
@@ -190,11 +193,9 @@ def test_commands_load_only_their_modules_and_never_numpy():
     # which olog does not depend on, multiprocessing (the sweep forks its
     # own workers) or dataclasses, and that includes every bench profile;
     # modules the interpreter's own start-up loaded are not counted. The
-    # probe tests the automatic worker count, so a forced OLOG_WORKERS is
-    # dropped.
+    # sweeps run at the automatic worker count.
     probe = (
-        "import os, sys; os.environ.pop('OLOG_WORKERS', None); "
-        "before = set(sys.modules); from olog.cli import main; "
+        "import sys; before = set(sys.modules); from olog.cli import main; "
         "lazy = lambda: {'numpy', 'multiprocessing'} & set(sys.modules); "
         "olog = lambda: {m for m in sys.modules if m.split('.')[0] == 'olog'}; "
         "assert not lazy(), f'import olog.cli loaded {lazy()}'; "
@@ -300,30 +301,28 @@ def test_bench_rejects_a_size_over_the_cap_before_any_profile():
 
 # A child's peak RSS counts the memory of the process it was forked
 # from, so the command runs under a small interpreter, not under pytest.
+# The probe passes the command's stdout through, then prints the exit code
+# and peak RSS on a last line of its own.
 _RSS_PROBE = (
     "import os, subprocess, sys; "
-    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+    "proc = subprocess.Popen(sys.argv[1:]); "
     "_, status, usage = os.wait4(proc.pid, 0); "
     "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
 )
 
 
+def _run_with_peak_rss(*argv, workers=None):
+    """Stdout and peak RSS in MB of ``olog argv``, forked workers included
+    (ru_maxrss is in kB on Linux)."""
+    run = _python("-c", _RSS_PROBE, sys.executable, "-m", "olog", *argv, workers=workers)
+    out, _, status = run.stdout.rstrip("\n").rpartition("\n")
+    rc, rss_kb = map(int, status.split())
+    assert rc == 0, run.stderr
+    return out, rss_kb / 1024
+
+
 def _peak_rss_mb(*argv):
-    """Peak RSS of ``olog argv``, forked workers included (kB on Linux)."""
-    run = _python("-c", _RSS_PROBE, sys.executable, "-m", "olog", *argv)
-    rc, rss_kb = map(int, run.stdout.split())
-    assert rc == 0
-    return rss_kb / 1024
-
-
-@pytest.mark.parametrize("workers", ["0", "2"])
-def test_long_sequences_are_streamed(workers, monkeypatch):
-    # 6 003 instances over 2.0e6 sequence elements: held as a list, they
-    # took 39 MB against 17 MB for the default space
-    monkeypatch.setenv("OLOG_WORKERS", workers)
-    default = _peak_rss_mb("verify")
-    long = _peak_rss_mb("verify", "--grid", "2", "--alphabet", "1", "--max-len", "2000")
-    assert long <= 1.5 * default
+    return _run_with_peak_rss(*argv)[1]
 
 
 # argv and pinned counts of the spaces verify must report alike under the
@@ -336,20 +335,31 @@ _SPACES = {
 }
 
 
+@functools.cache
+def _verify_child(space, workers):
+    """The JSON report of ``olog verify`` on the space under the worker
+    count, without wall_time_ms, and the child's peak RSS in MB; each
+    space and count runs once per session."""
+    argv, _ = _SPACES[space]
+    out, rss = _run_with_peak_rss("verify", *argv, "--format", "json", workers=workers)
+    report = json.loads(out)
+    del report["wall_time_ms"]
+    return report, rss
+
+
 @pytest.mark.parametrize("space", sorted(_SPACES))
-def test_verify_reports_the_same_pass_under_0_2_and_3_workers(space, monkeypatch):
-    argv, pinned = _SPACES[space]
-    reports = []
-    for workers in ("0", "2", "3"):
-        monkeypatch.setenv("OLOG_WORKERS", workers)
-        run = _python("-m", "olog", "verify", *argv, "--format", "json", timeout=60)
-        assert run.returncode == 0, run.stderr
-        report = json.loads(run.stdout)
-        del report["wall_time_ms"]
-        reports.append(report)
+def test_verify_reports_the_same_pass_under_0_2_and_3_workers(space):
+    _, pinned = _SPACES[space]
+    reports = [_verify_child(space, workers)[0] for workers in ("0", "2", "3")]
     assert reports[0]["all_passed"]
     assert {key: reports[0][key] for key in pinned} == pinned
     assert reports[1] == reports[0] and reports[2] == reports[0]
+    if space == "long":
+        # 6 003 instances over 2.0e6 sequence elements are streamed: held
+        # as a list, they took 39 MB against 17 MB for the default space
+        for workers in ("0", "2", "3"):
+            long, default = (_verify_child(s, workers)[1] for s in ("long", "default"))
+            assert long <= 1.5 * default, workers
 
 
 def test_bench_profiles_run_in_bounded_memory():
@@ -370,9 +380,12 @@ def test_verify_exits_1_when_a_property_fails(monkeypatch, capsys):
     from olog.algorithms import broken_binary_search
 
     monkeypatch.setattr(checker_mod, "binary_search", broken_binary_search)
-    assert main(["verify", "--max-len", "3", "--alphabet", "2", "--grid", "4"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out and "'q': [0]" in out
+    # the first counterexample, [0], lies in the forked share of two
+    for workers in ("0", "2"):
+        monkeypatch.setenv("OLOG_WORKERS", workers)
+        assert main(["verify", "--max-len", "3", "--alphabet", "2", "--grid", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "'q': [0]" in out
 
 
 def test_bound_default(capsys):
@@ -698,11 +711,14 @@ _BAD_CONFIG = {
 def test_a_run_that_exits_2_leaves_the_output_as_it_was(command, tmp_path, capsys):
     existing, missing = tmp_path / "r.json", tmp_path / "new.json"
     existing.write_text("keep\n")
-    for target in (existing, missing):
+    link, linked = tmp_path / "out.json", tmp_path / "target.json"
+    link.symlink_to(linked)  # dangling: the open creates target.json
+    for target in (existing, missing, link):
         assert main([command, *_BAD_CONFIG[command], "--output", str(target)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
     assert existing.read_text() == "keep\n"
     assert not missing.exists()
+    assert link.is_symlink() and not linked.exists()
 
 
 def test_output_replaces_an_existing_file(tmp_path, capsys):
