@@ -47,6 +47,7 @@ import itertools
 import marshal
 import math
 import os
+import sys
 import time
 from typing import Iterator, NamedTuple, NoReturn, Optional
 
@@ -101,11 +102,6 @@ SEQ_WORK = 8
 # (6, 6) space, 7.4k instances, 60 ms), medians of 40 interleaved runs on
 # a shared host; below POOL_MIN_WORK the sweep stays in process.
 POOL_MIN_WORK = 10**5
-# A forced OLOG_WORKERS count above this is rejected instead of forking
-# that many processes. Two workers on 2 CPUs is the most measured to pay,
-# and more workers than usable CPUs only add start-up; the ceiling sits
-# far above both without letting a typo start 10^5 processes.
-MAX_WORKERS = 256
 
 
 class _InstanceSpaceFields(NamedTuple):
@@ -237,21 +233,18 @@ def _sweep_work(space: InstanceSpace) -> int:
 def _pool_workers(space: InstanceSpace) -> int:
     """Worker processes for the sweep; 0 runs it in this process.
 
-    ``OLOG_WORKERS`` forces the count when set: an int in [0, MAX_WORKERS],
-    0 sequential. Otherwise every usable CPU is used once the space's
-    estimated work pays for forking.
+    Each share holds at least half the two-worker break-even, so the count
+    is min(usable CPUs, 2 * work // POOL_MIN_WORK), and 0 below two. A
+    platform without ``os.fork`` gets 0, and so does a caller with other
+    live threads: only the calling thread survives a fork, and a child
+    could wait forever on a lock another one held. ``threading`` is looked
+    up, never imported, for that count.
     """
-    raw = os.environ.get("OLOG_WORKERS")
-    if raw is not None:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise PreconditionError(f"OLOG_WORKERS must be an integer, got {raw!r}")
-        if not 0 <= workers <= MAX_WORKERS:
-            raise PreconditionError(f"OLOG_WORKERS must be in [0, {MAX_WORKERS}], got {workers}")
-        return workers
-    cpus = _usable_cpus()
-    return cpus if cpus >= 2 and _sweep_work(space) >= POOL_MIN_WORK else 0
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 0
+    workers = min(_usable_cpus(), 2 * _sweep_work(space) // POOL_MIN_WORK)
+    return workers if workers >= 2 else 0
 
 
 def _enumeration_order(counterexample: dict) -> tuple:
@@ -452,8 +445,8 @@ def _forked_sweep(space: InstanceSpace, workers: int) -> dict:
     Each process enumerates the whole stream and skips the other shares'
     groups, so each pays for the whole enumeration: under 1% of the
     sequential sweep at (5, 12) and about 5% at (2000, 1) (Python 3.11.7, 2
-    vCPU). Only the calling thread survives a fork, so a caller whose
-    other threads hold locks should set ``OLOG_WORKERS=0``.
+    vCPU). Only the calling thread survives a fork; ``_pool_workers``
+    chooses 1 share for a caller with other live threads.
     """
     children: dict = {}  # pid -> (share, read end of its pipe), until reaped
     try:
@@ -498,19 +491,17 @@ def verify_all(space: InstanceSpace, grid: int) -> CheckReport:
     The sweep judges this module's global ``binary_search`` (see
     ``verify_sweep``).
 
-    The enumeration is streamed, never held as a list. The worker count
-    N is ``OLOG_WORKERS`` when it is set, and otherwise every usable CPU
-    once the space is big enough to pay for forking; a caller with other
-    threads sets ``OLOG_WORKERS=0``. ``_forked_sweep`` runs W = max(N, 1)
-    shares: W - 1 forked children and this process each sweep every W-th
-    group, so 0 or 1 sweeps in this process and forks nothing. The merge
-    adds the counts and keeps each property's earliest counterexample, so
-    the report is identical for every worker count except
-    ``wall_time_ms``. A grid ``complexity.derive_log_witness`` rejects
-    (P9's chain runs first), a space over a cap, and an ``OLOG_WORKERS``
-    that is not an int in [0, MAX_WORKERS] raise PreconditionError before
-    any fork, in that order. A platform without ``os.fork`` sweeps one
-    share whatever the count.
+    The enumeration is streamed, never held as a list. ``_pool_workers``
+    picks the worker count N from the usable CPUs, the space's estimated
+    work, fork support and the caller's live threads; nothing overrides
+    it. ``_forked_sweep`` runs W = max(N, 1) shares: W - 1 forked children
+    and this process each sweep every W-th group, so 0 or 1 sweeps in
+    this process and forks nothing. The merge adds the counts and keeps
+    each property's earliest counterexample, so the report is identical
+    for every worker count except ``wall_time_ms``. PreconditionError
+    comes before any fork: first for a grid
+    ``complexity.derive_log_witness`` rejects (P9's chain runs first),
+    then for a space over a cap.
 
     Raises WorkerError when a forked worker dies before it reports, or
     when the merged sweep checked fewer or more instances than the space
@@ -534,8 +525,7 @@ def verify_all(space: InstanceSpace, grid: int) -> CheckReport:
         raise PreconditionError(
             f"keys x sequence elements = {space.key_elements} exceed the cap {MAX_ELEMENTS}"
         )
-    workers = _pool_workers(space)
-    sweep = _forked_sweep(space, max(workers, 1) if hasattr(os, "fork") else 1)
+    sweep = _forked_sweep(space, max(_pool_workers(space), 1))
     if sweep["instances"] != space.instances:
         raise WorkerError(
             f"the sweep checked {sweep['instances']} of the space's "

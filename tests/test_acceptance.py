@@ -17,6 +17,7 @@ from olog.cli import main
 from olog.intmath import ilog2
 
 from doubling import DOUBLING
+from seam import verify_under
 
 
 class _Run:
@@ -144,9 +145,8 @@ def test_c8_mutant_sensitivity(monkeypatch):
     monkeypatch.setattr(checker, "binary_search", broken_binary_search)
     failures = []
     with _Run() as run:
-        for workers in ("0", "2"):
-            monkeypatch.setenv("OLOG_WORKERS", workers)
-            report = checker.verify_all(InstanceSpace(max_len=4, alphabet=3), grid=16)
+        for workers in (0, 2):
+            report = verify_under(monkeypatch, workers, InstanceSpace(max_len=4, alphabet=3), 16)
             if report.all_passed:
                 failures.append(f"broken search passed the suite (false pass), {workers} workers")
             failing = {p.id for p in report.properties if not p.passed}

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from functools import partial
@@ -26,6 +27,7 @@ from olog.algorithms import (
 )
 from olog.checker import InstanceSpace, nondecreasing_sequences, verify_all
 from olog.errors import PreconditionError, WorkerError
+from seam import verify_under
 
 SCHEMAS = Path(olog.__file__).parent / "schemas"
 
@@ -200,17 +202,12 @@ def test_tiny_space_passes():
     assert report.instances_checked == 6
 
 
-def _verify_under(monkeypatch, workers, space, grid):
-    monkeypatch.setenv("OLOG_WORKERS", str(workers))
-    return verify_all(space, grid)
-
-
 def test_mutant_is_caught_with_minimal_counterexample(monkeypatch):
     # under two workers both first counterexamples lie in the forked share,
     # and the merge adds the violations of both shares
     monkeypatch.setattr(checker, "binary_search", broken_binary_search)
     for workers in (0, 2):
-        report = _verify_under(monkeypatch, workers, InstanceSpace(max_len=4, alphabet=3), 16)
+        report = verify_under(monkeypatch, workers, InstanceSpace(max_len=4, alphabet=3), 16)
         assert not report.all_passed
         failing = {p.id for p in report.properties if not p.passed}
         assert failing & {"P3", "P4"}
@@ -256,8 +253,7 @@ def test_sweep_walks_the_recurrence_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(costmodel, "_tbs", counting)
     # in process: a forked worker's walks would be counted in its own copy
-    monkeypatch.setenv("OLOG_WORKERS", "0")
-    report = verify_all(InstanceSpace(), grid=2)
+    report = verify_under(monkeypatch, 0, InstanceSpace(), 2)
     assert report.all_passed
     assert walks == {"full": report.instances_checked}
     assert report.instances_checked == 24024
@@ -288,7 +284,7 @@ def _failing(report):
 def test_a_search_that_never_counts_fails_p4(monkeypatch):
     monkeypatch.setattr(checker, "binary_search", _never_counts)
     for workers in (0, 2):
-        report = _verify_under(monkeypatch, workers, InstanceSpace(max_len=2, alphabet=2), 4)
+        report = verify_under(monkeypatch, workers, InstanceSpace(max_len=2, alphabet=2), 4)
         # every instance but the four on [] costs at least 1
         assert _failing(report) == {"P4": (20, ([0], -1))}
         assert report.minimal_counterexample()["detail"] == "t=0 differs from tbs=1"
@@ -416,8 +412,7 @@ def test_p7_judges_the_witness_of_the_chain_p9_checks(monkeypatch, workers):
     monkeypatch.setattr(complexity, "canonical_chain", lambda: tuple(steps))
     assert complexity.derive_log_witness(2).witness == (12, 2)
     monkeypatch.setattr(checker, "binary_search", _ten_steps_late)
-    monkeypatch.setenv("OLOG_WORKERS", str(workers))
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2)
+    report = verify_under(monkeypatch, workers, InstanceSpace(max_len=2, alphabet=2), 2)
     assert {p: v for p, (v, _) in _failing(report).items()} == {"P3": 24, "P4": 24, "P6": 24}
 
 
@@ -444,12 +439,10 @@ def _raises_on_one(q, key):
 def test_a_search_that_raises_gets_a_p1_verdict(monkeypatch):
     space = InstanceSpace(max_len=4, alphabet=3)
     monkeypatch.setattr(checker, "binary_search", _raises_on_one)
-    monkeypatch.setenv("OLOG_WORKERS", "0")
-    report = verify_all(space, grid=16)
+    report = verify_under(monkeypatch, 0, space, 16)
     assert _failing(report) == {"P1": (1, ([0, 1], 1))}
     assert report.minimal_counterexample()["detail"] == "the search raised KeyError: 'planted'"
-    monkeypatch.setenv("OLOG_WORKERS", "2")
-    forked = verify_all(space, grid=16)
+    forked = verify_under(monkeypatch, 2, space, 16)
     assert _strip(forked) == _strip(report)
 
 
@@ -463,13 +456,11 @@ def test_a_cost_walk_that_raises_gets_a_p5_verdict(monkeypatch):
 
     monkeypatch.setattr(costmodel, "_tbs", planted)
     space = InstanceSpace(max_len=4, alphabet=3)
-    monkeypatch.setenv("OLOG_WORKERS", "0")
-    report = verify_all(space, grid=16)
+    report = verify_under(monkeypatch, 0, space, 16)
     # the instance's P4 is skipped: there is no cost to judge the counter by
     assert _failing(report) == {"P5": (1, ([0, 1], 1))}
     assert report.minimal_counterexample()["detail"] == "the tbs walk raised IndexError: planted"
-    monkeypatch.setenv("OLOG_WORKERS", "2")
-    assert _strip(verify_all(space, grid=16)) == _strip(report)
+    assert _strip(verify_under(monkeypatch, 2, space, 16)) == _strip(report)
 
 
 def test_a_report_with_every_kind_of_failure_is_schema_valid(monkeypatch):
@@ -518,41 +509,40 @@ def _slow_minimal_share(q, key):
 
 
 def test_parallel_equals_serial(monkeypatch):
+    # the default space is above the fork's break-even, so with two or
+    # more usable CPUs the automatic count forks
+    default = InstanceSpace()
+    automatic = verify_all(default, grid=2**20)
+    assert _strip(verify_under(monkeypatch, 0, default, 2**20)) == _strip(automatic)
+
     space = InstanceSpace(max_len=4, alphabet=3)
-    serial = _verify_under(monkeypatch, 0, space, 64)
+    serial = verify_under(monkeypatch, 0, space, 64)
     for workers in (2, 3):
-        assert _strip(_verify_under(monkeypatch, workers, space, 64)) == _strip(serial)
+        assert _strip(verify_under(monkeypatch, workers, space, 64)) == _strip(serial)
 
     monkeypatch.setattr(checker, "binary_search", broken_binary_search)
-    serial_m = _verify_under(monkeypatch, 0, space, 64)
+    serial_m = verify_under(monkeypatch, 0, space, 64)
     assert serial_m.minimal_counterexample()["q"] == [0]
     for workers in (2, 3):
-        assert _strip(_verify_under(monkeypatch, workers, space, 64)) == _strip(serial_m)
+        assert _strip(verify_under(monkeypatch, workers, space, 64)) == _strip(serial_m)
     # the merge takes each property's earliest counterexample, not the
     # first share's, nor the share that finished first
     monkeypatch.setattr(checker, "binary_search", _slow_minimal_share)
-    assert _strip(_verify_under(monkeypatch, 2, space, 64)) == _strip(serial_m)
+    assert _strip(verify_under(monkeypatch, 2, space, 64)) == _strip(serial_m)
 
     # (1, 1) has two groups, [] and [0]: three of five shares hold none
     tiny = InstanceSpace(max_len=1, alphabet=1)
     for search in (broken_binary_search, binary_search):
         monkeypatch.setattr(checker, "binary_search", search)
-        expected = _verify_under(monkeypatch, 0, tiny, 4)
-        assert _strip(_verify_under(monkeypatch, 5, tiny, 4)) == _strip(expected)
-
-    # the default space is above the fork's break-even, so with two or
-    # more usable CPUs the automatic count forks
-    default = InstanceSpace()
-    expected = _verify_under(monkeypatch, 0, default, 2**20)
-    monkeypatch.delenv("OLOG_WORKERS")
-    assert _strip(verify_all(default, grid=2**20)) == _strip(expected)
+        expected = verify_under(monkeypatch, 0, tiny, 4)
+        assert _strip(verify_under(monkeypatch, 5, tiny, 4)) == _strip(expected)
 
     # forked workers inherit the planted cost model
     _plant_cost_model(monkeypatch)
     planted_space = InstanceSpace(max_len=7, alphabet=3)
-    serial_p = _verify_under(monkeypatch, 0, planted_space, 2)
+    serial_p = verify_under(monkeypatch, 0, planted_space, 2)
     assert _p5(serial_p) == (False, 42, ([0, 0, 0, 0, 0], -1))
-    assert _strip(serial_p) == _strip(_verify_under(monkeypatch, 2, planted_space, 2))
+    assert _strip(serial_p) == _strip(verify_under(monkeypatch, 2, planted_space, 2))
 
 
 def test_a_planted_local_function_reaches_the_automatic_forked_shares(monkeypatch):
@@ -562,15 +552,13 @@ def test_a_planted_local_function_reaches_the_automatic_forked_shares(monkeypatc
         return broken_binary_search(q, key)
 
     space = InstanceSpace(max_len=4, alphabet=3)
-    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
-    expected = _verify_under(monkeypatch, 0, space, 16)
-    monkeypatch.delenv("OLOG_WORKERS")
     monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(space))
     assert checker._pool_workers(space) == 2
     monkeypatch.setattr(checker, "binary_search", local_search)
     report = verify_all(space, grid=16)
-    assert _strip(report) == _strip(expected)
+    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
+    assert _strip(report) == _strip(verify_under(monkeypatch, 0, space, 16))
     assert report.minimal_counterexample()["q"] == [0]
 
 
@@ -585,91 +573,77 @@ def test_a_planted_lambda_reaches_the_forced_forked_shares(monkeypatch):
         return real_fork()
 
     space = InstanceSpace(max_len=3, alphabet=2)
-    expected = _verify_under(monkeypatch, 0, space, 16)
+    expected = verify_under(monkeypatch, 0, space, 16)
     monkeypatch.setattr(checker.os, "fork", counting_fork)
     monkeypatch.setattr(checker, "binary_search", lambda q, key: binary_search(q, key))
-    report = _verify_under(monkeypatch, 2, space, 16)
+    report = verify_under(monkeypatch, 2, space, 16)
     assert _strip(report) == _strip(expected)
     assert forks == [1]
 
 
 def test_a_platform_without_fork_sweeps_in_process(monkeypatch):
-    monkeypatch.delattr(checker.os, "fork")
+    # a space that would fork on two CPUs sweeps in process without os.fork
     space = InstanceSpace(max_len=3, alphabet=2)
-    expected = _strip(_verify_under(monkeypatch, 0, space, 16))
-    assert _strip(_verify_under(monkeypatch, 2, space, 16)) == expected
-    assert _strip(_verify_under(monkeypatch, 3, space, 16)) == expected
-    monkeypatch.setenv("OLOG_WORKERS", "nope")
-    with pytest.raises(PreconditionError, match="OLOG_WORKERS"):
-        verify_all(space, 16)
+    monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(space))
+    assert checker._pool_workers(space) == 2
+    monkeypatch.delattr(checker.os, "fork")
+    assert checker._pool_workers(space) == 0
+    report = verify_all(space, 16)
+    assert _strip(report) == _strip(verify_under(monkeypatch, 0, space, 16))
+
+
+def test_a_caller_with_other_live_threads_sweeps_in_process(monkeypatch, default_report):
+    # only the calling thread survives a fork, so a child could wait
+    # forever on a lock another thread held
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
+    assert checker._pool_workers(InstanceSpace()) == 2
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait)
+    thread.start()
+    try:
+        assert checker._pool_workers(InstanceSpace()) == 0
+        monkeypatch.setattr(checker.os, "fork", no_fork)
+        report = verify_all(InstanceSpace(), 2**20)
+    finally:
+        parked.set()
+        thread.join()
+    assert _strip(report) == _strip(default_report)
 
 
 def test_pool_workers_decision(monkeypatch):
     big, small = InstanceSpace(), InstanceSpace(max_len=2, alphabet=2)
-    monkeypatch.delenv("OLOG_WORKERS", raising=False)
     monkeypatch.setattr(checker, "_usable_cpus", lambda: 4)
     assert checker._pool_workers(big) == 4
     assert checker._pool_workers(small) == 0  # below the break-even
-    # the break-even is inclusive, on the closed-form work estimate
+    # the break-even is inclusive, on the closed-form work estimate, and
+    # each of its two shares holds half of it
     assert checker._sweep_work(small) == 4 * 8 + checker.SEQ_WORK * 24
     monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(small))
-    assert checker._pool_workers(small) == 4
+    assert checker._pool_workers(small) == 2
     monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(small) + 1)
     assert checker._pool_workers(small) == 0
 
     monkeypatch.setattr(checker, "_usable_cpus", lambda: 1)
     assert checker._pool_workers(big) == 0
 
-    monkeypatch.setenv("OLOG_WORKERS", "0")
-    monkeypatch.setattr(checker, "_usable_cpus", lambda: 4)
-    assert checker._pool_workers(big) == 0
-    monkeypatch.setenv("OLOG_WORKERS", "3")
-    monkeypatch.setattr(checker, "_usable_cpus", lambda: 1)
-    assert checker._pool_workers(small) == 3
-    monkeypatch.setenv("OLOG_WORKERS", str(checker.MAX_WORKERS))
-    assert checker._pool_workers(small) == checker.MAX_WORKERS
-    for bad in ("nope", "-1", "", str(checker.MAX_WORKERS + 1), "100000"):
-        monkeypatch.setenv("OLOG_WORKERS", bad)
-        with pytest.raises(PreconditionError, match="OLOG_WORKERS"):
-            checker._pool_workers(big)
 
-
-def test_forced_worker_count_over_the_ceiling_starts_no_process(monkeypatch):
-    def no_fork():
-        raise AssertionError("a worker was forked")
-
-    monkeypatch.setattr(checker.os, "fork", no_fork)
-    monkeypatch.setenv("OLOG_WORKERS", "100000")
-    with pytest.raises(PreconditionError, match="OLOG_WORKERS"):
-        verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
-
-
-def test_an_explicit_worker_count_out_of_range_starts_no_process(monkeypatch):
-    # a forced count outside [0, MAX_WORKERS] is refused whole: 10^5 would
-    # fork at once, and -7 sweep in process without a word
-    def no_fork():
-        raise AssertionError("a worker was forked")
-
-    monkeypatch.setattr(checker.os, "fork", no_fork)
-    for workers in (10**5, checker.MAX_WORKERS + 1, -7, -1):
-        monkeypatch.setenv("OLOG_WORKERS", str(workers))
-        message = rf"^OLOG_WORKERS must be in \[0, 256\], got {workers}$"
-        with pytest.raises(PreconditionError, match=message):
-            verify_all(InstanceSpace(1, 1), grid=2)
-
-
-def test_an_explicit_worker_count_of_another_type_starts_no_process(monkeypatch):
-    # a forced count that is not a decimal integer (a float, a bool's name,
-    # nothing at all) is refused before any fork
-    def no_fork():
-        raise AssertionError("a worker was forked")
-
-    monkeypatch.setattr(checker.os, "fork", no_fork)
-    for workers in ("2.5", "1.0", "True", ""):
-        monkeypatch.setenv("OLOG_WORKERS", workers)
-        message = rf"^OLOG_WORKERS must be an integer, got {workers!r}$"
-        with pytest.raises(PreconditionError, match=message):
-            verify_all(InstanceSpace(2, 2), grid=2)
+def test_pool_workers_sizes_the_count_by_the_work(monkeypatch):
+    # no share holds less than half the two-worker break-even: 64 CPUs
+    # would otherwise fork 63 children for the default space's 0.2 s sweep
+    monkeypatch.setattr(checker, "_usable_cpus", lambda: 64)
+    assert checker._pool_workers(InstanceSpace()) == 7
+    assert checker._pool_workers(InstanceSpace(5, 12)) == 21
+    # on two CPUs the spaces the benchmark and the tests verify keep the
+    # count the CPUs alone gave
+    monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
+    counts = {space: checker._pool_workers(InstanceSpace(*space)) for space in
+              [(8, 6), (5, 12), (26, 3), (2000, 1), (10, 8), (1, 1), (2, 2), (2, 3), (3, 2)]}
+    assert counts == {(8, 6): 2, (5, 12): 2, (26, 3): 2, (2000, 1): 2, (10, 8): 2,
+                      (1, 1): 0, (2, 2): 0, (2, 3): 0, (3, 2): 0}
 
 
 @pytest.mark.parametrize(
@@ -711,7 +685,7 @@ def test_a_sweep_that_misses_a_group_gets_no_verdict(workers, monkeypatch):
     monkeypatch.setattr(checker, "_share", dropping_share)
     message = r"^the sweep checked 20 of the space's 24 instances; no verdict$"
     with pytest.raises(WorkerError, match=message):
-        _verify_under(monkeypatch, workers, InstanceSpace(2, 2), 4)
+        verify_under(monkeypatch, workers, InstanceSpace(2, 2), 4)
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
@@ -732,7 +706,7 @@ from olog.algorithms import binary_search
 
 PARENT = os.getpid()
 max_len, alphabet = map(int, sys.argv[1:3])
-os.environ["OLOG_WORKERS"] = sys.argv[3]
+checker._pool_workers = lambda space: int(sys.argv[3])
 
 def killed_on_one(q, key):
     if tuple(q) == (0, 1, 2) and key == 1:
@@ -800,17 +774,22 @@ def test_the_parents_share_raising_kills_and_reaps_every_child():
 
 def test_determinism_across_runs(monkeypatch):
     space = InstanceSpace(max_len=3, alphabet=3)
-    runs = [_strip(_verify_under(monkeypatch, workers, space, 32)) for workers in (0, 0, 2, 2)]
+    runs = [_strip(verify_under(monkeypatch, workers, space, 32)) for workers in (0, 0, 2, 2)]
     assert all(run == runs[0] for run in runs)
 
 
-def test_workers_env_override(monkeypatch):
-    monkeypatch.setenv("OLOG_WORKERS", "2")
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
-    assert report.all_passed
-    monkeypatch.setenv("OLOG_WORKERS", "nope")
-    with pytest.raises(PreconditionError):
-        verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
+class _UnreadableEnvironment(dict):
+    def __getitem__(self, name):
+        raise AssertionError(f"the environment's {name} was read")
+
+    get = __contains__ = __getitem__
+
+
+def test_pool_workers_ignores_the_environment(monkeypatch):
+    # no variable overrides the count: it is chosen without reading one
+    monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(checker.os, "environ", _UnreadableEnvironment())
+    assert checker._pool_workers(InstanceSpace()) == 2
 
 
 
@@ -832,7 +811,7 @@ def test_p5_planted_cost_model_matches_all_subrange_reference(monkeypatch):
     # sweep only the instances whose full range fails
     assert reference == (183, ([0, 0, 0, 0, 0], -1))
     for workers in (0, 2):
-        report = _verify_under(monkeypatch, workers, InstanceSpace(max_len=7, alphabet=3), 2)
+        report = verify_under(monkeypatch, workers, InstanceSpace(max_len=7, alphabet=3), 2)
         assert _p5(report) == (False, 42, ([0, 0, 0, 0, 0], -1))
         # the correct search's counter no longer equals the planted cost, so
         # P4 fails on the same instances, and comes first among the ties

@@ -15,15 +15,14 @@ import olog
 from olog import SortedSeq, binary_search
 from olog.cli import main, parse_sizes
 from olog.errors import PreconditionError
+from seam import pin, prelude
 
 SCHEMAS = Path(olog.__file__).parent / "schemas"
 SRC = Path(olog.__file__).parent.parent
 
 
-def _python(*args, timeout=60, stdout=subprocess.PIPE, workers=None):
+def _python(*args, timeout=60, stdout=subprocess.PIPE):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    if workers is not None:
-        env["OLOG_WORKERS"] = workers
     return subprocess.run(
         [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
         timeout=timeout,
@@ -138,7 +137,7 @@ def test_verify_rejects_a_space_over_the_cap_with_a_short_line():
 
 def test_default_verify_forks_without_multiprocessing_or_numpy():
     probe = (
-        "import os, sys; os.environ['OLOG_WORKERS'] = '2'; from olog.cli import main; "
+        f"{prelude(2)}import sys; from olog.cli import main; "
         "assert main(['verify']) == 0; "
         "loaded = {'numpy', 'multiprocessing'} & set(sys.modules); "
         "assert not loaded, f'verify loaded {loaded}'"
@@ -159,7 +158,7 @@ def test_a_dead_sweep_worker_exits_2_with_one_error_line():
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
         "    return binary_search(q, key)\n"
         "checker.binary_search = killed_on_one\n"
-        "os.environ['OLOG_WORKERS'] = '2'\n"
+        f"{prelude(2)}"
         "sys.exit(main(['verify', '--max-len', '3', '--alphabet', '5', '--grid', '2']))\n"
     )
     started = time.perf_counter()
@@ -175,11 +174,6 @@ def test_a_dead_sweep_worker_exits_2_with_one_error_line():
 def test_verify_rejects_long_sequences_before_any_work():
     # 60 003 instances, but 3 keys x 2.0e8 sequence elements
     _assert_rejected_at_once("verify", "--max-len", "20000", "--alphabet", "1")
-
-
-def test_verify_rejects_a_forced_worker_count_over_the_ceiling(monkeypatch):
-    monkeypatch.setenv("OLOG_WORKERS", "100000")
-    _assert_rejected_at_once("verify")
 
 
 def test_bench_rejects_a_list_over_the_total_work_cap_before_any_profile():
@@ -313,8 +307,11 @@ _RSS_PROBE = (
 
 def _run_with_peak_rss(*argv, workers=None):
     """Stdout and peak RSS in MB of ``olog argv``, forked workers included
-    (ru_maxrss is in kB on Linux)."""
-    run = _python("-c", _RSS_PROBE, sys.executable, "-m", "olog", *argv, workers=workers)
+    (ru_maxrss is in kB on Linux), with the sweep's worker count pinned
+    unless ``workers`` is None."""
+    olog = ["-m", "olog"] if workers is None else [
+        "-c", f"{prelude(workers)}from olog.cli import console_main; console_main()"]
+    run = _python("-c", _RSS_PROBE, sys.executable, *olog, *argv)
     out, _, status = run.stdout.rstrip("\n").rpartition("\n")
     rc, rss_kb = map(int, status.split())
     assert rc == 0, run.stderr
@@ -350,14 +347,14 @@ def _verify_child(space, workers):
 @pytest.mark.parametrize("space", sorted(_SPACES))
 def test_verify_reports_the_same_pass_under_0_2_and_3_workers(space):
     _, pinned = _SPACES[space]
-    reports = [_verify_child(space, workers)[0] for workers in ("0", "2", "3")]
+    reports = [_verify_child(space, workers)[0] for workers in (0, 2, 3)]
     assert reports[0]["all_passed"]
     assert {key: reports[0][key] for key in pinned} == pinned
     assert reports[1] == reports[0] and reports[2] == reports[0]
     if space == "long":
         # 6 003 instances over 2.0e6 sequence elements are streamed: held
         # as a list, they took 39 MB against 17 MB for the default space
-        for workers in ("0", "2", "3"):
+        for workers in (0, 2, 3):
             long, default = (_verify_child(s, workers)[1] for s in ("long", "default"))
             assert long <= 1.5 * default, workers
 
@@ -381,8 +378,8 @@ def test_verify_exits_1_when_a_property_fails(monkeypatch, capsys):
 
     monkeypatch.setattr(checker_mod, "binary_search", broken_binary_search)
     # the first counterexample, [0], lies in the forked share of two
-    for workers in ("0", "2"):
-        monkeypatch.setenv("OLOG_WORKERS", workers)
+    for workers in (0, 2):
+        pin(monkeypatch, workers)
         assert main(["verify", "--max-len", "3", "--alphabet", "2", "--grid", "4"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "'q': [0]" in out
