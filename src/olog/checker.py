@@ -312,7 +312,11 @@ def verify_sweep(groups) -> dict:
     it yields, every slice of items with that key (or one of its order type).
 
     An exception the search raises counts against P1 (P3 for the
-    termination check), and one the walk raises against P5, skipping P4.
+    termination check). An outcome the checks cannot read also counts
+    against P1: one that does not unpack into (r, t, trace), or whose r
+    P1 and P2 cannot compare. Either skips the instance's other checks of
+    the outcome (P2, P3, P4, P6, P7). An exception the walk raises counts
+    against P5, skipping P4.
     """
     search = binary_search
     c, n0 = complexity.chain_witness(complexity.canonical_chain())
@@ -360,12 +364,18 @@ def verify_sweep(groups) -> dict:
             except Exception as err:
                 record("P1", items, key, f"the search raised {type(err).__name__}: {err}")
                 continue
-
-            r, t, trace = out
-            if not check_binary_posts(items, r, key):
-                record("P1", items, key, f"postconditions fail for r={r}")
             oracle_r = oracle.get(key, -1)
-            agree = (r >= 0) == (oracle_r >= 0) and (r < 0 or r < n and items[r] == key)
+            try:
+                r, t, trace = out
+                posts_hold = check_binary_posts(items, r, key)
+                agree = (r >= 0) == (oracle_r >= 0) and (r < 0 or r < n and items[r] == key)
+            except Exception as err:
+                record("P1", items, key,
+                       f"the checks cannot read the search's outcome: {type(err).__name__}: {err}")
+                continue
+
+            if not posts_hold:
+                record("P1", items, key, f"postconditions fail for r={r}")
             if not agree:
                 record("P2", items, key, f"r={r} disagrees with oracle index {oracle_r}")
             if trace is None or t != len(trace):
@@ -407,7 +417,6 @@ def _sweep_child(space: InstanceSpace, w: int, workers: int, wfd: int) -> NoRetu
             pipe.write(data)
         status = 0
     except Exception:
-        import sys
         import traceback
 
         traceback.print_exc()

@@ -8,7 +8,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -17,19 +16,16 @@ import pytest
 
 import olog
 import subranges
+from faults import FAULTS
 from olog import checker, complexity, costmodel, intmath
-from olog.algorithms import (
-    SearchOutcome,
-    SortedSeq,
-    _search,
-    binary_search,
-    broken_binary_search,
-)
+from olog.algorithms import SortedSeq, binary_search, broken_binary_search
 from olog.checker import InstanceSpace, nondecreasing_sequences, verify_all
 from olog.errors import PreconditionError, WorkerError
 from seam import verify_under
 
-SCHEMAS = Path(olog.__file__).parent / "schemas"
+CHECK_REPORT_SCHEMA = json.loads(
+    (Path(olog.__file__).parent / "schemas" / "check_report.schema.json").read_text()
+)
 
 
 def _instances(space):
@@ -185,9 +181,8 @@ def test_counter_equals_tbs_on_default_space(default_report):
 
 
 def test_report_serializes_against_schema(default_report):
-    schema = json.loads((SCHEMAS / "check_report.schema.json").read_text())
     payload = default_report.to_dict()
-    jsonschema.validate(payload, schema)
+    jsonschema.validate(payload, CHECK_REPORT_SCHEMA)
     json.dumps(payload)
 
 
@@ -202,42 +197,43 @@ def test_tiny_space_passes():
     assert report.instances_checked == 6
 
 
+@pytest.mark.parametrize("workers", [0, 2, 3])
+@pytest.mark.parametrize("name", FAULTS)
+def test_planted_fault_battery(name, workers, monkeypatch):
+    # under 2 and 3 workers the forked shares' counts, gaps and first
+    # counterexamples merge, so each row's pinned report covers the merge
+    fault = FAULTS[name]
+    fault.plant(monkeypatch)
+    report = verify_under(monkeypatch, workers, InstanceSpace(*fault.space), fault.grid)
+    jsonschema.validate(report.to_dict(), CHECK_REPORT_SCHEMA)
+    failing = {p.id: (p.violations, p.counterexample) for p in report.properties if not p.passed}
+    assert failing == fault.failing
+    minimal = fault.minimal and fault.failing[fault.minimal][1]
+    assert report.minimal_counterexample() == minimal
+    assert report.max_tbs_gap == fault.max_tbs_gap
+
+
+def test_every_property_fails_under_a_planted_fault():
+    failing = set().union(*(fault.failing for fault in FAULTS.values()))
+    assert failing == {f"P{i}" for i in range(1, 10)}
+
+
 def test_mutant_is_caught_with_minimal_counterexample(monkeypatch):
-    # under two workers both first counterexamples lie in the forked share,
-    # and the merge adds the violations of both shares
+    # the shipped mutant at the automatic worker count gets its row's verdict
+    fault = FAULTS["broken_binary_search"]
+    fault.plant(monkeypatch)
+    report = verify_all(InstanceSpace(*fault.space), fault.grid)
+    failing = {p.id: (p.violations, p.counterexample) for p in report.properties if not p.passed}
+    assert failing == fault.failing
+    minimal = report.minimal_counterexample()
+    assert (minimal["q"], minimal["key"]) == ([0], 1)
+    assert minimal == fault.failing["P3"][1]
+
+
+def test_mutant_report_is_schema_valid(monkeypatch):
     monkeypatch.setattr(checker, "binary_search", broken_binary_search)
-    for workers in (0, 2):
-        report = verify_under(monkeypatch, workers, InstanceSpace(max_len=4, alphabet=3), 16)
-        assert not report.all_passed
-        failing = {p.id for p in report.properties if not p.passed}
-        assert failing & {"P3", "P4"}
-        minimal = report.minimal_counterexample()
-        assert (minimal["q"], minimal["key"]) == ([0], 1)
-        props = {p.id: p for p in report.properties}
-        assert (props["P3"].violations, props["P3"].counterexample) == (58, minimal)
-        assert minimal["detail"] == (
-            "hi-lo failed to decrease (1 -> 1) at {'lo': 0, 'hi': 1, 'r': -1, 't': 1}"
-        )
-        # [0, 3) goes right to [2, 3), the mutant to [1, 3), where it still
-        # terminates: only P4's walk sees the stray head
-        assert props["P4"].violations == 9
-        assert props["P4"].counterexample == {
-            "q": [0, 0, 1],
-            "key": 1,
-            "detail": "head [1, 3) at t=1 is off the tbs recursion's path",
-        }
-
-
-def test_overshooting_mutant_verdicts_are_pinned(monkeypatch):
-    # lo = mid + 2: the loop-head invariant (P1) and the tbs walk (P4) catch it
-    mutant = partial(_search, advance=2)
-    monkeypatch.setattr(checker, "binary_search", mutant)
-    report = verify_all(InstanceSpace(max_len=4, alphabet=3), 64)
-    failing = _failing(report)
-    assert failing == {"P1": (29, ([0], 1)), "P4": (38, ([0, 0, 0], 1))}
-    assert report.minimal_counterexample()["detail"] == (
-        "invariant 'binary_loop' violated at {'lo': 2, 'hi': 1, 'r': -1, 't': 1}"
-    )
+    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
+    jsonschema.validate(report.to_dict(), CHECK_REPORT_SCHEMA)
 
 
 def test_sweep_walks_the_recurrence_once_per_instance(monkeypatch):
@@ -257,240 +253,6 @@ def test_sweep_walks_the_recurrence_once_per_instance(monkeypatch):
     assert report.all_passed
     assert walks == {"full": report.instances_checked}
     assert report.instances_checked == 24024
-
-
-def test_mutant_report_is_schema_valid(monkeypatch):
-    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
-    schema = json.loads((SCHEMAS / "check_report.schema.json").read_text())
-    jsonschema.validate(report.to_dict(), schema)
-
-
-def _never_counts(q, key):
-    # a search whose counter never counts and which records nothing
-    return SearchOutcome(binary_search(q, key).r, 0, ())
-
-
-def _failing(report):
-    """Failing property id -> (violations, (q, key) of its first counterexample)."""
-    failing = {}
-    for p in report.properties:
-        if not p.passed:
-            first = p.counterexample
-            failing[p.id] = (p.violations, first and (first.get("q"), first.get("key")))
-    return failing
-
-
-def test_a_search_that_never_counts_fails_p4(monkeypatch):
-    monkeypatch.setattr(checker, "binary_search", _never_counts)
-    for workers in (0, 2):
-        report = verify_under(monkeypatch, workers, InstanceSpace(max_len=2, alphabet=2), 4)
-        # every instance but the four on [] costs at least 1
-        assert _failing(report) == {"P4": (20, ([0], -1))}
-        assert report.minimal_counterexample()["detail"] == "t=0 differs from tbs=1"
-
-
-def _counts_twice(q, key):
-    # a search whose counter, and the trace's, charges two steps per iteration
-    out = binary_search(q, key)
-    trace = tuple(rec._replace(t_after=2 * rec.t_after) for rec in out.trace)
-    return SearchOutcome(out.r, 2 * out.t, trace)
-
-
-def test_max_tbs_gap_sees_a_counter_that_overcounts(monkeypatch):
-    space = InstanceSpace(max_len=4, alphabet=3)
-    exact = verify_all(space, grid=16)
-    assert exact.max_tbs_gap == 0
-    monkeypatch.setattr(checker, "binary_search", _counts_twice)
-    report = verify_all(space, grid=16)
-    # the five instances on [] cost 0, so doubling their counter is harmless;
-    # 41 of the others, doubled, exceed the step budget
-    failing = {p: v for p, (v, _) in _failing(report).items()}
-    assert failing == {"P3": 170, "P4": 170, "P6": 41}
-    # |tbs - 2t| = t, whose largest value on length 4 is 3
-    assert report.max_tbs_gap == 3
-
-
-def test_a_cost_model_past_its_depth_cap_fails_p5_only(monkeypatch):
-    # a mutant of _tbs that recurses on its own range while it is 2 wide or
-    # more, so the depth guard is what stops it; every instance of length 2
-    # fails P5, and the search, which does not read the cost model, passes
-    exact = costmodel._tbs
-
-    def planted(q, lo, hi, key, depth, costs):
-        if hi - lo < 2:
-            return exact(q, lo, hi, key, depth, costs)
-        exact(q, lo, lo, key, depth, costs)  # the guard; an empty range costs 0
-        return 1 + costmodel._tbs(q, lo, hi, key, depth + 1, costs)
-
-    monkeypatch.setattr(costmodel, "_tbs", planted)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=16)
-    assert _failing(report) == {"P5": (12, ([0, 0], -1))}
-    p5 = next(p for p in report.properties if p.id == "P5")
-    assert p5.counterexample["detail"] == (
-        "the tbs walk raised AssertionError: transition-cost recursion exceeded its depth cap"
-    )
-
-
-@pytest.mark.parametrize("branch,first", [("left", ([0, 0], -1)), ("right", ([0, 0], 1))])
-def test_a_cost_model_that_overcharges_fails_p4(monkeypatch, branch, first):
-    # a mutant of _tbs that charges one more on one branch of its recursion;
-    # P5's bound 2*ilog2(w)+1 is loose enough to absorb the extra cost
-    exact = costmodel._tbs
-
-    def planted(q, lo, hi, key, *rest):
-        mid = (lo + hi) // 2
-        extra = hi - lo > 1 and key != q[mid] and (key < q[mid]) == (branch == "left")
-        return exact(q, lo, hi, key, *rest) + extra
-
-    monkeypatch.setattr(costmodel, "_tbs", planted)
-    report = verify_all(InstanceSpace(max_len=4, alphabet=3), grid=16)
-    assert set(_failing(report)) == {"P4"}
-    assert _failing(report)["P4"][1] == first
-    assert report.minimal_counterexample()["q"] == first[0]
-
-
-def _off_by_one(monkeypatch):
-    exact = intmath.ilog2
-    monkeypatch.setattr(intmath, "ilog2", lambda n: exact(n) + 1)  # k = 1 in ilog2
-
-
-def test_an_off_by_one_ilog2_fails_p8(monkeypatch):
-    # every value one too large keeps P8's adjacent-pair relation; the
-    # doubling oracle does not move
-    _off_by_one(monkeypatch)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2**20)
-    p8 = next(p for p in report.properties if p.id == "P8")
-    assert (p8.passed, p8.violations) == (False, 1)
-    assert p8.counterexample == {"n": 1, "detail": "ilog2(1) != ilog2_oracle(1)"}
-
-
-def _always_absent(q, key):
-    # a search that reports every key absent, with the right counter and trace
-    return binary_search(q, key)._replace(r=-1)
-
-
-def test_a_search_that_misses_present_keys_fails_p1_and_p2(monkeypatch):
-    # P1's postconditions and P2's oracle both see the six present
-    # instances: [0] and [1] with their value, [0, 0] and [1, 1] with
-    # theirs, [0, 1] with either
-    monkeypatch.setattr(checker, "binary_search", _always_absent)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2)
-    assert _failing(report) == {"P1": (6, ([0], 0)), "P2": (6, ([0], 0))}
-    p2 = next(p for p in report.properties if p.id == "P2")
-    assert p2.counterexample["detail"] == "r=-1 disagrees with oracle index 0"
-
-
-def _ten_steps_late(q, key):
-    # a search whose counter runs 10 ahead of its trace and of tbs
-    out = binary_search(q, key)
-    return out._replace(t=out.t + 10)
-
-
-def test_a_counter_past_the_witness_bound_fails_p7(monkeypatch):
-    # every instance's t reaches 10..12, over every budget (at most 3 at
-    # length 2), and over 6*ilog2(2) = 6 on the 12 instances of length 2,
-    # the only ones the witness covers (n0 = 2)
-    monkeypatch.setattr(checker, "binary_search", _ten_steps_late)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=2)
-    failing = _failing(report)
-    assert {p: v for p, (v, _) in failing.items()} == {"P3": 24, "P4": 24, "P6": 24, "P7": 12}
-    assert failing["P7"] == (12, ([0, 0], -1))
-    p7 = next(p for p in report.properties if p.id == "P7")
-    assert p7.counterexample["detail"] == "t=12 exceeds 6*ilog2(2)=6"
-
-
-@pytest.mark.parametrize("workers", [0, 2])
-def test_p7_judges_the_witness_of_the_chain_p9_checks(monkeypatch, workers):
-    # a chain whose last step ends at 12*ilog2(n) witnesses (12, 2), and the
-    # counter 10 ahead reaches at most 12 = 12*ilog2(2): P7 passes with P9,
-    # and only the properties that see the counter itself fail
-    steps = list(complexity.canonical_chain())
-    last = steps[-1]
-    twelve = intmath.Expr((intmath.Term(12, 1, 0),), 0)
-    steps[-1] = last._replace(relation=last.relation._replace(rhs=twelve))
-    monkeypatch.setattr(complexity, "canonical_chain", lambda: tuple(steps))
-    assert complexity.derive_log_witness(2).witness == (12, 2)
-    monkeypatch.setattr(checker, "binary_search", _ten_steps_late)
-    report = verify_under(monkeypatch, workers, InstanceSpace(max_len=2, alphabet=2), 2)
-    assert {p: v for p, (v, _) in _failing(report).items()} == {"P3": 24, "P4": 24, "P6": 24}
-
-
-def _absent_as_minus_two(q, key):
-    # a search that reports an absent key as -2 instead of -1
-    out = binary_search(q, key)
-    return out._replace(r=-2) if out.r < 0 else out
-
-
-def test_an_absent_index_other_than_minus_one_fails_p1(monkeypatch):
-    monkeypatch.setattr(checker, "binary_search", _absent_as_minus_two)
-    report = verify_all(InstanceSpace(max_len=3, alphabet=2), grid=16)
-    assert set(_failing(report)) == {"P1"}
-    assert _failing(report)["P1"][1] == ([], -1)
-    assert report.minimal_counterexample()["detail"] == "postconditions fail for r=-2"
-
-
-def _raises_on_one(q, key):
-    if list(q) == [0, 1] and key == 1:
-        raise KeyError("planted")
-    return binary_search(q, key)
-
-
-def test_a_search_that_raises_gets_a_p1_verdict(monkeypatch):
-    space = InstanceSpace(max_len=4, alphabet=3)
-    monkeypatch.setattr(checker, "binary_search", _raises_on_one)
-    report = verify_under(monkeypatch, 0, space, 16)
-    assert _failing(report) == {"P1": (1, ([0, 1], 1))}
-    assert report.minimal_counterexample()["detail"] == "the search raised KeyError: 'planted'"
-    forked = verify_under(monkeypatch, 2, space, 16)
-    assert _strip(forked) == _strip(report)
-
-
-def test_a_cost_walk_that_raises_gets_a_p5_verdict(monkeypatch):
-    exact = costmodel._tbs
-
-    def planted(q, lo, hi, key, *rest):
-        if tuple(q) == (0, 1) and key == 1:
-            raise IndexError("planted")
-        return exact(q, lo, hi, key, *rest)
-
-    monkeypatch.setattr(costmodel, "_tbs", planted)
-    space = InstanceSpace(max_len=4, alphabet=3)
-    report = verify_under(monkeypatch, 0, space, 16)
-    # the instance's P4 is skipped: there is no cost to judge the counter by
-    assert _failing(report) == {"P5": (1, ([0, 1], 1))}
-    assert report.minimal_counterexample()["detail"] == "the tbs walk raised IndexError: planted"
-    assert _strip(verify_under(monkeypatch, 2, space, 16)) == _strip(report)
-
-
-def test_a_report_with_every_kind_of_failure_is_schema_valid(monkeypatch):
-    steps = list(complexity.canonical_chain())
-    s5 = steps[4]
-    weakened = intmath.Relation(s5.relation.lhs, "<=", intmath.Expr((intmath.Term(3, 1, 0),), 0))
-    steps[4] = complexity.CalcStep(weakened, s5.n_min, s5.why)
-    monkeypatch.setattr(complexity, "canonical_chain", lambda: tuple(steps))
-    _off_by_one(monkeypatch)
-    monkeypatch.setattr(checker, "binary_search", _raises_on_one)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=64)
-    failing = _failing(report)
-    assert set(failing) == {"P1", "P8", "P9"}
-    doc = report.to_dict()
-    p9 = doc["properties"][8]["counterexample"]
-    assert p9 == {"step": 5, "n": 2, "detail": "chain step 5 fails at n=2"}
-    jsonschema.validate(doc, json.loads((SCHEMAS / "check_report.schema.json").read_text()))
-
-
-def _plant_cost_model(monkeypatch):
-    exact = costmodel._tbs
-
-    def planted(q, lo, hi, key, *rest):
-        # overcharges width-5 ranges that go left, past the bound 2*ilog2(5)+1 = 5
-        cost = exact(q, lo, hi, key, *rest)
-        if hi - lo == 5 and q[(lo + hi) // 2] > key:
-            cost += 5
-        return cost
-
-    monkeypatch.setattr(costmodel, "_tbs", planted)
 
 
 def _strip(report):
@@ -520,13 +282,10 @@ def test_parallel_equals_serial(monkeypatch):
     for workers in (2, 3):
         assert _strip(verify_under(monkeypatch, workers, space, 64)) == _strip(serial)
 
-    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
-    serial_m = verify_under(monkeypatch, 0, space, 64)
-    assert serial_m.minimal_counterexample()["q"] == [0]
-    for workers in (2, 3):
-        assert _strip(verify_under(monkeypatch, workers, space, 64)) == _strip(serial_m)
     # the merge takes each property's earliest counterexample, not the
     # first share's, nor the share that finished first
+    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
+    serial_m = verify_under(monkeypatch, 0, space, 64)
     monkeypatch.setattr(checker, "binary_search", _slow_minimal_share)
     assert _strip(verify_under(monkeypatch, 2, space, 64)) == _strip(serial_m)
 
@@ -537,12 +296,11 @@ def test_parallel_equals_serial(monkeypatch):
         expected = verify_under(monkeypatch, 0, tiny, 4)
         assert _strip(verify_under(monkeypatch, 5, tiny, 4)) == _strip(expected)
 
-    # forked workers inherit the planted cost model
-    _plant_cost_model(monkeypatch)
-    planted_space = InstanceSpace(max_len=7, alphabet=3)
-    serial_p = verify_under(monkeypatch, 0, planted_space, 2)
-    assert _p5(serial_p) == (False, 42, ([0, 0, 0, 0, 0], -1))
-    assert _strip(serial_p) == _strip(verify_under(monkeypatch, 2, planted_space, 2))
+
+def test_determinism_across_runs(monkeypatch):
+    space = InstanceSpace(max_len=3, alphabet=3)
+    runs = [_strip(verify_under(monkeypatch, workers, space, 32)) for workers in (0, 0, 2, 2)]
+    assert all(run == runs[0] for run in runs)
 
 
 def test_a_planted_local_function_reaches_the_automatic_forked_shares(monkeypatch):
@@ -772,12 +530,6 @@ def test_the_parents_share_raising_kills_and_reaps_every_child():
     assert _sweep_probe(3, 2, 3, "raise") == "KeyboardInterrupt "
 
 
-def test_determinism_across_runs(monkeypatch):
-    space = InstanceSpace(max_len=3, alphabet=3)
-    runs = [_strip(verify_under(monkeypatch, workers, space, 32)) for workers in (0, 0, 2, 2)]
-    assert all(run == runs[0] for run in runs)
-
-
 class _UnreadableEnvironment(dict):
     def __getitem__(self, name):
         raise AssertionError(f"the environment's {name} was read")
@@ -792,45 +544,19 @@ def test_pool_workers_ignores_the_environment(monkeypatch):
     assert checker._pool_workers(InstanceSpace()) == 2
 
 
-
-def _p5(report):
-    p5 = next(p for p in report.properties if p.id == "P5")
-    first = p5.counterexample
-    return p5.passed, p5.violations, None if first is None else (first["q"], first["key"])
-
-
 def test_p5_matches_all_subrange_reference(default_report):
     assert subranges.p5_sweep(8, 6) == (0, None)
-    assert _p5(default_report) == (True, 0, None)
+    p5 = next(p for p in default_report.properties if p.id == "P5")
+    assert (p5.passed, p5.violations, p5.counterexample) == (True, 0, None)
 
 
 def test_p5_planted_cost_model_matches_all_subrange_reference(monkeypatch):
-    _plant_cost_model(monkeypatch)
-    reference = subranges.p5_sweep(7, 3)
+    fault = FAULTS["tbs_overcharging_width_5"]
+    fault.plant(monkeypatch)
     # the reference counts every instance with a failing subrange, the
-    # sweep only the instances whose full range fails
-    assert reference == (183, ([0, 0, 0, 0, 0], -1))
-    for workers in (0, 2):
-        report = verify_under(monkeypatch, workers, InstanceSpace(max_len=7, alphabet=3), 2)
-        assert _p5(report) == (False, 42, ([0, 0, 0, 0, 0], -1))
-        # the correct search's counter no longer equals the planted cost, so
-        # P4 fails on the same instances, and comes first among the ties
-        p4 = next(p for p in report.properties if p.id == "P4")
-        assert (p4.violations, p4.counterexample["q"], p4.counterexample["key"]) == (
-            42, [0, 0, 0, 0, 0], -1
-        )
-        assert report.minimal_counterexample()["detail"] == (
-            "t=1 at head [0, 2) differs from tbs difference 8-2"
-        )
-
-
-def test_p5_reads_the_log_bound_term(monkeypatch):
-    # one below LOG_BOUND at every width: only width 1, where tbs is 1 and
-    # the planted bound 0, breaks it
-    monkeypatch.setattr(checker, "LOG_BOUND", intmath.Expr((intmath.Term(2, 1, 0),), 0))
-    report = verify_all(InstanceSpace(max_len=3, alphabet=2), grid=2)
-    assert _p5(report) == (False, 8, ([0], -1))
-    assert [p.id for p in report.properties if not p.passed] == ["P5"]
+    # sweep only the instances whose full range fails; both find it first
+    first = fault.failing["P5"][1]
+    assert subranges.p5_sweep(*fault.space) == (183, (first["q"], first["key"]))
 
 
 def test_a_space_over_the_instance_floor_is_never_counted(monkeypatch):

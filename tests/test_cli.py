@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import olog
+from faults import chain_ending_at
 from olog import SortedSeq, binary_search
 from olog.cli import main, parse_sizes
 from olog.errors import PreconditionError
@@ -412,21 +413,12 @@ def test_bound_csv(capsys):
     assert len(lines) == 6
 
 
-def _chain_with_step5_ending_at(c):
-    from olog.complexity import CalcStep, canonical_chain
-    from olog.intmath import Expr, Relation, Term
-
-    *steps, s5 = canonical_chain()
-    end = Relation(s5.relation.lhs, "<=", Expr((Term(c, 1, 0),), 0))
-    return lambda: (*steps, CalcStep(end, s5.n_min, s5.why))
-
-
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_bound_reports_a_failing_chain_in_every_format(fmt, monkeypatch, capsys):
     # step 5 weakened to 3*ilog2(n) + 3 <= 3*ilog2(n): false from n=2 on
     from olog import complexity
 
-    monkeypatch.setattr(complexity, "canonical_chain", _chain_with_step5_ending_at(3))
+    monkeypatch.setattr(complexity, "canonical_chain", functools.partial(chain_ending_at, 3))
     assert main(["bound", "--format", fmt]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: chain step 5 fails at n=2\n"
@@ -446,7 +438,7 @@ def test_bound_reports_a_failing_chain_in_every_format(fmt, monkeypatch, capsys)
 def test_bound_prints_the_witness_its_chain_ends_at(monkeypatch, capsys):
     from olog import complexity
 
-    monkeypatch.setattr(complexity, "canonical_chain", _chain_with_step5_ending_at(7))
+    monkeypatch.setattr(complexity, "canonical_chain", functools.partial(chain_ending_at, 7))
     assert main(["bound", "--grid", "64"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("witness: c=7, n0=2 ")

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import pytest
 
@@ -16,6 +17,7 @@ from olog.errors import PreconditionError, VacuousRangeError
 from olog.intmath import STEP_BUDGET, Expr, Relation, Term, ilog2
 
 import pointwise
+from faults import chain_ending_at
 
 
 def test_step_bound_values():
@@ -140,19 +142,15 @@ def _edited_chain(index, rhs=None, n_min=None):
     return tuple(steps)
 
 
-def _step5_rhs_mutant():
-    # step 5 with its right-hand side weakened to 3*ilog2(n): false from n=2 on
-    return _edited_chain(5, rhs=Expr((Term(3, 1, 0),), 0))
-
-
 def test_reversed_monotonic_step_is_caught():
     trace = check_calc_chain(_reversed_step3(), 1024)
     assert trace.failures == (0, 0, 2, 0, 0)
 
 
 def test_step5_rhs_mutant_is_caught():
-    # a chain is checked by what its steps compute, never by their labels
-    trace = check_calc_chain(_step5_rhs_mutant(), 1024)
+    # a chain is checked by what its steps compute, never by their labels;
+    # step 5 weakened to 3*ilog2(n) is false from n=2 on
+    trace = check_calc_chain(chain_ending_at(3), 1024)
     assert trace.failures == (0, 0, 0, 0, 2)
 
 
@@ -163,7 +161,7 @@ def test_broken_chain_trace_reports_first_failure():
 
 
 def test_a_failing_chain_is_returned_not_raised(monkeypatch):
-    monkeypatch.setattr(complexity, "canonical_chain", _step5_rhs_mutant)
+    monkeypatch.setattr(complexity, "canonical_chain", partial(chain_ending_at, 3))
     trace = derive_log_witness(1024)
     assert trace.failures == (0, 0, 0, 0, 2)
     assert (trace.failure()["step"], trace.failure()["n"]) == (5, 2)
@@ -173,7 +171,7 @@ def test_a_failing_chain_is_returned_not_raised(monkeypatch):
 @pytest.mark.parametrize(
     "chain,witness",
     [
-        (lambda: _edited_chain(5, rhs=Expr((Term(7, 1, 0),), 0)), (7, 2)),
+        (partial(chain_ending_at, 7), (7, 2)),
         (lambda: _edited_chain(3, n_min=5), (6, 5)),
     ],
     ids=["end-7-ilog2", "step3-from-5"],
@@ -203,7 +201,7 @@ def test_generic_and_kernel_chain_scans_agree():
     # the block check and a pointwise scan find the same first failing n,
     # on the canonical chain and on both mutants
     grid = 2**14
-    for steps in (canonical_chain(), _reversed_step3(), _step5_rhs_mutant()):
+    for steps in (canonical_chain(), _reversed_step3(), chain_ending_at(3)):
         block = list(check_calc_chain(steps, grid).failures)
         reference = [pointwise.first_failure(s.relation, s.n_min, grid) for s in steps]
         assert block == reference
