@@ -313,9 +313,11 @@ def verify_sweep(groups) -> dict:
 
     An exception the search raises counts against P1 (P3 for the
     termination check). An outcome the checks cannot read also counts
-    against P1: one that does not unpack into (r, t, trace), or whose r
-    P1 and P2 cannot compare. Either skips the instance's other checks of
-    the outcome (P2, P3, P4, P6, P7). An exception the walk raises counts
+    against P1: one that does not unpack into (r, t, trace), or on which
+    a check of P1–P4, P6 or P7, or the gap, raises. Every check reads the
+    outcome before any verdict is recorded, so either case skips all of
+    the instance's checks of the outcome, and an instance counts at most
+    once against each property. An exception the walk raises counts
     against P5, skipping P4.
     """
     search = binary_search
@@ -369,6 +371,14 @@ def verify_sweep(groups) -> dict:
                 r, t, trace = out
                 posts_hold = check_binary_posts(items, r, key)
                 agree = (r >= 0) == (oracle_r >= 0) and (r < 0 or r < n and items[r] == key)
+                records = len(trace or ())
+                counted = trace is not None and t == records
+                p4 = gap = None
+                if costs is not None:
+                    p4 = _p4_failure(trace or (), t, costs, tbs_total)
+                    gap = abs(tbs_total - t)
+                in_budget = t <= budget
+                in_witness = n < n0 or t <= c * log_n
             except Exception as err:
                 record("P1", items, key,
                        f"the checks cannot read the search's outcome: {type(err).__name__}: {err}")
@@ -378,16 +388,15 @@ def verify_sweep(groups) -> dict:
                 record("P1", items, key, f"postconditions fail for r={r}")
             if not agree:
                 record("P2", items, key, f"r={r} disagrees with oracle index {oracle_r}")
-            if trace is None or t != len(trace):
-                record("P3", items, key, f"t={t} but trace has {len(trace or ())} records")
-            if costs is not None:
-                failure = _p4_failure(trace or (), t, costs, tbs_total)
-                if failure is not None:
-                    record("P4", items, key, failure)
-                max_gap = max(max_gap, abs(tbs_total - t))
-            if t > budget:
+            if not counted:
+                record("P3", items, key, f"t={t} but trace has {records} records")
+            if p4 is not None:
+                record("P4", items, key, p4)
+            if gap is not None:
+                max_gap = max(max_gap, gap)
+            if not in_budget:
                 record("P6", items, key, f"t={t} exceeds budget {budget}")
-            if n >= n0 and t > c * log_n:
+            if not in_witness:
                 record("P7", items, key, f"t={t} exceeds {c}*ilog2({n})={c * log_n}")
 
     return {

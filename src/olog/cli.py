@@ -50,6 +50,15 @@ def _write(out, to_file: bool, text: str) -> str | None:
         return f"cannot write output: {err}"
 
 
+def _ints(option: str, text: str, parts) -> list[int]:
+    """The parts of the option's text as ints; a part that is not one
+    rejects the whole text."""
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise PreconditionError(f"{option} must hold integers, got {text!r}") from None
+
+
 def parse_sizes(text: str) -> list[int]:
     """Size lists: ``start:stop:xFACTOR`` for geometric grids, or a
     comma-separated list."""
@@ -58,7 +67,7 @@ def parse_sizes(text: str) -> list[int]:
         parts = text.split(":")
         if len(parts) != 3 or not parts[2].lower().startswith("x"):
             raise PreconditionError(f"size list must look like start:stop:xFACTOR, got {text!r}")
-        start, stop, factor = int(parts[0]), int(parts[1]), int(parts[2][1:])
+        start, stop, factor = _ints("--sizes", text, (parts[0], parts[1], parts[2][1:]))
         if start < 1 or stop < start or factor < 2:
             raise PreconditionError(f"bad geometric size list {text!r}")
         sizes = []
@@ -67,7 +76,7 @@ def parse_sizes(text: str) -> list[int]:
             sizes.append(n)
             n *= factor
         return sizes
-    sizes = [int(p) for p in text.split(",") if p.strip()]
+    sizes = _ints("--sizes", text, [p for p in text.split(",") if p.strip()])
     if not sizes:
         raise PreconditionError("empty size list")
     return sizes
@@ -144,6 +153,7 @@ def _cmd_bench(args, out) -> int:
 
     algorithm = _ALGO_FLAG[args.algo]
     sizes = parse_sizes(args.sizes if args.sizes else DEFAULT_SIZES[algorithm])
+    estimator.check_fit_sizes(sizes)  # a list fit_class would reject runs no profile
     samples = estimator.bench_steps(algorithm, sizes)
     report = estimator.fit_class(samples)
 
@@ -181,7 +191,7 @@ def _cmd_trace(args, out) -> int:
     # argparse on Python 3.11 takes --q=-- for the end-of-options marker
     # and hands over an empty list; "--" is no integer list either
     text = args.q.strip() if isinstance(args.q, str) else "--"
-    items = [int(p) for p in text.split(",") if p.strip() != ""]
+    items = _ints("--q", text, [p for p in text.split(",") if p.strip()])
     seq = SortedSeq(items)  # raises PreconditionError when unsorted
     outcome = binary_search(seq, args.key)
     budget = STEP_BUDGET(len(seq))

@@ -196,20 +196,25 @@ def _fit_one(ns, ts, g) -> ClassFit:
     return ClassFit(a=a, b=b, rel_rmse=rmse / mean_t)
 
 
-def fit_class(samples: Sequence[StepSample]) -> ClassificationReport:
-    """Pick the growth class with the smallest relative RMSE.
-
-    Needs at least 4 samples spanning at least two decimal orders of
-    magnitude in n; anything narrower cannot separate the candidates.
-    """
-    if len(samples) < 4:
-        raise PreconditionError(f"need >= 4 samples, got {len(samples)}")
-    ns = [s.n for s in samples]
-    ts = [s.t_max for s in samples]
+def check_fit_sizes(ns: Sequence[int]) -> None:
+    """Raise unless the sizes ns can separate the growth classes: at least
+    4 of them, spanning at least two decimal orders of magnitude."""
+    if len(ns) < 4:
+        raise PreconditionError(f"need >= 4 samples, got {len(ns)}")
     if max(ns) < 100 * min(ns):
         raise PreconditionError(
             f"sizes must span >= 2 orders of magnitude; got [{min(ns)}, {max(ns)}]"
         )
+
+
+def fit_class(samples: Sequence[StepSample]) -> ClassificationReport:
+    """Pick the growth class with the smallest relative RMSE.
+
+    The samples' sizes must pass ``check_fit_sizes``.
+    """
+    ns = [s.n for s in samples]
+    ts = [s.t_max for s in samples]
+    check_fit_sizes(ns)
 
     fits = {name: _fit_one(ns, ts, g) for name, g in GROWTH_CLASSES}
     order = [name for name, _ in GROWTH_CLASSES]

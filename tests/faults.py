@@ -64,6 +64,12 @@ def _cost_changed(extra):
     return _planted(costmodel, "_tbs", planted)
 
 
+def _replaced_on_0_1(**fields):
+    # the correct search, whose outcome on ([0], 1) alone gets the fields
+    return _outcome_changed(
+        lambda q, key, out: out._replace(**fields) if (list(q), key) == ([0], 1) else out)
+
+
 def _together(*plants):
     def plant(monkeypatch):
         for one in plants:
@@ -239,10 +245,21 @@ FAULTS = {
         "P5", 0),
     # an r that P1's postconditions and P2's oracle cannot compare
     "unreadable_outcome": Fault(
-        _outcome_changed(lambda q, key, out: out._replace(r=None) if (list(q), key) == ([0], 1)
-                         else out),
-        (2, 2), 4,
+        _replaced_on_0_1(r=None), (2, 2), 4,
         {"P1": (1, _at([0], 1, "the checks cannot read the search's outcome: TypeError: "
                                "'>=' not supported between instances of 'NoneType' and 'int'"))},
+        "P1", 0),
+    # a counter that P3 and P4 compare without error, but the gap cannot
+    # subtract: the instance counts once, against P1, and nowhere else
+    "unreadable_counter": Fault(
+        _replaced_on_0_1(t=None), (2, 2), 4,
+        {"P1": (1, _at([0], 1, "the checks cannot read the search's outcome: TypeError: "
+                               "unsupported operand type(s) for -: 'int' and 'NoneType'"))},
+        "P1", 0),
+    # a trace as long as the counter, so P3 holds, whose records P4 cannot read
+    "unreadable_trace": Fault(
+        _replaced_on_0_1(trace=(1,)), (2, 2), 4,
+        {"P1": (1, _at([0], 1, "the checks cannot read the search's outcome: AttributeError: "
+                               "'int' object has no attribute 'lo'"))},
         "P1", 0),
 }

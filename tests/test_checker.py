@@ -21,7 +21,7 @@ from olog import checker, complexity, costmodel, intmath
 from olog.algorithms import SortedSeq, binary_search, broken_binary_search
 from olog.checker import InstanceSpace, nondecreasing_sequences, verify_all
 from olog.errors import PreconditionError, WorkerError
-from seam import verify_under
+from seam import prelude, verify_under
 
 CHECK_REPORT_SCHEMA = json.loads(
     (Path(olog.__file__).parent / "schemas" / "check_report.schema.json").read_text()
@@ -456,7 +456,8 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
 
 # Each probe runs in its own interpreter under a timeout, so a sweep that
 # waits forever on a dead worker fails the test instead of hanging the
-# suite, and the probe's own children are the only ones it can see.
+# suite, and the probe's own children are the only ones it can see. It
+# starts with seam.prelude, which pins the worker count.
 _SWEEP_PROBE = """
 import os, signal, sys, time
 from olog import checker
@@ -464,7 +465,6 @@ from olog.algorithms import binary_search
 
 PARENT = os.getpid()
 max_len, alphabet = map(int, sys.argv[1:3])
-checker._pool_workers = lambda space: int(sys.argv[3])
 
 def killed_on_one(q, key):
     if tuple(q) == (0, 1, 2) and key == 1:
@@ -483,7 +483,7 @@ def children_exit(q, key):
 
 checker.binary_search = {
     "kill": killed_on_one, "raise": parent_raises, "exit": children_exit
-}[sys.argv[4]]
+}[sys.argv[3]]
 started = time.perf_counter()
 try:
     checker.verify_all(checker.InstanceSpace(max_len, alphabet), 2)
@@ -497,9 +497,10 @@ except ChildProcessError:
 """
 
 
-def _sweep_probe(*args):
+def _sweep_probe(max_len, alphabet, workers, mode):
     env = {**os.environ, "PYTHONPATH": str(Path(olog.__file__).parent.parent)}
-    run = subprocess.run([sys.executable, "-c", _SWEEP_PROBE, *map(str, args)],
+    run = subprocess.run([sys.executable, "-c", prelude(workers) + _SWEEP_PROBE,
+                          str(max_len), str(alphabet), mode],
                          capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
     error, elapsed, left = run.stdout.splitlines()

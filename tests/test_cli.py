@@ -1,6 +1,6 @@
+import argparse
 import functools
 import gc
-import importlib
 import json
 import os
 import subprocess
@@ -13,7 +13,7 @@ import pytest
 
 import olog
 from faults import chain_ending_at
-from olog import SortedSeq, binary_search
+from olog import SortedSeq, algorithms, binary_search, checker, complexity, estimator
 from olog.cli import main, parse_sizes
 from olog.errors import PreconditionError
 from seam import pin, prelude
@@ -49,6 +49,8 @@ def test_parse_sizes_list_and_errors():
         parse_sizes("16:32:4")
     with pytest.raises(PreconditionError):
         parse_sizes("")
+    with pytest.raises(PreconditionError, match=r"^--sizes must hold integers, got '16:x:x4'$"):
+        parse_sizes("16:x:x4")
 
 
 def test_verify_defaults_pass(capsys):
@@ -86,65 +88,122 @@ def test_verify_long_sequences_pass(capsys):
     assert [p["passed"] for p in payload["properties"]] == [True] * 9
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["verify", "--max-len", "0"], ["verify", "--grid", "1"], ["verify", "--alphabet", "0"]],
-)
-def test_verify_config_errors(argv, capsys):
-    assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+def _invalid_choice(value, *choices):
+    """argparse's message for a value outside the choices: Python versions
+    differ in how they quote the choices."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument("x", choices=choices)
+    with pytest.raises(argparse.ArgumentError) as err:
+        parser.parse_args([value])
+    return str(err.value).removeprefix("argument x: ")
 
 
-def _assert_rejected_at_once(*argv):
-    # neither numpy nor multiprocessing may have loaded
-    probe = (
-        "import sys; from olog.cli import main; "
-        f"rc = main({list(argv)!r}); "
-        "loaded = {'numpy', 'multiprocessing'} & set(sys.modules); "
-        "assert not loaded, f'rejected after loading {loaded}'; "
-        "sys.exit(rc)"
-    )
-    started = time.perf_counter()
-    run = _python("-c", probe, timeout=10)
-    elapsed = time.perf_counter() - started
-    assert run.returncode == 2, run.stderr
-    assert run.stderr.startswith("error:")
-    assert "Traceback" not in run.stderr
-    assert elapsed < 1.0
-    return run
+_CAP = estimator.BINARY_PROFILE_MAX_N
+
+# Every input olog rejects with exit 2, by name: its argv, and the last
+# line of its stderr, which is the whole of it unless argparse printed
+# its usage first.
+REJECTED = {
+    # verify and bound check the grid in derive_log_witness, before any
+    # other work: the 40/40 space, over the instance cap, is not counted
+    **{f"{command} --grid {grid}": (
+        [*argv, "--grid", grid],
+        f"error: grid must be in [2, 2**32] (2 is the witness threshold), got {grid}")
+       for grid in ("1", "-3", "4294967297")
+       for command, argv in (("verify", ["verify"]), ("bound", ["bound"]),
+                             ("verify 40/40", ["verify", "--max-len", "40", "--alphabet", "40"]))},
+    # C(2*size, size) would take seconds to minutes to form, and have too
+    # many digits to print; (size+2)*(size+1) instances already exceed the cap
+    **{f"floor {size}": (
+        ["verify", "--max-len", size, "--alphabet", size, "--grid", "2"],
+        f"error: at least {(int(size) + 2) * (int(size) + 1)} instances exceed the cap 10000000")
+       for size in ("100000", "1000000", "2000000")},
+    # 3002 * C(6000, 3000) passes the floor; its digits are not printed
+    "1808 digits": (["verify", "--max-len", "3000", "--alphabet", "3000", "--grid", "2"],
+                    "error: a 1808-digit number of instances exceeds the cap 10000000"),
+    # 3.6e13 instances, counted before any enumeration
+    "14 digits": (["verify", "--alphabet", "100"],
+                  "error: a 14-digit number of instances exceeds the cap 10000000"),
+    # 60 003 instances, but 3 keys x 2.0e8 sequence elements
+    "keys x elements": (["verify", "--max-len", "20000", "--alphabet", "1"],
+                        "error: keys x sequence elements = 600030000 exceed the cap 100000000"),
+    "max-len 0": (["verify", "--max-len", "0"], "error: max_len must be >= 1, got 0"),
+    "alphabet 0": (["verify", "--alphabet", "0"], "error: alphabet must be >= 1, got 0"),
+    # 400 sizes, each within the binary cap, three of them at it: 5.5e9
+    # units of profile_work
+    "bench work cap": (
+        ["bench", "--sizes", ",".join(map(str, [*range(1, 398), _CAP - 2, _CAP - 1, _CAP]))],
+        "error: binary profile work 5503680462 of 400 sizes exceeds the cap 4294967296"),
+    # 16..16384 are within the linear cap, 65536 is not
+    "linear size cap": (["bench", "--algo", "linear", "--sizes", "16:1048576:x4"],
+                        "error: linear profile size must be in [1, 16384], got 65536"),
+    "sizes 16:8:x4": (["bench", "--sizes", "16:8:x4"], "error: bad geometric size list '16:8:x4'"),
+    "sizes ,": (["bench", "--sizes", ","], "error: empty size list"),
+    # the fit's rules on a size list come before bench_steps' own
+    "sizes 4,2": (["bench", "--sizes", "4,2"], "error: need >= 4 samples, got 2"),
+    "sizes 16:x:x4": (["bench", "--sizes", "16:x:x4"],
+                      "error: --sizes must hold integers, got '16:x:x4'"),
+    "sizes 8": (["bench", "--sizes", "8"], "error: need >= 4 samples, got 1"),
+    "sizes 16,32,64,128": (["bench", "--sizes", "16,32,64,128"],
+                           "error: sizes must span >= 2 orders of magnitude; got [16, 128]"),
+    "trace unsorted": (["trace", "--q", "3,1", "--key", "1"],
+                       "error: sequence is not sorted (non-decreasing)"),
+    "trace 1,two,3": (["trace", "--q", "1,two,3", "--key", "1"],
+                      "error: --q must hold integers, got '1,two,3'"),
+    # argparse on Python 3.11 hands --q=-- over as an empty list
+    "trace --q=--": (["trace", "--q=--", "--key", "0"], "error: --q must hold integers, got '--'"),
+    "trace --format csv": (
+        ["trace", "--q", "1,2", "--key", "2", "--format", "csv"],
+        f"olog trace: error: argument --format: {_invalid_choice('csv', 'text', 'json')}"),
+    # argparse reads "--q -5,-3" as --q with no value followed by an
+    # option "-5,-3", so such a list is passed as --q=-5,-3
+    "trace --q -5,-3": (["trace", "--q", "-5,-3", "--key", "-3"],
+                        "olog trace: error: argument --q: expected one argument"),
+    "unknown command": (["frobnicate"], "olog: error: argument command: " + _invalid_choice(
+        "frobnicate", "verify", "bound", "bench", "trace")),
+}
+# verify_all runs the chain (P9) on the grid before it checks the caps
+_AFTER_THE_CHAIN = {"floor 100000", "floor 1000000", "floor 2000000", "1808 digits",
+                    "14 digits", "keys x elements"}
+
+# the work a command can reach: the sweep, the chain scan, both bench
+# profiles and the search trace runs
+_PHASES = ((checker, "_forked_sweep"), (complexity, "check_calc_chain"),
+           (estimator, "binary_max_steps"), (estimator, "linear_max_steps"),
+           (algorithms, "binary_search"))
 
 
-def test_verify_rejects_oversized_space_before_any_work():
-    # 3.6e13 instances: the count is checked before enumeration starts
-    _assert_rejected_at_once("verify", "--alphabet", "100")
+def _plant_sentinels(monkeypatch, phases=_PHASES):
+    """Make each phase raise, which main does not catch, if it runs."""
+    for module, name in phases:
+        def sentinel(*args, name=name):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(module, name, sentinel)
 
 
-@pytest.mark.parametrize("size", ["100000", "1000000", "2000000"])
-def test_verify_rejects_a_huge_space_by_its_instance_floor(size):
-    # the exact count C(2*size, size) takes seconds to minutes to form and
-    # has too many digits to print; (size+2)*(size+1) instances already
-    # exceed the cap
-    run = _assert_rejected_at_once("verify", "--max-len", size, "--alphabet", size, "--grid", "2")
-    assert "exceed the cap" in run.stderr
+@pytest.mark.parametrize("row", sorted(REJECTED))
+def test_a_rejected_input_exits_2_at_once(row, tmp_path, monkeypatch, capsys):
+    argv, line = REJECTED[row]
+    chain = (complexity, "check_calc_chain")
+    _plant_sentinels(monkeypatch, [p for p in _PHASES if p != chain or row not in _AFTER_THE_CHAIN])
+    target = tmp_path / "out.txt"
+    assert main([*argv, "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith("\n")
+    usage, _, last = captured.err.removesuffix("\n").rpartition("\n")
+    assert (captured.out, last) == ("", line)
+    assert usage.startswith("usage: olog") if line.startswith("olog") else usage == ""
+    assert not target.exists()
 
 
-def test_verify_rejects_a_space_over_the_cap_with_a_short_line():
-    # 3002 * C(6000, 3000) passes the floor; its 1 808 digits are not printed
-    run = _assert_rejected_at_once("verify", "--max-len", "3000", "--alphabet", "3000",
-                                   "--grid", "2")
-    assert run.stderr == "error: a 1808-digit number of instances exceeds the cap 10000000\n"
-    assert len(run.stderr) < 200
-
-
-def test_default_verify_forks_without_multiprocessing_or_numpy():
-    probe = (
-        f"{prelude(2)}import sys; from olog.cli import main; "
-        "assert main(['verify']) == 0; "
-        "loaded = {'numpy', 'multiprocessing'} & set(sys.modules); "
-        "assert not loaded, f'verify loaded {loaded}'"
-    )
-    run = _python("-c", probe)
-    assert run.returncode == 0, run.stderr
+def test_the_console_path_prints_a_rejection_as_one_line_at_once():
+    for row in ("floor 2000000", "1808 digits", "bound --grid 1"):
+        argv, line = REJECTED[row]
+        started = time.perf_counter()
+        run = _python("-m", "olog", *argv, timeout=10)
+        assert time.perf_counter() - started < 1.0, row
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", line + "\n")
 
 
 def test_a_dead_sweep_worker_exits_2_with_one_error_line():
@@ -172,56 +231,8 @@ def test_a_dead_sweep_worker_exits_2_with_one_error_line():
     )
 
 
-def test_verify_rejects_long_sequences_before_any_work():
-    # 60 003 instances, but 3 keys x 2.0e8 sequence elements
-    _assert_rejected_at_once("verify", "--max-len", "20000", "--alphabet", "1")
-
-
-def test_bench_rejects_a_list_over_the_total_work_cap_before_any_profile():
-    # 400 sizes, each under the binary cap: 7.2e11 units of profile_work
-    cap = 2**26
-    _assert_rejected_at_once("bench", "--sizes", ",".join(map(str, range(cap - 399, cap + 1))))
-
-
-def test_commands_load_only_their_modules_and_never_numpy():
-    # Each command loads only the olog modules it runs. None loads numpy,
-    # which olog does not depend on, multiprocessing (the sweep forks its
-    # own workers) or dataclasses, and that includes every bench profile;
-    # modules the interpreter's own start-up loaded are not counted. The
-    # sweeps run at the automatic worker count.
-    probe = (
-        "import sys; before = set(sys.modules); from olog.cli import main; "
-        "lazy = lambda: {'numpy', 'multiprocessing'} & set(sys.modules); "
-        "olog = lambda: {m for m in sys.modules if m.split('.')[0] == 'olog'}; "
-        "assert not lazy(), f'import olog.cli loaded {lazy()}'; "
-        "assert main(['--help']) == 0; "
-        "assert olog() == {'olog', 'olog.cli', 'olog.errors'}, f'--help loaded {olog()}'; "
-        "assert 'json' not in set(sys.modules) - before, '--help loaded json'; "
-        "rc = main(['trace', '--q', '1,2', '--key', '2']); "
-        "assert not lazy(), f'trace loaded {lazy()}'; "
-        "heavy = {'olog.checker', 'olog.complexity', 'olog.estimator', 'olog.kernels'}; "
-        "assert not heavy & olog(), f'trace loaded {heavy & olog()}'; "
-        "assert main(['bound', '--grid', '64']) == 0; "
-        "assert main(['verify', '--max-len', '2', '--alphabet', '2', '--grid', '64']) == 0; "
-        "assert not lazy(), f'bound or a small verify loaded {lazy()}'; "
-        "assert main(['bench', '--sizes', '16:4096:x4']) == 0; "
-        "assert main(['bench', '--sizes', '1,16,256,4096']) == 0; "
-        "assert not lazy(), f'a small binary bench loaded {lazy()}'; "
-        "assert main(['bench']) == 0; "
-        "assert not lazy(), f'the default bench loaded {lazy()}'; "
-        "assert main(['bench', '--algo', 'linear']) == 0; "
-        "assert main(['bench', '--algo', 'linear', '--sizes', '1,16,256,4096']) == 0; "
-        "assert not lazy(), f'a linear bench loaded {lazy()}'; "
-        "assert 'dataclasses' not in set(sys.modules) - before, 'a command loaded dataclasses'; "
-        "assert 'olog.kernels' not in olog(), 'a command loaded the perfbench shim'; "
-        "sys.exit(rc)"
-    )
-    run = _python("-c", probe)
-    assert run.returncode == 0, run.stderr
-
-
 # The olog modules each command loads, the package and olog.cli included:
-# what -X importtime lists for a call, and what sys.modules holds after it.
+# what -X importtime lists for a call, and what sys.modules holds at exit.
 _BASE = {"olog", "olog.cli", "olog.errors"}
 LOADS = {
     "--help": _BASE,
@@ -231,44 +242,51 @@ LOADS = {
     "verify": _BASE | {"olog.algorithms", "olog.checker", "olog.complexity",
                        "olog.costmodel", "olog.intmath"},
 }
-_LEDGER_ARGS = {
+# one text-format call per row; the default verify forks two workers
+_LEDGER = {
     "--help": ["--help"],
     "trace": ["trace", "--q", "1,2", "--key", "2"],
-    "bench": ["bench", "--sizes", "16:4096:x4"],
+    "bench": ["bench"],
+    "bench --algo linear": ["bench", "--algo", "linear"],
     "bound": ["bound", "--grid", "64"],
-    "verify": ["verify", "--max-len", "1", "--alphabet", "1", "--grid", "16"],
+    "verify": ["verify"],
 }
+_LEDGER_CHILD = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.split('.')[0] == 'olog'),"
+    " file=sys.stderr))\n"
+    "from olog.cli import console_main\n"
+    "console_main()\n"
+)
 
 
-@pytest.mark.parametrize("command", sorted(LOADS))
-def test_importtime_accounts_for_every_module_a_command_loads(command):
+@pytest.mark.parametrize("row", sorted(_LEDGER))
+def test_importtime_accounts_for_every_module_a_command_loads(row):
     # olog imports its own modules by dotted name, through the interpreter's
     # import statement, so -X importtime times each one the command loads;
-    # its stderr lines end in "|   <indent>module name"
-    run = _python("-X", "importtime", "-m", "olog", *_LEDGER_ARGS[command])
+    # its stderr lines end in "|   <indent>module name". No command loads
+    # numpy, multiprocessing (the sweep forks its own workers), dataclasses,
+    # or json, which only a JSON report needs.
+    argv = _LEDGER[row]
+    source = (prelude(2) if row == "verify" else "") + _LEDGER_CHILD
+    run = _python("-X", "importtime", "-c", source, *argv)
     assert run.returncode == 0, run.stderr
-    timed = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
-             if line.startswith("import time:")}
-    assert {m for m in timed if m.split(".")[0] == "olog"} == LOADS[command]
-    probe = (
-        "import sys; from olog.cli import main; "
-        f"assert main({_LEDGER_ARGS[command]!r}) == 0; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'olog'), file=sys.stderr)"
-    )
-    run = _python("-c", probe)
-    assert run.returncode == 0, run.stderr
-    assert run.stderr.strip() == str(sorted(LOADS[command]))
+    *lines, at_exit = run.stderr.splitlines()
+    timed = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    assert {m for m in timed if m.split(".")[0] == "olog"} == LOADS[argv[0]]
+    assert at_exit == str(sorted(LOADS[argv[0]]))
+    assert not timed & {"numpy", "multiprocessing", "dataclasses", "json"}
 
 
 def test_bench_loads_neither_the_checker_nor_the_witness_derivation():
-    # nor the search, the cost model or the kernels shim: every profile is
-    # a closed form or the width recurrence
+    # nor the search, the cost model or the kernels shim, on the size specs
+    # the ledger's default rows do not run: every profile is a closed form
+    # or the width recurrence
     probe = (
         "import sys; from olog.cli import main; "
         "assert main(['bench', '--sizes', '16:4096:x4']) == 0; "
         "assert main(['bench', '--sizes', '1,16,256,4096']) == 0; "
-        "assert main(['bench']) == 0; "
-        "assert main(['bench', '--algo', 'linear']) == 0; "
+        "assert main(['bench', '--algo', 'linear', '--sizes', '1,16,256,4096']) == 0; "
         "extra = {'olog.algorithms', 'olog.checker', 'olog.complexity', 'olog.costmodel', "
         "'olog.kernels'}; "
         "extra &= set(sys.modules); "
@@ -278,20 +296,15 @@ def test_bench_loads_neither_the_checker_nor_the_witness_derivation():
     assert run.returncode == 0, run.stderr
 
 
-def test_bench_rejects_a_size_over_the_cap_before_any_profile():
-    # 16..16384 are within the linear cap, 65536 is not: no profile runs
+def test_default_verify_forks_without_multiprocessing_or_numpy():
     probe = (
-        "import sys\n"
-        "from olog import estimator\n"
-        "from olog.cli import main\n"
-        "def no_profile(n):\n"
-        "    raise AssertionError('a profile ran')\n"
-        "estimator.linear_max_steps = estimator.binary_max_steps = no_profile\n"
-        "sys.exit(main(['bench', '--algo', 'linear', '--sizes', '16:1048576:x4']))\n"
+        f"{prelude(2)}import sys; from olog.cli import main; "
+        "assert main(['verify']) == 0; "
+        "loaded = {'numpy', 'multiprocessing'} & set(sys.modules); "
+        "assert not loaded, f'verify loaded {loaded}'"
     )
     run = _python("-c", probe)
-    assert run.returncode == 2, run.stderr
-    assert run.stderr.startswith("error: linear profile size")
+    assert run.returncode == 0, run.stderr
 
 
 # A child's peak RSS counts the memory of the process it was forked
@@ -445,18 +458,6 @@ def test_bound_prints_the_witness_its_chain_ends_at(monkeypatch, capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("grid", ["1", "-3", "4294967297"])
-def test_verify_and_bound_reject_a_grid_with_one_error_line(grid):
-    # both check the grid in derive_log_witness, before any other work:
-    # the 40/40 space, over the instance cap, is not counted first
-    for argv in (["verify"], ["verify", "--max-len", "40", "--alphabet", "40"], ["bound"]):
-        run = _python("-m", "olog", *argv, "--grid", grid, timeout=10)
-        assert (run.returncode, run.stdout) == (2, "")
-        assert run.stderr == (
-            f"error: grid must be in [2, 2**32] (2 is the witness threshold), got {grid}\n"
-        )
-
-
 def test_bench_binary_json(capsys):
     assert main(["bench", "--sizes", "16:1048576:x4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -515,10 +516,6 @@ def test_bench_csv(capsys):
     assert lines[0] == "n,t_max"
     assert lines[1].startswith("16,")
     assert "classification:" in captured.err
-
-
-def test_bench_span_error(capsys):
-    assert main(["bench", "--sizes", "8"]) == 2
 
 
 def test_trace_known_instance(capsys):
@@ -609,23 +606,8 @@ def test_trace_runs_the_checked_search(q, key, r, t, capsys):
     assert [line["t"] for line in lines[:-1]] == list(range(1, t + 1))
 
 
-def test_trace_rejects_unsorted(capsys):
-    assert main(["trace", "--q", "3,1", "--key", "1"]) == 2
-
-
-def test_trace_rejects_garbage(capsys):
-    assert main(["trace", "--q", "1,two,3", "--key", "1"]) == 2
-
-
-def test_trace_rejects_a_double_dash(capsys):
-    # argparse on Python 3.11 hands --q=-- over as an empty list
-    assert main(["trace", "--q=--", "--key", "0"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-
-
 def test_a_negative_first_value_goes_after_an_equals_sign():
-    # argparse reads "--q -5,-3" as --q with no value followed by an option
-    # "-5,-3", so a list that starts with a minus is passed as --q=-5,-3
+    # REJECTED's "trace --q -5,-3" row pins the spaced form's error
     text = _python("-m", "olog", "trace", "--q=-5,-3", "--key", "-3")
     assert (text.returncode, text.stderr) == (0, "")
     assert text.stdout == (
@@ -639,16 +621,8 @@ def test_a_negative_first_value_goes_after_an_equals_sign():
         '{"lo": 0, "hi": 2, "mid": 1, "t": 1, "tbs_remaining": 0}\n'
         '{"r": 1, "t": 1, "budget": 3}\n'
     )
-    spaced = _python("-m", "olog", "trace", "--q", "-5,-3", "--key", "-3")
-    assert spaced.returncode == 2
-    assert "argument --q: expected one argument" in spaced.stderr
     shown = " ".join(_python("-m", "olog", "trace", "--help").stdout.split())
     assert "--q=-5,-3 if the first is negative" in shown
-
-
-def test_trace_has_no_csv_format(capsys):
-    assert main(["trace", "--q", "1,2", "--key", "2", "--format", "csv"]) == 2
-    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_output_to_file(tmp_path, capsys):
@@ -659,28 +633,21 @@ def test_output_to_file(tmp_path, capsys):
     assert payload["all_passed"] is True
 
 
-_WORK = {
-    "verify": ("olog.checker", "verify_all"),
-    "bound": ("olog.complexity", "derive_log_witness"),
-    "bench": ("olog.estimator", "bench_steps"),
-    "trace": ("olog.algorithms", "binary_search"),
+# one quick successful run per command
+_QUICK = {
+    "verify": ["--max-len", "2", "--alphabet", "2", "--grid", "4"],
+    "bound": ["--grid", "4"],
+    "bench": ["--sizes", "16:4096:x4"],
+    "trace": ["--q", "1,2", "--key", "2"],
 }
 
 
-@pytest.mark.parametrize("command", sorted(_WORK))
+@pytest.mark.parametrize("command", sorted(_QUICK))
 @pytest.mark.parametrize("where", ["missing_dir", "directory"])
 def test_unwritable_output_exits_2_before_any_work(command, where, tmp_path, monkeypatch, capsys):
-    module, work = _WORK[command]
-
-    def no_work(*args, **kwargs):
-        raise AssertionError(f"{work} ran before --output was opened")
-
-    monkeypatch.setattr(importlib.import_module(module), work, no_work)
+    _plant_sentinels(monkeypatch)
     target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
-    argv = [command, "--output", str(target)]
-    if command == "trace":
-        argv += ["--q", "1,2", "--key", "2"]
-    assert main(argv) == 2
+    assert main([command, *_QUICK[command], "--output", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write --output: ")
@@ -717,15 +684,6 @@ def test_output_replaces_an_existing_file(tmp_path, capsys):
     target.write_text("x" * 10_000)
     assert main([*argv, "--output", str(target)]) == 0
     assert target.read_text() == capsys.readouterr().out
-
-
-# one quick successful run per command
-_QUICK = {
-    "verify": ["--max-len", "2", "--alphabet", "2", "--grid", "4"],
-    "bound": ["--grid", "4"],
-    "bench": ["--sizes", "16:4096:x4"],
-    "trace": ["--q", "1,2", "--key", "2"],
-}
 
 
 @pytest.mark.parametrize("command", sorted(_QUICK))
@@ -811,7 +769,7 @@ def test_console_main_keeps_atexit_and_the_final_flush(monkeypatch, capsys):
 def test_console_main_exits_1_on_a_failed_bound():
     # bound with step 5 weakened to 3*ilog2(n) + 3 <= 3*ilog2(n), through
     # python -m olog's exit path; test_output_to_stdout_through_a_pipe and
-    # test_verify_and_bound_reject_a_grid_with_one_error_line pin 0 and 2
+    # test_the_console_path_prints_a_rejection_as_one_line_at_once pin 0 and 2
     probe = (
         "from olog import complexity\n"
         "from olog.cli import console_main\n"
@@ -824,7 +782,3 @@ def test_console_main_exits_1_on_a_failed_bound():
     )
     run = _python("-c", probe, "bound", "--grid", "64", timeout=10)
     assert (run.returncode, run.stderr) == (1, "error: chain step 5 fails at n=2\n")
-
-
-def test_unknown_command_exits_2():
-    assert main(["frobnicate"]) == 2
