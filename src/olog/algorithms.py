@@ -1,15 +1,29 @@
 """Instrumented binary search over immutable sorted integer sequences.
 
-The search returns both the functional result and an exact count of
-loop iterations. It records every iteration and re-validates its loop
-invariant and termination at every loop head, aborting with a
-structured :class:`~olog.errors.InvariantViolation` if either fails;
-that signals an implementation bug, never bad user input. The checker
-judges the counter against the cost model.
+The search has the parts of the paper's Dafny method, one definition
+each:
+
+* ``requires``: the sequence is sorted, which :class:`SortedSeq` checks
+  when it is built;
+* the init (lo, hi, r) = (0, len, -1) and the guard ``lo < hi``, in the
+  driver :func:`_search`;
+* the loop body, :func:`_step`: one three-way comparison of the key
+  with items[mid], where the driver takes mid = (lo+hi)//2;
+* the invariant, :func:`_inv_holds`, checked at every loop head;
+* ``decreases hi - lo``: the driver's width check at every loop head;
+* the ghost counter ``t``, one per iteration, with one
+  :class:`IterRecord` each;
+* ``ensures``: :func:`check_binary_posts`.
+
+The search returns the functional result and the exact count. A failed
+invariant or width check aborts it with a structured
+:class:`~olog.errors.InvariantViolation`; that signals an
+implementation bug, never bad user input. The checker judges the
+counter against the ghost cost function, ``costmodel.tbs``.
 
 A deliberately broken variant (``broken_binary_search``) runs the same
-loop with one changed step, so the checking machinery can be shown to
-catch it.
+driver and body with one changed step, so the checking machinery can be
+shown to catch it.
 """
 
 from __future__ import annotations
@@ -159,12 +173,25 @@ def _state(lo, hi, r, t) -> dict:
     return {"lo": lo, "hi": hi, "r": r, "t": t}
 
 
-def _search(q, key: int, advance: int) -> SearchOutcome:
-    """The one instrumented search loop; the go-right step sets
-    ``lo = mid + advance``.
+def _step(items, key, lo, hi, r, mid, advance):
+    """The loop body: compare ``key`` with items[mid] and return the next
+    (lo, hi, r). Going left sets ``hi = mid``, going right
+    ``lo = mid + advance``; the found branch records the index and
+    collapses the range, so the loop keeps its single exit."""
+    if key < items[mid]:
+        return lo, mid, r
+    if items[mid] < key:
+        return mid + advance, hi, r
+    return lo, lo, mid
 
-    The loop has a single exit point: the found branch records the index
-    and collapses the range instead of breaking out.
+
+def _search(q, key: int, advance: int) -> SearchOutcome:
+    """The one instrumented driver of the loop body ``_step``, whose
+    go-right step sets ``lo = mid + advance``.
+
+    From the init (0, len, -1) it checks the variant and the invariant at
+    every head, stops when the guard ``lo < hi`` fails, and otherwise
+    steps at mid = (lo+hi)//2, counting the iteration and recording it.
     """
     items = (q if isinstance(q, SortedSeq) else SortedSeq(q)).items
 
@@ -187,16 +214,9 @@ def _search(q, key: int, advance: int) -> SearchOutcome:
         if not lo < hi:
             break
         mid = (lo + hi) // 2
-        iter_lo, iter_hi = lo, hi
-        if key < items[mid]:
-            hi = mid
-        elif items[mid] < key:
-            lo = mid + advance
-        else:
-            r = mid
-            hi = lo
         t += 1
-        trace.append(_new_record(IterRecord, (iter_lo, iter_hi, mid, t)))
+        trace.append(_new_record(IterRecord, (lo, hi, mid, t)))
+        lo, hi, r = _step(items, key, lo, hi, r, mid, advance)
 
     return _new_record(SearchOutcome, (r, t, tuple(trace)))
 

@@ -1,10 +1,16 @@
-"""Recursive transition-cost model of the search loop.
+"""Recursive transition-cost model of the search loop: the ghost cost
+function of the paper's Dafny method.
 
 ``tbs`` mirrors the decisions the search loop makes on a range
 [lo, hi) of a sorted sequence and returns how many iterations the loop
-will spend there. Its value equals the instrumented step counter. The
-bounds it obeys are ``intmath`` terms: ``LOG_BOUND(hi-lo)`` on a
-nonempty range, and ``STEP_BUDGET(len(q))`` end to end.
+will spend there. Its value equals the instrumented step counter. One
+level of the recurrence, the cost of a range and the child range it
+recurses on, has one definition, :func:`_unfold`; ``tbs`` and
+``tbs_path`` recurse through it at mid = (lo+hi)//2. ``tbs_table``
+computes the same costs bottom-up without it, as an independent
+reference. The bounds the costs obey are ``intmath`` terms:
+``LOG_BOUND(hi-lo)`` on a nonempty range, and ``STEP_BUDGET(len(q))``
+end to end.
 """
 
 from __future__ import annotations
@@ -32,13 +38,14 @@ def tbs(q: Sequence[int], lo: int, hi: int, key: int) -> int:
 
     Defined by the recurrence (mid = (lo+hi)//2):
 
-    * 0 if hi-lo == 0 or len(q) == 0
-    * 1 if key == q[mid] or hi-lo == 1
+    * 0 if hi-lo == 0
+    * 1 if hi-lo == 1 or key == q[mid]
     * 1 + tbs(q, lo, mid, key) if key < q[mid]
     * 1 + tbs(q, mid+1, hi, key) otherwise
 
-    The range width hi-lo strictly decreases on every recursive call,
-    so the recursion terminates.
+    An empty q needs no case of its own: its only range is [0, 0), whose
+    width is 0. The range width hi-lo strictly decreases on every
+    recursive call, so the recursion terminates.
     """
     _check_range(q, lo, hi)
     return _tbs(q, lo, hi, key, 0, None)
@@ -57,25 +64,36 @@ def tbs_path(q: Sequence[int], key: int) -> dict[tuple[int, int], int]:
     return costs
 
 
+def _unfold(q, lo, hi, key, mid):
+    """One level of the recurrence at ``mid``: (cost, child), where the
+    range's cost is ``cost`` plus that of ``child``, the range the
+    recursion goes on to, or None where it stops.
+
+    (0, None) on an empty range; (1, None) when the width is 1 or
+    key == q[mid]; otherwise (1, (lo, mid)) if key < q[mid], else
+    (1, (mid + 1, hi)).
+    """
+    if hi == lo:
+        return 0, None
+    if hi - lo == 1 or key == q[mid]:
+        return 1, None
+    if key < q[mid]:
+        return 1, (lo, mid)
+    return 1, (mid + 1, hi)
+
+
 def _tbs(q, lo, hi, key, depth, costs):
     # records under each child range what the module-global _tbs returns
     if depth > _MAX_DEPTH:
         raise AssertionError("transition-cost recursion exceeded its depth cap")
-    mid = (lo + hi) // 2
-    # The len(q) == 0 disjunct is subsumed by hi - lo == 0 under the
-    # precondition; kept so the base case reads exactly like the recurrence.
-    if hi - lo == 0 or len(q) == 0:
-        return 0
-    if key == q[mid] or hi - lo == 1:
-        return 1
-    if key < q[mid]:
-        hi = mid
-    else:
-        lo = mid + 1
-    cost = _tbs(q, lo, hi, key, depth + 1, costs)
+    cost, child = _unfold(q, lo, hi, key, (lo + hi) // 2)
+    if child is None:
+        return cost
+    lo, hi = child
+    rest = _tbs(q, lo, hi, key, depth + 1, costs)
     if costs is not None:
-        costs[lo, hi] = cost
-    return 1 + cost
+        costs[child] = rest
+    return cost + rest
 
 
 def tbs_table(q: Sequence[int], key: int) -> list[list[int]]:

@@ -20,8 +20,11 @@ from olog.algorithms import (
     key_span,
     linear_search_oracle,
 )
+from olog.checker import InstanceSpace
 from olog.errors import InvariantViolation, PreconditionError
 from olog.intmath import STEP_BUDGET
+
+import bare
 
 
 @pytest.mark.parametrize(
@@ -53,8 +56,8 @@ def test_sorted_seq_refuses_a_sequence_past_the_length_cap(monkeypatch):
         SortedSeq([1, 2, 3])
 
 
-# hand-stepped instances; every (r, t) re-verified below against an
-# unchecked loop and the transition-cost model
+# hand-stepped instances; every (r, t) re-verified below against the
+# bare loop and the transition-cost model
 SEARCH_CASES = [
     ([], 5, -1, 0),
     ([1, 3, 5, 7], 7, 3, 2),
@@ -69,27 +72,34 @@ def test_binary_search_known_instances(items, key, r, t):
     assert (outcome.r, outcome.t) == (r, t)
 
 
-def _unchecked_search(items, key):
-    # the search's loop with nothing but the counter
-    r, lo, hi, t = -1, 0, len(items), 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if key < items[mid]:
-            hi = mid
-        elif items[mid] < key:
-            lo = mid + 1
-        else:
-            r, hi = mid, lo
-        t += 1
-    return r, t
+def _heads(outcome):
+    return [(rec.lo, rec.hi, rec.mid) for rec in outcome.trace]
 
 
 @pytest.mark.parametrize("items,key,r,t", SEARCH_CASES)
-def test_checking_modes_change_nothing(items, key, r, t):
-    # the checks observe the loop and never steer it
+def test_the_checks_observe_step_and_never_steer_it(items, key, r, t):
+    # the checked search takes the same steps as _step driven bare
     outcome = binary_search(SortedSeq(items), key)
-    assert (outcome.r, outcome.t) == _unchecked_search(items, key) == (r, t)
+    assert (outcome.r, outcome.t) == (r, t)
+    assert bare.run(items, key, 0, len(items)) == (r, _heads(outcome))
     assert len(outcome.trace) == t
+
+
+def test_step_resumes_the_search_from_its_second_head():
+    # r is -1 at every head but the last, so (lo, hi, -1) at the second
+    # head is a state the loop admits; run bare from it, it takes the
+    # checked search's t - 1 remaining steps and ends on its r
+    resumed = 0
+    for items, key_lo, key_hi in InstanceSpace(max_len=6, alphabet=4).groups():
+        for key in range(key_lo, key_hi + 1):
+            outcome = binary_search(SortedSeq(items), key)
+            if outcome.t < 2:
+                continue
+            second = outcome.trace[1]
+            r, heads = bare.run(items, key, second.lo, second.hi)
+            assert (r, heads) == (outcome.r, _heads(outcome)[1:]), (items, key)
+            resumed += 1
+    assert resumed == 1005
 
 
 def test_empty_input_contract():

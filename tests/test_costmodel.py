@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from olog import costmodel
-from olog.algorithms import SortedSeq, binary_search
+from olog.algorithms import SortedSeq, _step, binary_search
 from olog.checker import InstanceSpace
-from olog.costmodel import tbs, tbs_table
+from olog.costmodel import _unfold, tbs, tbs_table
 from olog.errors import PreconditionError
 from olog.intmath import LOG_BOUND, STEP_BUDGET
 
@@ -53,13 +53,42 @@ def test_tbs_path_records_what_the_module_global_recurrence_returns(monkeypatch)
     assert widened > 0
 
 
+# small sequences with repeated values and gaps between them
+SMALL = [(0, 1, 1, 4, 4, 6, 9), (0, 0, 2, 2, 2, 5)]
+
+
 def test_tbs_table_matches_recursion():
-    items = (0, 1, 1, 4, 4, 6, 9)
-    for key in range(-1, 11):
-        table = tbs_table(items, key)
-        for lo in range(len(items) + 1):
-            for hi in range(lo, len(items) + 1):
-                assert table[lo][hi] == tbs(items, lo, hi, key)
+    # tbs recurses through _unfold at (lo+hi)//2: the whole recursion and
+    # each level of it agree with the bottom-up table
+    for items in SMALL:
+        for key in range(-1, 11):
+            table = tbs_table(items, key)
+            for lo in range(len(items) + 1):
+                for hi in range(lo, len(items) + 1):
+                    assert table[lo][hi] == tbs(items, lo, hi, key)
+                    cost, child = _unfold(items, lo, hi, key, (lo + hi) // 2)
+                    assert table[lo][hi] == cost + (table[child[0]][child[1]] if child else 0)
+
+
+def test_unfold_at_every_mid():
+    # the search's step at any mid of a range goes to the child the
+    # recurrence unfolds to, which is strictly narrower
+    for items in SMALL:
+        n = len(items)
+        for key in range(-1, 11):
+            for lo in range(n + 1):
+                assert _unfold(items, lo, lo, key, lo) == (0, None)
+                for hi in range(lo + 1, n + 1):
+                    for mid in range(lo, hi):
+                        cost, child = _unfold(items, lo, hi, key, mid)
+                        if hi - lo == 1 or key == items[mid]:
+                            assert (cost, child) == (1, None)
+                            continue
+                        assert cost == 1
+                        assert child == ((lo, mid) if key < items[mid] else (mid + 1, hi))
+                        assert lo <= child[0] <= child[1] <= hi
+                        assert child[1] - child[0] < hi - lo
+                        assert _step(items, key, lo, hi, -1, mid, 1)[:2] == child
 
 
 @pytest.mark.parametrize(

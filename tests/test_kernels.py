@@ -23,6 +23,7 @@ from olog.complexity import LogWitness, canonical_chain, is_log2_from
 from olog.errors import InvariantViolation
 from olog.intmath import MONOTONIC, STEP_BUDGET, Expr, Relation, Term
 
+import bare
 import pointwise
 from doubling import DOUBLING
 
@@ -107,29 +108,16 @@ def test_linear_max_steps_matches_per_key_oracle_runs():
         assert estimator.linear_max_steps(n) == expected
 
 
-def _identity_search_steps(n, key):
-    lo, hi, t = 0, n, 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if key < mid:
-            hi = mid
-        elif key > mid:
-            lo = mid + 1
-        else:
-            hi = lo
-        t += 1
-    return t
-
-
 def test_binary_max_steps_at_the_cap_covers_the_top_keys():
     # the width recurrence never runs a key; no key at the ends of the
     # family or next to the middle needs more than it counts, and key -1,
-    # which halves 2^26 down to 1, needs exactly that
+    # which halves 2^26 down to 1, needs exactly that. The bare loop only
+    # indexes its items, so range(cap) stands for the cap's family
     cap = estimator.BINARY_PROFILE_MAX_N
     worst = estimator.binary_max_steps(cap)
     assert worst == cap.bit_length()
     keys = [-1, 0, cap // 2, cap // 2 + 1] + list(range(cap - 40, cap + 1))
-    assert worst == max(_identity_search_steps(cap, key) for key in keys)
+    assert worst == max(len(bare.run(range(cap), key, 0, cap)[1]) for key in keys)
 
 
 def test_verify_sweep_takes_each_groups_own_keys(monkeypatch):
