@@ -46,7 +46,9 @@ def _write(out, to_file: bool, text: str) -> str | None:
         out.flush()
     except OSError as err:
         if not to_file:  # so no later write, at exit included, fails again (Python docs, SIGPIPE)
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return f"cannot write output: {err}"
 
 

@@ -17,6 +17,7 @@ else is planted at the time. The module imports no test framework, so
 any harness can iterate it.
 """
 
+import time
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -109,6 +110,15 @@ def _tbs_past_its_depth_cap(q, lo, hi, key, depth, costs):
         return _tbs(q, lo, hi, key, depth, costs)
     _tbs(q, lo, lo, key, depth, costs)  # the guard; an empty range costs 0
     return 1 + costmodel._tbs(q, lo, hi, key, depth + 1, costs)
+
+
+def _slow_minimal_share(q, key):
+    # the broken search, 0.05 s late on ([0], -1): under 2 and 3 workers
+    # group 1, [0], which holds its minimal counterexample ([0], 1), lies in
+    # a child's share, and that share finishes after the others
+    if list(q) == [0] and key == -1:
+        time.sleep(0.05)
+    return broken_binary_search(q, key)
 
 
 def _at(q, key, detail):
@@ -263,3 +273,9 @@ FAULTS = {
                                "'int' object has no attribute 'lo'"))},
         "P1", 0),
 }
+
+# broken_binary_search's report, whatever order the shares finish in: the
+# merge keeps each property's earliest counterexample, not the first
+# share's, nor the first to arrive
+FAULTS["broken_binary_search_finishing_last"] = FAULTS["broken_binary_search"]._replace(
+    plant=_planted(checker, "binary_search", _slow_minimal_share))

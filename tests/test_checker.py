@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -200,8 +199,9 @@ def test_tiny_space_passes():
 @pytest.mark.parametrize("workers", [0, 2, 3])
 @pytest.mark.parametrize("name", FAULTS)
 def test_planted_fault_battery(name, workers, monkeypatch):
-    # under 2 and 3 workers the forked shares' counts, gaps and first
-    # counterexamples merge, so each row's pinned report covers the merge
+    # the one parity check of the forked sweep: under 2 and 3 workers the
+    # shares' counts, gaps and first counterexamples merge, so each row's
+    # pinned report covers the merge
     fault = FAULTS[name]
     fault.plant(monkeypatch)
     report = verify_under(monkeypatch, workers, InstanceSpace(*fault.space), fault.grid)
@@ -216,24 +216,6 @@ def test_planted_fault_battery(name, workers, monkeypatch):
 def test_every_property_fails_under_a_planted_fault():
     failing = set().union(*(fault.failing for fault in FAULTS.values()))
     assert failing == {f"P{i}" for i in range(1, 10)}
-
-
-def test_mutant_is_caught_with_minimal_counterexample(monkeypatch):
-    # the shipped mutant at the automatic worker count gets its row's verdict
-    fault = FAULTS["broken_binary_search"]
-    fault.plant(monkeypatch)
-    report = verify_all(InstanceSpace(*fault.space), fault.grid)
-    failing = {p.id: (p.violations, p.counterexample) for p in report.properties if not p.passed}
-    assert failing == fault.failing
-    minimal = report.minimal_counterexample()
-    assert (minimal["q"], minimal["key"]) == ([0], 1)
-    assert minimal == fault.failing["P3"][1]
-
-
-def test_mutant_report_is_schema_valid(monkeypatch):
-    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
-    report = verify_all(InstanceSpace(max_len=2, alphabet=2), grid=4)
-    jsonschema.validate(report.to_dict(), CHECK_REPORT_SCHEMA)
 
 
 def test_sweep_walks_the_recurrence_once_per_instance(monkeypatch):
@@ -261,34 +243,7 @@ def _strip(report):
     return doc
 
 
-def _slow_minimal_share(q, key):
-    # group 1, [0], holds the broken search's minimal counterexample ([0],
-    # 1); with two workers it is the child's share, which then finishes
-    # after the parent's
-    if list(q) == [0] and key == -1:
-        time.sleep(0.05)
-    return broken_binary_search(q, key)
-
-
-def test_parallel_equals_serial(monkeypatch):
-    # the default space is above the fork's break-even, so with two or
-    # more usable CPUs the automatic count forks
-    default = InstanceSpace()
-    automatic = verify_all(default, grid=2**20)
-    assert _strip(verify_under(monkeypatch, 0, default, 2**20)) == _strip(automatic)
-
-    space = InstanceSpace(max_len=4, alphabet=3)
-    serial = verify_under(monkeypatch, 0, space, 64)
-    for workers in (2, 3):
-        assert _strip(verify_under(monkeypatch, workers, space, 64)) == _strip(serial)
-
-    # the merge takes each property's earliest counterexample, not the
-    # first share's, nor the share that finished first
-    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
-    serial_m = verify_under(monkeypatch, 0, space, 64)
-    monkeypatch.setattr(checker, "binary_search", _slow_minimal_share)
-    assert _strip(verify_under(monkeypatch, 2, space, 64)) == _strip(serial_m)
-
+def test_more_shares_than_groups_change_no_report(monkeypatch):
     # (1, 1) has two groups, [] and [0]: three of five shares hold none
     tiny = InstanceSpace(max_len=1, alphabet=1)
     for search in (broken_binary_search, binary_search):
@@ -297,111 +252,79 @@ def test_parallel_equals_serial(monkeypatch):
         assert _strip(verify_under(monkeypatch, 5, tiny, 4)) == _strip(expected)
 
 
-def test_determinism_across_runs(monkeypatch):
-    space = InstanceSpace(max_len=3, alphabet=3)
-    runs = [_strip(verify_under(monkeypatch, workers, space, 32)) for workers in (0, 0, 2, 2)]
-    assert all(run == runs[0] for run in runs)
+class _UnreadableEnvironment(dict):
+    def __getitem__(self, name):
+        raise AssertionError(f"the environment's {name} was read")
+
+    get = __contains__ = __getitem__
 
 
-def test_a_planted_local_function_reaches_the_automatic_forked_shares(monkeypatch):
-    # nothing is pickled: the forked shares inherit a search planted on the
-    # module global, a local function included
-    def local_search(q, key):
-        return broken_binary_search(q, key)
-
-    space = InstanceSpace(max_len=4, alphabet=3)
-    monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(space))
-    assert checker._pool_workers(space) == 2
-    monkeypatch.setattr(checker, "binary_search", local_search)
-    report = verify_all(space, grid=16)
-    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
-    assert _strip(report) == _strip(verify_under(monkeypatch, 0, space, 16))
-    assert report.minimal_counterexample()["q"] == [0]
-
-
-def test_a_planted_lambda_reaches_the_forced_forked_shares(monkeypatch):
-    # a lambda planted on the module global sweeps in the forked shares
-    # under a forced worker count
-    forks = []
-    real_fork = checker.os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    space = InstanceSpace(max_len=3, alphabet=2)
-    expected = verify_under(monkeypatch, 0, space, 16)
-    monkeypatch.setattr(checker.os, "fork", counting_fork)
-    monkeypatch.setattr(checker, "binary_search", lambda q, key: binary_search(q, key))
-    report = verify_under(monkeypatch, 2, space, 16)
-    assert _strip(report) == _strip(expected)
-    assert forks == [1]
-
-
-def test_a_platform_without_fork_sweeps_in_process(monkeypatch):
-    # a space that would fork on two CPUs sweeps in process without os.fork
-    space = InstanceSpace(max_len=3, alphabet=2)
-    monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(space))
-    assert checker._pool_workers(space) == 2
-    monkeypatch.delattr(checker.os, "fork")
-    assert checker._pool_workers(space) == 0
-    report = verify_all(space, 16)
-    assert _strip(report) == _strip(verify_under(monkeypatch, 0, space, 16))
-
-
-def test_a_caller_with_other_live_threads_sweeps_in_process(monkeypatch, default_report):
+# The count checker._pool_workers picks, one row per decision: the usable
+# CPUs, or ("no affinity API", what os.cpu_count returns); the space;
+# whether os.fork exists; whether another thread is alive; POOL_MIN_WORK,
+# None for the shipped value; and the count.
+WORKER_COUNTS = {
+    "4 CPUs": (4, (8, 6), True, False, None, 4),
+    "4 CPUs, below the break-even": (4, (2, 2), True, False, None, 0),
+    # the break-even is inclusive, on the work estimate 4 keys x 8 elements
+    # + SEQ_WORK x 24 instances = 224, and each of two shares holds half
+    "4 CPUs, at the break-even": (4, (2, 2), True, False, 224, 2),
+    "4 CPUs, one past the break-even": (4, (2, 2), True, False, 225, 0),
+    "4 CPUs, at the break-even, no os.fork": (4, (2, 2), False, False, 224, 0),
     # only the calling thread survives a fork, so a child could wait
     # forever on a lock another thread held
-    def no_fork():
-        raise AssertionError("a worker was forked")
-
-    monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
-    assert checker._pool_workers(InstanceSpace()) == 2
-    parked = threading.Event()
-    thread = threading.Thread(target=parked.wait)
-    thread.start()
-    try:
-        assert checker._pool_workers(InstanceSpace()) == 0
-        monkeypatch.setattr(checker.os, "fork", no_fork)
-        report = verify_all(InstanceSpace(), 2**20)
-    finally:
-        parked.set()
-        thread.join()
-    assert _strip(report) == _strip(default_report)
-
-
-def test_pool_workers_decision(monkeypatch):
-    big, small = InstanceSpace(), InstanceSpace(max_len=2, alphabet=2)
-    monkeypatch.setattr(checker, "_usable_cpus", lambda: 4)
-    assert checker._pool_workers(big) == 4
-    assert checker._pool_workers(small) == 0  # below the break-even
-    # the break-even is inclusive, on the closed-form work estimate, and
-    # each of its two shares holds half of it
-    assert checker._sweep_work(small) == 4 * 8 + checker.SEQ_WORK * 24
-    monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(small))
-    assert checker._pool_workers(small) == 2
-    monkeypatch.setattr(checker, "POOL_MIN_WORK", checker._sweep_work(small) + 1)
-    assert checker._pool_workers(small) == 0
-
-    monkeypatch.setattr(checker, "_usable_cpus", lambda: 1)
-    assert checker._pool_workers(big) == 0
-
-
-def test_pool_workers_sizes_the_count_by_the_work(monkeypatch):
+    "4 CPUs, at the break-even, a live thread": (4, (2, 2), True, True, 224, 0),
+    "1 CPU": (1, (8, 6), True, False, None, 0),
     # no share holds less than half the two-worker break-even: 64 CPUs
     # would otherwise fork 63 children for the default space's 0.2 s sweep
-    monkeypatch.setattr(checker, "_usable_cpus", lambda: 64)
-    assert checker._pool_workers(InstanceSpace()) == 7
-    assert checker._pool_workers(InstanceSpace(5, 12)) == 21
+    "64 CPUs": (64, (8, 6), True, False, None, 7),
+    "64 CPUs, (5, 12)": (64, (5, 12), True, False, None, 21),
     # on two CPUs the spaces the benchmark and the tests verify keep the
     # count the CPUs alone gave
-    monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
-    counts = {space: checker._pool_workers(InstanceSpace(*space)) for space in
-              [(8, 6), (5, 12), (26, 3), (2000, 1), (10, 8), (1, 1), (2, 2), (2, 3), (3, 2)]}
-    assert counts == {(8, 6): 2, (5, 12): 2, (26, 3): 2, (2000, 1): 2, (10, 8): 2,
-                      (1, 1): 0, (2, 2): 0, (2, 3): 0, (3, 2): 0}
+    **{f"2 CPUs, {space}": (2, space, True, False, None, count) for space, count in [
+        ((8, 6), 2), ((5, 12), 2), ((26, 3), 2), ((2000, 1), 2), ((10, 8), 2),
+        ((1, 1), 0), ((2, 2), 0), ((2, 3), 0), ((3, 2), 0)]},
+    "no affinity API, cpu_count 3": (("no affinity API", 3), (8, 6), True, False, None, 3),
+    "no affinity API, cpu_count None": (("no affinity API", None), (8, 6), True, False, None, 0),
+}
+
+
+@pytest.mark.parametrize("row", WORKER_COUNTS)
+def test_the_automatic_worker_count(row, monkeypatch):
+    # no variable overrides the count: it is chosen without reading one. A
+    # small space is also verified at that count: it forks count - 1
+    # children, and its report is the in-process one
+    cpus, space, fork, live_thread, min_work, count = WORKER_COUNTS[row]
+    space = InstanceSpace(*space)
+    if isinstance(cpus, int):
+        monkeypatch.setattr(checker, "_usable_cpus", lambda: cpus)
+    else:
+        monkeypatch.delattr(checker.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(checker.os, "cpu_count", lambda: cpus[1])
+    if min_work is not None:
+        monkeypatch.setattr(checker, "POOL_MIN_WORK", min_work)
+    forks = []
+    if fork:
+        real_fork = checker.os.fork
+        monkeypatch.setattr(checker.os, "fork", lambda: forks.append(1) or real_fork())
+    else:
+        monkeypatch.delattr(checker.os, "fork")
+    small = space.instances <= 100  # the other rows' spaces sweep for 0.1 s or more
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait)
+    if live_thread:
+        thread.start()
+    monkeypatch.setattr(checker.os, "environ", _UnreadableEnvironment())
+    try:
+        assert checker._pool_workers(space) == count
+        report = verify_all(space, 2) if small else None
+    finally:
+        parked.set()
+        if live_thread:
+            thread.join()
+    if small:
+        assert len(forks) == max(count - 1, 0)
+        assert _strip(report) == _strip(verify_under(monkeypatch, 0, space, 2))
 
 
 @pytest.mark.parametrize(
@@ -446,25 +369,35 @@ def test_a_sweep_that_misses_a_group_gets_no_verdict(workers, monkeypatch):
         verify_under(monkeypatch, workers, InstanceSpace(2, 2), 4)
 
 
-def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.delattr(checker.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(checker.os, "cpu_count", lambda: 3)
-    assert checker._usable_cpus() == 3
-    monkeypatch.setattr(checker.os, "cpu_count", lambda: None)
-    assert checker._usable_cpus() == 1
-
-
-# Each probe runs in its own interpreter under a timeout, so a sweep that
-# waits forever on a dead worker fails the test instead of hanging the
-# suite, and the probe's own children are the only ones it can see. It
-# starts with seam.prelude, which pins the worker count.
+# How verify ends when a sweep worker dies, or when this process raises
+# while its children sweep: the space, the worker count, what the planted
+# search does, then main's exit code and stderr. Each row's probe runs in
+# its own interpreter under a timeout, so a sweep that waits forever on a
+# dead worker fails the test instead of hanging the suite, and the probe's
+# own children are the only ones it can see. It starts with seam.prelude,
+# which pins the worker count.
+DEAD_WORKERS = {
+    # ([0, 1, 2], 1) lies in a child's share: group 27 of (3, 5), group 14
+    # of (4, 3)
+    "killed, 2 workers": ((3, 5), 2, "kill", "2",
+                          "error: sweep worker 1 of 2 was killed by signal 9 (SIGKILL); "
+                          "no verdict\n"),
+    "killed, 3 workers": ((4, 3), 3, "kill", "2",
+                          "error: sweep worker 2 of 3 was killed by signal 9 (SIGKILL); "
+                          "no verdict\n"),
+    "exited early": ((2, 2), 2, "exit", "2",
+                     "error: sweep worker 1 of 2 exited with status 3; no verdict\n"),
+    # the children would sleep for 30 s per instance
+    "the parent's share raising": ((3, 2), 3, "raise", "KeyboardInterrupt", ""),
+}
 _SWEEP_PROBE = """
 import os, signal, sys, time
 from olog import checker
 from olog.algorithms import binary_search
+from olog.cli import main
 
 PARENT = os.getpid()
-max_len, alphabet = map(int, sys.argv[1:3])
+mode, max_len, alphabet = sys.argv[1:]
 
 def killed_on_one(q, key):
     if tuple(q) == (0, 1, 2) and key == 1:
@@ -483,12 +416,12 @@ def children_exit(q, key):
 
 checker.binary_search = {
     "kill": killed_on_one, "raise": parent_raises, "exit": children_exit
-}[sys.argv[3]]
+}[mode]
 started = time.perf_counter()
 try:
-    checker.verify_all(checker.InstanceSpace(max_len, alphabet), 2)
-except BaseException as err:
-    print(type(err).__name__, err)
+    print(main(["verify", "--max-len", max_len, "--alphabet", alphabet, "--grid", "2"]))
+except KeyboardInterrupt:
+    print("KeyboardInterrupt")
 print(f"{time.perf_counter() - started:.3f}")
 try:
     print("child left:", os.waitpid(-1, os.WNOHANG))
@@ -497,52 +430,28 @@ except ChildProcessError:
 """
 
 
-def _sweep_probe(max_len, alphabet, workers, mode):
+@pytest.mark.parametrize("row", DEAD_WORKERS)
+def test_a_dead_worker_ends_verify_at_once_and_leaves_no_child(row):
+    (max_len, alphabet), workers, mode, code, stderr = DEAD_WORKERS[row]
     env = {**os.environ, "PYTHONPATH": str(Path(olog.__file__).parent.parent)}
     run = subprocess.run([sys.executable, "-c", prelude(workers) + _SWEEP_PROBE,
-                          str(max_len), str(alphabet), mode],
+                          mode, str(max_len), str(alphabet)],
                          capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
-    error, elapsed, left = run.stdout.splitlines()
+    assert run.stderr == stderr
+    exit_code, elapsed, left = run.stdout.splitlines()
+    assert exit_code == code
     assert float(elapsed) < 10
     assert left == "no child left"
-    return error
 
 
-@pytest.mark.parametrize("max_len,alphabet,workers", [(3, 5, 2), (4, 3, 3)])
-def test_a_dead_worker_raises_instead_of_hanging(max_len, alphabet, workers):
-    # ([0, 1, 2], 1) lies in a child's share: its group's index is not a
-    # multiple of the worker count
-    groups = [items for items, _, _ in InstanceSpace(max_len, alphabet).groups()]
-    assert groups.index((0, 1, 2)) % workers != 0
-    error = _sweep_probe(max_len, alphabet, workers, "kill")
-    assert error.startswith("WorkerError sweep worker ")
-    assert "was killed by signal 9 (SIGKILL)" in error
-
-
-def test_a_worker_that_exits_early_is_named_by_its_status():
-    assert _sweep_probe(2, 2, 2, "exit") == (
-        "WorkerError sweep worker 1 of 2 exited with status 3; no verdict"
-    )
-
-
-def test_the_parents_share_raising_kills_and_reaps_every_child():
-    # the children would sleep for 30 s per instance
-    assert _sweep_probe(3, 2, 3, "raise") == "KeyboardInterrupt "
-
-
-class _UnreadableEnvironment(dict):
-    def __getitem__(self, name):
-        raise AssertionError(f"the environment's {name} was read")
-
-    get = __contains__ = __getitem__
-
-
-def test_pool_workers_ignores_the_environment(monkeypatch):
-    # no variable overrides the count: it is chosen without reading one
-    monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(checker.os, "environ", _UnreadableEnvironment())
-    assert checker._pool_workers(InstanceSpace()) == 2
+@pytest.mark.parametrize("code,death", [
+    (3, "exited with status 3"),
+    (-9, "was killed by signal 9 (SIGKILL)"),
+    # a real-time signal, which signal.Signals does not name
+    (-40, "was killed by signal 40 (an unnamed signal)"),
+])
+def test_death_names_how_a_worker_ended(code, death):
+    assert checker._death(code) == death
 
 
 def test_p5_matches_all_subrange_reference(default_report):

@@ -19,7 +19,7 @@ from olog.algorithms import (
     linear_search_oracle,
 )
 from olog.checker import InstanceSpace
-from olog.complexity import LogWitness, canonical_chain, is_log2_from
+from olog.complexity import LogWitness, is_log2_from
 from olog.errors import InvariantViolation
 from olog.intmath import MONOTONIC, STEP_BUDGET, Expr, Relation, Term
 
@@ -78,14 +78,6 @@ ROUTES = {
 def test_scan_parity(fn, args):
     kernel, independent = ROUTES[fn]
     assert int(kernel(*args)) == int(independent(*args))
-
-
-@pytest.mark.parametrize("step", [1, 2, 3, 4, 5])
-def test_calc_step_parity(step):
-    s = canonical_chain()[step - 1]
-    grid = 2**14
-    assert intmath.first_failure(s.relation, s.n_min, grid) == 0
-    assert pointwise.first_failure(s.relation, s.n_min, grid) == 0
 
 
 def test_binary_max_steps_matches_per_key_library_runs():
