@@ -460,6 +460,10 @@ def _forked_sweep(space: InstanceSpace, workers: int) -> dict:
     never as a hang. Whatever raises, every child still running is killed
     and every child reaped.
 
+    A pipe or fork the system refuses (at a process or descriptor limit,
+    say) stops the forking: this process then sweeps share 0 and every
+    share it did not fork, so a refusal costs speed, not the verdict.
+
     Each process enumerates the whole stream and skips the other shares'
     groups, so each pays for the whole enumeration: under 1% of the
     sequential sweep at (5, 12) and about 5% at (2000, 1) (Python 3.11.7, 2
@@ -469,18 +473,22 @@ def _forked_sweep(space: InstanceSpace, workers: int) -> dict:
     children: dict = {}  # pid -> (share, read end of its pipe), until reaped
     try:
         for w in range(1, workers):
-            rfd, wfd = os.pipe()
+            try:
+                rfd, wfd = os.pipe()
+            except OSError:
+                break
             try:
                 pid = os.fork()
             except OSError:
                 os.close(rfd)
                 os.close(wfd)
-                raise
+                break
             if pid == 0:
                 _sweep_child(space, w, workers, wfd)
             os.close(wfd)
             children[pid] = (w, open(rfd, "rb"))
-        shares = [_share(space, 0, workers)]
+        forked = {w for w, _ in children.values()}
+        shares = [_share(space, w, workers) for w in range(workers) if w not in forked]
         for pid in list(children):
             w, pipe = children[pid]
             data = pipe.read()
@@ -516,17 +524,21 @@ def verify_all(space: InstanceSpace, grid: int) -> CheckReport:
     and this process each sweep every W-th group, so 0 or 1 sweeps in
     this process and forks nothing. The merge adds the counts and keeps
     each property's earliest counterexample, so the report is identical
-    for every worker count except ``wall_time_ms``. PreconditionError
-    comes before any fork: first for a grid
-    ``complexity.derive_log_witness`` rejects (P9's chain runs first),
-    then for a space over a cap.
+    for every worker count except ``wall_time_ms``. A pipe or fork the
+    system refuses moves every share not yet forked into this process, so
+    it costs speed, not the verdict (see ``_forked_sweep``).
+
+    Every input is validated before any property is checked: first the
+    grid, by ``complexity.check_grid``, then the space against each cap.
+    Only then does P9's chain run, and after it the sweep, so a
+    PreconditionError comes before any work and any fork.
 
     Raises WorkerError when a forked worker dies before it reports, or
     when the merged sweep checked fewer or more instances than the space
     holds: a partial sweep's counts vouch for nothing.
     """
     started = time.perf_counter()
-    chain = complexity.derive_log_witness(grid)  # P9, and the grid's one check
+    complexity.check_grid(grid)
     # C(max_len+alphabet, max_len) > max(max_len, alphabet), so a space
     # this floor rejects is never counted: its binomial could take minutes
     # to form, and have too many digits to print
@@ -543,6 +555,7 @@ def verify_all(space: InstanceSpace, grid: int) -> CheckReport:
         raise PreconditionError(
             f"keys x sequence elements = {space.key_elements} exceed the cap {MAX_ELEMENTS}"
         )
+    chain = complexity.derive_log_witness(grid)  # P9
     sweep = _forked_sweep(space, max(_pool_workers(space), 1))
     if sweep["instances"] != space.instances:
         raise WorkerError(

@@ -149,22 +149,26 @@ def check_calc_chain(steps, n_max: int) -> CalcTrace:
     return CalcTrace(steps, failures, n_max)
 
 
+def check_grid(n_max: int) -> None:
+    """Raise ``PreconditionError`` unless the grid is an int in [n0, 2**32],
+    n0 the threshold of the canonical chain's witness: the grid rule of
+    ``verify`` and ``bound`` alike. Checks no step."""
+    n0 = chain_witness(canonical_chain()).n0
+    if not n0 <= require_int("grid", n_max) <= MAX_GRID:
+        raise PreconditionError(
+            f"grid must be in [{n0}, 2**32] ({n0} is the witness threshold), got {n_max}"
+        )
+
+
 def derive_log_witness(n_max: int) -> CalcTrace:
     """Check the canonical chain at every n in [each step's threshold, n_max].
 
     The trace is returned whether or not every step holds; its witness
     comes from the chain, and ``failure`` names a failing step and n. A
-    grid that is not an int in [n0, 2**32], n0 the witness threshold,
-    raises ``PreconditionError``: this is the grid rule of ``verify`` and
-    ``bound`` alike.
+    grid that breaks ``check_grid`` raises ``PreconditionError``.
     """
-    chain = canonical_chain()
-    n0 = chain_witness(chain).n0
-    if not n0 <= require_int("grid", n_max) <= MAX_GRID:
-        raise PreconditionError(
-            f"grid must be in [{n0}, 2**32] ({n0} is the witness threshold), got {n_max}"
-        )
-    return check_calc_chain(chain, n_max)
+    check_grid(n_max)
+    return check_calc_chain(canonical_chain(), n_max)
 
 
 def is_log2_from(witness: LogWitness, bound: Expr, n_max: int) -> bool:

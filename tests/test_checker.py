@@ -1,4 +1,5 @@
 import bisect
+import errno
 import itertools
 import json
 import math
@@ -19,7 +20,7 @@ from faults import FAULTS
 from olog import checker, complexity, costmodel, intmath
 from olog.algorithms import SortedSeq, binary_search, broken_binary_search
 from olog.checker import InstanceSpace, nondecreasing_sequences, verify_all
-from olog.errors import PreconditionError, WorkerError
+from olog.errors import InvariantViolation, PreconditionError, WorkerError
 from seam import prelude, verify_under
 
 CHECK_REPORT_SCHEMA = json.loads(
@@ -218,6 +219,48 @@ def test_every_property_fails_under_a_planted_fault():
     assert failing == {f"P{i}" for i in range(1, 10)}
 
 
+def test_verify_sweep_takes_each_groups_own_keys(monkeypatch):
+    # [0] with keys -1..1, and [0, 2] with the one key between its values
+    groups = [((0,), -1, 1), ((0, 2), 1, 1)]
+    sweep = checker.verify_sweep(iter(groups))
+    assert sweep["instances"] == 4
+    assert sum(sweep["violations"].values()) == 0
+    monkeypatch.setattr(checker, "binary_search", broken_binary_search)
+    mutant = checker.verify_sweep(iter(groups))
+    assert mutant["first"]["P3"]["q"] == [0] and mutant["first"]["P3"]["key"] == 1
+    assert mutant["violations"]["P3"] == 2  # [0] with 1, [0, 2] with 1
+
+
+def _heads(out):
+    return [(rec.lo, rec.hi, rec.t_after) for rec in out.trace], out.t
+
+
+def test_sweep_holds_each_head_to_the_cost_of_its_range(monkeypatch):
+    # the correct search's counter plus the cost of each head's range is
+    # the whole range's cost, by costmodel.tbs rather than the sweep's walk
+    strays = 0
+    for q, key in _instances(InstanceSpace(max_len=6, alphabet=3)):
+        expected = binary_search(q, key)
+        total = costmodel.tbs(q, 0, len(q), key)
+        t_head = 0
+        for rec in expected.trace:
+            assert t_head + costmodel.tbs(q, rec.lo, rec.hi, key) == total
+            t_head = rec.t_after
+        # the costs along the path fall one by one, so P4 passes exactly
+        # when the recorded heads and counter are the correct search's
+        for search in (binary_search, broken_binary_search):
+            try:
+                out = search(q, key)
+            except InvariantViolation:
+                continue  # the sweep charges an aborted run to P1 or P3
+            stray = _heads(out) != _heads(expected)
+            strays += stray
+            monkeypatch.setattr(checker, "binary_search", search)
+            sweep = checker.verify_sweep([(q, key, key)])
+            assert sweep["violations"]["P4"] == stray, (q, key)
+    assert strays > 0
+
+
 def test_sweep_walks_the_recurrence_once_per_instance(monkeypatch):
     # one walk serves P4, at every loop head and end to end, and P5
     exact = costmodel._tbs
@@ -369,6 +412,51 @@ def test_a_sweep_that_misses_a_group_gets_no_verdict(workers, monkeypatch):
         verify_under(monkeypatch, workers, InstanceSpace(2, 2), 4)
 
 
+def _open_fds():
+    # where /proc/self/fd lists them
+    return os.path.isdir("/proc/self/fd") and sorted(os.listdir("/proc/self/fd"))
+
+
+# A pipe or fork the system refuses under a pinned count, as at a process
+# limit: the call that raises, the count, and the children forked before it
+REFUSED = {
+    "fork refused on its 2nd call, 3 workers": ("fork", 2, 3, 1),
+    "pipe refused on its 1st call, 2 workers": ("pipe", 1, 2, 0),
+}
+
+
+@pytest.mark.parametrize("row", REFUSED)
+def test_a_refused_fork_costs_speed_not_the_verdict(row, monkeypatch):
+    # this process sweeps every share it could not fork: the report is the
+    # in-process one, every child forked is reaped and no descriptor leaks
+    call, nth, workers, forked = REFUSED[row]
+    FAULTS["broken_binary_search"].plant(monkeypatch)
+    space = InstanceSpace(3, 2)
+    expected = _strip(verify_under(monkeypatch, 0, space, 4))
+    calls, forks = [], []
+    real = {"pipe": checker.os.pipe, "fork": checker.os.fork}
+
+    def refusing(name):
+        def planted():
+            calls.append(name)
+            if name == call and calls.count(name) == nth:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pid = real[name]()
+            if name == "fork" and pid:
+                forks.append(pid)
+            return pid
+        return planted
+
+    for name in real:
+        monkeypatch.setattr(checker.os, name, refusing(name))
+    before = _open_fds()
+    assert _strip(verify_under(monkeypatch, workers, space, 4)) == expected
+    assert len(forks) == forked
+    assert _open_fds() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # How verify ends when a sweep worker dies, or when this process raises
 # while its children sweep: the space, the worker count, what the planted
 # search does, then main's exit code and stderr. Each row's probe runs in
@@ -387,7 +475,7 @@ DEAD_WORKERS = {
                           "no verdict\n"),
     "exited early": ((2, 2), 2, "exit", "2",
                      "error: sweep worker 1 of 2 exited with status 3; no verdict\n"),
-    # the children would sleep for 30 s per instance
+    # the children would sleep 12 s, past the 10 s verify may take, and exit
     "the parent's share raising": ((3, 2), 3, "raise", "KeyboardInterrupt", ""),
 }
 _SWEEP_PROBE = """
@@ -407,7 +495,8 @@ def killed_on_one(q, key):
 def parent_raises(q, key):
     if os.getpid() == PARENT:
         raise KeyboardInterrupt
-    time.sleep(30)
+    time.sleep(12)
+    os._exit(0)
 
 def children_exit(q, key):
     if os.getpid() != PARENT:

@@ -13,7 +13,7 @@ import pytest
 
 import olog
 from faults import chain_ending_at
-from olog import SortedSeq, algorithms, binary_search, checker, complexity, estimator
+from olog import algorithms, checker, complexity, estimator
 from olog.cli import main, parse_sizes
 from olog.errors import PreconditionError
 from seam import pin, prelude
@@ -104,7 +104,7 @@ _CAP = estimator.BINARY_PROFILE_MAX_N
 # line of its stderr, which is the whole of it unless argparse printed
 # its usage first.
 REJECTED = {
-    # verify and bound check the grid in derive_log_witness, before any
+    # verify and bound check the grid in complexity.check_grid, before any
     # other work: the 40/40 space, over the instance cap, is not counted
     **{f"{command} --grid {grid}": (
         [*argv, "--grid", grid],
@@ -162,10 +162,6 @@ REJECTED = {
     "unknown command": (["frobnicate"], "olog: error: argument command: " + _invalid_choice(
         "frobnicate", "verify", "bound", "bench", "trace")),
 }
-# verify_all runs the chain (P9) on the grid before it checks the caps
-_AFTER_THE_CHAIN = {"floor 100000", "floor 1000000", "floor 2000000", "1808 digits",
-                    "14 digits", "keys x elements"}
-
 # the work a command can reach: the sweep, the chain scan, both bench
 # profiles and the search trace runs
 _PHASES = ((checker, "_forked_sweep"), (complexity, "check_calc_chain"),
@@ -173,9 +169,9 @@ _PHASES = ((checker, "_forked_sweep"), (complexity, "check_calc_chain"),
            (algorithms, "binary_search"))
 
 
-def _plant_sentinels(monkeypatch, phases=_PHASES):
+def _plant_sentinels(monkeypatch):
     """Make each phase raise, which main does not catch, if it runs."""
-    for module, name in phases:
+    for module, name in _PHASES:
         def sentinel(*args, name=name):
             raise AssertionError(f"{name} ran")
 
@@ -185,8 +181,7 @@ def _plant_sentinels(monkeypatch, phases=_PHASES):
 @pytest.mark.parametrize("row", sorted(REJECTED))
 def test_a_rejected_input_exits_2_at_once(row, tmp_path, monkeypatch, capsys):
     argv, line = REJECTED[row]
-    chain = (complexity, "check_calc_chain")
-    _plant_sentinels(monkeypatch, [p for p in _PHASES if p != chain or row not in _AFTER_THE_CHAIN])
+    _plant_sentinels(monkeypatch)
     target = tmp_path / "out.txt"
     assert main([*argv, "--output", str(target)]) == 2
     captured = capsys.readouterr()
@@ -406,6 +401,8 @@ def test_bench_binary_json(capsys):
     jsonschema.validate(payload["classification"], _schema("classification.schema.json"))
     assert payload["algorithm"] == "binary_search"
     assert payload["classification"]["verdict"] == "Logarithmic"
+    samples = estimator.bench_steps("binary_search", parse_sizes("16:1048576:x4"))
+    assert payload["samples"] == [s._asdict() for s in samples]
 
 
 def test_bench_runs_every_size_to_the_binary_cap_at_once():
@@ -419,30 +416,6 @@ def test_bench_runs_every_size_to_the_binary_cap_at_once():
     samples = json.loads(run.stdout)["samples"]
     assert [s["n"] for s in samples] == [16 * 4**k for k in range(12)]
     assert all(s["t_max"] == s["n"].bit_length() for s in samples)
-
-
-# the worst count over the keys -1..n of q = [0, n): the checked search's
-# for binary, the full scan for linear
-def _binary_worst(n):
-    q = SortedSeq(range(n))
-    return max(binary_search(q, key).t for key in range(-1, n + 1))
-
-
-_PER_KEY_WORST = {"binary": _binary_worst, "linear": lambda n: n}
-
-
-@pytest.mark.parametrize("algo", sorted(_PER_KEY_WORST))
-def test_bench_samples_are_the_per_key_worst(algo, capsys):
-    assert main(["bench", "--algo", algo, "--sizes", "1,16,256,4096", "--format", "json"]) == 0
-    samples = json.loads(capsys.readouterr().out)["samples"]
-    assert [s["n"] for s in samples] == [1, 16, 256, 4096]
-    assert all(s["t_max"] == _PER_KEY_WORST[algo](s["n"]) for s in samples)
-
-
-def test_bench_linear_control(capsys):
-    assert main(["bench", "--algo", "linear", "--sizes", "16:16384:x4"]) == 0
-    out = capsys.readouterr().out
-    assert "classification: Linear" in out
 
 
 def test_bench_linear_default_sizes(capsys):
@@ -459,34 +432,9 @@ def test_bench_csv(capsys):
     assert "classification:" in captured.err
 
 
-def test_trace_known_instance(capsys):
-    assert main(["trace", "--q", "1,3,5,7", "--key", "7"]) == 0
-    out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert len(lines) == 4  # header + 2 iterations + summary
-    assert lines[-1] == "r=3 t=2 budget=5"
-
-
-def test_trace_empty_sequence(capsys):
-    assert main(["trace", "--q", "", "--key", "5"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[-1] == "r=-1 t=0 budget=1"
-    assert len(out) == 2  # header + summary only, zero iterations
-
-
-def test_trace_json_lines(capsys):
-    assert main(["trace", "--q", "1,3,5,7", "--key", "7", "--format", "json"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    schema = _schema("trace_line.schema.json")
-    parsed = [json.loads(line) for line in lines]
-    for line in parsed:
-        jsonschema.validate(line, schema)
-    assert parsed[0] == {"lo": 0, "hi": 4, "mid": 2, "t": 1, "tbs_remaining": 1}
-    assert parsed[-1] == {"r": 3, "t": 2, "budget": 5}
-
-
-# olog trace output, byte for byte; the tbs_remaining column is the cost
-# of the range each iteration leaves, read from one walk of tbs
+# olog trace output, byte for byte, on hand-stepped instances: one record
+# per iteration, then r, t and the budget; the tbs_remaining column is the
+# cost of the range each iteration leaves, read from one walk of tbs
 TRACE_OUTPUT = {
     ("1,3,5,7", 7, "text"): (
         "  lo   hi  mid    t  tbs_remaining  margin\n"
@@ -523,28 +471,30 @@ TRACE_OUTPUT = {
         '{"lo": 0, "hi": 1, "mid": 0, "t": 3, "tbs_remaining": 0}\n'
         '{"r": -1, "t": 3, "budget": 5}\n'
     ),
+    ("9", 9, "text"): (
+        "  lo   hi  mid    t  tbs_remaining  margin\n"
+        "   0    1    0    1              0       0\n"
+        "r=0 t=1 budget=3\n"
+    ),
+    ("9", 9, "json"): (
+        '{"lo": 0, "hi": 1, "mid": 0, "t": 1, "tbs_remaining": 0}\n'
+        '{"r": 0, "t": 1, "budget": 3}\n'
+    ),
     ("", 3, "text"): "  lo   hi  mid    t  tbs_remaining  margin\nr=-1 t=0 budget=1\n",
     ("", 3, "json"): '{"r": -1, "t": 0, "budget": 1}\n',
 }
 
 
-@pytest.mark.parametrize("q,key,fmt", sorted(TRACE_OUTPUT))
+@pytest.mark.parametrize("q,key,fmt", sorted(TRACE_OUTPUT),
+                         ids=[f"{q}-{key}-{fmt}" for q, key, fmt in sorted(TRACE_OUTPUT)])
 def test_trace_output_is_pinned(q, key, fmt, capsys):
     assert main(["trace", "--q", q, "--key", str(key), "--format", fmt]) == 0
-    assert capsys.readouterr().out == TRACE_OUTPUT[q, key, fmt]
-
-
-# hand-stepped instances: (q, key, r, t)
-@pytest.mark.parametrize(
-    "q,key,r,t", [("", 5, -1, 0), ("1,3,5,7", 7, 3, 2), ("1,3,5,7", 4, -1, 2), ("9", 9, 0, 1)]
-)
-def test_trace_runs_the_checked_search(q, key, r, t, capsys):
-    # the checking mode changes nothing: r and t are the plain run's, and
-    # one record is printed per iteration
-    assert main(["trace", "--q", q, "--key", str(key), "--format", "json"]) == 0
-    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert (lines[-1]["r"], lines[-1]["t"]) == (r, t)
-    assert [line["t"] for line in lines[:-1]] == list(range(1, t + 1))
+    out = capsys.readouterr().out
+    assert out == TRACE_OUTPUT[q, key, fmt]
+    if fmt == "json":
+        schema = _schema("trace_line.schema.json")
+        for line in out.splitlines():
+            jsonschema.validate(json.loads(line), schema)
 
 
 def test_a_negative_first_value_goes_after_an_equals_sign():

@@ -42,11 +42,15 @@ def test_witness_refuses_what_is_not_an_int(c, n0):
 
 
 def test_is_log2_from_examples():
-    assert is_log2_from(LogWitness(6, 2), STEP_BUDGET, 1024) is True
-    # at n=1: bound(1)=3 but 6*ilog2(1)=0
-    assert is_log2_from(LogWitness(6, 1), STEP_BUDGET, 1024) is False
-    # at n=2: bound(2)=3 but 1*ilog2(2)=1
-    assert is_log2_from(LogWitness(1, 2), STEP_BUDGET, 16) is False
+    # (c, n0, grid, verdict), each also decided pointwise
+    for c, n0, grid, verdict in [
+        (6, 2, 4096, True),
+        (6, 1, 1024, False),  # at n=1: bound(1)=3 but 6*ilog2(1)=0
+        (1, 2, 16, False),  # at n=2: bound(2)=3 but 1*ilog2(2)=1
+    ]:
+        within = Relation(STEP_BUDGET, "<=", Expr((Term(c, 1, 0),), 0))
+        assert is_log2_from(LogWitness(c, n0), STEP_BUDGET, grid) is verdict
+        assert (pointwise.first_failure(within, n0, grid) == 0) is verdict
 
 
 def test_is_log2_from_refuses_vacuous_range():

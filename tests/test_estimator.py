@@ -1,64 +1,27 @@
 import pytest
 
 from olog import estimator
+from olog.algorithms import SortedSeq, binary_search, linear_search_oracle
 from olog.cli import DEFAULT_SIZES, parse_sizes
 from olog.errors import PreconditionError
 from olog.estimator import StepSample, bench_steps, fit_class, samples_to_csv
 from olog.intmath import ilog2
 
+import bare
 
-def test_bench_binary_single_element():
-    assert bench_steps("binary_search", [1]) == [StepSample(1, 1)]
+_CAP = estimator.BINARY_PROFILE_MAX_N
 
-
-def test_bench_binary_worst_case_is_log_plus_one():
-    # on [0..n-1] with keys covering every exit, the deepest path runs
-    # ilog2(n)+1 iterations when n is a power of two
-    samples = bench_steps("binary_search", [2**k for k in (2, 4, 6, 8)])
-    for s in samples:
-        assert s.t_max == ilog2(s.n) + 1
-        assert s.t_max <= 2 * ilog2(s.n + 1) + 1
-
-
-def test_bench_binary_growth_rate():
-    # ~2 extra steps per 4x size
-    samples = bench_steps("binary_search", [2**k for k in range(4, 21, 2)])
-    deltas = [b.t_max - a.t_max for a, b in zip(samples, samples[1:])]
-    assert all(d == 2 for d in deltas)
-
-
-def test_bench_linear_full_scan():
-    samples = bench_steps("linear_oracle", [16, 32, 64])
-    assert [s.t_max for s in samples] == [16, 32, 64]
-
-
-def test_bench_validation():
-    with pytest.raises(PreconditionError):
-        bench_steps("binary_search", [])
-    with pytest.raises(PreconditionError):
-        bench_steps("binary_search", [16, 16])
-    with pytest.raises(PreconditionError):
-        bench_steps("binary_search", [64, 16])
-    with pytest.raises(PreconditionError):
-        bench_steps("bogosort", [16, 32])
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: bench_steps("linear_oracle", [16.0, 256.0, 4096.0, 16384.0]),
-        lambda: bench_steps("binary_search", [16.0, 256.0, 4096.0, 16384.0]),
-        lambda: bench_steps("binary_search", [True, 16, 256, 4096]),
-        lambda: estimator.binary_max_steps(16.0),
-        lambda: estimator.linear_max_steps(16.5),
-        lambda: estimator.check_profile_sizes("binary", [16, "256"]),
-        lambda: StepSample(4.5, 3),
-        lambda: StepSample(16, 4.5),
-    ],
-)
-def test_profiles_and_samples_refuse_what_is_not_an_int(call):
-    with pytest.raises(PreconditionError, match="must be an integer"):
-        call()
+# The worst step count over the keys -1..n of [0, n), by (algorithm, n):
+# binary search's is n.bit_length(), one more at each power of two, and
+# the linear scan's is n. The rows hold every size of both default lists
+# (16 to 2^20 and to 2^14, by x4) and 2^k - 1, 2^k, 2^k + 1 up to the cap.
+WORST = {
+    **{("binary_search", n): t for n, t in [
+        (1, 1), (4, 3), (16, 5), (64, 7), (256, 9), (1000, 10), (1024, 11), (4096, 13),
+        (16384, 15), (65535, 16), (65536, 17), (65537, 17), (262144, 19),
+        (1048575, 20), (1048576, 21), (1048577, 21), (_CAP - 1, 26), (_CAP, 27)]},
+    **{("linear_oracle", n): n for n in (1, 16, 32, 64, 256, 257, 1024, 4096, 16384)},
+}
 
 
 def _profiles_run(monkeypatch):
@@ -77,23 +40,91 @@ def _profiles_run(monkeypatch):
     return ran
 
 
-def test_binary_lists_run_the_width_recurrence(monkeypatch):
-    # small and default lists alike; tests/test_kernels.py holds its counts
-    # to the checked search run on every key
+@pytest.mark.parametrize("algo,n", WORST, ids=[f"{algo.split('_')[0]} {n}" for algo, n in WORST])
+def test_bench_gives_each_size_its_worst_count(algo, n, monkeypatch):
+    # every binary size runs the width recurrence, every linear size the
+    # closed form: neither runs a key
     ran = _profiles_run(monkeypatch)
-    for sizes in ([1, 16, 256, 4096], parse_sizes(DEFAULT_SIZES["binary_search"])):
-        ran.clear()
-        assert bench_steps("binary_search", sizes) == [StepSample(n, n.bit_length()) for n in sizes]
-        assert ran == ["binary"] * len(sizes)
+    assert bench_steps(algo, [n]) == [StepSample(n, WORST[algo, n])]
+    assert ran == [algo.split("_")[0]]
 
 
-def test_linear_lists_run_the_lockstep_scan(monkeypatch):
-    ran = _profiles_run(monkeypatch)
-    assert [s.t_max for s in bench_steps("linear_oracle", [1, 16])] == [1, 16]
-    assert ran == ["linear", "linear"]  # not the binary profile
-    # the default list, 16 to 16384 by x4
-    sizes = parse_sizes(DEFAULT_SIZES["linear_oracle"])
-    assert bench_steps("linear_oracle", sizes) == [StepSample(n, n) for n in sizes]
+def test_the_default_lists_give_the_worst_counts():
+    for algo, spec in DEFAULT_SIZES.items():
+        sizes = parse_sizes(spec)
+        assert bench_steps(algo, sizes) == [StepSample(n, WORST[algo, n]) for n in sizes]
+
+
+def _binary_worst(n):
+    q = SortedSeq(range(n))
+    return max(binary_search(q, key).t for key in range(-1, n + 1))
+
+
+def _linear_worst(n):
+    items = list(range(n))
+    return max(n if r < 0 else r + 1 for r in (linear_search_oracle(items, key)
+                                                for key in range(-1, n + 1)))
+
+
+# each profile against its search run on every key -1..n of [0, n): the
+# checked binary_search, and the linear oracle, whose scan compares r + 1
+# times for a found key and n for an absent one. The sizes are 1..300 and
+# 2^k - 1, 2^k and 2^k + 1 for each k of the row
+PER_KEY = {
+    "binary": (estimator.binary_max_steps, _binary_worst, range(9, 14)),
+    "linear": (estimator.linear_max_steps, _linear_worst, (10, 12)),
+}
+
+
+@pytest.mark.parametrize("kind", PER_KEY)
+def test_a_profile_is_its_search_s_worst_over_every_key(kind):
+    profile, worst, powers = PER_KEY[kind]
+    for n in [*range(1, 301), *(2**k + d for k in powers for d in (-1, 0, 1))]:
+        assert profile(n) == worst(n), n
+
+
+def test_binary_max_steps_at_the_cap_covers_the_top_keys():
+    # the width recurrence never runs a key; no key at the ends of the
+    # family or next to the middle needs more than it counts, and key -1,
+    # which halves 2^26 down to 1, needs exactly that. The bare loop only
+    # indexes its items, so range(cap) stands for the cap's family
+    worst = estimator.binary_max_steps(_CAP)
+    keys = [-1, 0, _CAP // 2, _CAP // 2 + 1] + list(range(_CAP - 40, _CAP + 1))
+    assert worst == max(len(bare.run(range(_CAP), key, 0, _CAP)[1]) for key in keys)
+
+
+def test_bench_validation():
+    with pytest.raises(PreconditionError):
+        bench_steps("binary_search", [])
+    with pytest.raises(PreconditionError):
+        bench_steps("binary_search", [16, 16])
+    with pytest.raises(PreconditionError):
+        bench_steps("binary_search", [64, 16])
+    with pytest.raises(PreconditionError):
+        bench_steps("bogosort", [16, 32])
+    # each profile refuses a size outside [1, its cap] on its own
+    for profile, n in ((estimator.binary_max_steps, 0), (estimator.binary_max_steps, _CAP + 1),
+                       (estimator.linear_max_steps, estimator.LINEAR_PROFILE_MAX_N + 1)):
+        with pytest.raises(PreconditionError, match=r"profile size must be in \[1, "):
+            profile(n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bench_steps("linear_oracle", [16.0, 256.0, 4096.0, 16384.0]),
+        lambda: bench_steps("binary_search", [16.0, 256.0, 4096.0, 16384.0]),
+        lambda: bench_steps("binary_search", [True, 16, 256, 4096]),
+        lambda: estimator.binary_max_steps(16.0),
+        lambda: estimator.linear_max_steps(16.5),
+        lambda: estimator.check_profile_sizes("binary", [16, "256"]),
+        lambda: StepSample(4.5, 3),
+        lambda: StepSample(16, 4.5),
+    ],
+)
+def test_profiles_and_samples_refuse_what_is_not_an_int(call):
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        call()
 
 
 def test_total_profile_work_is_capped_before_any_profile(monkeypatch):

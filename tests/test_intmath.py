@@ -125,20 +125,27 @@ def _log(a, b, d):
     return Expr((Term(a, b, d),), 0)
 
 
-@pytest.mark.parametrize(
-    "rel,n_lo,first",
-    [
-        (Relation(_log(1, 1, 0), "<=", Expr((), 3)), 1, 16),
-        (Relation(_log(1, 1, 0), "<=", Expr((), 4)), 1, 32),
-        (Relation(_log(1, 1, 0), "<=", Expr((), 10)), 1, 2048),
-        (Relation(_log(2, 3, 1), "<=", Expr((), 9)), 1, 11),  # 3*11+1 = 34 >= 32
-        (Relation(_log(2, 3, 2), "<=", Expr((), 9)), 1, 10),  # 3*10+2 = 32
-        (Relation(_log(1, 2, 0), "=", _log(1, 1, 1)), 3, 4),
-        (Relation(Expr((Term(1, 1, 3), Term(1, 2, 1)), 0), "<=", Expr((), 7)), 5, 13),
-    ],
-)
-def test_first_failure_inside_the_range(rel, n_lo, first):
-    # each fails first at a block start past n_lo: no block may be skipped
+# first failing n in [n_lo, 4096] of each relation, by dyadic blocks and
+# pointwise: each failure lies at a block start past n_lo, so no block may
+# be skipped, and 0 means that it holds on all of the range
+FIRST_FAILURES = {
+    "ilog2(n) <= 3": (Relation(_log(1, 1, 0), "<=", Expr((), 3)), 1, 16),
+    "ilog2(n) <= 4": (Relation(_log(1, 1, 0), "<=", Expr((), 4)), 1, 32),
+    "ilog2(n) <= 10": (Relation(_log(1, 1, 0), "<=", Expr((), 10)), 1, 2048),
+    # 3*11+1 = 34 >= 32, and 3*10+2 = 32
+    "2*ilog2(3*n+1) <= 9": (Relation(_log(2, 3, 1), "<=", Expr((), 9)), 1, 11),
+    "2*ilog2(3*n+2) <= 9": (Relation(_log(2, 3, 2), "<=", Expr((), 9)), 1, 10),
+    "ilog2(2*n) = ilog2(n+1) from 3": (Relation(_log(1, 2, 0), "=", _log(1, 1, 1)), 3, 4),
+    "ilog2(n+3) + ilog2(2*n+1) <= 7 from 5": (
+        Relation(Expr((Term(1, 1, 3), Term(1, 2, 1)), 0), "<=", Expr((), 7)), 5, 13),
+    "monotonic": (intmath.MONOTONIC, 1, 0),
+    "doubling": (DOUBLING, 1, 0),
+}
+
+
+@pytest.mark.parametrize("row", FIRST_FAILURES)
+def test_first_failure_inside_the_range(row):
+    rel, n_lo, first = FIRST_FAILURES[row]
     assert intmath.first_failure(rel, n_lo, 4096) == first
     assert pointwise.first_failure(rel, n_lo, 4096) == first
 

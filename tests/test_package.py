@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -26,6 +27,16 @@ PUBLIC = {
     "intmath": ["STEP_BUDGET", "ilog2", "ilog2_oracle"],
 }
 SUBMODULES = [*PUBLIC, "cli", "kernels"]
+# perfbench reads these names from the kernels shim; each must be its
+# home's object, so that a wrapper swapped in for every olog global that is
+# it reaches the home's call sites
+SHIM = {
+    "verify_sweep": ("checker", "verify_sweep"),
+    "binary_max_steps": ("estimator", "binary_max_steps"),
+    "linear_max_steps": ("estimator", "linear_max_steps"),
+    "ilog2_scan_monotonic": ("intmath", "scan_monotonic"),
+    "calc_step_scan": ("intmath", "first_failure"),
+}
 
 
 def test_all_names_are_the_defining_modules_objects():
@@ -35,6 +46,18 @@ def test_all_names_are_the_defining_modules_objects():
         for name in names:
             assert getattr(olog, name) is getattr(defining, name), name
     assert set(olog.__all__) <= set(dir(olog))
+
+
+def test_the_shim_reexports_its_homes_objects():
+    from olog import kernels
+
+    for name, (home, home_name) in SHIM.items():
+        assert getattr(kernels, name) is getattr(importlib.import_module(f"olog.{home}"),
+                                                 home_name), name
+    own = [name for name, fn in inspect.getmembers(kernels, inspect.isfunction)
+           if fn.__module__ == kernels.__name__]
+    assert own == ["backends"]
+    assert kernels.backends() == {kernels.BACKEND: kernels}
 
 
 def test_submodules_load_only_by_import():
