@@ -56,7 +56,7 @@ import olog.costmodel as costmodel
 import olog.intmath as intmath
 from olog.algorithms import SortedSeq, binary_search, check_binary_posts, first_indices
 from olog.errors import InvariantViolation, PreconditionError, WorkerError
-from olog.intmath import LOG_BOUND, STEP_BUDGET, ilog2, require_int, validated_make
+from olog.intmath import LOG_BOUND, STEP_BUDGET, require_int, validated_make
 
 PROPERTY_NAMES = {
     "P1": "binary_posts",
@@ -292,6 +292,16 @@ def _p4_failure(trace, t, costs, tbs_total):
     return None
 
 
+def _length_bound(raised: dict, prop: str, name: str, bound, n: int):
+    """``bound(n)``, or None after noting in ``raised`` why it failed
+    ``prop`` at this length."""
+    try:
+        return bound(n)
+    except Exception as err:
+        raised[prop] = f"{name}({n}) raised {type(err).__name__}: {err}"
+        return None
+
+
 def verify_sweep(groups) -> dict:
     """Run the per-instance property battery over (items, key_lo, key_hi) groups.
 
@@ -318,7 +328,9 @@ def verify_sweep(groups) -> dict:
     outcome before any verdict is recorded, so either case skips all of
     the instance's checks of the outcome, and an instance counts at most
     once against each property. An exception the walk raises counts
-    against P5, skipping P4.
+    against P5, skipping P4. A per-length bound that raises (``LOG_BOUND``
+    for P5, ``STEP_BUDGET`` for P6, ``ilog2`` for P7) counts against its
+    property on every instance of that length.
     """
     search = binary_search
     c, n0 = complexity.chain_witness(complexity.canonical_chain())
@@ -339,12 +351,15 @@ def verify_sweep(groups) -> dict:
         n = len(items)
         if n != last_n:  # the bounds depend on the length only
             last_n = n
-            budget = STEP_BUDGET(n)
-            log_n = ilog2(n) if n >= 1 else 0
-            bound = LOG_BOUND(n) if n >= 1 else None
+            raised: dict = {}
+            budget = _length_bound(raised, "P6", "STEP_BUDGET", STEP_BUDGET, n)
+            bound = _length_bound(raised, "P5", "LOG_BOUND", LOG_BOUND, n) if n >= 1 else None
+            log_n = _length_bound(raised, "P7", "ilog2", intmath.ilog2, n) if n >= n0 else None
         oracle = first_indices(items)
         for key in range(key_lo, key_hi + 1):
             instances += 1
+            for prop, detail in raised.items():
+                record(prop, items, key, detail)
             # P5 needs only the cost model, so it runs even when the
             # instrumented run aborts.
             try:
@@ -354,7 +369,7 @@ def verify_sweep(groups) -> dict:
                 costs = None
                 record("P5", items, key, f"the tbs walk raised {type(err).__name__}: {err}")
             else:
-                if n >= 1 and tbs_total > bound:
+                if bound is not None and tbs_total > bound:
                     record("P5", items, key, f"tbs(0, {n})={tbs_total} exceeds its log bound")
 
             try:
@@ -377,8 +392,8 @@ def verify_sweep(groups) -> dict:
                 if costs is not None:
                     p4 = _p4_failure(trace or (), t, costs, tbs_total)
                     gap = abs(tbs_total - t)
-                in_budget = t <= budget
-                in_witness = n < n0 or t <= c * log_n
+                in_budget = budget is None or t <= budget
+                in_witness = log_n is None or t <= c * log_n
             except Exception as err:
                 record("P1", items, key,
                        f"the checks cannot read the search's outcome: {type(err).__name__}: {err}")

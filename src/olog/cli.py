@@ -8,11 +8,14 @@ Four workflows: ``verify`` (exhaustive property suite), ``bound``
 Exit codes: 0 success, 1 a checked property/bound failed, 2 bad
 configuration or input, a sweep with no verdict (a worker that died, or
 shares that missed part of the space), or output that could not be
-written.
+written. A fault in package code (an ``ilog2`` that raises, say) is a
+failing property, so 1, never 2.
 
 Each command imports the modules it runs inside its ``_cmd_*``
 function, by dotted name so that ``-X importtime`` times each, and
 ``json`` only where it writes JSON: a call pays for those alone.
+Each report format has one writer: ``_json``, ``_csv``, and ``_columns``
+for the text tables.
 """
 
 from __future__ import annotations
@@ -50,6 +53,24 @@ def _write(out, to_file: bool, text: str) -> str | None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return f"cannot write output: {err}"
+
+
+def _json(payload, indent=2) -> str:
+    """A JSON report: ``payload`` and a newline; ``indent=None`` writes
+    one JSON Lines record. The only place ``json`` is imported."""
+    import json
+
+    return json.dumps(payload, indent=indent) + "\n"
+
+
+def _csv(header, rows) -> str:
+    """A CSV report: the header and each row, cells as ``str`` writes them."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def _columns(widths, rows) -> list[str]:
+    """A text table's lines: each cell right-aligned to its column's width."""
+    return [" ".join(f"{cell:>{width}}" for cell, width in zip(row, widths)) for row in rows]
 
 
 def _ints(option: str, text: str, parts) -> list[int]:
@@ -91,13 +112,10 @@ def _cmd_verify(args, out) -> int:
     report = checker.verify_all(space, grid=args.grid)
 
     if args.format == "json":
-        import json
-
-        out.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        out.write(_json(report.to_dict()))
     elif args.format == "csv":
-        lines = ["id,name,passed,violations"]
-        lines += [f"{p.id},{p.name},{p.passed},{p.violations}" for p in report.properties]
-        out.write("\n".join(lines) + "\n")
+        rows = [(p.id, p.name, p.passed, p.violations) for p in report.properties]
+        out.write(_csv(("id", "name", "passed", "violations"), rows))
     else:
         lines = [
             f"instances checked: {report.instances_checked}",
@@ -125,14 +143,11 @@ def _cmd_bound(args, out) -> int:
 
     trace = complexity.derive_log_witness(args.grid)
     if args.format == "json":
-        import json
-
-        out.write(json.dumps(trace.to_dict(), indent=2) + "\n")
+        out.write(_json(trace.to_dict()))
     elif args.format == "csv":
-        lines = ["step,from,rel,to,checked_to,ok"]
-        for i, d in enumerate(trace.to_dict()["steps"], start=1):
-            lines.append(f"{i},{d['from']},{d['rel']},{d['to']},{d['checked_to']},{d['ok']}")
-        out.write("\n".join(lines) + "\n")
+        steps = trace.to_dict()["steps"]  # the JSON's step fields, in order
+        rows = [(i, *step.values()) for i, step in enumerate(steps, start=1)]
+        out.write(_csv(("step", *steps[0]), rows))
     else:
         lines = [
             f"witness: c={trace.witness.c}, n0={trace.witness.n0} "
@@ -165,22 +180,15 @@ def _cmd_bench(args, out) -> int:
     margin = "inf" if report.margin is None else f"{report.margin:.2f}"
     verdict = f"classification: {report.verdict} (margin={margin})"
 
+    header = estimator.StepSample._fields
     if args.format == "json":
-        import json
-
-        payload = {
-            "algorithm": algorithm,
-            "samples": [{"n": s.n, "t_max": s.t_max} for s in samples],
-            "classification": report.to_dict(),
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(_json({"algorithm": algorithm, "samples": [s._asdict() for s in samples],
+                         "classification": report.to_dict()}))
     elif args.format == "csv":
-        out.write(estimator.samples_to_csv(samples))
+        out.write(_csv(header, samples))
         print(verdict, file=sys.stderr)
     else:
-        lines = [f"algorithm: {algorithm}", f"{'n':>9} {'t_max':>7}"]
-        lines += [f"{s.n:>9} {s.t_max:>7}" for s in samples]
-        lines.append(verdict)
+        lines = [f"algorithm: {algorithm}", *_columns((9, 7), [header, *samples]), verdict]
         out.write("\n".join(lines) + "\n")
     return 1 if failed else 0
 
@@ -204,22 +212,15 @@ def _cmd_trace(args, out) -> int:
     remaining = [costs[rec.lo, rec.hi] for rec in outcome.trace[1:]] + [0]
 
     if args.format == "json":
-        import json
-
-        lines = [
-            json.dumps({**rec.to_dict(), "tbs_remaining": left})
-            for rec, left in zip(outcome.trace, remaining)
-        ]
-        lines.append(json.dumps({"r": outcome.r, "t": outcome.t, "budget": budget}))
-        out.write("\n".join(lines) + "\n")
+        records = [{**rec.to_dict(), "tbs_remaining": left}
+                   for rec, left in zip(outcome.trace, remaining)]
+        records.append({"r": outcome.r, "t": outcome.t, "budget": budget})
+        out.write("".join(_json(record, indent=None) for record in records))
     else:
-        lines = [f"{'lo':>4} {'hi':>4} {'mid':>4} {'t':>4} {'tbs_remaining':>14} {'margin':>7}"]
-        for rec, left in zip(outcome.trace, remaining):
-            margin = (tbs_total - left) - rec.t_after
-            lines.append(
-                f"{rec.lo:>4} {rec.hi:>4} {rec.mid:>4} {rec.t_after:>4} "
-                f"{left:>14} {margin:>7}"
-            )
+        rows = [(*rec, left, (tbs_total - left) - rec.t_after)
+                for rec, left in zip(outcome.trace, remaining)]
+        lines = _columns((4, 4, 4, 4, 14, 7),
+                         [("lo", "hi", "mid", "t", "tbs_remaining", "margin"), *rows])
         lines.append(f"r={outcome.r} t={outcome.t} budget={budget}")
         out.write("\n".join(lines) + "\n")
     return 0

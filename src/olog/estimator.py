@@ -230,9 +230,3 @@ def fit_class(samples: Sequence[StepSample]) -> ClassificationReport:
         margin = runner_err / best_err
         confident = margin >= CONFIDENCE_MARGIN
     return ClassificationReport(best_class=best, fits=fits, margin=margin, confident=confident)
-
-
-def samples_to_csv(samples: Sequence[StepSample]) -> str:
-    lines = ["n,t_max"]
-    lines.extend(f"{s.n},{s.t_max}" for s in samples)
-    return "\n".join(lines) + "\n"

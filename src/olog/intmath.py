@@ -19,7 +19,8 @@ change value only where its argument b*n + d reaches a power of two, so
 between two such points both sides, and hence the relation's truth, are
 constant. Evaluating the relation once at the start of each of those
 blocks therefore decides it at every n, and the first failing block
-start is the first failing n.
+start is the first failing n. A side that raises at n fails the
+relation there, so a faulty ilog2 gives a failing n, never an error.
 """
 
 from __future__ import annotations
@@ -111,9 +112,14 @@ class Term(_TermFields):
         return ("" if self.a == 1 else f"{self.a}*") + f"ilog2({arg})"
 
     def jumps(self, n_lo: int, n_hi: int) -> list[int]:
-        """Every n in (n_lo, n_hi] where b*n + d first reaches a power of two."""
+        """Every n in (n_lo, n_hi] where b*n + d first reaches a power of two.
+
+        The first such power comes from ``int.bit_length``, not from
+        ``ilog2``, so the blocks a claim is checked on do not depend on
+        the function the claim is about.
+        """
         found = []
-        k = ilog2(self.b * n_lo + self.d) + 1
+        k = (self.b * n_lo + self.d).bit_length()
         while (n := ((1 << k) - self.d + self.b - 1) // self.b) <= n_hi:
             found.append(n)
             k += 1
@@ -164,7 +170,12 @@ class Relation(_RelationFields):
         return super().__new__(cls, lhs, rel, rhs)
 
     def holds_at(self, n: int) -> bool:
-        left, right = self.lhs(n), self.rhs(n)
+        """Whether the relation holds at n; a side that raises there (a
+        faulty ilog2, say) fails it, as a failed obligation, not an error."""
+        try:
+            left, right = self.lhs(n), self.rhs(n)
+        except Exception:
+            return False
         return left == right if self.rel == "=" else left <= right
 
     def __str__(self) -> str:
@@ -222,11 +233,16 @@ def scan_oracle_equivalence(n_max: int) -> int:
     """First n in [1, n_max] where recurrence and doubling oracle differ, or 0.
 
     Both are constant on each dyadic block, so they are compared at the
-    two ends of every block that meets [1, n_max].
+    two ends of every block that meets [1, n_max]. Where either raises,
+    they differ.
     """
     _check_range(1, n_max)
     for k in range(n_max.bit_length()):
         for n in (1 << k, min((2 << k) - 1, n_max)):
-            if ilog2(n) != ilog2_oracle(n):
+            try:
+                agree = ilog2(n) == ilog2_oracle(n)
+            except Exception:
+                agree = False
+            if not agree:
                 return n
     return 0

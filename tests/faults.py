@@ -25,6 +25,7 @@ from olog import checker, complexity, costmodel, intmath
 from olog.algorithms import SearchOutcome, _search, binary_search, broken_binary_search
 from olog.complexity import canonical_chain
 from olog.costmodel import _tbs
+from olog.errors import PreconditionError
 from olog.intmath import ilog2
 
 
@@ -119,6 +120,13 @@ def _slow_minimal_share(q, key):
     if list(q) == [0] and key == -1:
         time.sleep(0.05)
     return broken_binary_search(q, key)
+
+
+def _ilog2_rejecting_one(n):
+    # ilog2 with its guard `n < 1` written `n <= 1`
+    if intmath.require_int("n", n) <= 1:
+        raise PreconditionError(f"ilog2 requires n >= 1, got {n}")
+    return ilog2(n)
 
 
 def _at(q, key, detail):
@@ -253,6 +261,31 @@ FAULTS = {
         (3, 2), 2,
         {"P5": (8, _at([0], -1, "tbs(0, 1)=1 exceeds its log bound"))},
         "P5", 0),
+    # ilog2 with k -= 1 for k += 1, -floor(log2 n): the bounds are negative
+    # from length 1 (STEP_BUDGET) and 2 (LOG_BOUND, P7's), ilog2 decreases
+    # from 1 to 2 and leaves the oracle at 2, and chain step 1 fails where
+    # it needs ilog2(n+1) >= 1
+    "ilog2_counting_down": Fault(
+        _planted(intmath, "ilog2", lambda n: -ilog2(n)), (2, 2), 4,
+        {"P5": (12, _at([0, 0], -1, "tbs(0, 2)=2 exceeds its log bound")),
+         "P6": (20, _at([0], -1, "t=1 exceeds budget -1")),
+         "P7": (12, _at([0, 0], -1, "t=2 exceeds 6*ilog2(2)=-6")),
+         "P8": (2, {"n": 1, "detail": "ilog2(1) > ilog2(2)"}),
+         "P9": (1, {"step": 1, "n": 1, "detail": "chain step 1 fails at n=1"})},
+        "P6", 0),
+    # ilog2(1) raises: a bound that raises fails its property on every
+    # instance of its length (STEP_BUDGET at 0, LOG_BOUND at 1; P7 starts
+    # at n0 = 2), and a relation that raises at n fails there (P8 and
+    # chain step 4, the doubling law, at n=1)
+    "ilog2_rejecting_one": Fault(
+        _planted(intmath, "ilog2", _ilog2_rejecting_one), (2, 2), 4,
+        {"P5": (8, _at([0], -1, "LOG_BOUND(1) raised PreconditionError: "
+                                "ilog2 requires n >= 1, got 1")),
+         "P6": (4, _at([], -1, "STEP_BUDGET(0) raised PreconditionError: "
+                               "ilog2 requires n >= 1, got 1")),
+         "P8": (2, {"n": 1, "detail": "ilog2(1) != ilog2_oracle(1)"}),
+         "P9": (1, {"step": 4, "n": 1, "detail": "chain step 4 fails at n=1"})},
+        "P6", 0),
     # an r that P1's postconditions and P2's oracle cannot compare
     "unreadable_outcome": Fault(
         _replaced_on_0_1(r=None), (2, 2), 4,

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from itertools import product
 from pathlib import Path
 
 import jsonschema
@@ -34,9 +33,13 @@ def _instances(space):
 
 
 def _sorted_tuples(length, alphabet):
-    # every tuple of the length, in lexicographic order, kept if non-decreasing:
-    # independent of the combinations_with_replacement the stream comes from
-    return [q for q in product(range(alphabet), repeat=length) if list(q) == sorted(q)]
+    # every non-decreasing tuple of the length, in lexicographic order: each
+    # one a value shorter, extended by every value from its last one on.
+    # Independent of the combinations_with_replacement the stream comes from
+    if length == 0:
+        return [()]
+    return [q + (v,) for q in _sorted_tuples(length - 1, alphabet)
+            for v in range(q[-1] if q else 0, alphabet)]
 
 
 def _reference_instances(max_len, alphabet):

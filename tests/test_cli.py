@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import olog
-from faults import chain_ending_at
+from faults import FAULTS, chain_ending_at
 from olog import algorithms, checker, complexity, estimator
 from olog.cli import main, parse_sizes
 from olog.errors import PreconditionError
@@ -69,14 +69,6 @@ def test_verify_json_schema(capsys):
     jsonschema.validate(payload, _schema("check_report.schema.json"))
     assert payload["all_passed"] is True
     assert payload["complete_to"] == 1  # a key between two values needs a third
-
-
-def test_verify_csv(capsys):
-    assert main(["verify", "--max-len", "2", "--alphabet", "2", "--grid", "4",
-                 "--format", "csv"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "id,name,passed,violations"
-    assert len(lines) == 10
 
 
 def test_verify_long_sequences_pass(capsys):
@@ -355,13 +347,6 @@ def test_bound_json_schema(capsys):
         assert all(s["checked_to"] == grid for s in payload["steps"])
 
 
-def test_bound_csv(capsys):
-    assert main(["bound", "--grid", "256", "--format", "csv"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "step,from,rel,to,checked_to,ok"
-    assert len(lines) == 6
-
-
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_bound_reports_a_failing_chain_in_every_format(fmt, monkeypatch, capsys):
     # step 5 weakened to 3*ilog2(n) + 3 <= 3*ilog2(n): false from n=2 on
@@ -382,6 +367,19 @@ def test_bound_reports_a_failing_chain_in_every_format(fmt, monkeypatch, capsys)
     else:
         marks = [line.split()[0] for line in captured.out.splitlines()[1:]]
         assert marks == ["ok"] * 4 + ["FAIL"]
+
+
+@pytest.mark.parametrize("fault,step", [("ilog2_counting_down", 1), ("ilog2_rejecting_one", 4)])
+def test_a_faulty_ilog2_exits_1_not_2(fault, step, monkeypatch, capsys):
+    # a fault in package code is a failing property, never a configuration
+    # error; FAULTS pins verify's report under 0, 2 and 3 workers
+    FAULTS[fault].plant(monkeypatch)
+    assert main(["bound", "--grid", "64"]) == 1
+    assert capsys.readouterr().err == f"error: chain step {step} fails at n=1\n"
+    assert main(["verify", "--max-len", "2", "--alphabet", "2", "--grid", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "\nresult: 9 properties, FAILED in " in captured.out
+    assert captured.err == ""
 
 
 def test_bound_prints_the_witness_its_chain_ends_at(monkeypatch, capsys):
@@ -423,13 +421,55 @@ def test_bench_linear_default_sizes(capsys):
     assert "classification: Linear" in capsys.readouterr().out
 
 
-def test_bench_csv(capsys):
-    assert main(["bench", "--sizes", "16:4096:x4", "--format", "csv"]) == 0
-    captured = capsys.readouterr()
-    lines = captured.out.strip().splitlines()
-    assert lines[0] == "n,t_max"
-    assert lines[1].startswith("16,")
-    assert "classification:" in captured.err
+# olog reports, byte for byte: stdout and stderr of each CSV report and of
+# bench's text table (TRACE_OUTPUT pins trace's table and JSON Lines)
+REPORT_OUTPUT = {
+    "verify csv": (
+        ["verify", "--max-len", "2", "--alphabet", "2", "--grid", "4", "--format", "csv"],
+        "id,name,passed,violations\n"
+        "P1,binary_posts,True,0\n"
+        "P2,oracle_agreement,True,0\n"
+        "P3,counter_exact_terminating,True,0\n"
+        "P4,counter_equals_tbs,True,0\n"
+        "P5,tbs_log_bound,True,0\n"
+        "P6,step_budget,True,0\n"
+        "P7,witness_bound,True,0\n"
+        "P8,ilog2_monotonic,True,0\n"
+        "P9,calc_chain,True,0\n",
+        ""),
+    "bound csv": (
+        ["bound", "--grid", "256", "--format", "csv"],
+        "step,from,rel,to,checked_to,ok\n"
+        "1,2*ilog2(n+1) + 1,<=,2*ilog2(n+1) + ilog2(n+1),256,True\n"
+        "2,2*ilog2(n+1) + ilog2(n+1),=,3*ilog2(n+1),256,True\n"
+        "3,3*ilog2(n+1),<=,3*ilog2(2*n),256,True\n"
+        "4,3*ilog2(2*n),=,3*ilog2(n) + 3,256,True\n"
+        "5,3*ilog2(n) + 3,<=,6*ilog2(n),256,True\n",
+        ""),
+    # the samples on stdout, the classification on stderr
+    "bench csv": (
+        ["bench", "--sizes", "16:4096:x4", "--format", "csv"],
+        "n,t_max\n16,5\n64,7\n256,9\n1024,11\n4096,13\n",
+        "classification: Logarithmic (margin=inf)\n"),
+    "bench text": (
+        ["bench", "--sizes", "16:4096:x4"],
+        "algorithm: binary_search\n"
+        "        n   t_max\n"
+        "       16       5\n"
+        "       64       7\n"
+        "      256       9\n"
+        "     1024      11\n"
+        "     4096      13\n"
+        "classification: Logarithmic (margin=inf)\n",
+        ""),
+}
+
+
+@pytest.mark.parametrize("row", sorted(REPORT_OUTPUT))
+def test_report_output_is_pinned(row, capsys):
+    argv, out, err = REPORT_OUTPUT[row]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out, err)
 
 
 # olog trace output, byte for byte, on hand-stepped instances: one record

@@ -4,7 +4,7 @@ from olog import estimator
 from olog.algorithms import SortedSeq, binary_search, linear_search_oracle
 from olog.cli import DEFAULT_SIZES, parse_sizes
 from olog.errors import PreconditionError
-from olog.estimator import StepSample, bench_steps, fit_class, samples_to_csv
+from olog.estimator import StepSample, bench_steps, fit_class
 from olog.intmath import ilog2
 
 import bare
@@ -224,8 +224,3 @@ def test_margin_at_least_one_when_finite():
     noisy = [StepSample(n, n + (n % 7)) for n in (10, 110, 1300, 9000, 40000)]
     report = fit_class(noisy)
     assert report.margin is None or report.margin >= 1.0
-
-
-def test_samples_csv_format():
-    text = samples_to_csv([StepSample(16, 5), StepSample(64, 7)])
-    assert text == "n,t_max\n16,5\n64,7\n"
