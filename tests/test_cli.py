@@ -421,8 +421,9 @@ def test_bench_linear_default_sizes(capsys):
     assert "classification: Linear" in capsys.readouterr().out
 
 
-# olog reports, byte for byte: stdout and stderr of each CSV report and of
-# bench's text table (TRACE_OUTPUT pins trace's table and JSON Lines)
+# olog reports, byte for byte: stdout and stderr of verify's and bound's CSV
+# and of bench's text table (test_bench_csv pins bench's CSV, TRACE_OUTPUT
+# trace's table and JSON Lines)
 REPORT_OUTPUT = {
     "verify csv": (
         ["verify", "--max-len", "2", "--alphabet", "2", "--grid", "4", "--format", "csv"],
@@ -446,11 +447,6 @@ REPORT_OUTPUT = {
         "4,3*ilog2(2*n),=,3*ilog2(n) + 3,256,True\n"
         "5,3*ilog2(n) + 3,<=,6*ilog2(n),256,True\n",
         ""),
-    # the samples on stdout, the classification on stderr
-    "bench csv": (
-        ["bench", "--sizes", "16:4096:x4", "--format", "csv"],
-        "n,t_max\n16,5\n64,7\n256,9\n1024,11\n4096,13\n",
-        "classification: Logarithmic (margin=inf)\n"),
     "bench text": (
         ["bench", "--sizes", "16:4096:x4"],
         "algorithm: binary_search\n"
@@ -470,6 +466,14 @@ def test_report_output_is_pinned(row, capsys):
     argv, out, err = REPORT_OUTPUT[row]
     assert main(argv) == 0
     assert capsys.readouterr() == (out, err)
+
+
+def test_bench_csv(capsys):
+    # the samples on stdout, the classification on stderr, byte for byte
+    assert main(["bench", "--sizes", "16:4096:x4", "--format", "csv"]) == 0
+    assert capsys.readouterr() == (
+        "n,t_max\n16,5\n64,7\n256,9\n1024,11\n4096,13\n",
+        "classification: Logarithmic (margin=inf)\n")
 
 
 # olog trace output, byte for byte, on hand-stepped instances: one record

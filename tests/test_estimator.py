@@ -2,7 +2,7 @@ import pytest
 
 from olog import estimator
 from olog.algorithms import SortedSeq, binary_search, linear_search_oracle
-from olog.cli import DEFAULT_SIZES, parse_sizes
+from olog.cli import DEFAULT_SIZES, _csv, parse_sizes
 from olog.errors import PreconditionError
 from olog.estimator import StepSample, bench_steps, fit_class
 from olog.intmath import ilog2
@@ -224,3 +224,9 @@ def test_margin_at_least_one_when_finite():
     noisy = [StepSample(n, n + (n % 7)) for n in (10, 110, 1300, 9000, 40000)]
     report = fit_class(noisy)
     assert report.margin is None or report.margin >= 1.0
+
+
+def test_samples_csv_format():
+    # bench's CSV: StepSample's fields as the header, one n,t_max line per sample
+    text = _csv(StepSample._fields, [StepSample(16, 5), StepSample(64, 7)])
+    assert text == "n,t_max\n16,5\n64,7\n"
