@@ -10,40 +10,22 @@ Every universally quantified claim is decided at every point of an
 explicit, reported grid (by dyadic blocks, on which ilog2 is constant),
 with exhaustive small-instance sweeps standing in for symbolic proof.
 
-The public names below resolve on first use (PEP 562), so ``import
-olog`` loads no submodule; a submodule loads as in any package, by
-``import olog.X``.
+The public names below are the ones README.md's Library section
+documents; every other name stays importable from its module. They
+resolve on first use (PEP 562), so ``import olog`` loads no submodule;
+a submodule loads as in any package, by ``import olog.X``. The bounds
+and ``ilog2`` have one binding, in ``intmath``, which every other module
+reads when it runs.
 """
 
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "algorithms": (
-        "IterRecord",
-        "SearchOutcome",
-        "SortedSeq",
-        "binary_search",
-        "broken_binary_search",
-        "check_binary_posts",
-        "check_sorted",
-        "linear_search_oracle",
-    ),
-    "checker": ("CheckReport", "InstanceSpace", "verify_all"),
-    "complexity": (
-        "CalcTrace",
-        "LogWitness",
-        "derive_log_witness",
-        "is_log2_from",
-        "is_o_log2n",
-    ),
+    "algorithms": ("SortedSeq", "binary_search", "broken_binary_search", "linear_search_oracle"),
+    "checker": ("InstanceSpace", "verify_all"),
+    "complexity": ("CalcTrace", "derive_log_witness"),
     "costmodel": ("tbs",),
-    "errors": (
-        "ContractError",
-        "InvariantViolation",
-        "PreconditionError",
-        "VacuousRangeError",
-    ),
-    "estimator": ("ClassificationReport", "StepSample", "bench_steps", "fit_class"),
+    "errors": ("PreconditionError",),
     "intmath": ("STEP_BUDGET", "ilog2", "ilog2_oracle"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

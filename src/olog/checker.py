@@ -36,6 +36,11 @@ sequence, as ``first_indices``, and each key of the group reads its
 answer from that. P8 and P9 are checked by dyadic blocks (see
 ``intmath.first_failure``), which decides every grid point.
 
+Each bound has one binding, in ``intmath``: P5–P7 read ``LOG_BOUND``,
+``STEP_BUDGET`` and ``ilog2`` there when the sweep runs, and P9's chain
+starts from ``intmath.STEP_BUDGET``, so one plant on ``intmath`` reaches
+every property that reads it.
+
 Counterexamples are minimal by construction: enumeration goes shortest
 sequence first, then lexicographic, then ascending key, and the first
 failure per property is the one reported.
@@ -56,7 +61,7 @@ import olog.costmodel as costmodel
 import olog.intmath as intmath
 from olog.algorithms import SortedSeq, binary_search, check_binary_posts, first_indices
 from olog.errors import InvariantViolation, PreconditionError, WorkerError
-from olog.intmath import LOG_BOUND, STEP_BUDGET, require_int, validated_make
+from olog.intmath import require_int, validated_make
 
 PROPERTY_NAMES = {
     "P1": "binary_posts",
@@ -292,11 +297,11 @@ def _p4_failure(trace, t, costs, tbs_total):
     return None
 
 
-def _length_bound(raised: dict, prop: str, name: str, bound, n: int):
-    """``bound(n)``, or None after noting in ``raised`` why it failed
-    ``prop`` at this length."""
+def _length_bound(raised: dict, prop: str, name: str, n: int):
+    """``intmath``'s ``name`` at n, read there when called, or None after
+    noting in ``raised`` why it failed ``prop`` at this length."""
     try:
-        return bound(n)
+        return getattr(intmath, name)(n)
     except Exception as err:
         raised[prop] = f"{name}({n}) raised {type(err).__name__}: {err}"
         return None
@@ -328,9 +333,11 @@ def verify_sweep(groups) -> dict:
     outcome before any verdict is recorded, so either case skips all of
     the instance's checks of the outcome, and an instance counts at most
     once against each property. An exception the walk raises counts
-    against P5, skipping P4. A per-length bound that raises (``LOG_BOUND``
-    for P5, ``STEP_BUDGET`` for P6, ``ilog2`` for P7) counts against its
-    property on every instance of that length.
+    against P5, skipping P4. The per-length bounds (``LOG_BOUND`` for P5,
+    ``STEP_BUDGET`` for P6, ``ilog2`` for P7) are read from ``intmath``
+    once per length, so a bound planted there is the one judged, and one
+    that raises counts against its property on every instance of that
+    length.
     """
     search = binary_search
     c, n0 = complexity.chain_witness(complexity.canonical_chain())
@@ -352,9 +359,9 @@ def verify_sweep(groups) -> dict:
         if n != last_n:  # the bounds depend on the length only
             last_n = n
             raised: dict = {}
-            budget = _length_bound(raised, "P6", "STEP_BUDGET", STEP_BUDGET, n)
-            bound = _length_bound(raised, "P5", "LOG_BOUND", LOG_BOUND, n) if n >= 1 else None
-            log_n = _length_bound(raised, "P7", "ilog2", intmath.ilog2, n) if n >= n0 else None
+            budget = _length_bound(raised, "P6", "STEP_BUDGET", n)
+            bound = _length_bound(raised, "P5", "LOG_BOUND", n) if n >= 1 else None
+            log_n = _length_bound(raised, "P7", "ilog2", n) if n >= n0 else None
         oracle = first_indices(items)
         for key in range(key_lo, key_hi + 1):
             instances += 1

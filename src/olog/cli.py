@@ -28,7 +28,7 @@ import os
 import stat
 import sys
 
-from olog.errors import PreconditionError, WorkerError
+from olog.errors import ContractError, PreconditionError, WorkerError
 
 DEFAULT_GRID = 2**20
 DEFAULT_SIZES = {"binary_search": "16:1048576:x4", "linear_oracle": "16:16384:x4"}
@@ -38,6 +38,11 @@ _ALGO_FLAG = {"binary": "binary_search", "linear": "linear_oracle"}
 def _fail_config(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _fail_check(detail: str) -> int:
+    print(f"error: {detail}", file=sys.stderr)
+    return 1
 
 
 def _write(out, to_file: bool, text: str) -> str | None:
@@ -158,25 +163,30 @@ def _cmd_bound(args, out) -> int:
             lines.append(f"  {mark} {step.relation}   [{step.why}]")
         out.write("\n".join(lines) + "\n")
     failure = trace.failure()
-    if failure is None:
-        return 0
-    print(f"error: {failure['detail']}", file=sys.stderr)
-    return 1
+    return 0 if failure is None else _fail_check(failure["detail"])
 
 
 def _cmd_bench(args, out) -> int:
     import olog.estimator as estimator
-    from olog.intmath import STEP_BUDGET
+    import olog.intmath as intmath
 
     algorithm = _ALGO_FLAG[args.algo]
     sizes = parse_sizes(args.sizes if args.sizes else DEFAULT_SIZES[algorithm])
     estimator.check_fit_sizes(sizes)  # a list fit_class would reject runs no profile
     samples = estimator.bench_steps(algorithm, sizes)
-    report = estimator.fit_class(samples)
-
-    failed = algorithm == "binary_search" and (
-        any(s.t_max > STEP_BUDGET(s.n) for s in samples) or report.verdict != "Logarithmic"
-    )
+    # the input is valid, so from here on a raise fails the check
+    try:
+        report = estimator.fit_class(samples)
+    except ContractError as err:  # it names the class whose basis raised
+        return _fail_check(str(err))
+    binary = algorithm == "binary_search"
+    over = False
+    for n, t_max in samples if binary else ():
+        try:
+            over |= t_max > intmath.STEP_BUDGET(n)
+        except Exception as err:
+            return _fail_check(f"STEP_BUDGET({n}) raised {type(err).__name__}: {err}")
+    failed = binary and (over or report.verdict != "Logarithmic")
     margin = "inf" if report.margin is None else f"{report.margin:.2f}"
     verdict = f"classification: {report.verdict} (margin={margin})"
 
@@ -195,8 +205,8 @@ def _cmd_bench(args, out) -> int:
 
 def _cmd_trace(args, out) -> int:
     import olog.costmodel as costmodel
+    import olog.intmath as intmath
     from olog.algorithms import SortedSeq, binary_search
-    from olog.intmath import STEP_BUDGET
 
     # argparse on Python 3.11 takes --q=-- for the end-of-options marker
     # and hands over an empty list; "--" is no integer list either
@@ -204,7 +214,7 @@ def _cmd_trace(args, out) -> int:
     items = _ints("--q", text, [p for p in text.split(",") if p.strip()])
     seq = SortedSeq(items)  # raises PreconditionError when unsorted
     outcome = binary_search(seq, args.key)
-    budget = STEP_BUDGET(len(seq))
+    budget = intmath.STEP_BUDGET(len(seq))
     costs = costmodel.tbs_path(seq, args.key)
     tbs_total = costs[0, len(seq)]
     # the range an iteration leaves is the next one's head; the last

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+import olog.intmath as intmath
 from olog.errors import PreconditionError
 from olog.intmath import (
     MAX_GRID,
-    STEP_BUDGET,
     Expr,
     Relation,
     Term,
@@ -104,10 +104,12 @@ def canonical_chain() -> tuple[CalcStep, ...]:
     """The five-step chain from the canonical bound down to 6*ilog2(n).
 
     Each expression is written once; step i relates expression i to
-    expression i+1, so the chain is connected by construction.
+    expression i+1, so the chain is connected by construction. The first
+    is ``intmath.STEP_BUDGET``, read when the chain is built, so a budget
+    planted there is the one the chain starts from.
     """
     exprs = (
-        STEP_BUDGET,
+        intmath.STEP_BUDGET,
         Expr((Term(2, 1, 1), Term(1, 1, 1)), 0),
         Expr((Term(3, 1, 1),), 0),
         Expr((Term(3, 2, 0),), 0),
@@ -170,31 +172,3 @@ def derive_log_witness(n_max: int) -> CalcTrace:
     check_grid(n_max)
     return check_calc_chain(canonical_chain(), n_max)
 
-
-def is_log2_from(witness: LogWitness, bound: Expr, n_max: int) -> bool:
-    """True iff bound(n) <= c*ilog2(n) for every n in [n0, n_max], by dyadic blocks.
-
-    An empty range (n_max < n0) raises ``VacuousRangeError``, since a
-    vacuously true verdict would look like a real one, and n_max above
-    2**32 raises ``PreconditionError`` (both from ``first_failure``).
-    """
-    within = Relation(bound, "<=", Expr((Term(witness.c, 1, 0),), 0))
-    return first_failure(within, witness.n0, n_max) == 0
-
-
-def is_o_log2n(n: int, t: int, bound: Expr, witness: LogWitness, n_max: int) -> bool:
-    """True iff t <= bound(n) and the bound is logarithmic on the checked grid.
-
-    The classical form quantifies existentially over bound functions;
-    here the caller supplies the explicit witness function instead. An n,
-    t or n_max that is not an int raises ``PreconditionError``.
-    """
-    for what, value in (("n", n), ("t", t), ("n_max", n_max)):
-        require_int(what, value)
-    if n < 1:
-        raise PreconditionError(f"membership check requires n >= 1, got {n}")
-    if n_max < max(n, witness.n0):
-        raise PreconditionError(
-            f"n_max={n_max} must cover both n={n} and the threshold n0={witness.n0}"
-        )
-    return t <= bound(n) and is_log2_from(witness, bound, n_max)

@@ -17,17 +17,19 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from olog.errors import PreconditionError
-from olog.intmath import ilog2, require_int, validated_make
+import olog.intmath as intmath
+from olog.errors import ContractError, PreconditionError
+from olog.intmath import require_int, validated_make
 
 ALGORITHMS = ("binary_search", "linear_oracle")
 
 # Candidates ordered slowest-growing first; ties break toward this order.
+# The log bases read intmath.ilog2 when the fit runs, so a plant there reaches the fit.
 GROWTH_CLASSES = (
     ("Constant", lambda n: 1),
-    ("Logarithmic", lambda n: ilog2(n)),
+    ("Logarithmic", lambda n: intmath.ilog2(n)),
     ("Linear", lambda n: n),
-    ("Linearithmic", lambda n: n * ilog2(n)),
+    ("Linearithmic", lambda n: n * intmath.ilog2(n)),
     ("Quadratic", lambda n: n * n),
 )
 
@@ -210,13 +212,19 @@ def check_fit_sizes(ns: Sequence[int]) -> None:
 def fit_class(samples: Sequence[StepSample]) -> ClassificationReport:
     """Pick the growth class with the smallest relative RMSE.
 
-    The samples' sizes must pass ``check_fit_sizes``.
+    The samples' sizes must pass ``check_fit_sizes``. A class whose basis
+    raises (a faulty ilog2, say) raises ``ContractError`` naming the class.
     """
     ns = [s.n for s in samples]
     ts = [s.t_max for s in samples]
     check_fit_sizes(ns)
 
-    fits = {name: _fit_one(ns, ts, g) for name, g in GROWTH_CLASSES}
+    fits = {}
+    for name, g in GROWTH_CLASSES:
+        try:
+            fits[name] = _fit_one(ns, ts, g)
+        except Exception as err:
+            raise ContractError(f"the {name} basis raised {type(err).__name__}: {err}") from err
     order = [name for name, _ in GROWTH_CLASSES]
     ranked = sorted(order, key=lambda name: (fits[name].rel_rmse, order.index(name)))
     best, runner_up = ranked[0], ranked[1]

@@ -257,10 +257,19 @@ FAULTS = {
     # one below LOG_BOUND at every width: only width 1, where tbs is 1 and
     # the planted bound 0, breaks it
     "log_bound_lowered": Fault(
-        _planted(checker, "LOG_BOUND", intmath.Expr((intmath.Term(2, 1, 0),), 0)),
+        _planted(intmath, "LOG_BOUND", intmath.Expr((intmath.Term(2, 1, 0),), 0)),
         (3, 2), 2,
         {"P5": (8, _at([0], -1, "tbs(0, 1)=1 exceeds its log bound"))},
         "P5", 0),
+    # a budget of ilog2(n+1), below the worst case from n = 2 on: the five
+    # instances of length 2 that take 2 steps exceed its 1, and length 3's
+    # worst case, 2, meets its 2; P9's chain, which now starts from the
+    # planted budget, still holds: its step 1 only gets looser
+    "step_budget_lowered": Fault(
+        _planted(intmath, "STEP_BUDGET", intmath.Expr((intmath.Term(1, 1, 1),), 0)),
+        (3, 2), 2,
+        {"P6": (5, _at([0, 0], -1, "t=2 exceeds budget 1"))},
+        "P6", 0),
     # ilog2 with k -= 1 for k += 1, -floor(log2 n): the bounds are negative
     # from length 1 (STEP_BUDGET) and 2 (LOG_BOUND, P7's), ilog2 decreases
     # from 1 to 2 and leaves the oracle at 2, and chain step 1 fails where

@@ -384,10 +384,10 @@ def test_the_automatic_worker_count(row, monkeypatch):
         lambda: verify_all(InstanceSpace(1, 1), grid=True),
         lambda: complexity.derive_log_witness(2.5),
         lambda: complexity.derive_log_witness("64"),
-        lambda: complexity.is_log2_from(complexity.LogWitness(6, 2), intmath.STEP_BUDGET, 64.0),
+        lambda: intmath.first_failure(intmath.MONOTONIC, 1, 64.0),
     ],
     ids=["max_len-float", "alphabet-str", "max_len-bool", "grid-float", "grid-str",
-         "grid-bool", "chain-float", "chain-str", "is_log2_from-float"],
+         "grid-bool", "chain-float", "chain-str", "first_failure-float"],
 )
 def test_a_value_that_is_not_an_int_is_rejected_before_any_sweep(call, monkeypatch):
     # a float grid passes the range comparisons, so only a type check made

@@ -13,7 +13,7 @@ import pytest
 
 import olog
 from faults import FAULTS, chain_ending_at
-from olog import algorithms, checker, complexity, estimator
+from olog import algorithms, checker, complexity, estimator, intmath
 from olog.cli import main, parse_sizes
 from olog.errors import PreconditionError
 from seam import pin, prelude
@@ -369,8 +369,17 @@ def test_bound_reports_a_failing_chain_in_every_format(fmt, monkeypatch, capsys)
         assert marks == ["ok"] * 4 + ["FAIL"]
 
 
-@pytest.mark.parametrize("fault,step", [("ilog2_counting_down", 1), ("ilog2_rejecting_one", 4)])
-def test_a_faulty_ilog2_exits_1_not_2(fault, step, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "fault,step,bench_err",
+    [
+        # the budget is -1 at n = 1, and the fit finds no class
+        ("ilog2_counting_down", 1, ""),
+        ("ilog2_rejecting_one", 4, "error: the Logarithmic basis raised PreconditionError: "
+                                   "ilog2 requires n >= 1, got 1\n"),
+    ],
+    ids=["ilog2_counting_down-1", "ilog2_rejecting_one-4"],
+)
+def test_a_faulty_ilog2_exits_1_not_2(fault, step, bench_err, monkeypatch, capsys):
     # a fault in package code is a failing property, never a configuration
     # error; FAULTS pins verify's report under 0, 2 and 3 workers
     FAULTS[fault].plant(monkeypatch)
@@ -380,6 +389,26 @@ def test_a_faulty_ilog2_exits_1_not_2(fault, step, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "\nresult: 9 properties, FAILED in " in captured.out
     assert captured.err == ""
+    assert main(["bench", "--sizes", "1,16,256,4096"]) == 1
+    assert capsys.readouterr().err == bench_err
+
+
+@pytest.mark.parametrize(
+    "plant,err",
+    [
+        # the report is written; t_max = 5 at n = 16 exceeds the budget ilog2(17) = 4
+        (FAULTS["step_budget_lowered"].plant, ""),
+        (lambda monkeypatch: monkeypatch.setattr(intmath, "STEP_BUDGET", lambda n: [][n]),
+         "error: STEP_BUDGET(16) raised IndexError: list index out of range\n"),
+    ],
+    ids=["step_budget_lowered", "step_budget_raising"],
+)
+def test_bench_fails_a_budget_below_or_raising(plant, err, monkeypatch, capsys):
+    plant(monkeypatch)
+    assert main(["bench", "--sizes", "16:4096:x4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out.endswith("classification: Logarithmic (margin=inf)\n") == (err == "")
 
 
 def test_bound_prints_the_witness_its_chain_ends_at(monkeypatch, capsys):

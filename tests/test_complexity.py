@@ -3,15 +3,13 @@ from functools import partial
 
 import pytest
 
-from olog import complexity
+from olog import complexity, intmath
 from olog.complexity import (
     CalcStep,
     LogWitness,
     canonical_chain,
     check_calc_chain,
     derive_log_witness,
-    is_log2_from,
-    is_o_log2n,
 )
 from olog.errors import PreconditionError, VacuousRangeError
 from olog.intmath import STEP_BUDGET, Expr, Relation, Term, ilog2
@@ -41,49 +39,6 @@ def test_witness_refuses_what_is_not_an_int(c, n0):
         LogWitness(c, n0)
 
 
-def test_is_log2_from_examples():
-    # (c, n0, grid, verdict), each also decided pointwise
-    for c, n0, grid, verdict in [
-        (6, 2, 4096, True),
-        (6, 1, 1024, False),  # at n=1: bound(1)=3 but 6*ilog2(1)=0
-        (1, 2, 16, False),  # at n=2: bound(2)=3 but 1*ilog2(2)=1
-    ]:
-        within = Relation(STEP_BUDGET, "<=", Expr((Term(c, 1, 0),), 0))
-        assert is_log2_from(LogWitness(c, n0), STEP_BUDGET, grid) is verdict
-        assert (pointwise.first_failure(within, n0, grid) == 0) is verdict
-
-
-def test_is_log2_from_refuses_vacuous_range():
-    with pytest.raises(VacuousRangeError):
-        is_log2_from(LogWitness(6, 100), STEP_BUDGET, 99)
-    with pytest.raises(PreconditionError):
-        is_log2_from(LogWitness(6, 2), STEP_BUDGET, 2**32 + 1)  # past the grid cap
-
-
-def test_is_o_log2n_examples():
-    w = LogWitness(6, 2)
-    assert is_o_log2n(8, 4, STEP_BUDGET, w, 1024) is True
-    assert is_o_log2n(1, 10, STEP_BUDGET, w, 1024) is False
-    assert is_o_log2n(1, 3, STEP_BUDGET, w, 1024) is True  # t equals the bound exactly
-
-
-def test_is_o_log2n_preconditions():
-    w = LogWitness(6, 2)
-    with pytest.raises(PreconditionError):
-        is_o_log2n(0, 0, STEP_BUDGET, w, 1024)
-    with pytest.raises(PreconditionError):
-        is_o_log2n(64, 3, STEP_BUDGET, w, 32)  # grid does not cover n
-
-
-@pytest.mark.parametrize(
-    "n,t,n_max",
-    [(8.5, 4, 64), (True, 4, 64), (8, 4.5, 64), (8, 4, "64"), (8, 100, 64.0), (8, 4, 64.0)],
-)
-def test_is_o_log2n_refuses_what_is_not_an_int(n, t, n_max):
-    with pytest.raises(PreconditionError, match="must be an integer"):
-        is_o_log2n(n, t, STEP_BUDGET, LogWitness(6, 2), n_max)
-
-
 def test_derive_log_witness_full_grid():
     trace = derive_log_witness(2**20)
     assert trace.witness == (6, 2)
@@ -105,8 +60,19 @@ def test_derive_log_witness_rejects_grid_below_threshold():
 
 
 def test_witness_round_trips_through_checker():
-    for grid in (2, 64, 4096):
-        assert is_log2_from(derive_log_witness(grid).witness, STEP_BUDGET, grid)
+    # (c, n0, grid, first n in [n0, grid] where STEP_BUDGET(n) > c*ilog2(n),
+    # 0 where none), the block check agreeing with a pointwise scan; the
+    # last three rows hold the witness derive_log_witness(grid) gives
+    rows = [
+        (6, 2, 4096, 0),
+        (6, 1, 1024, 1),  # at n=1: STEP_BUDGET(1)=3 but 6*ilog2(1)=0
+        (1, 2, 16, 2),  # at n=2: STEP_BUDGET(2)=3 but 1*ilog2(2)=1
+    ]
+    rows += [(*derive_log_witness(grid).witness, grid, 0) for grid in (2, 64, 4096)]
+    for c, n0, grid, fails_at in rows:
+        within = Relation(STEP_BUDGET, "<=", Expr((Term(c, 1, 0),), 0))
+        assert intmath.first_failure(within, n0, grid) == fails_at, (c, n0, grid)
+        assert pointwise.first_failure(within, n0, grid) == fails_at, (c, n0, grid)
 
 
 def test_chain_steps_check_in_isolation():

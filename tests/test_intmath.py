@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from olog import complexity, intmath
+from olog import intmath
 from olog.errors import PreconditionError, VacuousRangeError
 from olog.intmath import Expr, Relation, Term, ilog2, ilog2_oracle
 
@@ -232,12 +232,6 @@ def test_ilog2_and_terms_refuse_what_is_not_an_int(call):
         # a float constant used to evaluate to 5.5 at n = 4, and to pass
         # the grid checks as a bound
         (lambda: Expr((Term(2, 1, 1),), 1.5), "e must be an integer"),
-        (lambda: complexity.is_log2_from(
-            complexity.LogWitness(6, 2), Expr((Term(2, 1, 1),), 1.5), 64),
-         "e must be an integer"),
-        (lambda: complexity.is_o_log2n(
-            4, 5, Expr((Term(2, 1, 1),), 1.5), complexity.LogWitness(6, 2), 64),
-         "e must be an integer"),
         (lambda: Expr((Term(1, 1, 0),), "1"), "e must be an integer"),
         (lambda: Expr((Term(1, 1, 0),), True), "e must be an integer"),
         (lambda: intmath.STEP_BUDGET._replace(e=1.0), "e must be an integer"),
@@ -246,8 +240,8 @@ def test_ilog2_and_terms_refuse_what_is_not_an_int(call):
         (lambda: Expr(Term(1, 1, 0), 0), "terms must be a Term tuple"),
         (lambda: intmath.LOG_BOUND._replace(terms=((2, 1, 0),)), "terms must be a Term tuple"),
     ],
-    ids=["e-float", "is_log2_from-float-bound", "is_o_log2n-float-bound", "e-str", "e-bool",
-         "replace-e-float", "term-plain-tuple", "terms-list", "terms-one-term", "replace-terms"],
+    ids=["e-float", "e-str", "e-bool", "replace-e-float", "term-plain-tuple", "terms-list",
+         "terms-one-term", "replace-terms"],
 )
 def test_an_expression_refuses_what_is_not_its_fields(call, message):
     with pytest.raises(PreconditionError, match=message):

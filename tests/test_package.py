@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,18 +16,18 @@ from olog.errors import PreconditionError
 
 # Every public name of the package, by the module that defines it.
 PUBLIC = {
-    "algorithms": ["IterRecord", "SearchOutcome", "SortedSeq", "binary_search",
-                   "broken_binary_search", "check_binary_posts", "check_sorted",
-                   "linear_search_oracle"],
-    "checker": ["CheckReport", "InstanceSpace", "verify_all"],
-    "complexity": ["CalcTrace", "LogWitness", "derive_log_witness", "is_log2_from",
-                   "is_o_log2n"],
+    "algorithms": ["SortedSeq", "binary_search", "broken_binary_search", "linear_search_oracle"],
+    "checker": ["InstanceSpace", "verify_all"],
+    "complexity": ["CalcTrace", "derive_log_witness"],
     "costmodel": ["tbs"],
-    "errors": ["ContractError", "InvariantViolation", "PreconditionError", "VacuousRangeError"],
-    "estimator": ["ClassificationReport", "StepSample", "bench_steps", "fit_class"],
+    "errors": ["PreconditionError"],
     "intmath": ["STEP_BUDGET", "ilog2", "ilog2_oracle"],
 }
-SUBMODULES = [*PUBLIC, "cli", "kernels"]
+SUBMODULES = [*PUBLIC, "cli", "estimator", "kernels"]
+README = Path(__file__).parent.parent / "README.md"
+# The names only intmath binds: every other module reads them through it
+# when it runs, so that one plant reaches every caller.
+INTMATH_ONLY = {"LOG_BOUND", "STEP_BUDGET", "ilog2"}
 # perfbench reads these names from the kernels shim; each must be its
 # home's object, so that a wrapper swapped in for every olog global that is
 # it reaches the home's call sites
@@ -46,6 +47,9 @@ def test_all_names_are_the_defining_modules_objects():
         for name in names:
             assert getattr(olog, name) is getattr(defining, name), name
     assert set(olog.__all__) <= set(dir(olog))
+    # a public name is one the README documents
+    library = _library_section()
+    assert [n for n in olog.__all__ if not re.search(rf"\b{n}\b", library)] == []
 
 
 def test_the_shim_reexports_its_homes_objects():
@@ -83,19 +87,20 @@ def test_importtime_times_the_module_a_public_name_loads():
     # statement does, so -X importtime lists it for library callers too
     src = str(Path(olog.__file__).parent.parent)
     run = subprocess.run([sys.executable, "-X", "importtime", "-c",
-                          "from olog import verify_all, fit_class"],
+                          "from olog import tbs, verify_all"],
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
                          timeout=60)
     assert run.returncode == 0, run.stderr
     timed = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
              if line.startswith("import time:")}
-    assert {"olog.checker", "olog.estimator"} <= timed
+    assert {"olog.costmodel", "olog.checker"} <= timed
 
 
 def test_olog_modules_import_each_other_by_dotted_name():
     # "from olog import checker" goes through the package, and a call of
     # importlib.import_module is a second loader; either hides the module
-    # from -X importtime
+    # from -X importtime. A bound or ilog2 imported by name from intmath
+    # would be a second binding, which a plant on intmath does not reach.
     package = Path(olog.__file__).parent
     modules = {path.stem for path in package.glob("*.py")}
     found = []
@@ -106,6 +111,11 @@ def test_olog_modules_import_each_other_by_dotted_name():
             ):
                 found += [f"{path.name}:{node.lineno} from olog import {a.name}"
                           for a in node.names if a.name in modules]
+            elif isinstance(node, ast.ImportFrom) and path.stem != "intmath" and (
+                node.module == "olog.intmath" or (node.level and node.module == "intmath")
+            ):
+                found += [f"{path.name}:{node.lineno} from olog.intmath import {a.name}"
+                          for a in node.names if a.name in INTMATH_ONLY]
             elif isinstance(node, ast.Call) and "import_module" in (
                 getattr(node.func, "attr", None), getattr(node.func, "id", None)
             ):
@@ -113,10 +123,13 @@ def test_olog_modules_import_each_other_by_dotted_name():
     assert not found
 
 
+def _library_section() -> str:
+    readme = README.read_text(encoding="utf-8")
+    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_the_readme_library_example_runs():
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    library = readme.split("\n## Library\n", 1)[1]
-    block = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    block = _library_section().split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(block, "README.md#library", "exec"), {})
 
 
