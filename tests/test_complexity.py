@@ -59,20 +59,25 @@ def test_derive_log_witness_rejects_grid_below_threshold():
         derive_log_witness(1)
 
 
-def test_witness_round_trips_through_checker():
+def test_is_log2_from_examples():
     # (c, n0, grid, first n in [n0, grid] where STEP_BUDGET(n) > c*ilog2(n),
-    # 0 where none), the block check agreeing with a pointwise scan; the
-    # last three rows hold the witness derive_log_witness(grid) gives
-    rows = [
+    # 0 where none), the block check agreeing with a pointwise scan
+    for c, n0, grid, fails_at in [
         (6, 2, 4096, 0),
         (6, 1, 1024, 1),  # at n=1: STEP_BUDGET(1)=3 but 6*ilog2(1)=0
         (1, 2, 16, 2),  # at n=2: STEP_BUDGET(2)=3 but 1*ilog2(2)=1
-    ]
-    rows += [(*derive_log_witness(grid).witness, grid, 0) for grid in (2, 64, 4096)]
-    for c, n0, grid, fails_at in rows:
+    ]:
         within = Relation(STEP_BUDGET, "<=", Expr((Term(c, 1, 0),), 0))
         assert intmath.first_failure(within, n0, grid) == fails_at, (c, n0, grid)
         assert pointwise.first_failure(within, n0, grid) == fails_at, (c, n0, grid)
+
+
+def test_witness_round_trips_through_checker():
+    for grid in (2, 64, 4096):
+        c, n0 = derive_log_witness(grid).witness
+        within = Relation(STEP_BUDGET, "<=", Expr((Term(c, 1, 0),), 0))
+        assert intmath.first_failure(within, n0, grid) == 0, grid
+        assert pointwise.first_failure(within, n0, grid) == 0, grid
 
 
 def test_chain_steps_check_in_isolation():
