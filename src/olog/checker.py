@@ -34,7 +34,8 @@ instrumented search, whose loop-head invariant costs O(1) per head once
 the search has found the key's span. P2's linear oracle runs once per
 sequence, as ``first_indices``, and each key of the group reads its
 answer from that. P8 and P9 are checked by dyadic blocks (see
-``intmath.first_failure``), which decides every grid point.
+``intmath.first_failure``), which decides every grid point; where the
+first failure is a raise, the detail names what raised.
 
 Each bound has one binding, in ``intmath``: P5–P7 read ``LOG_BOUND``,
 ``STEP_BUDGET`` and ``ilog2`` there when the sweep runs, and P9's chain
@@ -593,12 +594,16 @@ def verify_all(space: InstanceSpace, grid: int) -> CheckReport:
         )
 
     mono, odd = intmath.scan_monotonic(grid), intmath.scan_oracle_equivalence(grid)
-    p8 = [
-        {"n": n, "detail": detail}
-        for n, detail in sorted([(mono, f"ilog2({mono}) > ilog2({mono + 1})"),
-                                 (odd, f"ilog2({odd}) != ilog2_oracle({odd})")])
-        if n
-    ]
+    found = []  # (n, detail, why): why names a raise at the reported n
+    if mono:
+        found.append((mono, f"ilog2({mono}) > ilog2({mono + 1})",
+                      intmath.MONOTONIC.raised_at(mono)))
+    if odd:
+        found.append((odd, f"ilog2({odd}) != ilog2_oracle({odd})",
+                      intmath.raised("ilog2", intmath.ilog2, odd)
+                      or intmath.raised("ilog2_oracle", intmath.ilog2_oracle, odd)))
+    p8 = [{"n": n, "detail": f"{detail}: {why}" if why else detail}
+          for n, detail, why in sorted(found, key=lambda f: f[:2])]
     results.append(PropertyResult("P8", PROPERTY_NAMES["P8"], not p8, len(p8), p8[0] if p8 else None))
     p9 = chain.failure()
     results.append(PropertyResult("P9", PROPERTY_NAMES["P9"], not p9, int(bool(p9)), p9))

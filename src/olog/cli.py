@@ -9,7 +9,13 @@ Exit codes: 0 success, 1 a checked property/bound failed, 2 bad
 configuration or input, a sweep with no verdict (a worker that died, or
 shares that missed part of the space), or output that could not be
 written. A fault in package code (an ``ilog2`` that raises, say) is a
-failing property, so 1, never 2.
+failing check, so 1, never 2. Each command's exit 1 prints one
+``error:`` line on stderr naming what failed, except ``verify``, whose
+report names each failing property: ``bound`` the first failing chain
+step, ``bench`` the first size whose t_max exceeds ``STEP_BUDGET`` or
+else a verdict that is not Logarithmic, and ``trace`` a counter over
+``STEP_BUDGET``. A report is still written, except where a budget or a
+fit basis raised: then the line names the raise and no report is.
 
 Each command imports the modules it runs inside its ``_cmd_*``
 function, by dotted name so that ``-X importtime`` times each, and
@@ -43,6 +49,17 @@ def _fail_config(message: str) -> int:
 def _fail_check(detail: str) -> int:
     print(f"error: {detail}", file=sys.stderr)
     return 1
+
+
+def _step_budget(n: int) -> int:
+    """``intmath.STEP_BUDGET(n)``, read when called. A budget that raises,
+    or is no int, fails the check: ``ContractError``, naming it."""
+    import olog.intmath as intmath
+
+    try:
+        return intmath.require_int("the budget", intmath.STEP_BUDGET(n))
+    except Exception as err:
+        raise ContractError(f"STEP_BUDGET({n}) raised {type(err).__name__}: {err}") from err
 
 
 def _write(out, to_file: bool, text: str) -> str | None:
@@ -168,25 +185,24 @@ def _cmd_bound(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     import olog.estimator as estimator
-    import olog.intmath as intmath
 
     algorithm = _ALGO_FLAG[args.algo]
     sizes = parse_sizes(args.sizes if args.sizes else DEFAULT_SIZES[algorithm])
     estimator.check_fit_sizes(sizes)  # a list fit_class would reject runs no profile
     samples = estimator.bench_steps(algorithm, sizes)
-    # the input is valid, so from here on a raise fails the check
-    try:
-        report = estimator.fit_class(samples)
-    except ContractError as err:  # it names the class whose basis raised
-        return _fail_check(str(err))
     binary = algorithm == "binary_search"
-    over = False
-    for n, t_max in samples if binary else ():
-        try:
-            over |= t_max > intmath.STEP_BUDGET(n)
-        except Exception as err:
-            return _fail_check(f"STEP_BUDGET({n}) raised {type(err).__name__}: {err}")
-    failed = binary and (over or report.verdict != "Logarithmic")
+    # the input is valid, so from here on a raise fails the check
+    failed = []  # why the check fails; the first is printed
+    try:
+        report = estimator.fit_class(samples)  # names the class whose basis raised
+        for n, t_max in samples if binary else ():
+            budget = _step_budget(n)
+            if t_max > budget:
+                failed.append(f"t_max={t_max} at n={n} exceeds STEP_BUDGET({n})={budget}")
+    except ContractError as err:
+        return _fail_check(str(err))
+    if binary and report.verdict != "Logarithmic":
+        failed.append(f"classification is {report.verdict}, not Logarithmic")
     margin = "inf" if report.margin is None else f"{report.margin:.2f}"
     verdict = f"classification: {report.verdict} (margin={margin})"
 
@@ -200,12 +216,11 @@ def _cmd_bench(args, out) -> int:
     else:
         lines = [f"algorithm: {algorithm}", *_columns((9, 7), [header, *samples]), verdict]
         out.write("\n".join(lines) + "\n")
-    return 1 if failed else 0
+    return _fail_check(failed[0]) if failed else 0
 
 
 def _cmd_trace(args, out) -> int:
     import olog.costmodel as costmodel
-    import olog.intmath as intmath
     from olog.algorithms import SortedSeq, binary_search
 
     # argparse on Python 3.11 takes --q=-- for the end-of-options marker
@@ -214,7 +229,10 @@ def _cmd_trace(args, out) -> int:
     items = _ints("--q", text, [p for p in text.split(",") if p.strip()])
     seq = SortedSeq(items)  # raises PreconditionError when unsorted
     outcome = binary_search(seq, args.key)
-    budget = intmath.STEP_BUDGET(len(seq))
+    try:
+        budget = _step_budget(len(seq))
+    except ContractError as err:
+        return _fail_check(str(err))
     costs = costmodel.tbs_path(seq, args.key)
     tbs_total = costs[0, len(seq)]
     # the range an iteration leaves is the next one's head; the last
@@ -233,6 +251,8 @@ def _cmd_trace(args, out) -> int:
                          [("lo", "hi", "mid", "t", "tbs_remaining", "margin"), *rows])
         lines.append(f"r={outcome.r} t={outcome.t} budget={budget}")
         out.write("\n".join(lines) + "\n")
+    if outcome.t > budget:
+        return _fail_check(f"t={outcome.t} exceeds STEP_BUDGET({len(seq)})={budget}")
     return 0
 
 

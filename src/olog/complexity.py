@@ -78,10 +78,13 @@ class CalcTrace(NamedTuple):
         return not any(self.failures)
 
     def failure(self) -> Optional[dict]:
-        """The earliest failing step and n as P9's counterexample, or None."""
-        for i, n in enumerate(self.failures, start=1):
+        """The earliest failing step and n as P9's counterexample, or None.
+        Where a side of the step raised at that n, the detail names it."""
+        for i, (step, n) in enumerate(zip(self.steps, self.failures), start=1):
             if n:
-                return {"step": i, "n": n, "detail": f"chain step {i} fails at n={n}"}
+                why = step.relation.raised_at(n)
+                detail = f"chain step {i} fails at n={n}" + (f": {why}" if why else "")
+                return {"step": i, "n": n, "detail": detail}
         return None
 
     def to_dict(self) -> dict:

@@ -20,12 +20,13 @@ between two such points both sides, and hence the relation's truth, are
 constant. Evaluating the relation once at the start of each of those
 blocks therefore decides it at every n, and the first failing block
 start is the first failing n. A side that raises at n fails the
-relation there, so a faulty ilog2 gives a failing n, never an error.
+relation there, so a faulty ilog2 gives a failing n, never an error;
+``Relation.raised_at`` then names the side and its exception.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from olog.errors import PreconditionError, VacuousRangeError
 
@@ -178,8 +179,26 @@ class Relation(_RelationFields):
             return False
         return left == right if self.rel == "=" else left <= right
 
+    def raised_at(self, n: int) -> Optional[str]:
+        """Why the relation fails at n if a side raises there: the first
+        such side and its exception, as ``raised`` words it; else None."""
+        return raised(str(self.lhs), self.lhs, n) or raised(str(self.rhs), self.rhs, n)
+
     def __str__(self) -> str:
         return f"{self.lhs} {self.rel} {self.rhs}"
+
+
+def raised(what: str, fn, n: int) -> Optional[str]:
+    """``"<what> raised <type>: <message>"`` if ``fn(n)`` raises, else None.
+
+    A scan returns only the first failing n; a check words the reason at
+    that one n with this, so a failure caused by a raise says so.
+    """
+    try:
+        fn(n)
+    except Exception as err:
+        return f"{what} raised {type(err).__name__}: {err}"
+    return None
 
 
 def require_int(what: str, value) -> int:

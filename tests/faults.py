@@ -129,6 +129,10 @@ def _ilog2_rejecting_one(n):
     return ilog2(n)
 
 
+# what _ilog2_rejecting_one raises at 1, as a failure's detail words it
+REJECTS_ONE = "PreconditionError: ilog2 requires n >= 1, got 1"
+
+
 def _at(q, key, detail):
     return {"q": q, "key": key, "detail": detail}
 
@@ -285,15 +289,14 @@ FAULTS = {
     # ilog2(1) raises: a bound that raises fails its property on every
     # instance of its length (STEP_BUDGET at 0, LOG_BOUND at 1; P7 starts
     # at n0 = 2), and a relation that raises at n fails there (P8 and
-    # chain step 4, the doubling law, at n=1)
+    # chain step 4, the doubling law, at n=1), each detail naming the raise
     "ilog2_rejecting_one": Fault(
         _planted(intmath, "ilog2", _ilog2_rejecting_one), (2, 2), 4,
-        {"P5": (8, _at([0], -1, "LOG_BOUND(1) raised PreconditionError: "
-                                "ilog2 requires n >= 1, got 1")),
-         "P6": (4, _at([], -1, "STEP_BUDGET(0) raised PreconditionError: "
-                               "ilog2 requires n >= 1, got 1")),
-         "P8": (2, {"n": 1, "detail": "ilog2(1) != ilog2_oracle(1)"}),
-         "P9": (1, {"step": 4, "n": 1, "detail": "chain step 4 fails at n=1"})},
+        {"P5": (8, _at([0], -1, f"LOG_BOUND(1) raised {REJECTS_ONE}")),
+         "P6": (4, _at([], -1, f"STEP_BUDGET(0) raised {REJECTS_ONE}")),
+         "P8": (2, {"n": 1, "detail": f"ilog2(1) != ilog2_oracle(1): ilog2 raised {REJECTS_ONE}"}),
+         "P9": (1, {"step": 4, "n": 1,
+                    "detail": f"chain step 4 fails at n=1: 3*ilog2(n) + 3 raised {REJECTS_ONE}"})},
         "P6", 0),
     # an r that P1's postconditions and P2's oracle cannot compare
     "unreadable_outcome": Fault(

@@ -8,8 +8,6 @@ see the measured times).
 import json
 import time
 
-import pytest
-
 from olog import checker, estimator, intmath
 from olog.algorithms import SortedSeq, binary_search, broken_binary_search
 from olog.checker import InstanceSpace
@@ -40,13 +38,6 @@ def _finish(num, name, failures, elapsed=None, limit=None):
         assert elapsed < limit, f"criterion {num} took {elapsed:.3f}s, expected < {limit}s"
 
 
-@pytest.fixture(scope="module")
-def default_verify_report():
-    with _Run() as run:
-        report = checker.verify_all(InstanceSpace(max_len=8, alphabet=6), grid=2**20)
-    return report, run.elapsed
-
-
 def test_c1_witness_reproduction(capsys):
     with _Run() as run:
         code = main(["bound", "--grid", "1048576", "--format", "json"])
@@ -68,8 +59,8 @@ def test_c2_exhaustive_invariant_suite(default_verify_report):
     failures = []
     if report.instances_checked != 24024:
         failures.append(f"{report.instances_checked} instances, expected 24024")
-    if len(report.properties) != 9:
-        failures.append("expected nine properties")
+    if [p.id for p in report.properties] != [f"P{i}" for i in range(1, 10)]:
+        failures.append(f"expected P1-P9, got {[p.id for p in report.properties]}")
     for prop in report.properties:
         if not prop.passed:
             failures.append(f"{prop.id} {prop.name} failed: {prop.counterexample}")
@@ -131,12 +122,12 @@ def test_c7_estimator_separation():
             estimator.bench_steps("linear_oracle", [2**k for k in range(4, 15)])
         )
     failures = []
-    if binary.best_class != "Logarithmic":
-        failures.append(f"binary classified {binary.best_class}")
+    if (binary.best_class, binary.verdict) != ("Logarithmic", "Logarithmic"):
+        failures.append(f"binary classified {binary.best_class}, verdict {binary.verdict}")
     if not (binary.margin is None or binary.margin >= 2):
         failures.append(f"binary margin {binary.margin} < 2")
-    if linear.best_class != "Linear":
-        failures.append(f"linear classified {linear.best_class}")
+    if (linear.best_class, linear.verdict) != ("Linear", "Linear"):
+        failures.append(f"linear classified {linear.best_class}, verdict {linear.verdict}")
     _finish(7, "estimator separates Logarithmic from Linear", failures, run.elapsed)
 
 

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import olog
-from faults import FAULTS, chain_ending_at
+from faults import FAULTS, REJECTS_ONE, chain_ending_at
 from olog import algorithms, checker, complexity, estimator, intmath
 from olog.cli import main, parse_sizes
 from olog.errors import PreconditionError
@@ -370,34 +370,50 @@ def test_bound_reports_a_failing_chain_in_every_format(fmt, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize(
-    "fault,step,bench_err",
+    "fault,step,bench_err,trace",
     [
-        # the budget is -1 at n = 1, and the fit finds no class
-        ("ilog2_counting_down", 1, ""),
-        ("ilog2_rejecting_one", 4, "error: the Logarithmic basis raised PreconditionError: "
-                                   "ilog2 requires n >= 1, got 1\n"),
+        # the budget is -1 at n = 1 and n = 2 (and the fit finds no class);
+        # the trace is printed, budget included, and then fails
+        ("ilog2_counting_down", "1 fails at n=1",
+         "error: t_max=1 at n=1 exceeds STEP_BUDGET(1)=-1\n",
+         (["--q", "1,2", "--key", "2"],
+          "  lo   hi  mid    t  tbs_remaining  margin\n"
+          "   0    2    1    1              0       0\n"
+          "r=1 t=1 budget=-1\n",
+          "error: t=1 exceeds STEP_BUDGET(2)=-1\n")),
+        # the budget of the empty sequence raises: no trace
+        ("ilog2_rejecting_one", f"4 fails at n=1: 3*ilog2(n) + 3 raised {REJECTS_ONE}",
+         f"error: the Logarithmic basis raised {REJECTS_ONE}\n",
+         (["--q=", "--key", "3"], "", f"error: STEP_BUDGET(0) raised {REJECTS_ONE}\n")),
     ],
     ids=["ilog2_counting_down-1", "ilog2_rejecting_one-4"],
 )
-def test_a_faulty_ilog2_exits_1_not_2(fault, step, bench_err, monkeypatch, capsys):
-    # a fault in package code is a failing property, never a configuration
-    # error; FAULTS pins verify's report under 0, 2 and 3 workers
+def test_a_faulty_ilog2_exits_1_not_2(fault, step, bench_err, trace, monkeypatch, capsys):
+    # a fault in package code is a failing check, never a configuration
+    # error, and each command's error line names it; FAULTS pins verify's
+    # report under 0, 2 and 3 workers
     FAULTS[fault].plant(monkeypatch)
     assert main(["bound", "--grid", "64"]) == 1
-    assert capsys.readouterr().err == f"error: chain step {step} fails at n=1\n"
+    assert capsys.readouterr().err == f"error: chain step {step}\n"
     assert main(["verify", "--max-len", "2", "--alphabet", "2", "--grid", "4"]) == 1
     captured = capsys.readouterr()
     assert "\nresult: 9 properties, FAILED in " in captured.out
     assert captured.err == ""
     assert main(["bench", "--sizes", "1,16,256,4096"]) == 1
     assert capsys.readouterr().err == bench_err
+    trace_argv, trace_out, trace_err = trace
+    assert main(["trace", *trace_argv]) == 1
+    assert capsys.readouterr() == (trace_out, trace_err)
 
 
 @pytest.mark.parametrize(
     "plant,err",
     [
-        # the report is written; t_max = 5 at n = 16 exceeds the budget ilog2(17) = 4
-        (FAULTS["step_budget_lowered"].plant, ""),
+        # the report is written; t_max = 5 at n = 16 exceeds the budget
+        # ilog2(17) = 4, and so does every larger size's
+        (FAULTS["step_budget_lowered"].plant,
+         "error: t_max=5 at n=16 exceeds STEP_BUDGET(16)=4\n"),
+        # no report
         (lambda monkeypatch: monkeypatch.setattr(intmath, "STEP_BUDGET", lambda n: [][n]),
          "error: STEP_BUDGET(16) raised IndexError: list index out of range\n"),
     ],
@@ -408,7 +424,19 @@ def test_bench_fails_a_budget_below_or_raising(plant, err, monkeypatch, capsys):
     assert main(["bench", "--sizes", "16:4096:x4"]) == 1
     captured = capsys.readouterr()
     assert captured.err == err
-    assert captured.out.endswith("classification: Logarithmic (margin=inf)\n") == (err == "")
+    reported = captured.out.endswith("classification: Logarithmic (margin=inf)\n")
+    assert reported == ("exceeds" in err)
+
+
+def test_bench_names_a_verdict_that_is_not_logarithmic(monkeypatch, capsys):
+    # within budget, but with no Logarithmic basis to fit: the report is
+    # written, and the stderr line names the verdict
+    monkeypatch.setattr(estimator, "GROWTH_CLASSES", tuple(
+        basis for basis in estimator.GROWTH_CLASSES if basis[0] != "Logarithmic"))
+    assert main(["bench", "--sizes", "16:4096:x4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: classification is inconclusive, not Logarithmic\n"
+    assert captured.out.endswith("classification: inconclusive (margin=1.05)\n")
 
 
 def test_bound_prints_the_witness_its_chain_ends_at(monkeypatch, capsys):

@@ -12,40 +12,16 @@ from olog.complexity import (
     derive_log_witness,
 )
 from olog.errors import PreconditionError, VacuousRangeError
-from olog.intmath import STEP_BUDGET, Expr, Relation, Term, ilog2
+from olog.intmath import STEP_BUDGET, Expr, Relation, Term
 
 import pointwise
 from faults import chain_ending_at
-
-
-def test_step_bound_values():
-    # 2*ilog2(n+1) + 1, total on all of nat
-    assert STEP_BUDGET(0) == 1
-    assert STEP_BUDGET(1) == 3
-    assert STEP_BUDGET(8) == 7
-    assert STEP_BUDGET(1024) == 21
-
-
-def test_witness_requires_positive_parts():
-    with pytest.raises(PreconditionError):
-        LogWitness(0, 2)
-    with pytest.raises(PreconditionError):
-        LogWitness(6, 0)
 
 
 @pytest.mark.parametrize("c,n0", [(6.5, 2), (True, 2), (6, 2.0), (6, True)])
 def test_witness_refuses_what_is_not_an_int(c, n0):
     with pytest.raises(PreconditionError, match="must be an integer"):
         LogWitness(c, n0)
-
-
-def test_derive_log_witness_full_grid():
-    trace = derive_log_witness(2**20)
-    assert trace.witness == (6, 2)
-    assert len(trace.steps) == 5
-    assert trace.ok and trace.failures == (0,) * 5
-    assert trace.grid == 2**20
-    assert all(s["checked_to"] == 2**20 for s in trace.to_dict()["steps"])
 
 
 def test_derive_log_witness_smallest_grid():
@@ -63,28 +39,13 @@ def test_is_log2_from_examples():
     # (c, n0, grid, first n in [n0, grid] where STEP_BUDGET(n) > c*ilog2(n),
     # 0 where none), the block check agreeing with a pointwise scan
     for c, n0, grid, fails_at in [
-        (6, 2, 4096, 0),
+        (6, 2, 4096, 0),  # the shipped witness: 3 <= 6 at n=2, within 2x there
         (6, 1, 1024, 1),  # at n=1: STEP_BUDGET(1)=3 but 6*ilog2(1)=0
         (1, 2, 16, 2),  # at n=2: STEP_BUDGET(2)=3 but 1*ilog2(2)=1
     ]:
         within = Relation(STEP_BUDGET, "<=", Expr((Term(c, 1, 0),), 0))
         assert intmath.first_failure(within, n0, grid) == fails_at, (c, n0, grid)
         assert pointwise.first_failure(within, n0, grid) == fails_at, (c, n0, grid)
-
-
-def test_witness_round_trips_through_checker():
-    for grid in (2, 64, 4096):
-        c, n0 = derive_log_witness(grid).witness
-        within = Relation(STEP_BUDGET, "<=", Expr((Term(c, 1, 0),), 0))
-        assert intmath.first_failure(within, n0, grid) == 0, grid
-        assert pointwise.first_failure(within, n0, grid) == 0, grid
-
-
-def test_chain_steps_check_in_isolation():
-    # every canonical step alone holds on a small grid
-    trace = check_calc_chain(canonical_chain(), 4096)
-    assert trace.steps == canonical_chain()
-    assert trace.failures == (0,) * 5 and trace.grid == 4096
 
 
 def test_check_calc_chain_rejects_a_grid_past_the_cap():
@@ -117,20 +78,9 @@ def _edited_chain(index, rhs=None, n_min=None):
     return tuple(steps)
 
 
-def test_reversed_monotonic_step_is_caught():
-    trace = check_calc_chain(_reversed_step3(), 1024)
-    assert trace.failures == (0, 0, 2, 0, 0)
-
-
-def test_step5_rhs_mutant_is_caught():
-    # a chain is checked by what its steps compute, never by their labels;
-    # step 5 weakened to 3*ilog2(n) is false from n=2 on
-    trace = check_calc_chain(chain_ending_at(3), 1024)
-    assert trace.failures == (0, 0, 0, 0, 2)
-
-
 def test_broken_chain_trace_reports_first_failure():
     trace = check_calc_chain(_reversed_step3(), 1024)
+    assert trace.failures == (0, 0, 2, 0, 0)
     assert not trace.ok
     assert trace.failure() == {"step": 3, "n": 2, "detail": "chain step 3 fails at n=2"}
 
@@ -191,12 +141,4 @@ def test_calc_trace_serialization_shape():
     assert first["from"] == "2*ilog2(n+1) + 1"
     assert payload["steps"][-1]["to"] == "6*ilog2(n)"
     json.dumps(payload)  # must be plain-JSON serializable
-
-
-def test_tightness_floor_probe():
-    # the 6*ilog2(n) bound is not vacuously loose: at n=2 the two sides
-    # are within a factor of two (3 vs 6)
-    assert STEP_BUDGET(2) == 3
-    assert 6 * ilog2(2) == 6
-    assert all(STEP_BUDGET(n) <= 6 * ilog2(n) for n in range(2, 4096))
 
