@@ -64,6 +64,8 @@ def test_c2_exhaustive_invariant_suite(default_verify_report):
     for prop in report.properties:
         if not prop.passed:
             failures.append(f"{prop.id} {prop.name} failed: {prop.counterexample}")
+    if report.max_tbs_gap != 0:
+        failures.append(f"max_tbs_gap {report.max_tbs_gap}, expected 0")
     _finish(2, "exhaustive invariant suite (P1-P9, 24024 instances)", failures,
             elapsed, 10.0)
 

@@ -13,7 +13,6 @@ from olog.algorithms import (
     _inv_holds,
     _search,
     binary_search,
-    broken_binary_search,
     check_binary_posts,
     check_sorted,
     first_indices,
@@ -279,19 +278,6 @@ def test_search_counter_bounded(instance):
     assert outcome.t == len(outcome.trace)
     assert outcome.t == costmodel.tbs(items, 0, len(items), key)
     assert outcome.t <= STEP_BUDGET(len(items))
-
-
-def test_broken_search_trips_the_termination_check():
-    with pytest.raises(InvariantViolation) as err:
-        broken_binary_search(SortedSeq([0]), 1)
-    assert err.value.predicate == "termination"
-    assert err.value.state["lo"] == 0 and err.value.state["hi"] == 1
-
-
-def test_broken_search_agrees_when_bug_not_hit():
-    # going left only never exercises the planted bug
-    outcome = broken_binary_search(SortedSeq([1, 3, 5, 7]), -2)
-    assert (outcome.r, outcome.t) == (-1, 3)
 
 
 @pytest.mark.parametrize(
